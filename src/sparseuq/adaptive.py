@@ -11,13 +11,11 @@ Three strategies over the same generic loop (estimate, mark, extend):
   PDE at candidate points, all cached), single-index marking, and a
   final augmentation by the whole reduced margin reusing cached solves.
 
-All loops start from the singleton zero index, break ties
-lexicographically, and are deterministic for any parallelism degree:
-candidate work may run concurrently but results are reduced in
-lexicographic order.
+All loops start from the singleton zero index, process candidates in
+lexicographic order and break ties lexicographically, so reruns are
+bitwise identical.
 """
 
-import concurrent.futures
 import logging
 import math
 import time
@@ -52,7 +50,6 @@ class AdaptiveConfig:
     reference_every: int = 0
     reference_quad: int = 20
     dorfler: float = 0.0
-    parallelism: int = 1
 
     def __post_init__(self):
         self.strategy = str(self.strategy).lower()
@@ -70,7 +67,6 @@ class AdaptiveConfig:
             raise ValueError("budgets must be at least 1")
         if not 0.0 <= self.dorfler <= 1.0:
             raise ValueError("dorfler fraction must lie in [0, 1]")
-        self.parallelism = max(1, int(self.parallelism))
 
 
 @dataclass
@@ -108,22 +104,16 @@ class AdaptiveTrace:
         return self.info["a_min"]
 
 
-def _solve_block(P, cache, k, executor):
+def _solve_block(P, cache, k):
     """Cached solves at the fresh points of k, rows in block order."""
     newjs = P.new_point_indices(k)
     coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
-    pairs = list(zip(newjs, coords))
-    fn = lambda jy: cache.solve_indexed(jy[0], jy[1])
-    if executor is None or len(pairs) == 1:
-        rows = [fn(jy) for jy in pairs]
-    else:
-        rows = list(executor.map(fn, pairs))
-    return np.vstack(rows)
+    return np.vstack([cache.solve_indexed(j, y) for j, y in zip(newjs, coords)])
 
 
-def _add_indices(P, cache, marked, executor):
+def _add_indices(P, cache, marked):
     for k in marked:
-        P.add_index(k, values=_solve_block(P, cache, k, executor))
+        P.add_index(k, values=_solve_block(P, cache, k))
 
 
 def _maybe_reference(P, disc, config, cache, n):
@@ -186,62 +176,53 @@ def _run(problem, disc, config, on_row=None):
     trace.cache = cache
     a_min = info["a_min"]
     is_gg = config.strategy == "gg"
-    executor = None
-    try:
-        if config.parallelism > 1:
-            executor = concurrent.futures.ThreadPoolExecutor(config.parallelism)
-        _add_indices(P, cache, [(0,) * problem.dim], executor)
-        n = 0
-        while True:
-            t0 = time.perf_counter()
-            if is_gg:
-                report = reduced_margin_report(
-                    P, problem, disc, config.norm, cache, executor
-                )
-            else:
-                report = margin_report(P, problem, disc, config.norm, executor)
-            ref = _maybe_reference(P, disc, config, cache, n)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            row = _row(trace, n, P, cache, report, ref, a_min, wall_ms)
-            if on_row is not None:
-                on_row(row)
-            if report.total <= config.tol:
-                trace.stop_reason = "tol"
-                break
-            if n + 1 > config.max_iter:
-                trace.stop_reason = "max_iter"
-                trace.budget_exhausted = True
-                break
-            if cache.n_solves >= config.max_solves:
-                trace.stop_reason = "max_solves"
-                trace.budget_exhausted = True
-                break
-            if config.strategy == "gn_profit":
-                pis = {
-                    k: profit(P.indexset, config.nodes, k, report.values)
-                    for k in report.values
-                }
-                kstar = min(pis, key=lambda k: (-pis[k], k))
-                marked = P.indexset.monotone_envelope(kstar)
-            elif config.strategy == "gn_envelope":
-                kstar = report.argmax()
-                marked = P.indexset.monotone_envelope(kstar)
-            else:
-                if config.dorfler > 0.0:
-                    marked = _dorfler_mark(report, config.dorfler)
-                else:
-                    marked = [report.argmax()]
-            _add_indices(P, cache, marked, executor)
-            n += 1
+    _add_indices(P, cache, [(0,) * problem.dim])
+    n = 0
+    while True:
+        t0 = time.perf_counter()
         if is_gg:
-            _augment_gg(trace, problem, disc, config, P, cache, executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            report = reduced_margin_report(P, problem, disc, config.norm, cache)
+        else:
+            report = margin_report(P, problem, disc, config.norm)
+        ref = _maybe_reference(P, disc, config, cache, n)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        row = _row(trace, n, P, cache, report, ref, a_min, wall_ms)
+        if on_row is not None:
+            on_row(row)
+        if report.total <= config.tol:
+            trace.stop_reason = "tol"
+            break
+        if n + 1 > config.max_iter:
+            trace.stop_reason = "max_iter"
+            trace.budget_exhausted = True
+            break
+        if cache.n_solves >= config.max_solves:
+            trace.stop_reason = "max_solves"
+            trace.budget_exhausted = True
+            break
+        if config.strategy == "gn_profit":
+            pis = {
+                k: profit(P.indexset, config.nodes, k, report.values)
+                for k in report.values
+            }
+            kstar = min(pis, key=lambda k: (-pis[k], k))
+            marked = P.indexset.monotone_envelope(kstar)
+        elif config.strategy == "gn_envelope":
+            kstar = report.argmax()
+            marked = P.indexset.monotone_envelope(kstar)
+        else:
+            if config.dorfler > 0.0:
+                marked = _dorfler_mark(report, config.dorfler)
+            else:
+                marked = [report.argmax()]
+        _add_indices(P, cache, marked)
+        n += 1
+    if is_gg:
+        _augment_gg(trace, problem, disc, config, P, cache)
     return trace
 
 
-def _augment_gg(trace, problem, disc, config, P, cache, executor):
+def _augment_gg(trace, problem, disc, config, P, cache):
     """Absorb the whole reduced margin after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
@@ -255,7 +236,7 @@ def _augment_gg(trace, problem, disc, config, P, cache, executor):
     if not pending:
         return
     before = cache.n_solves
-    _add_indices(P, cache, pending, executor)
+    _add_indices(P, cache, pending)
     assert cache.n_solves == before, "augmentation must reuse cached solves"
     trace.augmented = True
     ref = None
@@ -301,14 +282,18 @@ def run_strategy(problem, disc, config, on_row=None):
 
 
 def _coerce(config, strategy, kw):
+    fields = {k: v for k, v in kw.items() if k != "on_row"}
     if config is None:
-        fields = {
-            k: v
-            for k, v in kw.items()
-            if k in AdaptiveConfig.__dataclass_fields__
-        }
+        unknown = sorted(set(fields) - set(AdaptiveConfig.__dataclass_fields__))
+        if unknown:
+            raise TypeError("unknown keyword arguments: %s" % ", ".join(unknown))
         fields["strategy"] = strategy
         return AdaptiveConfig(**fields)
+    if fields:
+        raise TypeError(
+            "keyword arguments %s cannot be combined with config="
+            % ", ".join(sorted(fields))
+        )
     if config.strategy != strategy:
         raise ValueError(
             "config strategy %r does not match entry point %r"

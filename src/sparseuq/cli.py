@@ -6,12 +6,13 @@ Subcommands:
   strategy, and write per-strategy trace CSVs, final-set JSON snapshots
   and a summary.json into the output directory.
 * ``compare trace.csv ...``: align traces of the same problem on the
-  cumulative solve count, emitting a plot-ready error-versus-work table.
+  cumulative solve count, emitting a plot-ready table with a reference
+  error and an estimator column per trace.
 * ``nodes kind n``: dump the first n nodes of a family.
 * ``selftest``: fast built-in consistency checks.
 
 Exit codes: 0 success, 2 when any run stopped on a budget instead of
-the tolerance, 3 for configuration or ellipticity errors.
+the tolerance, 3 for usage, configuration or ellipticity errors.
 """
 
 import argparse
@@ -54,7 +55,6 @@ DEFAULTS = {
     "max_solves": 100000,
     "reference": {"quad_order": 20, "every": "auto"},
     "dorfler": 0.0,
-    "parallelism": 1,
     "outdir": "results",
     "seed": 0,
 }
@@ -71,6 +71,9 @@ TRACE_COLUMNS = (
     "effectivity",
     "wall_ms",
 )
+
+# per-trace columns of the compare table; errors and estimators never share one
+COMPARE_COLUMNS = ("reference_error", "total_estimator")
 
 
 class ConfigError(ValueError):
@@ -180,13 +183,11 @@ def _reference_cadence(cfg, dim, force):
     return every
 
 
-def run_experiment(config_path, outdir=None, parallelism=None, force_reference=False):
+def run_experiment(config_path, outdir=None, force_reference=False):
     """Run every configured strategy; returns the process exit code."""
     cfg = load_config(config_path)
     if outdir is not None:
         cfg["outdir"] = str(outdir)
-    if parallelism is not None:
-        cfg["parallelism"] = int(parallelism)
     problem = build_problem(cfg["problem"])
     disc = SpatialDiscretization(problem, int(cfg["mesh_n"]))
     info = check_ellipticity(problem, disc)
@@ -225,7 +226,6 @@ def run_experiment(config_path, outdir=None, parallelism=None, force_reference=F
             reference_every=every,
             reference_quad=int(cfg["reference"]["quad_order"]),
             dorfler=float(cfg["dorfler"]),
-            parallelism=int(cfg["parallelism"]),
         )
         writer = TraceWriter(out / ("%s-trace.csv" % strategy), phash)
         try:
@@ -298,17 +298,18 @@ def compare_report(paths):
         raise ConfigError(
             "traces describe different problems (hashes %s)" % ", ".join(sorted(hashes))
         )
-    header = ["n_solves"] + [label for label, _ in traces]
+    header = ["n_solves"]
     per_trace = []
-    for _, rows in traces:
+    for label, rows in traces:
+        header += [label + ":" + col for col in COMPARE_COLUMNS]
         m = {}
         for row in rows:
-            val = row["reference_error"] or row["total_estimator"]
-            m[int(row["n_solves"])] = val
+            m[int(row["n_solves"])] = [row.get(col) or "" for col in COMPARE_COLUMNS]
         per_trace.append(m)
     counts = sorted(set().union(*per_trace))
+    blank = [""] * len(COMPARE_COLUMNS)
     table = [
-        [str(c)] + [m.get(c, "") for m in per_trace] for c in counts
+        [str(c)] + [cell for m in per_trace for cell in m.get(c, blank)] for c in counts
     ]
     return header, table
 
@@ -321,10 +322,7 @@ def _cmd_run(args):
         print("error: a config file is required unless --print-defaults", file=sys.stderr)
         return 3
     return run_experiment(
-        args.config,
-        outdir=args.outdir,
-        parallelism=args.parallelism,
-        force_reference=args.force_reference,
+        args.config, outdir=args.outdir, force_reference=args.force_reference
     )
 
 
@@ -357,8 +355,16 @@ def _cmd_selftest(args):
     return selftest.run()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 like configuration errors; 2 means a budget stop."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparseuq",
         description="Adaptive sparse-grid collocation for parametric diffusion.",
     )
@@ -368,7 +374,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run the strategies of a config file")
     p_run.add_argument("config", nargs="?", help="JSON experiment config")
     p_run.add_argument("--outdir", default=None, help="output directory override")
-    p_run.add_argument("--parallelism", type=int, default=None, help="worker threads")
     p_run.add_argument(
         "--force-reference",
         action="store_true",

@@ -247,31 +247,21 @@ class EstimatorReport:
         return best
 
 
-def margin_report(P, problem, disc, spec, executor=None):
+def margin_report(P, problem, disc, spec):
     """Residual estimators for every full-margin candidate.
 
-    Candidates are processed in lexicographic order; with an executor
-    the per-candidate work runs concurrently but the report is reduced
-    in the same order, so parallelism cannot change the result.
+    Candidates are estimated one after another in lexicographic order.
     """
     cands = [tuple(k) for k in P.indexset.margin()]
-    fn = lambda k: residual_estimator(P, problem, disc, k, spec)
-    if executor is None:
-        vals = [fn(k) for k in cands]
-    else:
-        vals = list(executor.map(fn, cands))
+    vals = [residual_estimator(P, problem, disc, k, spec) for k in cands]
     reduced = set(map(tuple, P.indexset.reduced_margin()))
     return EstimatorReport(P.family.kind, dict(zip(cands, vals)), reduced)
 
 
-def reduced_margin_report(P, problem, disc, spec, cache, executor=None):
+def reduced_margin_report(P, problem, disc, spec, cache):
     """Surplus indicators for every reduced-margin candidate."""
     cands = [tuple(k) for k in P.indexset.reduced_margin()]
-    fn = lambda k: surplus_indicator(P, problem, disc, k, spec, cache)
-    if executor is None:
-        vals = [fn(k) for k in cands]
-    else:
-        vals = list(executor.map(fn, cands))
+    vals = [surplus_indicator(P, problem, disc, k, spec, cache) for k in cands]
     return EstimatorReport(P.family.kind, dict(zip(cands, vals)), set(cands))
 
 

@@ -11,8 +11,6 @@ keeps a * u' exactly constant per element.  The tridiagonal systems are
 solved directly (see kernels.thomas_solve).
 """
 
-import threading
-
 import numpy as np
 
 from . import kernels
@@ -202,43 +200,22 @@ class SolveCache:
         self.disc = disc
         self._by_index = {}
         self._by_y = {}
-        self._lock = threading.Lock()
         self.n_solves = 0
 
     def solve_indexed(self, j, y):
         j = tuple(int(v) for v in j)
-        with self._lock:
-            hit = self._by_index.get(j)
-        if hit is not None:
-            return hit
-        u = self.disc.solve_at(y)
-        with self._lock:
-            if j not in self._by_index:
-                self._by_index[j] = u
-                self.n_solves += 1
-            return self._by_index[j]
+        u = self._by_index.get(j)
+        if u is None:
+            u = self._by_index[j] = self.disc.solve_at(y)
+            self.n_solves += 1
+        return u
 
     def solve_y(self, y):
         key = tuple(float(v) for v in y)
-        with self._lock:
-            hit = self._by_y.get(key)
-        if hit is not None:
-            return hit
-        u = self.disc.solve_at(key)
-        with self._lock:
-            self._by_y.setdefault(key, u)
-            return self._by_y[key]
-
-
-def solve_at(problem, disc, y):
-    """Module-level convenience wrapper around the discretization solve."""
-    if disc.problem is not problem:
-        raise ValueError("discretization was built for a different problem")
-    return disc.solve_at(y)
-
-
-def spatial_norm(disc, v, which="H1_0"):
-    return disc.spatial_norm(v, which)
+        u = self._by_y.get(key)
+        if u is None:
+            u = self._by_y[key] = self.disc.solve_at(key)
+        return u
 
 
 # ---------------------------------------------------------------------------

@@ -209,16 +209,23 @@ class SparseInterpolant:
                 "point count %d does not match index set (%d expected)"
                 % (len(data["points"]), expected)
             )
+        grid = set(grid_points(kind, obj.indexset))
         for rec in data["points"]:
             j = tuple(int(v) for v in rec["j"])
+            if j not in grid:
+                raise ValueError("point %r is not on the grid of the index set" % (j,))
+            if j in obj._row_of:
+                raise ValueError("point %r appears more than once" % (j,))
             obj._row_of[j] = len(obj._pt_rows)
             obj._pt_rows.append(j)
             obj._surplus_rows.append(np.asarray(rec["surplus"], dtype=np.float64))
         obj._K = len(data["points"][0]["surplus"]) if data["points"] else None
         # blocks regroup by the unique index whose fresh range holds each point
         for i in obj.indexset:
-            js = set(itertools.product(*fresh_ranges(kind, i)))
+            js = itertools.product(*fresh_ranges(kind, i))
             rows = sorted(obj._row_of[j] for j in js)
+            if rows[-1] - rows[0] + 1 != len(rows):
+                raise ValueError("points of index %r are not contiguous" % (tuple(i),))
             obj._blocks[tuple(i)] = (rows[0], len(rows))
         return obj
 

@@ -1,33 +1,14 @@
-"""Low-level numerical kernels with an optional compiled fast path.
+"""Low-level numerical kernels in NumPy/SciPy.
 
-Every hot loop exists in two interchangeable implementations: a numba
-nopython version and a NumPy/SciPy version.  The compiled path is used
-when numba imports cleanly; setting the environment variable
-``SPARSEUQ_NO_NUMBA=1`` before import forces the NumPy path.  The active
-choice is recorded in ``USE_NUMBA``.  Both paths agree to floating-point
-roundoff (the loop nests follow the same operation order wherever the
-result depends on it); cross-path equality is pinned by the test suite.
+The hot loops of the package: hierarchical basis tables, tensor-product
+weights, the greedy node objective and the tridiagonal solve.
 """
-
-import os
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only when numba is absent
-    HAS_NUMBA = False
-
-_DISABLE = os.environ.get("SPARSEUQ_NO_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-USE_NUMBA = HAS_NUMBA and not _DISABLE
+# perfbench/rep.py reads this flag for its runtime line
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +19,7 @@ USE_NUMBA = HAS_NUMBA and not _DISABLE
 # denoms[i] = prod_{j <= mks[i], j != i} (nodes[i] - nodes[j]).
 
 
-def _basis_table_numpy(ys, nodes, mks, denoms):
+def basis_table(ys, nodes, mks, denoms):
     npts = ys.shape[0]
     n = mks.shape[0]
     out = np.empty((npts, n))
@@ -51,27 +32,6 @@ def _basis_table_numpy(ys, nodes, mks, denoms):
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _basis_table_numba(ys, nodes, mks, denoms):  # pragma: no cover - jit
-        npts = ys.shape[0]
-        n = mks.shape[0]
-        out = np.empty((npts, n))
-        for p in range(npts):
-            y = ys[p]
-            for i in range(n):
-                acc = 1.0
-                for j in range(mks[i] + 1):
-                    if j != i:
-                        acc *= y - nodes[j]
-                out[p, i] = acc / denoms[i]
-        return out
-
-else:
-    _basis_table_numba = None
-
-
 # ---------------------------------------------------------------------------
 # tensor-product weights
 #
@@ -79,31 +39,11 @@ else:
 # basis tables column-wise and cols holds absolute column ids per grid point.
 
 
-def _weight_product_numpy(table, cols):
+def weight_product(table, cols):
     out = table[:, cols[:, 0]].copy()
     for m in range(1, cols.shape[1]):
         out *= table[:, cols[:, m]]
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _weight_product_numba(table, cols):  # pragma: no cover - jit
-        npts = table.shape[0]
-        nrows = cols.shape[0]
-        ndim = cols.shape[1]
-        out = np.empty((npts, nrows))
-        for p in range(npts):
-            for r in range(nrows):
-                acc = table[p, cols[r, 0]]
-                for m in range(1, ndim):
-                    acc *= table[p, cols[r, m]]
-                out[p, r] = acc
-        return out
-
-else:
-    _weight_product_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +52,7 @@ else:
 # out[p] = sum_i log |ys[p] - nodes[i]|, with -inf at exact collisions.
 
 
-def _log_product_numpy(ys, nodes, chunk=1 << 18):
+def log_product(ys, nodes, chunk=1 << 18):
     out = np.empty(ys.shape[0])
     for a in range(0, ys.shape[0], chunk):
         b = min(a + chunk, ys.shape[0])
@@ -122,106 +62,16 @@ def _log_product_numpy(ys, nodes, chunk=1 << 18):
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _log_product_numba(ys, nodes):  # pragma: no cover - jit
-        npts = ys.shape[0]
-        n = nodes.shape[0]
-        out = np.empty(npts)
-        for p in range(npts):
-            s = 0.0
-            for i in range(n):
-                d = abs(ys[p] - nodes[i])
-                if d == 0.0:
-                    s = -np.inf
-                    break
-                s += np.log(d)
-            out[p] = s
-        return out
-
-else:
-    _log_product_numba = None
-
-
 # ---------------------------------------------------------------------------
-# tridiagonal solve (Thomas algorithm)
+# tridiagonal solve
 #
-# lower[0] and upper[-1] are ignored.  The SciPy fallback delegates to the
-# LAPACK banded solver, which may differ from the sequential elimination in
-# the last bits; tests compare the paths with a tolerance.
+# lower[0] and upper[-1] are ignored.  Delegates to the LAPACK banded solver.
 
 
-def _thomas_scipy(lower, diag, upper, rhs):
+def thomas_solve(lower, diag, upper, rhs):
     n = diag.shape[0]
     ab = np.zeros((3, n))
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _thomas_numba(lower, diag, upper, rhs):  # pragma: no cover - jit
-        n = diag.shape[0]
-        cp = np.empty(n)
-        dp = np.empty(n)
-        cp[0] = upper[0] / diag[0]
-        dp[0] = rhs[0] / diag[0]
-        for i in range(1, n):
-            den = diag[i] - lower[i] * cp[i - 1]
-            cp[i] = upper[i] / den
-            dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / den
-        x = np.empty(n)
-        x[n - 1] = dp[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
-        return x
-
-else:
-    _thomas_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if USE_NUMBA:
-    basis_table = _basis_table_numba
-    weight_product = _weight_product_numba
-    log_product = _log_product_numba
-    thomas_solve = _thomas_numba
-else:
-    basis_table = _basis_table_numpy
-    weight_product = _weight_product_numpy
-    log_product = _log_product_numpy
-    thomas_solve = _thomas_scipy
-
-basis_table_numpy = _basis_table_numpy
-weight_product_numpy = _weight_product_numpy
-log_product_numpy = _log_product_numpy
-thomas_solve_numpy = _thomas_scipy
-basis_table_numba = _basis_table_numba
-weight_product_numba = _weight_product_numba
-log_product_numba = _log_product_numba
-thomas_solve_numba = _thomas_numba
-
-
-def warmup():
-    """Compile all jit kernels on tiny inputs; no-op on the NumPy path."""
-    if not USE_NUMBA:
-        return
-    ys = np.linspace(-1.0, 1.0, 4)
-    nodes = np.array([-1.0, 1.0, 0.0])
-    mks = np.array([0, 1, 2], dtype=np.int64)
-    denoms = np.array([1.0, 2.0, -1.0])
-    table = basis_table(ys, nodes, mks, denoms)
-    weight_product(table, np.array([[0, 2], [1, 1]], dtype=np.int64))
-    log_product(ys, nodes)
-    thomas_solve(
-        np.array([0.0, -1.0, -1.0]),
-        np.array([2.0, 2.0, 2.0]),
-        np.array([-1.0, -1.0, 0.0]),
-        np.array([1.0, 1.0, 1.0]),
-    )

@@ -22,7 +22,6 @@ cached, which makes nestedness exact in floating point.
 """
 
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -99,11 +98,9 @@ class NodeFamily:
     """One nested node family with cached sequence and basis data."""
 
     _registry = {}
-    _registry_lock = threading.Lock()
 
     def __init__(self, kind):
         self.kind = normalize_kind(kind)
-        self._lock = threading.RLock()
         self._nodes = []
         self._nodes_arr = np.empty(0)
         self._mks = []
@@ -122,12 +119,11 @@ class NodeFamily:
     def get(cls, kind):
         """Shared per-kind instance so caches are reused across callers."""
         kind = normalize_kind(kind)
-        with cls._registry_lock:
-            fam = cls._registry.get(kind)
-            if fam is None:
-                fam = cls(kind)
-                cls._registry[kind] = fam
-            return fam
+        fam = cls._registry.get(kind)
+        if fam is None:
+            fam = cls(kind)
+            cls._registry[kind] = fam
+        return fam
 
     def growth(self, k):
         return growth(self.kind, k)
@@ -219,16 +215,15 @@ class NodeFamily:
         self._cc_next = (k, i)
 
     def ensure_nodes(self, n):
-        with self._lock:
-            if len(self._nodes) >= n:
-                return
-            if self.kind == LEJA:
-                self._extend_leja(n)
-            elif self.kind == RLEJA:
-                self._extend_rleja(n)
-            else:
-                self._extend_cc(n)
-            self._nodes_arr = np.asarray(self._nodes)
+        if len(self._nodes) >= n:
+            return
+        if self.kind == LEJA:
+            self._extend_leja(n)
+        elif self.kind == RLEJA:
+            self._extend_rleja(n)
+        else:
+            self._extend_cc(n)
+        self._nodes_arr = np.asarray(self._nodes)
 
     def nodes(self, n):
         """First n entries of the hierarchical sequence."""
@@ -247,22 +242,21 @@ class NodeFamily:
 
     def ensure_basis(self, n):
         """Precompute level sizes and denominators for sequence positions < n."""
-        with self._lock:
-            if len(self._mks) >= n:
-                return
-            while len(self._mks) < n:
-                i = len(self._mks)
-                mk = self.growth(self.growth_inverse(i))
-                self.ensure_nodes(mk + 1)
-                yi = self._nodes[i]
-                d = 1.0
-                for j in range(mk + 1):
-                    if j != i:
-                        d *= yi - self._nodes[j]
-                self._mks.append(mk)
-                self._denoms.append(d)
-            self._mks_arr = np.asarray(self._mks, dtype=np.int64)
-            self._denoms_arr = np.asarray(self._denoms)
+        if len(self._mks) >= n:
+            return
+        while len(self._mks) < n:
+            i = len(self._mks)
+            mk = self.growth(self.growth_inverse(i))
+            self.ensure_nodes(mk + 1)
+            yi = self._nodes[i]
+            d = 1.0
+            for j in range(mk + 1):
+                if j != i:
+                    d *= yi - self._nodes[j]
+            self._mks.append(mk)
+            self._denoms.append(d)
+        self._mks_arr = np.asarray(self._mks, dtype=np.int64)
+        self._denoms_arr = np.asarray(self._denoms)
 
     def basis_matrix(self, ys, n):
         """Hierarchical basis table: column i is h_i(ys), i < n."""
@@ -335,14 +329,13 @@ def rleja_circle_fractions(n):
     whose projection gives the rleja family.
     """
     fam = get_family(RLEJA)
-    with fam._lock:
-        qs = fam._rleja_qs
-        while len(qs) < n:
-            m = len(qs) // 2
-            q = qs[m] / 2
-            qs.append(q)
-            qs.append(q + 1)
-        return list(qs[:n])
+    qs = fam._rleja_qs
+    while len(qs) < n:
+        m = len(qs) // 2
+        q = qs[m] / 2
+        qs.append(q)
+        qs.append(q + 1)
+    return list(qs[:n])
 
 
 def lebesgue_constant(kind, k, samples=2001):
@@ -399,9 +392,3 @@ def lebesgue_report(kind, kmax, samples=2001):
         "c": 1.0,
         "theta": theta,
     }
-
-
-def node_table(kind, n):
-    """Rows (i, y_i) of the first n sequence entries, for CSV export."""
-    vals = get_family(kind).nodes(n)
-    return [(i, float(vals[i])) for i in range(n)]

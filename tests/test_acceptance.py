@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sparseuq.adaptive import run_gg, run_gn, run_gn_profit
+from sparseuq.adaptive import run_gg, run_gn
 from sparseuq.estimators import NormSpec, residual_estimator
 from sparseuq.fem import SolveCache, SpatialDiscretization, build_problem
 from sparseuq.interp import (
@@ -317,33 +317,3 @@ def test_criterion_09_estimator_annihilation():
     assert cases >= 50
     assert dt < 10.0
     print("PASS 09 flux details vanish on %d constructed cases (%.2fs)" % (cases, dt))
-
-
-def test_criterion_10_parallel_determinism(m2_setup):
-    problem, disc = m2_setup
-    t0 = time.perf_counter()
-    runners = {"gn_envelope": run_gn, "gn_profit": run_gn_profit, "gg": run_gg}
-    for name, runner in runners.items():
-        t1 = runner(problem, disc, tol=1e-5, parallelism=1)
-        t8 = runner(problem, disc, tol=1e-5, parallelism=8)
-        assert (
-            t1.interpolant.indexset.members_sorted()
-            == t8.interpolant.indexset.members_sorted()
-        )
-        assert t1.interpolant.point_indices() == t8.interpolant.point_indices()
-        assert len(t1.rows) == len(t8.rows)
-        for r1, r8 in zip(t1.rows, t8.rows):
-            assert (r1.n, r1.n_indices, r1.n_grid, r1.n_solves) == (
-                r8.n,
-                r8.n_indices,
-                r8.n_grid,
-                r8.n_solves,
-            )
-            for a, b in (
-                (r1.total_estimator, r8.total_estimator),
-                (r1.max_estimator, r8.max_estimator),
-            ):
-                assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
-    dt = time.perf_counter() - t0
-    assert dt < 120.0
-    print("PASS 10 traces identical for 1 and 8 workers, all strategies (%.1fs)" % dt)

@@ -223,20 +223,55 @@ def test_force_reference_infeasible_dim(tmp_path):
     assert code == 3
 
 
+def test_usage_errors_exit_3(tmp_path, capsys):
+    cfg = deterministic_cfg(tmp_path)
+    usage_errors = (
+        ["run", cfg, "--parallelism", "2"],
+        ["run", "--nope"],
+        ["nodes", "leja", "x"],
+    )
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["--version"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+
+def test_removed_config_key_rejected(tmp_path, capsys):
+    cfg = deterministic_cfg(tmp_path, parallelism=2)
+    assert main(["run", cfg, "--outdir", str(tmp_path / "o")]) == 3
+    assert "unknown keys parallelism" in capsys.readouterr().err
+
+
 # -- compare command --------------------------------------------------------
 
 
 def test_compare_joins_on_solves(tmp_path, capsys):
-    cfg = affine_cfg(tmp_path, strategies=["gn_envelope", "gg"], tol=1e-5)
+    # a reference every second iteration leaves rows without one
+    cfg = affine_cfg(
+        tmp_path, strategies=["gn_envelope", "gg"], tol=1e-5, reference={"every": 2}
+    )
     out = tmp_path / "out"
     run_experiment(cfg, outdir=out)
     t1 = str(out / "gn_envelope-trace.csv")
     t2 = str(out / "gg-trace.csv")
     header, table = compare_report([t1, t2])
     assert header[0] == "n_solves"
-    assert len(header) == 3
+    assert len(header) == 5
+    assert header[3:] == ["gg-trace:gg:reference_error", "gg-trace:gg:total_estimator"]
     counts = [int(r[0]) for r in table]
     assert counts == sorted(counts)
+    # the last gg row at each solve count fills the gg columns verbatim
+    last = {int(r["n_solves"]): r for r in read_trace(t2)[1]}
+    for row in table:
+        r = last.get(int(row[0]))
+        if r is not None:
+            assert row[3:] == [r["reference_error"], r["total_estimator"]]
+    assert any(row[3] == "" and row[4] != "" for row in table)
     assert main(["compare", t1, t2]) == 0
     outlines = capsys.readouterr().out.splitlines()
     assert outlines[0].startswith("n_solves,")

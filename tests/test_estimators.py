@@ -2,7 +2,6 @@
 against closed forms, profit weighting, reference errors."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,24 +276,6 @@ def test_margin_report_matches_direct():
     assert set(rep.values) == set(map(tuple, P.indexset.margin()))
     for k, v in rep.values.items():
         assert v == residual_estimator(P, disc.problem, disc, k, spec)
-
-
-def test_margin_report_executor_identical():
-    p = DiffusionProblem(
-        2, const(2.0), [const(0.4), const(0.3)], lambda x: np.sin(np.pi * x)
-    )
-    disc = SpatialDiscretization(p, 64)
-    cache = SolveCache(disc)
-    P = SparseInterpolant("leja", 2)
-    for i in [(0, 0), (1, 0), (0, 1)]:
-        js = P.new_point_indices(i)
-        ys = P.coords_of(np.asarray(js))
-        P.add_index(i, values=np.vstack([cache.solve_indexed(j, y) for j, y in zip(js, ys)]))
-    spec = NormSpec(p=2)
-    serial = margin_report(P, p, disc, spec)
-    with ThreadPoolExecutor(max_workers=4) as ex:
-        par = margin_report(P, p, disc, spec, executor=ex)
-    assert serial.values == par.values
 
 
 def test_reduced_margin_report_counts_solves():

@@ -12,8 +12,6 @@ from sparseuq.fem import (
     build_problem,
     check_ellipticity,
     coefficient_eval,
-    solve_at,
-    spatial_norm,
 )
 
 
@@ -118,15 +116,6 @@ def test_solve_matches_dense_assembly():
         assert np.max(np.abs(u - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_module_level_solve_guard():
-    p = two_plus_y()
-    q = two_plus_y()
-    disc = SpatialDiscretization(p, 16)
-    assert np.array_equal(solve_at(p, disc, [0.0]), disc.solve_at([0.0]))
-    with pytest.raises(ValueError):
-        solve_at(q, disc, [0.0])
-
-
 # -- norms ------------------------------------------------------------------
 
 
@@ -136,7 +125,7 @@ def test_norms_of_quadratic():
     # continuous values: L2 = 1/sqrt(30), H1_0 seminorm = 1/sqrt(3)
     assert disc.spatial_norm(v, "L2") == pytest.approx(1 / np.sqrt(30), rel=1e-4)
     assert disc.spatial_norm(v, "H1_0") == pytest.approx(1 / np.sqrt(3), rel=1e-4)
-    assert spatial_norm(disc, v, "h1-0") == disc.spatial_norm(v, "H1_0")
+    assert disc.spatial_norm(v, "h1-0") == disc.spatial_norm(v, "H1_0")
 
 
 def test_element_data_l2():

@@ -222,6 +222,28 @@ def test_serialization_round_trip():
         assert Q.block_of(i) == P.block_of(i)
 
 
+def test_malformed_snapshot_rejected():
+    # CC levels 0 and 1: point (0, 0), then the block of (1, 0) with (1, 0), (2, 0)
+    s = MonotoneIndexSet(2, [(0, 0), (1, 0)])
+    P = build_interpolant("clenshaw_curtis", s, lambda y: np.array([y[0] + 2.0 * y[1]]))
+    data = P.to_jsonable()
+    assert [rec["j"] for rec in data["points"]] == [[0, 0], [1, 0], [2, 0]]
+
+    def reload_with(order):
+        return dict(data, points=[dict(data["points"][k]) for k in order])
+
+    foreign = reload_with([0, 1, 2])
+    foreign["points"][2]["j"] = [40, 40]
+    with pytest.raises(ValueError, match=r"\(40, 40\)"):
+        SparseInterpolant.from_jsonable(foreign)
+    duplicated = reload_with([0, 1, 1])
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        SparseInterpolant.from_jsonable(duplicated)
+    interleaved = reload_with([1, 0, 2])
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        SparseInterpolant.from_jsonable(interleaved)
+
+
 # -- combination technique --------------------------------------------------
 
 

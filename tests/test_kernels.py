@@ -1,13 +1,9 @@
-"""Both kernel backends must agree and match independent linear algebra."""
+"""The kernels must match independent linear algebra."""
 
 import numpy as np
 import pytest
 
 from sparseuq import kernels
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAS_NUMBA, reason="numba not installed"
-)
 
 
 def _basis_inputs(rng, n_nodes=9, n_pts=40):
@@ -37,15 +33,6 @@ def test_basis_table_matches_direct_product():
         assert np.allclose(table[:, i], expect, rtol=1e-12)
 
 
-@needs_numba
-def test_basis_table_paths_agree():
-    rng = np.random.default_rng(2)
-    ys, nodes, mks, denoms = _basis_inputs(rng)
-    a = kernels.basis_table_numpy(ys, nodes, mks, denoms)
-    b = kernels.basis_table_numba(ys, nodes, mks, denoms)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
 def test_weight_product_matches_loop():
     rng = np.random.default_rng(3)
     table = rng.standard_normal((17, 12))
@@ -57,16 +44,6 @@ def test_weight_product_matches_loop():
             assert got[p, r] == pytest.approx(expect, rel=1e-13)
 
 
-@needs_numba
-def test_weight_product_paths_agree():
-    rng = np.random.default_rng(4)
-    table = rng.standard_normal((23, 9))
-    cols = rng.integers(0, 9, size=(11, 4)).astype(np.int64)
-    a = kernels.weight_product_numpy(table, cols)
-    b = kernels.weight_product_numba(table, cols)
-    assert np.allclose(a, b, rtol=1e-13)
-
-
 def test_log_product_values_and_collisions():
     nodes = np.array([-1.0, 0.25, 0.5])
     ys = np.array([-1.0, 0.0, 0.5, 0.75])
@@ -75,16 +52,6 @@ def test_log_product_values_and_collisions():
     for idx in (1, 3):
         expect = np.sum(np.log(np.abs(ys[idx] - nodes)))
         assert got[idx] == pytest.approx(expect, rel=1e-13)
-
-
-@needs_numba
-def test_log_product_paths_agree():
-    rng = np.random.default_rng(5)
-    nodes = rng.uniform(-1, 1, 20)
-    ys = rng.uniform(-1, 1, 500)
-    a = kernels.log_product_numpy(ys, nodes)
-    b = kernels.log_product_numba(ys, nodes)
-    assert np.allclose(a, b, rtol=1e-12)
 
 
 def _random_tridiag(rng, n):
@@ -103,17 +70,3 @@ def test_thomas_matches_dense_solve():
         expect = np.linalg.solve(A, rhs)
         got = kernels.thomas_solve(lower, diag, upper, rhs.copy())
         assert np.allclose(got, expect, rtol=1e-11)
-
-
-@needs_numba
-def test_thomas_paths_agree():
-    rng = np.random.default_rng(7)
-    lower, diag, upper, rhs = _random_tridiag(rng, 64)
-    a = kernels.thomas_solve_numpy(lower, diag, upper, rhs.copy())
-    b = kernels.thomas_solve_numba(lower, diag, upper, rhs.copy())
-    assert np.allclose(a, b, rtol=1e-12)
-
-
-def test_warmup_idempotent():
-    kernels.warmup()
-    kernels.warmup()
