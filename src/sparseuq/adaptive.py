@@ -21,10 +21,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .estimators import (
     NormSpec,
+    fresh_solves,
     margin_report,
     profit,
     reduced_margin_report,
@@ -104,16 +103,9 @@ class AdaptiveTrace:
         return self.info["a_min"]
 
 
-def _solve_block(P, cache, k):
-    """Cached solves at the fresh points of k, rows in block order."""
-    newjs = P.new_point_indices(k)
-    coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
-    return np.vstack([cache.solve_indexed(j, y) for j, y in zip(newjs, coords)])
-
-
 def _add_indices(P, cache, marked):
     for k in marked:
-        P.add_index(k, values=_solve_block(P, cache, k))
+        P.add_index(k, values=fresh_solves(P, cache, k)[1])
 
 
 def _maybe_reference(P, disc, config, cache, n):
@@ -218,17 +210,18 @@ def _run(problem, disc, config, on_row=None):
         _add_indices(P, cache, marked)
         n += 1
     if is_gg:
-        _augment_gg(trace, problem, disc, config, P, cache)
+        _augment_gg(trace, disc, config, P, cache, report)
     return trace
 
 
-def _augment_gg(trace, problem, disc, config, P, cache):
+def _augment_gg(trace, disc, config, P, cache, report):
     """Absorb the whole reduced margin after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
-    the last reported estimator values and carries the post-augmentation
-    reference error; the stopping row holds the pre-augmentation one.
+    the stopping iteration's estimator report and carries the
+    post-augmentation reference error; the stopping row holds the
+    pre-augmentation one.
     """
     last = trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
@@ -243,23 +236,7 @@ def _augment_gg(trace, problem, disc, config, P, cache):
     if config.reference_every > 0:
         ref = reference_error(P, disc, config.norm, config.reference_quad, cache)
     trace.post_augmentation_error = ref
-    eff = None
-    if ref is not None and ref > 0.0:
-        eff = (last.total_estimator / trace.a_min) / ref
-    trace.rows.append(
-        TraceRow(
-            n=last.n + 1,
-            strategy=trace.strategy,
-            n_indices=len(P.indexset),
-            n_grid=P.n_points,
-            n_solves=cache.n_solves,
-            total_estimator=last.total_estimator,
-            max_estimator=last.max_estimator,
-            reference_error=ref,
-            effectivity=eff,
-            wall_ms=0.0,
-        )
-    )
+    _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, 0.0)
 
 
 def run_gg(problem, disc, config=None, **kw):
@@ -287,9 +264,9 @@ def _coerce(config, strategy, kw):
         unknown = sorted(set(fields) - set(AdaptiveConfig.__dataclass_fields__))
         if unknown:
             raise TypeError("unknown keyword arguments: %s" % ", ".join(unknown))
-        fields["strategy"] = strategy
-        return AdaptiveConfig(**fields)
-    if fields:
+        fields.setdefault("strategy", strategy)
+        config = AdaptiveConfig(**fields)
+    elif fields:
         raise TypeError(
             "keyword arguments %s cannot be combined with config="
             % ", ".join(sorted(fields))

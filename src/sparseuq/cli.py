@@ -18,6 +18,7 @@ the tolerance, 3 for usage, configuration or ellipticity errors.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -143,19 +144,7 @@ class TraceWriter:
         self.written = 0
 
     def write_row(self, row):
-        rec = [
-            row.n,
-            row.strategy,
-            row.n_indices,
-            row.n_grid,
-            row.n_solves,
-            row.total_estimator,
-            row.max_estimator,
-            row.reference_error,
-            row.effectivity,
-            row.wall_ms,
-        ]
-        self.fh.write(",".join(_fmt(v) for v in rec) + "\n")
+        self.fh.write(",".join(_fmt(getattr(row, c)) for c in TRACE_COLUMNS) + "\n")
         self.fh.flush()
         self.written += 1
 
@@ -284,7 +273,12 @@ def read_trace(path):
 
 
 def compare_report(paths):
-    """Join traces on cumulative solves; returns (header, table rows)."""
+    """Join traces on cumulative solves; returns (header, table rows).
+
+    Rows of one trace that share a solve count go on successive lines in
+    trace order: the j-th line at a count pairs each trace's j-th row at
+    that count and is blank where a trace has fewer rows there.
+    """
     if not paths:
         raise ConfigError("at least one trace file is required")
     traces = []
@@ -304,13 +298,15 @@ def compare_report(paths):
         header += [label + ":" + col for col in COMPARE_COLUMNS]
         m = {}
         for row in rows:
-            m[int(row["n_solves"])] = [row.get(col) or "" for col in COMPARE_COLUMNS]
+            cells = [row.get(col) or "" for col in COMPARE_COLUMNS]
+            m.setdefault(int(row["n_solves"]), []).append(cells)
         per_trace.append(m)
-    counts = sorted(set().union(*per_trace))
     blank = [""] * len(COMPARE_COLUMNS)
-    table = [
-        [str(c)] + [cell for m in per_trace for cell in m.get(c, blank)] for c in counts
-    ]
+    table = []
+    for c in sorted(set().union(*per_trace)):
+        at = [m.get(c, ()) for m in per_trace]
+        for line in itertools.zip_longest(*at, fillvalue=blank):
+            table.append([str(c)] + [cell for cells in line for cell in cells])
     return header, table
 
 

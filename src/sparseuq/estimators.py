@@ -3,11 +3,11 @@
 Two families of per-index indicators: the residual estimator, which
 applies a detail operator to the flux of the current interpolant and
 needs no new PDE solves, and the surplus indicator, which solves the
-PDE at the candidate's fresh grid points.  Both are measured in a
-parametric L^p norm over the box: exact tensor Gauss quadrature for
-p = 2 (uniform product measure, weights halved), a tensor sample-grid
-maximum for p = inf (a lower bound of the sup), and fixed-order Gauss
-quadrature otherwise.
+PDE at the candidate's fresh grid points.  Both form the detail as a
+HierarchicalBlock of surpluses and measure it in a parametric L^p norm
+over the box: exact tensor Gauss quadrature for p = 2 (uniform product
+measure, weights halved), a tensor sample-grid maximum for p = inf (a
+lower bound of the sup), and fixed-order Gauss quadrature otherwise.
 """
 
 import functools
@@ -15,13 +15,7 @@ import math
 
 import numpy as np
 
-from .interp import (
-    HierarchicalBlock,
-    TensorDetail,
-    TensorPoly,
-    tensor_values,
-    work,
-)
+from .interp import HierarchicalBlock, tensor_values, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -122,10 +116,9 @@ def _interp_degrees(P):
     return degs
 
 
-def _euclidean_lp_norm(make_poly, values, spec, degrees):
-    """L^p-over-box norm of a tensor polynomial whose coefficient rows
-    were pre-transformed so the spatial norm is the plain Euclidean row
-    norm.
+def _euclidean_lp_norm(block, spec, degrees):
+    """L^p-over-box norm of a detail block whose surplus rows were
+    pre-transformed so the spatial norm is the plain Euclidean row norm.
 
     The spatial axis is first compressed with an SVD when that shrinks
     it: row norms depend on the coefficient matrix only through its
@@ -134,15 +127,12 @@ def _euclidean_lp_norm(make_poly, values, spec, degrees):
     max); otherwise the norms are restored to canonical order before
     weighting.
     """
-    flat = values.reshape(-1, values.shape[-1])
+    flat = block.values.reshape(-1, block.values.shape[-1])
     if flat.shape[0] < flat.shape[1]:
         U, s, _ = np.linalg.svd(flat, full_matrices=False)
-        values = np.ascontiguousarray(
-            (U * s).reshape(values.shape[:-1] + (s.shape[0],))
-        )
-    obj = make_poly(values)
+        block = HierarchicalBlock(block.family, block.index, U * s)
     axes = norm_axes(spec, degrees)
-    raw = obj.chain_raw([a[0] for a in axes])
+    raw = block.chain_raw([a[0] for a in axes])
     rows = raw.reshape(-1, raw.shape[-1])
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     if spec.p == math.inf:
@@ -163,9 +153,9 @@ def residual_estimator(P, problem, disc, k, spec):
     """Parametric norm of the detail operator applied to the flux.
 
     Purely post-processes the current interpolant: the flux is sampled
-    on the candidate's tensor grid, the detail acts through the
-    combination technique, and no PDE is solved.  k must lie outside
-    the current index set.
+    on the candidate's level grid, the detail is formed from those
+    samples by HierarchicalBlock.from_level_grid, and no PDE is solved.
+    k must lie outside the current index set.
     """
     k = tuple(int(v) for v in k)
     if len(k) != P.dim:
@@ -173,13 +163,21 @@ def residual_estimator(P, problem, disc, k, spec):
     if k in P.indexset:
         raise ValueError("index %r is already in the set" % (k,))
     kind = P.family.kind
-    detail = TensorDetail(kind, k, tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y)))
+    flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
+    # element-data L2 norm is sqrt(h) times the Euclidean row norm
+    block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
     base = _interp_degrees(P)
     # affine coefficient raises the captured degree by one per dimension
     degrees = [max(growth(kind, km), base[m] + 1) for m, km in enumerate(k)]
-    # element-data L2 norm is sqrt(h) times the Euclidean row norm
-    C = detail.collapsed_values() * math.sqrt(disc.h)
-    return _euclidean_lp_norm(lambda V: TensorPoly(kind, k, V), C, spec, degrees)
+    return _euclidean_lp_norm(block, spec, degrees)
+
+
+def fresh_solves(P, cache, k):
+    """Coordinates of the fresh points of k and the cached solves there,
+    rows in block order."""
+    newjs = P.new_point_indices(k)
+    coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
+    return coords, np.vstack([cache.solve_indexed(j, y) for j, y in zip(newjs, coords)])
 
 
 def surplus_indicator(P, problem, disc, k, spec, cache):
@@ -191,22 +189,14 @@ def surplus_indicator(P, problem, disc, k, spec, cache):
     k = tuple(int(v) for v in k)
     if not P.indexset.is_admissible(k):
         raise ValueError("index %r is not addable to the current set" % (k,))
-    newjs = P.new_point_indices(k)
-    coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
-    u_rows = np.vstack([cache.solve_indexed(j, y) for j, y in zip(newjs, coords)])
+    coords, u_rows = fresh_solves(P, cache, k)
     surplus = u_rows if P.n_points == 0 else u_rows - P.evaluate(coords)
     kind = P.family.kind
-    block = HierarchicalBlock(kind, k, surplus)
-    degrees = [growth(kind, km) for km in k]
     # H1_0 seminorm of nodal rows is the Euclidean norm of the scaled
     # element differences, which commute with the basis expansion
-    C = np.diff(block.values, axis=-1) / math.sqrt(disc.h)
-    return _euclidean_lp_norm(
-        lambda V: HierarchicalBlock(kind, k, V.reshape(-1, V.shape[-1])),
-        C,
-        spec,
-        degrees,
-    )
+    block = HierarchicalBlock(kind, k, np.diff(surplus, axis=-1) / math.sqrt(disc.h))
+    degrees = [growth(kind, km) for km in k]
+    return _euclidean_lp_norm(block, spec, degrees)
 
 
 def profit(indexset, kind, k, eta):

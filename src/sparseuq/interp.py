@@ -7,15 +7,21 @@ product of univariate hierarchical basis functions.  For nested node
 families and monotone index sets this sum is interpolatory and equal to
 the telescoping sum of tensorized detail operators over the index set.
 
+HierarchicalBlock holds one detail polynomial in the same hierarchical
+form, either from stored surpluses or, through from_level_grid, from
+values on a full level grid; the residual estimator measures it there.
+
 TensorPoly and TensorDetail provide the combination-technique view: a
 detail operator applied to a function is a signed sum of full tensor
 interpolants on the level grids one step below the target index.  Both
-views represent the same polynomial and are cross-checked in the tests.
+views represent the same polynomial; the combination technique is the
+tests' reference for the hierarchical form.
 """
 
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import kernels
 from .multiindex import MonotoneIndexSet
@@ -292,10 +298,6 @@ class TensorPoly:
         T = np.transpose(T, perm)
         return T.reshape(-1, self.values.shape[-1])
 
-    def chain_raw(self, axes):
-        """Grid evaluation without the canonical-order transpose."""
-        return self._chain(self.levels, axes)
-
     def _eval_scatter(self, levels, Y):
         if self.dim > len(_EINSUM_LETTERS):
             raise ValueError("dimension too large for scattered evaluation")
@@ -358,9 +360,6 @@ class TensorDetail(TensorPoly):
     def evaluate_grid(self, axes):
         return self._collapse().evaluate_grid(axes)
 
-    def chain_raw(self, axes):
-        return self._collapse().chain_raw(axes)
-
     def collapsed_values(self):
         """The detail's coefficient tensor on the level-i grid."""
         return self._collapse().values
@@ -415,6 +414,29 @@ class HierarchicalBlock:
         if rows.ndim == 1:
             rows = rows[:, None]
         self.values = rows.reshape(shape + (rows.shape[1],))
+
+    @classmethod
+    def from_level_grid(cls, family, i, values_nd):
+        """The detail operator of index i applied to level-grid values.
+
+        values_nd has shape (n_1, ..., n_M, K) on the level-i tensor grid,
+        as for TensorDetail.  On the first n nodes the hierarchical basis
+        table B is unit lower triangular, so B^-1 maps nodal values to
+        surpluses; the rows of B^-1 at the fresh points of i, one mode
+        product per dimension, leave the detail's surpluses.
+        """
+        fam = get_family(family)
+        T = np.asarray(values_nd, dtype=np.float64)
+        for m, r in enumerate(fresh_ranges(fam.kind, i)):
+            n = r.stop
+            if n == 1:
+                continue  # one node: its value is its surplus
+            B = fam.basis_matrix(fam.nodes(n), n)
+            fresh_rows = solve_triangular(
+                B, np.eye(n)[:, r.start :], trans="T", lower=True, unit_diagonal=True
+            ).T
+            T = np.moveaxis(np.tensordot(fresh_rows, T, axes=(1, m)), 0, m)
+        return cls(fam, i, T.reshape(-1, T.shape[-1]))
 
     def _tables(self, axes):
         out = []

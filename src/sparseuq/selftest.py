@@ -10,7 +10,7 @@ import numpy as np
 
 from .adaptive import AdaptiveConfig, run_strategy
 from .fem import DiffusionProblem, SpatialDiscretization, build_problem, check_ellipticity
-from .interp import SparseInterpolant, detail_apply_ct
+from .interp import HierarchicalBlock, SparseInterpolant, detail_apply_ct
 from .multiindex import MonotoneIndexSet, is_monotone, margin, reduced_margin
 from .nodes import clenshaw_curtis_nodes, leja_nodes, rleja_nodes
 
@@ -46,6 +46,11 @@ def _check_interpolation():
     # at node (1, 1) times the two hat values 0.7 and 0.8
     d = detail_apply_ct("leja", (1, 1), lambda y: np.array([y[0] * y[1]]))
     assert abs(d.evaluate(np.array([[0.4, 0.6]]))[0, 0] - 2.24) < 1e-12
+    # the estimators' hierarchical detail agrees with the combination technique
+    g = lambda y: np.array([math.exp(y[0]) * math.cos(y[1])])
+    ct = detail_apply_ct("clenshaw_curtis", (2, 1), g)
+    blk = HierarchicalBlock.from_level_grid("clenshaw_curtis", (2, 1), ct.values)
+    assert np.allclose(blk.evaluate(Y), ct.evaluate(Y), atol=1e-12)
 
 
 def _check_fem():

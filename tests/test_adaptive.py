@@ -272,8 +272,11 @@ def test_entry_point_strategy_guard():
     p = affine_problem()
     disc = SpatialDiscretization(p, 64)
     cfg = AdaptiveConfig(strategy="gg", tol=1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match entry point"):
         run_gn(p, disc, cfg)
+    with pytest.raises(ValueError, match="does not match entry point"):
+        run_gn(p, disc, tol=1e-3, strategy="gg")
+    assert run_gg(p, disc, tol=1e-3, strategy="gg").strategy == "gg"
     trace = run_strategy(p, disc, cfg)
     assert trace.strategy == "gg"
 

@@ -265,12 +265,16 @@ def test_compare_joins_on_solves(tmp_path, capsys):
     assert header[3:] == ["gg-trace:gg:reference_error", "gg-trace:gg:total_estimator"]
     counts = [int(r[0]) for r in table]
     assert counts == sorted(counts)
-    # the last gg row at each solve count fills the gg columns verbatim
-    last = {int(r["n_solves"]): r for r in read_trace(t2)[1]}
-    for row in table:
-        r = last.get(int(row[0]))
-        if r is not None:
-            assert row[3:] == [r["reference_error"], r["total_estimator"]]
+    # every trace row fills exactly one line, in trace order, even where
+    # rows share a solve count (the gg augmentation row reuses the
+    # stopping row's solves); a trace's cells are blank on other lines
+    for path, first in ((t1, 1), (t2, 3)):
+        rows = read_trace(path)[1]
+        want = [[r["n_solves"], r["reference_error"], r["total_estimator"]] for r in rows]
+        got = [[row[0]] + row[first : first + 2] for row in table if row[first + 1] != ""]
+        assert got == want
+    gg_counts = [r["n_solves"] for r in read_trace(t2)[1]]
+    assert len(set(gg_counts)) < len(gg_counts)
     assert any(row[3] == "" and row[4] != "" for row in table)
     assert main(["compare", t1, t2]) == 0
     outlines = capsys.readouterr().out.splitlines()

@@ -9,7 +9,10 @@ import pytest
 from sparseuq.estimators import (
     EstimatorReport,
     NormSpec,
+    _interp_degrees,
     combine_axes,
+    flux_on_points,
+    fresh_solves,
     gauss_axis,
     margin_report,
     monte_carlo_error,
@@ -22,9 +25,16 @@ from sparseuq.estimators import (
     sup_points_per_dim,
     surplus_indicator,
 )
-from sparseuq.fem import DiffusionProblem, SolveCache, SpatialDiscretization
-from sparseuq.interp import SparseInterpolant, tensor_interpolant
+from sparseuq.fem import DiffusionProblem, SolveCache, SpatialDiscretization, build_problem
+from sparseuq.interp import (
+    SparseInterpolant,
+    TensorDetail,
+    TensorPoly,
+    tensor_interpolant,
+    tensor_values,
+)
 from sparseuq.multiindex import MonotoneIndexSet
+from sparseuq.nodes import growth
 
 
 def const(c):
@@ -168,6 +178,43 @@ def test_residual_needs_no_new_solves():
     before = cache.n_solves
     residual_estimator(P, disc.problem, disc, (2,), NormSpec(p=2))
     assert cache.n_solves == before == 2
+
+
+def ct_residual(P, disc, k, spec):
+    """Reference residual estimator: the combination-technique detail of
+    the flux, collapsed on the level-k grid and expanded in Lagrange form."""
+    kind = P.family.kind
+    flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
+    C = TensorDetail(kind, k, flux).collapsed_values() * math.sqrt(disc.h)
+    base = _interp_degrees(P)
+    degrees = [max(growth(kind, km), base[m] + 1) for m, km in enumerate(k)]
+    axes = norm_axes(spec, degrees)
+    rows = TensorPoly(kind, k, C).evaluate_grid([a[0] for a in axes])
+    return combine_axes(np.sqrt(np.einsum("ij,ij->i", rows, rows)), axes, spec.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_residual_matches_ct_oracle(kind, p):
+    # some values sit at flux roundoff, so the bound is absolute, scaled
+    # by the flux at the centre of the box
+    rng = np.random.default_rng(31)
+    spec = NormSpec(p=p)
+    for dim in (1, 2, 3, 4):
+        problem = build_problem({"family": "cosine", "M": dim, "gamma": 0.9})
+        disc = SpatialDiscretization(problem, 32)
+        cache = SolveCache(disc)
+        P = SparseInterpolant(kind, dim)
+        for _ in range(3 + 2 * dim):
+            cand = [(0,) * dim] if P.n_points == 0 else P.indexset.reduced_margin()
+            k = tuple(cand[rng.integers(len(cand))])
+            P.add_index(k, values=fresh_solves(P, cache, k)[1])
+        flux0 = flux_on_points(P, disc, np.zeros((1, dim)))
+        scale = math.sqrt(disc.h) * float(np.linalg.norm(flux0))
+        for k in P.indexset.margin():
+            got = residual_estimator(P, problem, disc, k, spec)
+            want = ct_residual(P, disc, tuple(k), spec)
+            assert abs(got - want) <= 1e-12 * scale, (dim, k, got, want)
 
 
 # -- surplus indicator ------------------------------------------------------

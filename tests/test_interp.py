@@ -300,17 +300,22 @@ def test_detail_terms_and_collapse_agree():
 
 
 def test_hierarchical_block_matches_ct_detail():
-    kind = "leja"
     i = (2, 1)
     f = lambda y: np.array([np.exp(y[0] * 0.5 + y[1])])
-    det = detail_apply_ct(kind, i, f)
     box = MonotoneIndexSet(2, list(itertools.product(range(3), range(2))))
-    P = build_interpolant(kind, box, f)
-    start, count = P.block_of(i)
-    surplus = np.vstack([P._surplus_rows[r] for r in range(start, start + count)])
-    blk = HierarchicalBlock(kind, i, surplus)
     Y = np.random.default_rng(13).uniform(-1, 1, size=(30, 2))
-    assert np.allclose(blk.evaluate(Y), det.evaluate(Y), atol=1e-11)
+    for kind in ("leja", "clenshaw_curtis"):
+        det = detail_apply_ct(kind, i, f)
+        P = build_interpolant(kind, box, f)
+        start, count = P.block_of(i)
+        surplus = np.vstack([P._surplus_rows[r] for r in range(start, start + count)])
+        # stored surpluses, and surpluses recovered from the level-grid values
+        for blk in (
+            HierarchicalBlock(kind, i, surplus),
+            HierarchicalBlock.from_level_grid(kind, i, det.values),
+        ):
+            assert np.allclose(blk.values.reshape(count, -1), surplus, atol=1e-11)
+            assert np.allclose(blk.evaluate(Y), det.evaluate(Y), atol=1e-11)
 
 
 def test_evaluate_grid_matches_scattered():
