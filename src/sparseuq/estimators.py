@@ -12,13 +12,16 @@ lower bound of the sup), and fixed-order Gauss quadrature otherwise.
 
 import functools
 import math
+import weakref
 
 import numpy as np
 
+from .fem import SolveCache
 from .interp import HierarchicalBlock, tensor_values, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
+_ROW_BLOCK = 2048
 
 
 def _parse_p(p):
@@ -106,16 +109,6 @@ def combine_axes(norms, axes, p):
     return float((w @ norms**p) ** (1.0 / p))
 
 
-def _interp_degrees(P):
-    """Per-dimension max polynomial degree captured by the interpolant."""
-    kind = P.family.kind
-    degs = [0] * P.dim
-    for i in P.indexset:
-        for m, im in enumerate(i):
-            degs[m] = max(degs[m], growth(kind, im))
-    return degs
-
-
 def _euclidean_lp_norm(block, spec, degrees):
     """L^p-over-box norm of a detail block whose surplus rows were
     pre-transformed so the spatial norm is the plain Euclidean row norm.
@@ -166,9 +159,8 @@ def residual_estimator(P, problem, disc, k, spec):
     flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
     block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
-    base = _interp_degrees(P)
     # affine coefficient raises the captured degree by one per dimension
-    degrees = [max(growth(kind, km), base[m] + 1) for m, km in enumerate(k)]
+    degrees = [max(growth(kind, km), d + 1) for km, d in zip(k, P.degrees)]
     return _euclidean_lp_norm(block, spec, degrees)
 
 
@@ -281,13 +273,30 @@ def parametric_norm(obj, disc, spec, spatial="L2", degrees=None):
     return combine_axes(norms, axes, spec.p)
 
 
+class _ReferenceRows:
+    """Gradient rows of u_h - S u_h on one reference grid, for one
+    interpolant, with the number of surplus rows already subtracted."""
+
+    def __init__(self, disc, U, P):
+        self.U = U
+        self.owner = weakref.ref(P)
+        self.n_rows = 0
+        self.rows = disc.gradient_rows(U)
+
+
 def reference_error(P, disc, spec, quad_order=20, cache=None):
     """Parametric norm of u_h - S u_h on a tensor reference grid.
 
-    Solves the PDE at every grid point (through the cache's uncounted
-    reference side) and measures the spatial H1_0 seminorm of the
-    difference.  Tensor grids are only feasible for a handful of
-    dimensions, so more than 4 is rejected.
+    The PDE is solved at every grid point in one batch through the
+    cache's uncounted reference side (a throwaway cache when none is
+    given), and the spatial H1_0 seminorm of the difference is measured
+    as the L2 norm of its gradient.  Hierarchical surpluses never change
+    once inserted, so the cache also keeps the gradient rows of
+    u_h - S u_h, tied to P by a weak reference and the count of surplus
+    rows subtracted; each call subtracts only the rows P gained since.
+    Another interpolant or grid rebuilds them from the memoized solves.
+    Tensor grids are only feasible for a handful of dimensions, so more
+    than 4 is rejected.
     """
     dim = P.dim
     if dim > 4:
@@ -303,11 +312,20 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
     mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     grid = np.stack([v.ravel() for v in mesh], axis=-1)
     if cache is None:
-        U = np.vstack([disc.solve_at(y) for y in grid])
-    else:
-        U = np.vstack([cache.solve_y(y) for y in grid])
-    S = P.evaluate(grid)
-    return combine_axes(disc.h1_rows(U - S), axes, spec.p)
+        cache = SolveCache(disc)
+    U = cache.solve_y(grid)
+    state = cache.reference_rows
+    if state is None or state.U is not U or state.owner() is not P:
+        state = cache.reference_rows = _ReferenceRows(disc, U, P)
+    if P.n_points > state.n_rows:
+        W = P.basis_weights(grid, start=state.n_rows)
+        dS = disc.gradient_rows(P.surpluses(start=state.n_rows))
+        # in row blocks: a grid-sized product would be a fresh allocation
+        # per call, whose page faults cost more than the product
+        for a in range(0, len(grid), _ROW_BLOCK):
+            state.rows[a : a + _ROW_BLOCK] -= W[a : a + _ROW_BLOCK] @ dS
+        state.n_rows = P.n_points
+    return combine_axes(disc.l2_element_rows(state.rows), axes, spec.p)
 
 
 def monte_carlo_error(P, disc, spec, n_samples=2000, seed=0, cache=None):
@@ -315,10 +333,8 @@ def monte_carlo_error(P, disc, spec, n_samples=2000, seed=0, cache=None):
     rng = np.random.default_rng(seed)
     Y = rng.uniform(-1.0, 1.0, size=(int(n_samples), P.dim))
     if cache is None:
-        U = np.vstack([disc.solve_at(y) for y in Y])
-    else:
-        U = np.vstack([cache.solve_y(y) for y in Y])
-    norms = disc.h1_rows(U - P.evaluate(Y))
+        cache = SolveCache(disc)
+    norms = disc.h1_rows(cache.solve_y(Y) - P.evaluate(Y))
     if spec.p == math.inf:
         return float(np.max(norms))
     return float(np.mean(norms**spec.p) ** (1.0 / spec.p))

@@ -7,8 +7,10 @@ this package is measured against the finite element solution on that
 same mesh, so spatial accuracy is deliberately out of scope.
 
 Stiffness assembly samples the coefficient at element midpoints, which
-keeps a * u' exactly constant per element.  The tridiagonal systems are
-solved directly (see kernels.thomas_solve).
+keeps a * u' exactly constant per element.  The stiffness is never
+assembled: in one dimension the element fluxes follow from the load by a
+cumulative sum, so a batch of parameter points is solved in closed form
+by a few array passes (see kernels.thomas_solve).
 """
 
 import numpy as np
@@ -77,28 +79,42 @@ class SpatialDiscretization:
         self.load = (self.h / 2.0) * (f_mid[:-1] + f_mid[1:])
 
     def coefficient_at(self, y):
-        """Element-midpoint coefficient samples for one parameter point."""
+        """Element-midpoint coefficient samples: shape (n,) for one
+        parameter point of shape (M,), (P, n) for a batch of shape (P, M).
+
+        The affine sum runs term by term, so each row is computed by the
+        same operations whatever the batch size.
+        """
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.problem.dim,):
+        if y.ndim not in (1, 2) or y.shape[-1] != self.problem.dim:
             raise ValueError("expected %d parameters" % self.problem.dim)
-        return self.a0_mid + y @ self.terms_mid
+        Y = np.atleast_2d(y)
+        a = np.empty((Y.shape[0], self.n_elements))
+        a[:] = self.a0_mid
+        term = np.empty_like(a)
+        for m in range(self.problem.dim):
+            a += np.multiply.outer(Y[:, m], self.terms_mid[m], out=term)
+        return a if y.ndim == 2 else a[0]
 
     def solve_at(self, y):
-        """Nodal P1 solution (length n+1, zero at both boundary nodes)."""
-        a_el = self.coefficient_at(y)
-        if np.min(a_el) <= 0.0:
+        """Nodal P1 solutions, zero at both boundary nodes: length n+1 for
+        one parameter point of shape (M,), shape (P, n+1) for a batch of
+        shape (P, M).  Raises EllipticityError naming the first point whose
+        coefficient is not positive on every element.
+        """
+        Y = np.asarray(y, dtype=np.float64)
+        c = np.atleast_2d(self.coefficient_at(Y))
+        low = np.min(c, axis=1)
+        bad = np.flatnonzero(low <= 0.0)
+        if bad.size:
+            p = int(bad[0])
             raise EllipticityError(
-                "coefficient non-positive at y=%s (min %g)" % (list(y), np.min(a_el))
+                "coefficient non-positive at y=%s (min %g)"
+                % (np.atleast_2d(Y)[p].tolist(), low[p])
             )
-        c = a_el / self.h
-        diag = c[:-1] + c[1:]
-        off = -c[1:-1]
-        lower = np.concatenate(([0.0], off))
-        upper = np.concatenate((off, [0.0]))
-        inner = kernels.thomas_solve(lower, diag, upper, self.load.copy())
-        u = np.zeros(self.n_elements + 1)
-        u[1:-1] = inner
-        return u
+        c /= self.h
+        u = kernels.thomas_solve(c, self.load)
+        return u if Y.ndim == 2 else u[0]
 
     def gradient_rows(self, V):
         """Element-wise derivative of nodal rows, shape (P, n)."""
@@ -191,9 +207,11 @@ class SolveCache:
     """Insert-once cache of PDE solves.
 
     Collocation solves are keyed by the grid point's node-index tuple
-    and counted; reference solves (quadrature or sampling grids used
-    only to measure errors) are keyed by the parameter values and do not
-    count against the solve budget.
+    and counted.  Reference solves (quadrature or sampling grids used
+    only to measure errors) are memoized as one array per point set,
+    keyed by the set's shape and bytes, and do not count against the
+    solve budget.  ``reference_rows`` holds the incremental state of
+    estimators.reference_error for this cache.
     """
 
     def __init__(self, disc):
@@ -201,6 +219,7 @@ class SolveCache:
         self._by_index = {}
         self._by_y = {}
         self.n_solves = 0
+        self.reference_rows = None
 
     def solve_indexed(self, j, y):
         j = tuple(int(v) for v in j)
@@ -210,12 +229,17 @@ class SolveCache:
             self.n_solves += 1
         return u
 
-    def solve_y(self, y):
-        key = tuple(float(v) for v in y)
-        u = self._by_y.get(key)
-        if u is None:
-            u = self._by_y[key] = self.disc.solve_at(key)
-        return u
+    def solve_y(self, Y):
+        """Solutions at the point set Y, (P, M) or a single point (M,),
+        shaped as solve_at returns them: one batched solve on first
+        request, the same array afterwards."""
+        Y = np.ascontiguousarray(Y, dtype=np.float64)
+        key = (Y.shape, Y.tobytes())
+        U = self._by_y.get(key)
+        if U is None:
+            U = self._by_y[key] = self.disc.solve_at(Y)
+            U.flags.writeable = False
+        return U
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ views represent the same polynomial; the combination technique is the
 tests' reference for the hierarchical form.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -77,6 +78,8 @@ class SparseInterpolant:
         self._K = None
         self._pt_arr = None
         self._val_arr = None
+        # per-dimension polynomial degree: the last node position on the grid
+        self.degrees = [0] * self.dim
 
     @property
     def n_points(self):
@@ -113,18 +116,24 @@ class SparseInterpolant:
             self._val_arr = np.asarray(self._surplus_rows)
         return self._pt_arr, self._val_arr
 
-    def evaluate(self, Y):
-        """Evaluate at points Y of shape (P, M); returns shape (P, K)."""
+    def surpluses(self, start=0):
+        """Surplus rows from row start on (insertion order), shape (rows, K)."""
+        return self._stacked()[1][start:]
+
+    def basis_weights(self, Y, start=0):
+        """Tensor hierarchical basis values at points Y of shape (P, M) for
+        the grid points from row start on, shape (P, rows): the
+        interpolant's part from those rows is basis_weights @ surpluses."""
         if not self._pt_rows:
             raise ValueError("cannot evaluate an empty interpolant")
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
             raise ValueError("expected points of shape (P, %d)" % self.dim)
+        pts = self._stacked()[0][start:]
         if Y.shape[0] == 0:
-            return np.empty((0, self._K))
+            return np.empty((0, pts.shape[0]))
         if np.any(np.abs(Y) > 1.0 + _DOMAIN_SLACK):
             raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
-        pts, vals = self._stacked()
         nmax = pts.max(axis=0) + 1
         tables = []
         offsets = np.zeros(self.dim, dtype=np.int64)
@@ -135,8 +144,11 @@ class SparseInterpolant:
             total += int(nmax[m])
         table = np.concatenate(tables, axis=1)
         cols = np.ascontiguousarray(pts + offsets[None, :])
-        weights = kernels.weight_product(table, cols)
-        return weights @ vals
+        return kernels.weight_product(table, cols)
+
+    def evaluate(self, Y):
+        """Evaluate at points Y of shape (P, M); returns shape (P, K)."""
+        return self.basis_weights(Y) @ self.surpluses()
 
     def evaluate_one(self, y):
         return self.evaluate(np.asarray(y, dtype=np.float64).reshape(1, -1))[0]
@@ -182,6 +194,7 @@ class SparseInterpolant:
             surplus = fvals - self.evaluate(coords)
         start = len(self._pt_rows)
         self.indexset.add(i)
+        self._widen(i)
         self._blocks[i] = (start, len(newjs))
         for j, row in zip(newjs, surplus):
             self._row_of[j] = len(self._pt_rows)
@@ -190,6 +203,10 @@ class SparseInterpolant:
         self._K = surplus.shape[1]
         self._pt_arr = None
         return len(newjs)
+
+    def _widen(self, i):
+        kind = self.family.kind
+        self.degrees = [max(d, growth(kind, im)) for d, im in zip(self.degrees, i)]
 
     # -- serialization ------------------------------------------------------
 
@@ -233,6 +250,7 @@ class SparseInterpolant:
             if rows[-1] - rows[0] + 1 != len(rows):
                 raise ValueError("points of index %r are not contiguous" % (tuple(i),))
             obj._blocks[tuple(i)] = (rows[0], len(rows))
+            obj._widen(i)
         return obj
 
 
@@ -396,6 +414,21 @@ def detail_apply_ct(kind, i, g):
     return TensorDetail(kind, i, tensor_values(kind, i, _as_batch(g)))
 
 
+@functools.lru_cache(maxsize=None)
+def _fresh_inverse_rows(kind, level):
+    """Rows of B^-1 at the fresh points of one level, B the hierarchical
+    basis table on the level's nodes.  Read-only: every caller shares it."""
+    fam = get_family(kind)
+    r = fresh_ranges(kind, (level,))[0]
+    n = r.stop
+    B = fam.basis_matrix(fam.nodes(n), n)
+    rows = solve_triangular(
+        B, np.eye(n)[:, r.start :], trans="T", lower=True, unit_diagonal=True
+    ).T
+    rows.flags.writeable = False
+    return rows
+
+
 class HierarchicalBlock:
     """The detail polynomial spanned by the fresh points of one index.
 
@@ -427,15 +460,11 @@ class HierarchicalBlock:
         """
         fam = get_family(family)
         T = np.asarray(values_nd, dtype=np.float64)
-        for m, r in enumerate(fresh_ranges(fam.kind, i)):
-            n = r.stop
-            if n == 1:
+        for m, km in enumerate(i):
+            if growth(fam.kind, km) == 0:
                 continue  # one node: its value is its surplus
-            B = fam.basis_matrix(fam.nodes(n), n)
-            fresh_rows = solve_triangular(
-                B, np.eye(n)[:, r.start :], trans="T", lower=True, unit_diagonal=True
-            ).T
-            T = np.moveaxis(np.tensordot(fresh_rows, T, axes=(1, m)), 0, m)
+            rows = _fresh_inverse_rows(fam.kind, int(km))
+            T = np.moveaxis(np.tensordot(rows, T, axes=(1, m)), 0, m)
         return cls(fam, i, T.reshape(-1, T.shape[-1]))
 
     def _tables(self, axes):

@@ -61,6 +61,18 @@ def _check_fem():
     u = disc.solve_at(np.array([0.0]))
     x = disc.nodes
     assert np.max(np.abs(u - x * (1 - x) / 4.0)) < 1e-12
+    # a batch of solves against the dense assembled stiffness, on a
+    # random coefficient that stays positive (amplitudes sum below a0)
+    rng = np.random.default_rng(0)
+    prob = build_problem({"family": "cosine", "M": 2, "a0": 2.0, "amps": rng.uniform(0.1, 0.9, 2)})
+    disc = SpatialDiscretization(prob, 48)
+    Y = rng.uniform(-1.0, 1.0, size=(3, 2))
+    U = disc.solve_at(Y)
+    for y, u in zip(Y, U):
+        c = disc.coefficient_at(y) / disc.h
+        K = np.diag(c[:-1] + c[1:]) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)
+        want = np.linalg.solve(K, disc.load)
+        assert np.max(np.abs(u[1:-1] - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def _check_adaptive():

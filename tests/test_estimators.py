@@ -9,7 +9,6 @@ import pytest
 from sparseuq.estimators import (
     EstimatorReport,
     NormSpec,
-    _interp_degrees,
     combine_axes,
     flux_on_points,
     fresh_solves,
@@ -186,7 +185,7 @@ def ct_residual(P, disc, k, spec):
     kind = P.family.kind
     flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
     C = TensorDetail(kind, k, flux).collapsed_values() * math.sqrt(disc.h)
-    base = _interp_degrees(P)
+    base = [max(growth(kind, i[m]) for i in P.indexset) for m in range(P.dim)]
     degrees = [max(growth(kind, km), base[m] + 1) for m, km in enumerate(k)]
     axes = norm_axes(spec, degrees)
     rows = TensorPoly(kind, k, C).evaluate_grid([a[0] for a in axes])
@@ -384,4 +383,35 @@ def test_reference_error_uses_uncounted_cache():
     before = cache.n_solves
     reference_error(P, disc, NormSpec(p=2), quad_order=10, cache=cache)
     assert cache.n_solves == before
-    assert len(cache._by_y) == 10
+    # the whole grid is one memo entry of 10 solution rows
+    assert [U.shape for U in cache._by_y.values()] == [(10, 33)]
+
+
+@pytest.mark.parametrize("p", [2, "inf"])
+def test_reference_error_incremental_matches_scratch(p):
+    rng = np.random.default_rng(41)
+    spec = NormSpec(p=p, sup_points_per_dim=9)
+    problem = build_problem({"family": "cosine", "M": 2, "gamma": 0.9})
+    disc = SpatialDiscretization(problem, 32)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", 2)
+    states = []
+    for _ in range(8):
+        cand = [(0, 0)] if P.n_points == 0 else P.indexset.reduced_margin()
+        k = tuple(cand[rng.integers(len(cand))])
+        P.add_index(k, values=fresh_solves(P, cache, k)[1])
+        got = reference_error(P, disc, spec, quad_order=8, cache=cache)
+        want = reference_error(P, disc, spec, quad_order=8)
+        assert abs(got - want) <= 1e-12 * want, (k, got, want)
+        states.append(cache.reference_rows)
+    # every call after the first updated the same rows incrementally
+    assert all(state is states[0] for state in states)
+    # a second interpolant on the same cache gets its own value, and so
+    # does the first one afterwards
+    Q = SparseInterpolant("clenshaw_curtis", 2)
+    for k in [(0, 0), (1, 0), (0, 1)]:
+        Q.add_index(k, values=fresh_solves(Q, cache, k)[1])
+    for R in (Q, P):
+        got = reference_error(R, disc, spec, quad_order=8, cache=cache)
+        want = reference_error(R, disc, spec, quad_order=8)
+        assert abs(got - want) <= 1e-12 * want

@@ -116,6 +116,21 @@ def test_solve_matches_dense_assembly():
         assert np.max(np.abs(u - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def test_batched_solve_matches_single():
+    rng = np.random.default_rng(24)
+    p = build_problem({"family": "cosine", "M": 3, "a0": 2.0, "f": {"family": "sine"}})
+    disc = SpatialDiscretization(p, 40)
+    Y = rng.uniform(-1, 1, size=(7, 3))
+    U = disc.solve_at(Y)
+    assert U.shape == (7, 41)
+    for y, u in zip(Y, U):
+        assert np.array_equal(disc.solve_at(y), u)
+    # one point leaving the ellipticity box spoils the whole batch
+    Y[4] = [-8.0, 0.0, 0.0]
+    with pytest.raises(EllipticityError, match=r"-8\.0"):
+        disc.solve_at(Y)
+
+
 # -- norms ------------------------------------------------------------------
 
 
@@ -217,6 +232,12 @@ def test_solve_cache_counts_and_reuse():
     v2 = cache.solve_y([0.25])
     assert v1 is v2
     assert cache.n_solves == 2
+    # a point set is one memo entry, solved in one batch
+    Y = np.array([[0.25], [-0.5], [0.75]])
+    V = cache.solve_y(Y)
+    assert V.shape == (3, 33) and cache.solve_y(Y.copy()) is V
+    assert np.array_equal(V[0], v1)
+    assert len(cache._by_y) == 2 and cache.n_solves == 2
 
 
 def test_solver_determinism_bitwise():

@@ -220,6 +220,8 @@ def test_serialization_round_trip():
     assert Q.indexset.members_sorted() == P.indexset.members_sorted()
     for i in s:
         assert Q.block_of(i) == P.block_of(i)
+    want = [max(growth("clenshaw_curtis", i[m]) for i in s) for m in range(2)]
+    assert P.degrees == Q.degrees == want
 
 
 def test_malformed_snapshot_rejected():

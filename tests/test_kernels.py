@@ -54,19 +54,19 @@ def test_log_product_values_and_collisions():
         assert got[idx] == pytest.approx(expect, rel=1e-13)
 
 
-def _random_tridiag(rng, n):
-    lower = np.concatenate(([0.0], rng.uniform(-1, 1, n - 1)))
-    upper = np.concatenate((rng.uniform(-1, 1, n - 1), [0.0]))
-    diag = 4.0 + rng.uniform(0, 1, n)
-    rhs = rng.standard_normal(n)
-    return lower, diag, upper, rhs
-
-
 def test_thomas_matches_dense_solve():
+    # closed-form P1 solve against LAPACK on the assembled stiffness
+    # D^T diag(c) D restricted to the interior nodes
     rng = np.random.default_rng(6)
-    for n in (2, 3, 17, 128):
-        lower, diag, upper, rhs = _random_tridiag(rng, n)
-        A = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-        expect = np.linalg.solve(A, rhs)
-        got = kernels.thomas_solve(lower, diag, upper, rhs.copy())
-        assert np.allclose(got, expect, rtol=1e-11)
+    for n in (2, 3, 17, 256):
+        for batch in (1, 50):
+            c = rng.uniform(0.05, 20.0, size=(batch, n))
+            rhs = rng.standard_normal(n - 1)
+            got = kernels.thomas_solve(c, rhs)
+            assert got.shape == (batch, n + 1)
+            assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 0.0)
+            for row, cp in zip(got, c):
+                K = np.diag(cp[:-1] + cp[1:]) - np.diag(cp[1:-1], 1) - np.diag(cp[1:-1], -1)
+                expect = np.linalg.solve(K, rhs)
+                err = np.max(np.abs(row[1:-1] - expect))
+                assert err <= 1e-11 * np.max(np.abs(expect))
