@@ -11,7 +11,14 @@ Three strategies over the same generic loop (estimate, mark, extend):
   PDE at candidate points, all cached), single-index marking, and a
   final augmentation by the whole reduced margin reusing cached solves.
 
-All loops start from the singleton zero index, process candidates in
+Each candidate is estimated once: a run keeps its estimator values
+from one iteration to the next in a memo, and after adding the marked
+indices drops only the values the additions can change, those of the
+added indices and of their forward neighbours (margin_report and
+reduced_margin_report give the exactness arguments).  A trace row
+counts the values estimated for it and those reused from the memo.
+
+All loops start from the singleton zero index, estimate candidates in
 lexicographic order and break ties lexicographically, so reruns are
 bitwise identical.
 """
@@ -23,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .estimators import (
     NormSpec,
+    drop_stale,
     fresh_solves,
     margin_report,
     profit,
@@ -80,6 +88,8 @@ class TraceRow:
     reference_error: float = None
     effectivity: float = None
     wall_ms: float = 0.0
+    estimates_fresh: int = 0
+    estimates_reused: int = 0
 
 
 class AdaptiveTrace:
@@ -130,6 +140,8 @@ def _row(trace, n, P, cache, report, ref, a_min, wall_ms):
         reference_error=ref,
         effectivity=eff,
         wall_ms=wall_ms,
+        estimates_fresh=report.fresh,
+        estimates_reused=report.reused,
     )
     trace.rows.append(row)
     log.info(
@@ -169,13 +181,14 @@ def _run(problem, disc, config, on_row=None):
     a_min = info["a_min"]
     is_gg = config.strategy == "gg"
     _add_indices(P, cache, [(0,) * problem.dim])
+    memo = {}
     n = 0
     while True:
         t0 = time.perf_counter()
         if is_gg:
-            report = reduced_margin_report(P, problem, disc, config.norm, cache)
+            report = reduced_margin_report(P, problem, disc, config.norm, cache, memo)
         else:
-            report = margin_report(P, problem, disc, config.norm)
+            report = margin_report(P, problem, disc, config.norm, memo)
         ref = _maybe_reference(P, disc, config, cache, n)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         row = _row(trace, n, P, cache, report, ref, a_min, wall_ms)
@@ -208,6 +221,7 @@ def _run(problem, disc, config, on_row=None):
             else:
                 marked = [report.argmax()]
         _add_indices(P, cache, marked)
+        drop_stale(memo, marked)
         n += 1
     if is_gg:
         _augment_gg(trace, disc, config, P, cache, report)
@@ -219,9 +233,9 @@ def _augment_gg(trace, disc, config, P, cache, report):
 
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
-    the stopping iteration's estimator report and carries the
-    post-augmentation reference error; the stopping row holds the
-    pre-augmentation one.
+    the stopping iteration's estimator values, estimates nothing itself
+    (zero fresh and reused counts) and carries the post-augmentation
+    reference error; the stopping row holds the pre-augmentation one.
     """
     last = trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
@@ -236,7 +250,8 @@ def _augment_gg(trace, disc, config, P, cache, report):
     if config.reference_every > 0:
         ref = reference_error(P, disc, config.norm, config.reference_quad, cache)
     trace.post_augmentation_error = ref
-    _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, 0.0)
+    row = _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, 0.0)
+    row.estimates_fresh = row.estimates_reused = 0
 
 
 def run_gg(problem, disc, config=None, **kw):

@@ -71,6 +71,8 @@ TRACE_COLUMNS = (
     "reference_error",
     "effectivity",
     "wall_ms",
+    "estimates_fresh",
+    "estimates_reused",
 )
 
 # per-trace columns of the compare table; errors and estimators never share one

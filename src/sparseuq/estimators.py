@@ -148,7 +148,9 @@ def residual_estimator(P, problem, disc, k, spec):
     Purely post-processes the current interpolant: the flux is sampled
     on the candidate's level grid, the detail is formed from those
     samples by HierarchicalBlock.from_level_grid, and no PDE is solved.
-    k must lie outside the current index set.
+    The detail lives on the fresh points of k, so its degree in
+    dimension m is m(k_m) and the norm depends on k alone, not on the
+    rest of the index set.  k must lie outside the current index set.
     """
     k = tuple(int(v) for v in k)
     if len(k) != P.dim:
@@ -159,9 +161,7 @@ def residual_estimator(P, problem, disc, k, spec):
     flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
     block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
-    # affine coefficient raises the captured degree by one per dimension
-    degrees = [max(growth(kind, km), d + 1) for km, d in zip(k, P.degrees)]
-    return _euclidean_lp_norm(block, spec, degrees)
+    return _euclidean_lp_norm(block, spec, [growth(kind, km) for km in k])
 
 
 def fresh_solves(P, cache, k):
@@ -204,13 +204,19 @@ def profit(indexset, kind, k, eta):
 
 
 class EstimatorReport:
-    """Per-candidate estimator values for one adaptive iteration."""
+    """Per-candidate estimator values for one adaptive iteration.
 
-    def __init__(self, kind, values, reduced_members):
+    `reused` counts the values taken from an earlier iteration's memo,
+    `fresh` those estimated for this report.
+    """
+
+    def __init__(self, kind, values, reduced_members, reused=0):
         self.values = dict(values)
         self.work = {k: work(kind, k) for k in self.values}
         self.total = float(sum(self.values.values()))
         self.vmax = float(max(self.values.values())) if self.values else 0.0
+        self.reused = int(reused)
+        self.fresh = len(self.values) - self.reused
         reduced = [self.values[k] for k in self.values if k in reduced_members]
         rmax = max(reduced) if reduced else 0.0
         # sanity diagnostic: how much larger the full-margin maximum is
@@ -229,22 +235,77 @@ class EstimatorReport:
         return best
 
 
-def margin_report(P, problem, disc, spec):
+def _memo_report(kind, cands, reduced, memo, estimate):
+    """Report over cands, estimating in order only the candidates missing
+    from memo (a throwaway one when None) and storing what it estimates."""
+    memo = {} if memo is None else memo
+    values, reused = {}, 0
+    for k in map(tuple, cands):
+        if k in memo:
+            reused += 1
+        else:
+            memo[k] = estimate(k)
+        values[k] = memo[k]
+    return EstimatorReport(kind, values, reduced, reused)
+
+
+def margin_report(P, problem, disc, spec, memo=None):
     """Residual estimators for every full-margin candidate.
 
-    Candidates are estimated one after another in lexicographic order.
+    memo maps candidates to their values from earlier iterations of the
+    same run (a throwaway one when None).  Only the candidates missing
+    from it are estimated, in lexicographic order, and their values are
+    stored in it.  A kept value is exact in exact arithmetic until
+    drop_stale removes it.  Write a = a_0 + sum_m y_m a_m and
+    u_Lambda = sum_{i in Lambda} Delta_i u; Delta_k acts dimension by
+    dimension.  In dimension n, Delta_{k_n} keeps a basis function of
+    level i_n if i_n = k_n and cancels it otherwise.  Times y_n it
+    survives only for i_n in {k_n - 1, k_n}: a lower level has degree
+    m(i_n) + 1 <= m(k_n - 1), which Delta_{k_n} reproduces and cancels,
+    and a higher one vanishes on all of level k_n's nodes.  So
+    Delta_k(a grad u_Lambda) involves only the blocks of k's backward
+    neighbours k - e_m (k itself is outside Lambda), for Leja, R-Leja
+    and Clenshaw-Curtis alike, and the quadrature depends on k alone
+    (see residual_estimator).  k's value changes only when some k - e_m
+    is added.
     """
-    cands = [tuple(k) for k in P.indexset.margin()]
-    vals = [residual_estimator(P, problem, disc, k, spec) for k in cands]
-    reduced = set(map(tuple, P.indexset.reduced_margin()))
-    return EstimatorReport(P.family.kind, dict(zip(cands, vals)), reduced)
+    return _memo_report(
+        P.family.kind,
+        P.indexset.margin(),
+        set(map(tuple, P.indexset.reduced_margin())),
+        memo,
+        lambda k: residual_estimator(P, problem, disc, k, spec),
+    )
 
 
-def reduced_margin_report(P, problem, disc, spec, cache):
-    """Surplus indicators for every reduced-margin candidate."""
+def reduced_margin_report(P, problem, disc, spec, cache, memo=None):
+    """Surplus indicators for every reduced-margin candidate.
+
+    memo works as for margin_report.  A reduced-margin candidate k has
+    all its backward neighbours, and so every index i < k, in Lambda.
+    At k's fresh points S_Lambda u involves only the blocks of indices
+    i < k: the basis functions of a block with some i_m > k_m vanish
+    exactly on level k_m's nodes.  So k's surplus, and its indicator,
+    never change until k itself is added.
+    """
     cands = [tuple(k) for k in P.indexset.reduced_margin()]
-    vals = [surplus_indicator(P, problem, disc, k, spec, cache) for k in cands]
-    return EstimatorReport(P.family.kind, dict(zip(cands, vals)), set(cands))
+    return _memo_report(
+        P.family.kind,
+        cands,
+        set(cands),
+        memo,
+        lambda k: surplus_indicator(P, problem, disc, k, spec, cache),
+    )
+
+
+def drop_stale(memo, added):
+    """Forget the memoized values that adding the indices `added` may
+    change: each added index and each of its forward neighbours, the
+    only candidates that gain a backward neighbour."""
+    for j in map(tuple, added):
+        memo.pop(j, None)
+        for m in range(len(j)):
+            memo.pop(j[:m] + (j[m] + 1,) + j[m + 1 :], None)
 
 
 def parametric_norm(obj, disc, spec, spatial="L2", degrees=None):

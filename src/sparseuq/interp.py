@@ -71,26 +71,23 @@ class SparseInterpolant:
         self.family = get_family(family)
         self.dim = int(dim)
         self.indexset = MonotoneIndexSet(self.dim)
-        self._pt_rows = []
-        self._surplus_rows = []
         self._blocks = {}
-        self._row_of = {}
         self._K = None
-        self._pt_arr = None
-        self._val_arr = None
-        # per-dimension polynomial degree: the last node position on the grid
-        self.degrees = [0] * self.dim
+        # rows in insertion order, appended into capacity-doubling buffers
+        self._n = 0
+        self._pts = np.empty((0, self.dim), dtype=np.int64)
+        self._vals = None
 
     @property
     def n_points(self):
-        return len(self._pt_rows)
+        return self._n
 
     @property
     def n_outputs(self):
         return self._K
 
     def point_indices(self):
-        return list(self._pt_rows)
+        return [tuple(j) for j in self._pts[: self._n].tolist()]
 
     def block_of(self, i):
         """(start, count) slice of the points introduced by index i."""
@@ -108,28 +105,44 @@ class SparseInterpolant:
         return self.family._nodes_arr[js]
 
     def grid_coords(self):
-        return self.coords_of(np.asarray(self._pt_rows, dtype=np.int64))
+        return self.coords_of(self._pts[: self._n])
 
-    def _stacked(self):
-        if self._pt_arr is None or self._pt_arr.shape[0] != len(self._pt_rows):
-            self._pt_arr = np.asarray(self._pt_rows, dtype=np.int64)
-            self._val_arr = np.asarray(self._surplus_rows)
-        return self._pt_arr, self._val_arr
+    def _append(self, js, rows):
+        """Store the node-index rows js with their surplus rows."""
+        n, count = self._n, len(rows)
+        if self._vals is None:
+            self._vals = np.empty((0, rows.shape[1]))
+        if n + count > len(self._pts):
+            cap = max(2 * len(self._pts), n + count)
+            for name in ("_pts", "_vals"):
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
+        self._pts[n : n + count] = js
+        self._vals[n : n + count] = rows
+        self._n = n + count
+        self._K = rows.shape[1]
 
     def surpluses(self, start=0):
-        """Surplus rows from row start on (insertion order), shape (rows, K)."""
-        return self._stacked()[1][start:]
+        """Surplus rows from row start on (insertion order), shape (rows, K).
+        A read-only view: rows never change once stored."""
+        if self._vals is None:
+            return np.empty((0, 0))
+        out = self._vals[start : self._n]
+        out.flags.writeable = False
+        return out
 
     def basis_weights(self, Y, start=0):
         """Tensor hierarchical basis values at points Y of shape (P, M) for
         the grid points from row start on, shape (P, rows): the
         interpolant's part from those rows is basis_weights @ surpluses."""
-        if not self._pt_rows:
+        if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
             raise ValueError("expected points of shape (P, %d)" % self.dim)
-        pts = self._stacked()[0][start:]
+        pts = self._pts[start : self._n]
         if Y.shape[0] == 0:
             return np.empty((0, pts.shape[0]))
         if np.any(np.abs(Y) > 1.0 + _DOMAIN_SLACK):
@@ -192,32 +205,22 @@ class SparseInterpolant:
                     % (fvals.shape[1], self._K)
                 )
             surplus = fvals - self.evaluate(coords)
-        start = len(self._pt_rows)
         self.indexset.add(i)
-        self._widen(i)
-        self._blocks[i] = (start, len(newjs))
-        for j, row in zip(newjs, surplus):
-            self._row_of[j] = len(self._pt_rows)
-            self._pt_rows.append(j)
-            self._surplus_rows.append(np.ascontiguousarray(row))
-        self._K = surplus.shape[1]
-        self._pt_arr = None
+        self._blocks[i] = (self._n, len(newjs))
+        self._append(newjs, surplus)
         return len(newjs)
-
-    def _widen(self, i):
-        kind = self.family.kind
-        self.degrees = [max(d, growth(kind, im)) for d, im in zip(self.degrees, i)]
 
     # -- serialization ------------------------------------------------------
 
     def to_jsonable(self):
+        js = self._pts[: self._n].tolist()
         return {
             "nodes": self.family.kind,
             "dim": self.dim,
             "indices": self.indexset.to_jsonable(),
             "points": [
-                {"j": list(j), "surplus": [float(v) for v in row]}
-                for j, row in zip(self._pt_rows, self._surplus_rows)
+                {"j": j, "surplus": row}
+                for j, row in zip(js, self.surpluses().tolist())
             ],
         }
 
@@ -233,24 +236,24 @@ class SparseInterpolant:
                 % (len(data["points"]), expected)
             )
         grid = set(grid_points(kind, obj.indexset))
+        row_of = {}
         for rec in data["points"]:
             j = tuple(int(v) for v in rec["j"])
             if j not in grid:
                 raise ValueError("point %r is not on the grid of the index set" % (j,))
-            if j in obj._row_of:
+            if j in row_of:
                 raise ValueError("point %r appears more than once" % (j,))
-            obj._row_of[j] = len(obj._pt_rows)
-            obj._pt_rows.append(j)
-            obj._surplus_rows.append(np.asarray(rec["surplus"], dtype=np.float64))
-        obj._K = len(data["points"][0]["surplus"]) if data["points"] else None
+            row_of[j] = len(row_of)
+        if data["points"]:
+            surplus = np.array([rec["surplus"] for rec in data["points"]], dtype=float)
+            obj._append(list(row_of), surplus)
         # blocks regroup by the unique index whose fresh range holds each point
         for i in obj.indexset:
             js = itertools.product(*fresh_ranges(kind, i))
-            rows = sorted(obj._row_of[j] for j in js)
+            rows = sorted(row_of[j] for j in js)
             if rows[-1] - rows[0] + 1 != len(rows):
                 raise ValueError("points of index %r are not contiguous" % (tuple(i),))
             obj._blocks[tuple(i)] = (rows[0], len(rows))
-            obj._widen(i)
         return obj
 
 

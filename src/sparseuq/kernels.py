@@ -16,20 +16,31 @@ USE_NUMBA = False
 #
 # Column i holds h_i(ys) = prod_{j <= mks[i], j != i} (ys - nodes[j]) / denoms[i]
 # where mks[i] is the last node index of the level that introduced node i and
-# denoms[i] = prod_{j <= mks[i], j != i} (nodes[i] - nodes[j]).
+# denoms[i] = prod_{j <= mks[i], j != i} (nodes[i] - nodes[j]).  Node i lies
+# in its own level and levels are nested, so mks is nondecreasing with
+# mks[i] >= i.  The factors j < i of all columns are one running product;
+# a factor j > i enters the columns lo..j-1, lo the first column whose mks
+# reaches j, which is none for unit-growth families (mks[i] == i).  Each
+# column is still multiplied left to right in j, starting from 1.0, then
+# divided once, so the table is bitwise that of the per-column product.
+# The table is built transposed, one row per column, so every update is a
+# contiguous row (np.cumprod across rows runs one short accumulation per
+# sample and was ten times slower), and returned as a transposed view.
 
 
 def basis_table(ys, nodes, mks, denoms):
-    npts = ys.shape[0]
     n = mks.shape[0]
-    out = np.empty((npts, n))
-    for i in range(n):
-        acc = np.ones(npts)
-        for j in range(int(mks[i]) + 1):
-            if j != i:
-                acc *= ys - nodes[j]
-        out[:, i] = acc / denoms[i]
-    return out
+    diffs = ys[None, :] - nodes[:, None]
+    out = np.empty((n, ys.shape[0]))
+    out[:1] = 1.0
+    for i in range(1, n):
+        np.multiply(out[i - 1], diffs[i - 1], out=out[i])
+    js = np.arange(nodes.shape[0])
+    los = np.searchsorted(mks, js)
+    for j in np.flatnonzero(los < js):
+        out[los[j] : j] *= diffs[j]
+    out /= denoms[:, None]
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,7 @@ def test_criterion_04_telescoping_and_detail_equivalence():
         for i in box:
             det = detail_apply_ct(kind, i, f)
             start, count = P.block_of(i)
-            blk = HierarchicalBlock(
-                kind, i, np.vstack(P._surplus_rows[start : start + count])
-            )
+            blk = HierarchicalBlock(kind, i, P.surpluses()[start : start + count])
             assert np.max(np.abs(det.evaluate(Y) - blk.evaluate(Y))) <= 1e-10
     dt = time.perf_counter() - t0
     assert dt < 10.0

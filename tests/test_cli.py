@@ -247,6 +247,30 @@ def test_removed_config_key_rejected(tmp_path, capsys):
     assert "unknown keys parallelism" in capsys.readouterr().err
 
 
+def test_trace_counts_fresh_and_reused_estimates(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "problem": {"M": 2},
+            "mesh_n": 32,
+            "tol": 1e-4,
+            "strategies": ["gn_envelope", "gg"],
+        },
+    )
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    for strategy in ("gn_envelope", "gg"):
+        rows = read_trace(out / ("%s-trace.csv" % strategy))[1]
+        fresh = [int(r["estimates_fresh"]) for r in rows]
+        reused = [int(r["estimates_reused"]) for r in rows]
+        # the first report estimates everything; later ones reuse values
+        assert reused[0] == 0 < fresh[0]
+        assert sum(reused) > 0
+    # the gg augmentation row repeats the stopping report, estimating nothing
+    assert fresh[-1] == reused[-1] == 0 < fresh[-2] + reused[-2]
+
+
 # -- compare command --------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from sparseuq.estimators import (
     EstimatorReport,
     NormSpec,
     combine_axes,
+    drop_stale,
     flux_on_points,
     fresh_solves,
     gauss_axis,
@@ -331,6 +332,54 @@ def test_reduced_margin_report_counts_solves():
     assert set(rep.values) == {(2,)}
     assert cache.n_solves == 3
     assert rep.ratio_c == 1.0
+
+
+@pytest.mark.parametrize("strategy, p", [("gn", 2), ("gn", "inf"), ("gg", 2)])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_report_memo_matches_fresh(kind, strategy, p):
+    # a memo kept across steps and pruned by drop_stale gives the values
+    # and candidates of a from-scratch report after every step
+    rng = np.random.default_rng(53)
+    dim = 3
+    spec = NormSpec(p=p, sup_points_per_dim=9)
+    problem = build_problem({"family": "cosine", "M": dim, "gamma": 0.9})
+    disc = SpatialDiscretization(problem, 32)
+    cache = SolveCache(disc)
+    tol = 1e-12 * float(disc.h1_rows(cache.solve_y(np.zeros((1, dim))))[0])
+
+    def report(memo=None):
+        if strategy == "gg":
+            return reduced_margin_report(P, problem, disc, spec, cache, memo)
+        return margin_report(P, problem, disc, spec, memo)
+
+    P = SparseInterpolant(kind, dim)
+    P.add_index((0,) * dim, values=fresh_solves(P, cache, (0,) * dim)[1])
+    memo, dropped, moved = {}, {}, 0
+    for step in range(7):
+        got, want = report(memo), report()
+        assert set(got.values) == set(want.values) == set(memo)
+        assert got.fresh == len(got.values) - got.reused
+        for k, v in want.values.items():
+            assert abs(got.values[k] - v) <= tol, (step, k, got.values[k], v)
+            if k in dropped and abs(dropped[k] - v) > tol:
+                moved += 1
+        # mark like the drivers: a monotone envelope, or several
+        # reduced-margin indices at once as Dorfler marking does
+        if rng.random() < 0.5:
+            cand = P.indexset.margin()
+            marked = P.indexset.monotone_envelope(cand[rng.integers(len(cand))])
+        else:
+            cand = P.indexset.reduced_margin()
+            size = min(len(cand), 1 + step % 3)
+            marked = [cand[c] for c in sorted(rng.choice(len(cand), size, replace=False))]
+        before = dict(memo)
+        for k in marked:
+            P.add_index(k, values=fresh_solves(P, cache, k)[1])
+        drop_stale(memo, marked)
+        dropped = {k: v for k, v in before.items() if k not in memo and k not in marked}
+    # forward neighbours of added indices really change for gn, so the
+    # comparison above would catch a memo that kept them
+    assert moved > 0 if strategy == "gn" else moved == 0
 
 
 # -- reference errors -------------------------------------------------------

@@ -220,8 +220,30 @@ def test_serialization_round_trip():
     assert Q.indexset.members_sorted() == P.indexset.members_sorted()
     for i in s:
         assert Q.block_of(i) == P.block_of(i)
-    want = [max(growth("clenshaw_curtis", i[m]) for i in s) for m in range(2)]
-    assert P.degrees == Q.degrees == want
+    assert Q.point_indices() == P.point_indices()
+    assert np.array_equal(Q.surpluses(), P.surpluses())
+
+
+def test_surplus_rows_append_only():
+    # rows outlive the buffer growth that add_index triggers, and the
+    # incremental parts basis_weights(Y, start) @ surpluses(start) add up
+    rng = np.random.default_rng(9)
+    f = lambda y: np.array([np.sin(y[0] + 2.0 * y[1]), y[0] * y[1]])
+    Y = rng.uniform(-1, 1, size=(20, 2))
+    P = SparseInterpolant("leja", 2)
+    P.add_index((0, 0), f)
+    kept, parts = [], []
+    for _ in range(12):
+        start = P.n_points
+        kept.append(P.surpluses().copy())
+        cand = P.indexset.reduced_margin()
+        P.add_index(cand[rng.integers(len(cand))], f)
+        parts.append(P.basis_weights(Y, start) @ P.surpluses(start))
+        assert not P.surpluses().flags.writeable
+    for rows in kept:
+        assert np.array_equal(P.surpluses()[: len(rows)], rows)
+    head = P.basis_weights(Y)[:, :1] @ P.surpluses()[:1]
+    assert np.allclose(head + sum(parts), P.evaluate(Y), rtol=0, atol=1e-13)
 
 
 def test_malformed_snapshot_rejected():
@@ -310,7 +332,7 @@ def test_hierarchical_block_matches_ct_detail():
         det = detail_apply_ct(kind, i, f)
         P = build_interpolant(kind, box, f)
         start, count = P.block_of(i)
-        surplus = np.vstack([P._surplus_rows[r] for r in range(start, start + count)])
+        surplus = P.surpluses()[start : start + count]
         # stored surpluses, and surpluses recovered from the level-grid values
         for blk in (
             HierarchicalBlock(kind, i, surplus),

@@ -4,6 +4,19 @@ import numpy as np
 import pytest
 
 from sparseuq import kernels
+from sparseuq.nodes import get_family
+
+
+def basis_table_loop(ys, nodes, mks, denoms):
+    """The per-column double loop basis_table replaced: the oracle."""
+    out = np.empty((ys.shape[0], mks.shape[0]))
+    for i in range(mks.shape[0]):
+        acc = np.ones(ys.shape[0])
+        for j in range(int(mks[i]) + 1):
+            if j != i:
+                acc *= ys - nodes[j]
+        out[:, i] = acc / denoms[i]
+    return out
 
 
 def _basis_inputs(rng, n_nodes=9, n_pts=40):
@@ -31,6 +44,28 @@ def test_basis_table_matches_direct_product():
             if j != i:
                 expect *= (ys - nodes[j]) / (nodes[i] - nodes[j])
         assert np.allclose(table[:, i], expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_basis_table_bitwise_matches_loop(kind):
+    # every column keeps the loop's left-to-right product, so the tables
+    # must agree bit for bit, also at samples that sit exactly on nodes
+    fam = get_family(kind)
+    rng = np.random.default_rng(5)
+    ys = np.concatenate([rng.uniform(-1, 1, 40), fam.nodes(17), [-1.0, 0.0, 1.0]])
+    for n in (1, 2, 3, 4, 5, 8, 9, 17):
+        got = fam.basis_matrix(ys, n)
+        need = int(fam._mks_arr[:n].max()) + 1
+        want = basis_table_loop(
+            ys, fam._nodes_arr[:need], fam._mks_arr[:n], fam._denoms_arr[:n]
+        )
+        assert got.tobytes() == want.tobytes(), n
+    for k in range(5):
+        mk = fam.growth(k)
+        got = fam.lagrange_matrix(ys, k)
+        mks = np.full(mk + 1, mk, dtype=np.int64)
+        want = basis_table_loop(ys, fam._nodes_arr[: mk + 1], mks, fam._level_denoms(k))
+        assert got.tobytes() == want.tobytes(), k
 
 
 def test_weight_product_matches_loop():
