@@ -90,6 +90,7 @@ class TraceRow:
     wall_ms: float = 0.0
     estimates_fresh: int = 0
     estimates_reused: int = 0
+    ratio_c: float = 1.0
 
 
 class AdaptiveTrace:
@@ -142,6 +143,7 @@ def _row(trace, n, P, cache, report, ref, a_min, wall_ms):
         wall_ms=wall_ms,
         estimates_fresh=report.fresh,
         estimates_reused=report.reused,
+        ratio_c=report.ratio_c,
     )
     trace.rows.append(row)
     log.info(

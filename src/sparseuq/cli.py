@@ -73,6 +73,7 @@ TRACE_COLUMNS = (
     "wall_ms",
     "estimates_fresh",
     "estimates_reused",
+    "ratio_c",
 )
 
 # per-trace columns of the compare table; errors and estimators never share one

@@ -3,8 +3,10 @@
 Two families of per-index indicators: the residual estimator, which
 applies a detail operator to the flux of the current interpolant and
 needs no new PDE solves, and the surplus indicator, which solves the
-PDE at the candidate's fresh grid points.  Both form the detail as a
-HierarchicalBlock of surpluses and measure it in a parametric L^p norm
+PDE at the candidate's fresh grid points.  The residual detail follows
+from the stored surplus blocks of the candidate's backward neighbours
+alone, the surplus detail from the new solves.  Both form the detail as
+a HierarchicalBlock of surpluses and measure it in a parametric L^p norm
 over the box: exact tensor Gauss quadrature for p = 2 (uniform product
 measure, weights halved), a tensor sample-grid maximum for p = inf (a
 lower bound of the sup), and fixed-order Gauss quadrature otherwise.
@@ -17,7 +19,7 @@ import weakref
 import numpy as np
 
 from .fem import SolveCache
-from .interp import HierarchicalBlock, tensor_values, work
+from .interp import HierarchicalBlock, _times_y_rows, mode_product, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -134,23 +136,22 @@ def _euclidean_lp_norm(block, spec, degrees):
     return combine_axes(norms, axes, spec.p)
 
 
-def flux_on_points(P, disc, Y):
-    """Rows of a(., y) * u_n'(., y): element data, shape (rows, n)."""
-    rows = P.evaluate(Y)
-    grads = disc.gradient_rows(rows)
-    a_el = disc.a0_mid[None, :] + np.asarray(Y, dtype=np.float64) @ disc.terms_mid
-    return a_el * grads
-
-
 def residual_estimator(P, problem, disc, k, spec):
     """Parametric norm of the detail operator applied to the flux.
 
-    Purely post-processes the current interpolant: the flux is sampled
-    on the candidate's level grid, the detail is formed from those
-    samples by HierarchicalBlock.from_level_grid, and no PDE is solved.
-    The detail lives on the fresh points of k, so its degree in
-    dimension m is m(k_m) and the norm depends on k alone, not on the
-    rest of the index set.  k must lie outside the current index set.
+    Purely post-processes the current interpolant and solves no PDE.
+    Write a = a_0 + sum_m y_m a_m.  As margin_report shows,
+    Delta_k(a grad u_Lambda) = sum_m a_m [Delta_{k_m}(y_m .)]^{(m)}
+    grad Delta_{k - e_m} u over the backward neighbours k - e_m in
+    Lambda: block k - e_m shares k's fresh basis in every dimension but
+    m, and in dimension m interp._times_y_rows maps its level k_m - 1
+    fresh basis onto level k_m's.  So the detail's surpluses are the
+    sum over m of a_m times that matrix applied along axis m of the
+    gradients of block k - e_m's stored surpluses, with no evaluation of
+    the interpolant.  The detail lives on the fresh points of k, so its
+    degree in dimension m is m(k_m) and the norm depends on k alone, not
+    on the rest of the index set.  k must lie outside the current index
+    set; with no backward neighbour in it the detail is zero.
     """
     k = tuple(int(v) for v in k)
     if len(k) != P.dim:
@@ -158,9 +159,23 @@ def residual_estimator(P, problem, disc, k, spec):
     if k in P.indexset:
         raise ValueError("index %r is already in the set" % (k,))
     kind = P.family.kind
-    flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
+    detail = None
+    for m, km in enumerate(k):
+        back = k[:m] + (km - 1,) + k[m + 1 :]
+        if km == 0 or back not in P.indexset:
+            continue
+        start, count = P.block_of(back)
+        grads = disc.gradient_rows(P.surpluses()[start : start + count])
+        term = mode_product(
+            _times_y_rows(kind, km), HierarchicalBlock(kind, back, grads).values, m
+        )
+        term *= disc.terms_mid[m]
+        detail = term if detail is None else detail + term
+    if detail is None:
+        return 0.0
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
-    block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
+    detail *= math.sqrt(disc.h)
+    block = HierarchicalBlock(kind, k, detail.reshape(-1, detail.shape[-1]))
     return _euclidean_lp_norm(block, spec, [growth(kind, km) for km in k])
 
 
@@ -210,9 +225,8 @@ class EstimatorReport:
     `fresh` those estimated for this report.
     """
 
-    def __init__(self, kind, values, reduced_members, reused=0):
+    def __init__(self, values, reduced_members, reused=0):
         self.values = dict(values)
-        self.work = {k: work(kind, k) for k in self.values}
         self.total = float(sum(self.values.values()))
         self.vmax = float(max(self.values.values())) if self.values else 0.0
         self.reused = int(reused)
@@ -235,7 +249,7 @@ class EstimatorReport:
         return best
 
 
-def _memo_report(kind, cands, reduced, memo, estimate):
+def _memo_report(cands, reduced, memo, estimate):
     """Report over cands, estimating in order only the candidates missing
     from memo (a throwaway one when None) and storing what it estimates."""
     memo = {} if memo is None else memo
@@ -246,7 +260,7 @@ def _memo_report(kind, cands, reduced, memo, estimate):
         else:
             memo[k] = estimate(k)
         values[k] = memo[k]
-    return EstimatorReport(kind, values, reduced, reused)
+    return EstimatorReport(values, reduced, reused)
 
 
 def margin_report(P, problem, disc, spec, memo=None):
@@ -265,12 +279,11 @@ def margin_report(P, problem, disc, spec, memo=None):
     and a higher one vanishes on all of level k_n's nodes.  So
     Delta_k(a grad u_Lambda) involves only the blocks of k's backward
     neighbours k - e_m (k itself is outside Lambda), for Leja, R-Leja
-    and Clenshaw-Curtis alike, and the quadrature depends on k alone
-    (see residual_estimator).  k's value changes only when some k - e_m
-    is added.
+    and Clenshaw-Curtis alike; residual_estimator forms the value from
+    exactly these blocks, with a quadrature that depends on k alone.
+    k's value changes only when some k - e_m is added.
     """
     return _memo_report(
-        P.family.kind,
         P.indexset.margin(),
         set(map(tuple, P.indexset.reduced_margin())),
         memo,
@@ -290,7 +303,6 @@ def reduced_margin_report(P, problem, disc, spec, cache, memo=None):
     """
     cands = [tuple(k) for k in P.indexset.reduced_margin()]
     return _memo_report(
-        P.family.kind,
         cands,
         set(cands),
         memo,

@@ -8,8 +8,11 @@ families and monotone index sets this sum is interpolatory and equal to
 the telescoping sum of tensorized detail operators over the index set.
 
 HierarchicalBlock holds one detail polynomial in the same hierarchical
-form, either from stored surpluses or, through from_level_grid, from
-values on a full level grid; the residual estimator measures it there.
+form, either from surpluses or, through from_level_grid, from values on
+a full level grid; both estimators measure their details in this form.
+_times_y_rows carries a block's surpluses through "multiply by y_m, then
+take the next level's detail", which is how the residual estimator forms
+its detail from the stored blocks alone.
 
 TensorPoly and TensorDetail provide the combination-technique view: a
 detail operator applied to a function is a signed sum of full tensor
@@ -22,7 +25,6 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernels
 from .multiindex import MonotoneIndexSet
@@ -247,12 +249,14 @@ class SparseInterpolant:
         if data["points"]:
             surplus = np.array([rec["surplus"] for rec in data["points"]], dtype=float)
             obj._append(list(row_of), surplus)
-        # blocks regroup by the unique index whose fresh range holds each point
+        # blocks regroup by the unique index whose fresh range holds each
+        # point, in new_point_indices order, which block_of readers rely on
         for i in obj.indexset:
-            js = itertools.product(*fresh_ranges(kind, i))
-            rows = sorted(row_of[j] for j in js)
-            if rows[-1] - rows[0] + 1 != len(rows):
-                raise ValueError("points of index %r are not contiguous" % (tuple(i),))
+            rows = [row_of[j] for j in itertools.product(*fresh_ranges(kind, i))]
+            if rows != list(range(rows[0], rows[0] + len(rows))):
+                raise ValueError(
+                    "points of index %r are not contiguous in block order" % (tuple(i),)
+                )
             obj._blocks[tuple(i)] = (rows[0], len(rows))
         return obj
 
@@ -420,16 +424,61 @@ def detail_apply_ct(kind, i, g):
 @functools.lru_cache(maxsize=None)
 def _fresh_inverse_rows(kind, level):
     """Rows of B^-1 at the fresh points of one level, B the hierarchical
-    basis table on the level's nodes.  Read-only: every caller shares it."""
+    basis table on the level's nodes.  B is unit lower triangular, so B^-1
+    follows by forward substitution: row i is e_i minus the earlier rows
+    weighted by B[i, :i].  Read-only: every caller shares it."""
     fam = get_family(kind)
     r = fresh_ranges(kind, (level,))[0]
     n = r.stop
     B = fam.basis_matrix(fam.nodes(n), n)
-    rows = solve_triangular(
-        B, np.eye(n)[:, r.start :], trans="T", lower=True, unit_diagonal=True
-    ).T
+    inv = np.eye(n)
+    for i in range(1, n):
+        inv[i] -= B[i, :i] @ inv[:i]
+    rows = inv[r.start :]
     rows.flags.writeable = False
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _times_y_rows(kind, level):
+    """Multiply by y, then take level `level`'s detail, as a matrix from
+    the fresh basis of level - 1 onto the fresh basis of level (>= 1).
+
+    A fresh basis function h of level - 1 times y has degree at most
+    m(level - 1) + 1 <= m(level), so the level's interpolant reproduces
+    it and the level's detail keeps its surpluses at the level's fresh
+    points: the fresh rows of B^-1 applied to the nodal values x * h(x).
+    For unit-growth families it is the scalar d_l / d_{l-1}, d_i the
+    basis denominators.  Read-only: every caller shares it."""
+    fam = get_family(kind)
+    prev = fresh_ranges(kind, (level - 1,))[0]
+    n = growth(kind, level) + 1
+    x = fam.nodes(n)
+    B = fam.basis_matrix(x, n)
+    rows = _fresh_inverse_rows(kind, level) @ (x[:, None] * B[:, prev.start : prev.stop])
+    rows.flags.writeable = False
+    return rows
+
+
+def mode_product(A, T, m):
+    """The matrix A applied along axis m of the tensor T."""
+    return np.moveaxis(np.tensordot(A, T, axes=(1, m)), 0, m)
+
+
+def _fresh_table(kind, level, ys):
+    """Fresh-basis columns of one level at the samples ys."""
+    r = fresh_ranges(kind, (level,))[0]
+    return get_family(kind).basis_matrix(ys, r.stop)[:, r.start : r.stop]
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_table(kind, level, axis_bytes):
+    """_fresh_table on a norm axis given by its bytes.  Norm axes repeat
+    from call to call, so the tables are built once.  Read-only: every
+    caller shares it."""
+    table = _fresh_table(kind, level, np.frombuffer(axis_bytes))
+    table.flags.writeable = False
+    return table
 
 
 class HierarchicalBlock:
@@ -466,19 +515,16 @@ class HierarchicalBlock:
         for m, km in enumerate(i):
             if growth(fam.kind, km) == 0:
                 continue  # one node: its value is its surplus
-            rows = _fresh_inverse_rows(fam.kind, int(km))
-            T = np.moveaxis(np.tensordot(rows, T, axes=(1, m)), 0, m)
+            T = mode_product(_fresh_inverse_rows(fam.kind, int(km)), T, m)
         return cls(fam, i, T.reshape(-1, T.shape[-1]))
 
     def _tables(self, axes):
-        out = []
-        for m in range(self.dim):
-            r = self.ranges[m]
-            table = self.family.basis_matrix(
-                np.ascontiguousarray(axes[m], dtype=np.float64), r.stop
-            )
-            out.append(table[:, r.start : r.stop])
-        return out
+        """Fresh-basis tables on the 1-D norm axes, from the memo."""
+        kind = self.family.kind
+        return [
+            _axis_table(kind, km, np.asarray(axes[m], dtype=np.float64).tobytes())
+            for m, km in enumerate(self.index)
+        ]
 
     def chain_raw(self, axes):
         T = self.values
@@ -493,7 +539,8 @@ class HierarchicalBlock:
 
     def evaluate(self, Y):
         Y = np.asarray(Y, dtype=np.float64).reshape(-1, self.dim)
-        tables = self._tables([Y[:, m] for m in range(self.dim)])
+        kind = self.family.kind
+        tables = [_fresh_table(kind, km, Y[:, m]) for m, km in enumerate(self.index)]
         subs = ",".join("p" + _EINSUM_LETTERS[m] for m in range(self.dim))
         expr = subs + "," + _EINSUM_LETTERS[: self.dim] + "z->pz"
         return np.einsum(expr, *tables, self.values, optimize=True)

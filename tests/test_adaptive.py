@@ -126,14 +126,14 @@ def test_gg_solves_cover_reduced_margin_each_iteration():
 
 
 def test_dorfler_mark_prefix():
-    rep = EstimatorReport("leja", {(0,): 0.5, (1,): 0.3, (2,): 0.2}, {(0,)})
+    rep = EstimatorReport({(0,): 0.5, (1,): 0.3, (2,): 0.2}, {(0,)})
     assert _dorfler_mark(rep, 0.5) == [(0,)]
     assert _dorfler_mark(rep, 0.8) == [(0,), (1,)]
     assert _dorfler_mark(rep, 0.9) == [(0,), (1,), (2,)]
 
 
 def test_dorfler_tie_break_lexicographic():
-    rep = EstimatorReport("leja", {(1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.2}, set())
+    rep = EstimatorReport({(1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.2}, set())
     assert _dorfler_mark(rep, 0.3) == [(0, 1)]
 
 

@@ -1,18 +1,21 @@
 """Command line interface: config handling, trace files, snapshots,
 compare joins, exit codes."""
 
+import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sparseuq.adaptive import AdaptiveConfig, run_strategy
+from sparseuq.adaptive import AdaptiveConfig, TraceRow, run_strategy
 from sparseuq.cli import (
     DEFAULTS,
     TRACE_COLUMNS,
     ConfigError,
+    TraceWriter,
     compare_report,
     load_config,
     load_interpolant,
@@ -271,6 +274,44 @@ def test_trace_counts_fresh_and_reused_estimates(tmp_path):
     assert fresh[-1] == reused[-1] == 0 < fresh[-2] + reused[-2]
 
 
+def test_trace_ratio_c_column(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {"problem": {"M": 2}, "mesh_n": 32, "tol": 1e-4, "strategies": ["gn_envelope"]},
+    )
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    rows = read_trace(out / "gn_envelope-trace.csv")[1]
+    # the full-margin maximum over the reduced-margin one is at least 1
+    assert rows and all(float(r["ratio_c"]) >= 1.0 for r in rows)
+    # an infinite ratio (reduced margin all zero) is written as inf
+    path = tmp_path / "ratio-trace.csv"
+    writer = TraceWriter(path, "0")
+    for ratio in (2.5, math.inf):
+        writer.write_row(TraceRow(0, "gn_envelope", 1, 1, 1, 0.5, 0.5, ratio_c=ratio))
+    writer.close()
+    assert [r["ratio_c"] for r in read_trace(path)[1]] == ["2.5", "inf"]
+
+
+def test_compare_reads_trace_without_ratio_c(tmp_path):
+    cfg = affine_cfg(tmp_path, reference={"every": 2})
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    new = out / "gn_envelope-trace.csv"
+    old = tmp_path / "old" / "gn_envelope-trace.csv"
+    old.parent.mkdir()
+    # the same trace as written before the ratio_c column existed
+    lines = new.read_text().splitlines()
+    with old.open("w", newline="") as fh:
+        fh.write(lines[0] + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        for row in csv.reader(lines[1:]):
+            w.writerow(row[:-1])
+    assert "ratio_c" not in old.read_text()
+    assert compare_report([str(old)]) == compare_report([str(new)])
+
+
 # -- compare command --------------------------------------------------------
 
 
@@ -370,6 +411,18 @@ def test_subprocess_run_and_version(tmp_path):
     res = run_cli("--version")
     assert res.returncode == 0
     assert "sparseuq" in res.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, sparseuq; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_subprocess_selftest():

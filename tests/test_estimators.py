@@ -9,9 +9,9 @@ import pytest
 from sparseuq.estimators import (
     EstimatorReport,
     NormSpec,
+    _euclidean_lp_norm,
     combine_axes,
     drop_stale,
-    flux_on_points,
     fresh_solves,
     gauss_axis,
     margin_report,
@@ -27,6 +27,7 @@ from sparseuq.estimators import (
 )
 from sparseuq.fem import DiffusionProblem, SolveCache, SpatialDiscretization, build_problem
 from sparseuq.interp import (
+    HierarchicalBlock,
     SparseInterpolant,
     TensorDetail,
     TensorPoly,
@@ -180,6 +181,34 @@ def test_residual_needs_no_new_solves():
     assert cache.n_solves == before == 2
 
 
+def flux_on_points(P, disc, Y):
+    """Rows of a(., y) * u_n'(., y) at the points Y: element data, shape
+    (rows, n)."""
+    rows = P.evaluate(Y)
+    grads = disc.gradient_rows(rows)
+    a_el = disc.a0_mid[None, :] + np.asarray(Y, dtype=np.float64) @ disc.terms_mid
+    return a_el * grads
+
+
+def random_monotone_growth(P, cache, rng, steps):
+    """Add `steps` random indices to P (root first, then reduced-margin
+    ones) from cached solves."""
+    dim = P.dim
+    for _ in range(steps):
+        cand = [(0,) * dim] if P.n_points == 0 else P.indexset.reduced_margin()
+        k = tuple(cand[rng.integers(len(cand))])
+        P.add_index(k, values=fresh_solves(P, cache, k)[1])
+
+
+def sampled_residual(P, disc, k, spec):
+    """Reference residual estimator that samples the flux of the whole
+    interpolant on the level-k grid and takes its detail there."""
+    kind = P.family.kind
+    flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
+    block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
+    return _euclidean_lp_norm(block, spec, [growth(kind, km) for km in k])
+
+
 def ct_residual(P, disc, k, spec):
     """Reference residual estimator: the combination-technique detail of
     the flux, collapsed on the level-k grid and expanded in Lagrange form."""
@@ -205,15 +234,33 @@ def test_residual_matches_ct_oracle(kind, p):
         disc = SpatialDiscretization(problem, 32)
         cache = SolveCache(disc)
         P = SparseInterpolant(kind, dim)
-        for _ in range(3 + 2 * dim):
-            cand = [(0,) * dim] if P.n_points == 0 else P.indexset.reduced_margin()
-            k = tuple(cand[rng.integers(len(cand))])
-            P.add_index(k, values=fresh_solves(P, cache, k)[1])
+        random_monotone_growth(P, cache, rng, 3 + 2 * dim)
         flux0 = flux_on_points(P, disc, np.zeros((1, dim)))
         scale = math.sqrt(disc.h) * float(np.linalg.norm(flux0))
         for k in P.indexset.margin():
             got = residual_estimator(P, problem, disc, k, spec)
             want = ct_residual(P, disc, tuple(k), spec)
+            assert abs(got - want) <= 1e-12 * scale, (dim, k, got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_residual_neighbour_blocks_match_sampling(kind, p):
+    # the detail formed from the backward neighbours' blocks equals the
+    # detail of the flux sampled on the level grid; the bound is absolute
+    # because where one path gives an exact zero the other leaves roundoff
+    rng = np.random.default_rng(67)
+    spec = NormSpec(p=p)
+    for dim in (1, 2, 3, 4):
+        problem = build_problem({"family": "cosine", "M": dim, "gamma": 0.9})
+        disc = SpatialDiscretization(problem, 32)
+        P = SparseInterpolant(kind, dim)
+        random_monotone_growth(P, SolveCache(disc), rng, 4 + 3 * dim)
+        flux0 = flux_on_points(P, disc, np.zeros((1, dim)))
+        scale = math.sqrt(disc.h) * float(np.linalg.norm(flux0))
+        for k in P.indexset.margin():
+            got = residual_estimator(P, problem, disc, k, spec)
+            want = sampled_residual(P, disc, tuple(k), spec)
             assert abs(got - want) <= 1e-12 * scale, (dim, k, got, want)
 
 
@@ -304,14 +351,12 @@ def test_profit_envelope_average():
 
 
 def test_estimator_report_stats():
-    rep = EstimatorReport(
-        "leja", {(0, 1): 0.2, (1, 0): 0.5, (2, 0): 0.5}, {(0, 1), (1, 0)}
-    )
+    rep = EstimatorReport({(0, 1): 0.2, (1, 0): 0.5, (2, 0): 0.5}, {(0, 1), (1, 0)})
     assert rep.total == pytest.approx(1.2, abs=1e-15)
     assert rep.vmax == 0.5
     assert rep.argmax() == (1, 0)
     assert rep.ratio_c == 1.0
-    rep2 = EstimatorReport("leja", {(0, 1): 0.2, (2, 0): 0.5}, {(0, 1)})
+    rep2 = EstimatorReport({(0, 1): 0.2, (2, 0): 0.5}, {(0, 1)})
     assert rep2.ratio_c == pytest.approx(2.5, abs=1e-15)
 
 

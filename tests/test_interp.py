@@ -9,6 +9,8 @@ import pytest
 from sparseuq.interp import (
     HierarchicalBlock,
     SparseInterpolant,
+    _fresh_inverse_rows,
+    _times_y_rows,
     TensorDetail,
     TensorPoly,
     detail_apply_ct,
@@ -266,6 +268,11 @@ def test_malformed_snapshot_rejected():
     interleaved = reload_with([1, 0, 2])
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
         SparseInterpolant.from_jsonable(interleaved)
+    # a block's rows must keep its point order: the residual estimator
+    # reads them as a tensor
+    swapped = reload_with([0, 2, 1])
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        SparseInterpolant.from_jsonable(swapped)
 
 
 # -- combination technique --------------------------------------------------
@@ -340,6 +347,30 @@ def test_hierarchical_block_matches_ct_detail():
         ):
             assert np.allclose(blk.values.reshape(count, -1), surplus, atol=1e-11)
             assert np.allclose(blk.evaluate(Y), det.evaluate(Y), atol=1e-11)
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_fresh_inverse_rows_invert_basis_table(kind):
+    fam = get_family(kind)
+    for level in range(6 if kind == "clenshaw_curtis" else 12):
+        n = growth(kind, level) + 1
+        B = fam.basis_matrix(fam.nodes(n), n)
+        fresh = fresh_ranges(kind, (level,))[0]
+        got = _fresh_inverse_rows(kind, level) @ B
+        assert np.max(np.abs(got - np.eye(n)[fresh.start :])) <= 1e-13, level
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja"])
+def test_times_y_rows_unit_growth_denominator_ratio(kind):
+    # y h_{l-1} = (d_l / d_{l-1}) h_l + y_{l-1} h_{l-1}, d_i the product
+    # of y_i - y_j over j < i, and level l's detail keeps the first part
+    x = get_family(kind).nodes(12)
+    d = [float(np.prod(x[i] - x[:i])) for i in range(12)]
+    for level in range(1, 12):
+        got = _times_y_rows(kind, level)
+        want = d[level] / d[level - 1]
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - want) <= 1e-14 * abs(want), level
 
 
 def test_evaluate_grid_matches_scattered():
