@@ -16,7 +16,9 @@ from one iteration to the next in a memo, and after adding the marked
 indices drops only the values the additions can change, those of the
 added indices and of their forward neighbours (margin_report and
 reduced_margin_report give the exactness arguments).  A trace row
-counts the values estimated for it and those reused from the memo.
+counts the values estimated for it and those reused from the memo, and
+splits its wall_ms into estimate_ms (the margin report) and
+reference_ms (the reference error, if one is due).
 
 All loops start from the singleton zero index, estimate candidates in
 lexicographic order and break ties lexicographically, so reruns are
@@ -91,6 +93,11 @@ class TraceRow:
     estimates_fresh: int = 0
     estimates_reused: int = 0
     ratio_c: float = 1.0
+    # wall_ms split into the margin report and the reference error, set
+    # per row by the loop; plain attributes rather than fields, so that
+    # asdict and row equality see the same fields as before the split
+    estimate_ms = 0.0
+    reference_ms = 0.0
 
 
 class AdaptiveTrace:
@@ -126,7 +133,9 @@ def _maybe_reference(P, disc, config, cache, n):
     return reference_error(P, disc, config.norm, config.reference_quad, cache)
 
 
-def _row(trace, n, P, cache, report, ref, a_min, wall_ms):
+def _row(trace, n, P, cache, report, ref, a_min, times_ms):
+    """Append the trace row of iteration n; times_ms holds wall_ms,
+    estimate_ms and reference_ms."""
     eff = None
     if ref is not None and ref > 0.0:
         eff = (report.total / a_min) / ref
@@ -140,11 +149,11 @@ def _row(trace, n, P, cache, report, ref, a_min, wall_ms):
         max_estimator=report.vmax,
         reference_error=ref,
         effectivity=eff,
-        wall_ms=wall_ms,
         estimates_fresh=report.fresh,
         estimates_reused=report.reused,
         ratio_c=report.ratio_c,
     )
+    row.wall_ms, row.estimate_ms, row.reference_ms = times_ms
     trace.rows.append(row)
     log.info(
         "%s n=%d |set|=%d grid=%d solves=%d total=%.6e ref=%s",
@@ -191,9 +200,11 @@ def _run(problem, disc, config, on_row=None):
             report = reduced_margin_report(P, problem, disc, config.norm, cache, memo)
         else:
             report = margin_report(P, problem, disc, config.norm, memo)
+        t1 = time.perf_counter()
         ref = _maybe_reference(P, disc, config, cache, n)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        row = _row(trace, n, P, cache, report, ref, a_min, wall_ms)
+        t2 = time.perf_counter()
+        times_ms = ((t2 - t0) * 1000.0, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
+        row = _row(trace, n, P, cache, report, ref, a_min, times_ms)
         if on_row is not None:
             on_row(row)
         if report.total <= config.tol:
@@ -236,8 +247,10 @@ def _augment_gg(trace, disc, config, P, cache, report):
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
     the stopping iteration's estimator values, estimates nothing itself
-    (zero fresh and reused counts) and carries the post-augmentation
-    reference error; the stopping row holds the pre-augmentation one.
+    (zero fresh and reused counts and estimate_ms) and carries the
+    post-augmentation reference error and its reference_ms; its wall_ms
+    stays 0 as before.  The stopping row holds the pre-augmentation
+    error.
     """
     last = trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
@@ -249,10 +262,12 @@ def _augment_gg(trace, disc, config, P, cache, report):
     assert cache.n_solves == before, "augmentation must reuse cached solves"
     trace.augmented = True
     ref = None
+    t0 = time.perf_counter()
     if config.reference_every > 0:
         ref = reference_error(P, disc, config.norm, config.reference_quad, cache)
     trace.post_augmentation_error = ref
-    row = _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, 0.0)
+    times_ms = (0.0, 0.0, (time.perf_counter() - t0) * 1000.0)
+    row = _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, times_ms)
     row.estimates_fresh = row.estimates_reused = 0
 
 

@@ -71,6 +71,8 @@ TRACE_COLUMNS = (
     "reference_error",
     "effectivity",
     "wall_ms",
+    "estimate_ms",
+    "reference_ms",
     "estimates_fresh",
     "estimates_reused",
     "ratio_c",

@@ -23,7 +23,10 @@ from .interp import HierarchicalBlock, _times_y_rows, mode_product, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
-_ROW_BLOCK = 2048
+# reference grid rows per block of reference_error's pass: at mesh 256 a
+# block of rows is 512 KB and stays in cache; on gn-ref-inf-m3 a sweep of
+# 64..2048 rows on a 2-core host was fastest at 128-256, 40% slower at 2048
+_ROW_BLOCK = 256
 
 
 def _parse_p(p):
@@ -350,24 +353,34 @@ class _ReferenceRows:
     """Gradient rows of u_h - S u_h on one reference grid, for one
     interpolant, with the number of surplus rows already subtracted."""
 
-    def __init__(self, disc, U, P):
-        self.U = U
+    def __init__(self, grid, P, n_elements):
+        self.key = (grid.shape, grid.tobytes())
         self.owner = weakref.ref(P)
         self.n_rows = 0
-        self.rows = disc.gradient_rows(U)
+        self.rows = np.empty((grid.shape[0], n_elements))
+
+    def serves(self, grid, P):
+        return self.owner() is P and self.key == (grid.shape, grid.tobytes())
 
 
 def reference_error(P, disc, spec, quad_order=20, cache=None):
     """Parametric norm of u_h - S u_h on a tensor reference grid.
 
-    The PDE is solved at every grid point in one batch through the
-    cache's uncounted reference side (a throwaway cache when none is
-    given), and the spatial H1_0 seminorm of the difference is measured
-    as the L2 norm of its gradient.  Hierarchical surpluses never change
-    once inserted, so the cache also keeps the gradient rows of
-    u_h - S u_h, tied to P by a weak reference and the count of surplus
-    rows subtracted; each call subtracts only the rows P gained since.
-    Another interpolant or grid rebuilds them from the memoized solves.
+    The spatial H1_0 seminorm is the L2 norm of the element gradient, so
+    the reference solutions are never formed: disc.gradients_at gives the
+    gradient rows of u_h in closed form, uncounted and not memoized.
+    Hierarchical surpluses never change once inserted, so the cache (if
+    given) keeps the gradient rows of u_h - S u_h, keyed by the grid's
+    bytes, a weak reference to P and the count of surplus rows
+    subtracted; each call subtracts only the rows P gained since, and
+    another interpolant or grid starts afresh.  One pass over the grid,
+    in blocks of _ROW_BLOCK rows that stay in cache, forms the gradients
+    of fresh rows, subtracts the new surpluses' part and sums the
+    squared row norms.  So a call allocates nothing the size of the
+    rows: its largest temporaries are one block and the basis weights of
+    the new grid points at the reference points.  A fresh state is kept
+    only once it is complete, so an EllipticityError (naming the first
+    non-elliptic reference point) leaves none behind.
     Tensor grids are only feasible for a handful of dimensions, so more
     than 4 is rejected.
     """
@@ -384,21 +397,40 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
         axes = [gauss_axis(int(quad_order))] * dim
     mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     grid = np.stack([v.ravel() for v in mesh], axis=-1)
-    if cache is None:
-        cache = SolveCache(disc)
-    U = cache.solve_y(grid)
-    state = cache.reference_rows
-    if state is None or state.U is not U or state.owner() is not P:
-        state = cache.reference_rows = _ReferenceRows(disc, U, P)
+    state = None if cache is None else cache.reference_rows
+    fresh = state is None or not state.serves(grid, P)
+    if fresh:
+        if cache is not None:
+            # release the old rows before allocating the new ones
+            cache.reference_rows = None
+        state = _ReferenceRows(grid, P, disc.n_elements)
+    W = dS = None
     if P.n_points > state.n_rows:
         W = P.basis_weights(grid, start=state.n_rows)
         dS = disc.gradient_rows(P.surpluses(start=state.n_rows))
-        # in row blocks: a grid-sized product would be a fresh allocation
-        # per call, whose page faults cost more than the product
-        for a in range(0, len(grid), _ROW_BLOCK):
-            state.rows[a : a + _ROW_BLOCK] -= W[a : a + _ROW_BLOCK] @ dS
-        state.n_rows = P.n_points
-    return combine_axes(disc.l2_element_rows(state.rows), axes, spec.p)
+        if dS.shape[0] == 1:
+            # np.matmul over an inner dimension of 1 took twice as long as
+            # over 2 (40 vs 19 ms per pass at 36k x 256 rows); the added
+            # zero term leaves every product exact
+            W = np.hstack([W, np.zeros_like(W)])
+            dS = np.vstack([dS, np.zeros_like(dS)])
+    n_grid = grid.shape[0]
+    scratch = np.empty((min(_ROW_BLOCK, n_grid), disc.n_elements))
+    sq = np.empty(n_grid)
+    for a in range(0, n_grid, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, n_grid)
+        rows = state.rows[a:b]
+        if fresh:
+            disc.gradients_at(grid[a:b], out=rows)
+        if W is not None:
+            prod = np.matmul(W[a:b], dS, out=scratch[: b - a])
+            rows -= prod
+        np.einsum("ij,ij->i", rows, rows, out=sq[a:b])
+    state.n_rows = P.n_points
+    if cache is not None:
+        cache.reference_rows = state
+    # element-data L2 norms, as disc.l2_element_rows
+    return combine_axes(np.sqrt(disc.h * sq), axes, spec.p)
 
 
 def monte_carlo_error(P, disc, spec, n_samples=2000, seed=0, cache=None):

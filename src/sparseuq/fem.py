@@ -10,7 +10,9 @@ Stiffness assembly samples the coefficient at element midpoints, which
 keeps a * u' exactly constant per element.  The stiffness is never
 assembled: in one dimension the element fluxes follow from the load by a
 cumulative sum, so a batch of parameter points is solved in closed form
-by a few array passes (see kernels.thomas_solve).
+by a few array passes (see kernels.thomas_solve).  The element gradients
+are the fluxes divided by a, so gradients_at forms them without the
+nodal values, which is all an error in the H1_0 seminorm needs.
 """
 
 import numpy as np
@@ -77,6 +79,9 @@ class SpatialDiscretization:
         self.f_mid = f_mid
         # midpoint-rule load on interior hat functions
         self.load = (self.h / 2.0) * (f_mid[:-1] + f_mid[1:])
+        # F = [0, cumsum(load)]: the fluxes are s0 - F (kernels.thomas_solve)
+        self.cum_load = np.zeros(n)
+        np.cumsum(self.load, out=self.cum_load[1:])
 
     def coefficient_at(self, y):
         """Element-midpoint coefficient samples: shape (n,) for one
@@ -96,6 +101,20 @@ class SpatialDiscretization:
             a += np.multiply.outer(Y[:, m], self.terms_mid[m], out=term)
         return a if y.ndim == 2 else a[0]
 
+    def _elliptic_coefficients(self, Y):
+        """coefficient_at for a batch Y of shape (P, M); raises
+        EllipticityError naming the first point whose coefficient is not
+        positive on every element."""
+        c = self.coefficient_at(Y)
+        low = np.min(c, axis=1)
+        bad = np.flatnonzero(low <= 0.0)
+        if bad.size:
+            p = int(bad[0])
+            raise EllipticityError(
+                "coefficient non-positive at y=%s (min %g)" % (Y[p].tolist(), low[p])
+            )
+        return c
+
     def solve_at(self, y):
         """Nodal P1 solutions, zero at both boundary nodes: length n+1 for
         one parameter point of shape (M,), shape (P, n+1) for a batch of
@@ -103,18 +122,21 @@ class SpatialDiscretization:
         coefficient is not positive on every element.
         """
         Y = np.asarray(y, dtype=np.float64)
-        c = np.atleast_2d(self.coefficient_at(Y))
-        low = np.min(c, axis=1)
-        bad = np.flatnonzero(low <= 0.0)
-        if bad.size:
-            p = int(bad[0])
-            raise EllipticityError(
-                "coefficient non-positive at y=%s (min %g)"
-                % (np.atleast_2d(Y)[p].tolist(), low[p])
-            )
+        c = self._elliptic_coefficients(np.atleast_2d(Y))
         c /= self.h
         u = kernels.thomas_solve(c, self.load)
         return u if Y.ndim == 2 else u[0]
+
+    def gradients_at(self, Y, out=None):
+        """Element gradients of the P1 solutions at the points Y of shape
+        (P, M), shape (P, n), written into out when given: in closed form
+        (s0 - F) / a, equal to gradient_rows(solve_at(Y)) up to roundoff
+        but without the nodal values.  Raises EllipticityError like
+        solve_at."""
+        a = self._elliptic_coefficients(np.atleast_2d(np.asarray(Y, dtype=np.float64)))
+        if out is None:
+            out = np.empty_like(a)
+        return kernels.p1_slopes(a, self.cum_load, out)
 
     def gradient_rows(self, V):
         """Element-wise derivative of nodal rows, shape (P, n)."""
@@ -207,11 +229,12 @@ class SolveCache:
     """Insert-once cache of PDE solves.
 
     Collocation solves are keyed by the grid point's node-index tuple
-    and counted.  Reference solves (quadrature or sampling grids used
-    only to measure errors) are memoized as one array per point set,
-    keyed by the set's shape and bytes, and do not count against the
-    solve budget.  ``reference_rows`` holds the incremental state of
-    estimators.reference_error for this cache.
+    and counted.  solve_y memoizes solutions at a sampling point set
+    (monte_carlo_error) as one array per set, keyed by the set's shape
+    and bytes, and does not count them against the solve budget.
+    ``reference_rows`` holds the incremental state of
+    estimators.reference_error for this cache; the reference grid's
+    solutions are never formed, so they are not memoized here.
     """
 
     def __init__(self, disc):

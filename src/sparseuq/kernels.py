@@ -2,7 +2,7 @@
 
 The hot loops of the package: hierarchical basis tables, tensor-product
 weights, the greedy node objective and the closed-form P1 stiffness
-solve.
+solve with its element slopes.
 """
 
 import numpy as np
@@ -80,11 +80,26 @@ def log_product(ys, nodes, chunk=1 << 18):
 # D the element difference operator on the interior nodes.  The element
 # fluxes sigma = c * Du therefore satisfy D^T sigma = load, so
 # sigma = s0 - F with F = [0, cumsum(load)]; the zero boundary value at
-# x = 1, sum(sigma / c) = 0, fixes s0 = sum(F / c) / sum(1 / c), and
-# u = [0, cumsum(sigma / c)].  Each row of c is solved independently and
-# by the same sequence of operations, so a row's solution does not depend
-# on the batch it came in.  The name stays thomas_solve because the
-# benchmark's per-layer trace wraps the kernel by name.
+# x = 1, sum(sigma / c) = 0, fixes s0 = sum(F / c) / sum(1 / c), and the
+# element slopes are Du = sigma / c.  s0 does not change when c is
+# scaled, so the slopes for c = a are the element gradients
+# (s0 - F) / a, and u = [0, cumsum(slopes for c = a/h)].  Each row of c
+# is solved independently and by the same sequence of operations, so a
+# row's solution does not depend on the batch it came in.  The name
+# thomas_solve stays because the benchmark's per-layer trace wraps the
+# kernel by name.
+
+
+def p1_slopes(c, F, out):
+    """Element slopes (s0 - F) / c of the P1 solutions for the
+    conductance rows c of shape (P, n) and the cumulative load F (n,),
+    written into out (P, n) and returned."""
+    w = np.reciprocal(c)
+    np.multiply(w, F, out=out)
+    s0 = out.sum(axis=1) / w.sum(axis=1)
+    w *= s0[:, None]
+    np.subtract(w, out, out=out)
+    return out
 
 
 def thomas_solve(c, rhs):
@@ -93,13 +108,8 @@ def thomas_solve(c, rhs):
     n = c.shape[1]
     F = np.zeros(n)
     np.cumsum(rhs, out=F[1:])
-    w = np.reciprocal(c)
     u = np.empty((c.shape[0], n + 1))
-    slope = u[:, 1:]
-    np.multiply(w, F, out=slope)
-    s0 = slope.sum(axis=1) / w.sum(axis=1)
-    w *= s0[:, None]
-    np.subtract(w, slope, out=slope)
+    slope = p1_slopes(c, F, u[:, 1:])
     np.cumsum(slope, axis=1, out=slope)
     u[:, 0] = 0.0
     u[:, -1] = 0.0

@@ -137,8 +137,13 @@ class NodeFamily:
         nodes = self._nodes
         if not nodes:
             nodes.append(-1.0)
-        t = np.linspace(0.0, 1.0, _LEJA_CANDIDATES)
-        cand = -np.cos(np.pi * t)
+            t = np.linspace(0.0, 1.0, _LEJA_CANDIDATES)
+            self._leja_cand = -np.cos(np.pi * t)
+            # running sum over the placed nodes of log|cand - y_i|, one
+            # column added per node, kept across calls
+            self._leja_score = kernels.log_product(self._leja_cand, np.asarray(nodes))
+        cand = self._leja_cand
+        vals = self._leja_score
         while len(nodes) < n:
             arr = np.asarray(nodes)
 
@@ -148,7 +153,6 @@ class NodeFamily:
                     return -np.inf
                 return float(np.sum(np.log(d)))
 
-            vals = kernels.log_product(cand, arr)
             best = float(np.max(vals))
             # leftmost candidate within tolerance of the best value, so a
             # symmetric tie resolves to the smaller point
@@ -171,6 +175,7 @@ class NodeFamily:
             if lo < 0.0 < hi and objective(0.0) >= objective(y) - 1e-12:
                 y = 0.0
             nodes.append(float(y))
+            vals += kernels.log_product(cand, np.asarray(nodes[-1:]))
 
     def _extend_rleja(self, n):
         nodes = self._nodes

@@ -312,6 +312,49 @@ def test_compare_reads_trace_without_ratio_c(tmp_path):
     assert compare_report([str(old)]) == compare_report([str(new)])
 
 
+def test_trace_splits_wall_time(tmp_path):
+    cfg = affine_cfg(
+        tmp_path, strategies=["gn_envelope", "gg"], tol=1e-5, reference={"every": 2}
+    )
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    for strategy in ("gn_envelope", "gg"):
+        rows = read_trace(out / ("%s-trace.csv" % strategy))[1]
+        loop = rows[:-1] if strategy == "gg" else rows
+        for r in loop:
+            wall, est, ref = (float(r[c]) for c in ("wall_ms", "estimate_ms", "reference_ms"))
+            assert est > 0.0 and ref >= 0.0
+            assert wall == pytest.approx(est + ref, rel=1e-9, abs=1e-9)
+        # a row with a reference error spends time on it
+        timed = [float(r["reference_ms"]) for r in loop if r["reference_error"]]
+        assert timed and min(timed) > 0.0
+    # the gg augmentation row estimates nothing but times its reference
+    aug = rows[-1]
+    assert aug["reference_error"] and float(aug["estimate_ms"]) == 0.0
+    assert float(aug["reference_ms"]) > 0.0
+
+
+def test_compare_reads_trace_without_split_times(tmp_path):
+    cfg = affine_cfg(tmp_path, reference={"every": 2})
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    new = out / "gn_envelope-trace.csv"
+    old = tmp_path / "old" / "gn_envelope-trace.csv"
+    old.parent.mkdir()
+    # the same trace as written before estimate_ms and reference_ms existed
+    lines = new.read_text().splitlines()
+    header = next(csv.reader(lines[1:2]))
+    keep = [i for i, c in enumerate(header) if c not in ("estimate_ms", "reference_ms")]
+    assert len(keep) == len(header) - 2
+    with old.open("w", newline="") as fh:
+        fh.write(lines[0] + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        for row in csv.reader(lines[1:]):
+            w.writerow([row[i] for i in keep])
+    assert "reference_ms" not in old.read_text()
+    assert compare_report([str(old)]) == compare_report([str(new)])
+
+
 # -- compare command --------------------------------------------------------
 
 

@@ -2,11 +2,14 @@
 against closed forms, profit weighting, reference errors."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparseuq.estimators import (
+    _ROW_BLOCK,
     EstimatorReport,
     NormSpec,
     _euclidean_lp_norm,
@@ -25,7 +28,13 @@ from sparseuq.estimators import (
     sup_points_per_dim,
     surplus_indicator,
 )
-from sparseuq.fem import DiffusionProblem, SolveCache, SpatialDiscretization, build_problem
+from sparseuq.fem import (
+    DiffusionProblem,
+    EllipticityError,
+    SolveCache,
+    SpatialDiscretization,
+    build_problem,
+)
 from sparseuq.interp import (
     HierarchicalBlock,
     SparseInterpolant,
@@ -477,8 +486,10 @@ def test_reference_error_uses_uncounted_cache():
     before = cache.n_solves
     reference_error(P, disc, NormSpec(p=2), quad_order=10, cache=cache)
     assert cache.n_solves == before
-    # the whole grid is one memo entry of 10 solution rows
-    assert [U.shape for U in cache._by_y.values()] == [(10, 33)]
+    # the reference solutions are never formed, so nothing is memoized;
+    # the cache keeps only the gradient rows of u_h - S u_h
+    assert not cache._by_y
+    assert cache.reference_rows.rows.shape == (10, 32)
 
 
 @pytest.mark.parametrize("p", [2, "inf"])
@@ -509,3 +520,69 @@ def test_reference_error_incremental_matches_scratch(p):
         got = reference_error(R, disc, spec, quad_order=8, cache=cache)
         want = reference_error(R, disc, spec, quad_order=8)
         assert abs(got - want) <= 1e-12 * want
+
+
+def reference_grid(dim, order):
+    """The tensor Gauss grid reference_error uses for p = 2, in C order."""
+    mesh = np.meshgrid(*[gauss_axis(order)[0]] * dim, indexing="ij")
+    return np.stack([v.ravel() for v in mesh], axis=-1)
+
+
+@pytest.mark.parametrize("size", [1, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
+def test_reference_rows_match_solved_gradients(size):
+    rng = np.random.default_rng(size)
+    a0, amp = rng.uniform(1.5, 3.0), rng.uniform(0.1, 1.4)
+    problem = build_problem({"family": "cosine", "M": 1, "a0": a0, "amps": [amp]})
+    disc = SpatialDiscretization(problem, 48)
+    P, cache = build_chain(disc, 3)
+    reference_error(P, disc, NormSpec(p=2), quad_order=size, cache=cache)
+    grid = reference_grid(1, size)
+    # the blocked closed-form rows against nodal solves on the whole grid
+    grads = disc.gradient_rows(disc.solve_at(grid))
+    want = grads - P.basis_weights(grid) @ disc.gradient_rows(P.surpluses())
+    got = cache.reference_rows.rows
+    scale = np.max(np.abs(grads), axis=1)
+    assert got.shape == want.shape == (size, 48)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+
+
+def test_reference_error_names_first_non_elliptic_point():
+    # a = 1 - 1.5 y_0 turns non-positive only for y_0 >= 2/3, which the
+    # C-order grid reaches in a later row block
+    problem = build_problem({"family": "constant", "M": 2, "a0": 1.0, "amps": [-1.5, 0.0]})
+    disc = SpatialDiscretization(problem, 16)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", 2)
+    P.add_index((0, 0), values=fresh_solves(P, cache, (0, 0))[1])
+    grid = reference_grid(2, 40)
+    first = int(np.flatnonzero(1.0 - 1.5 * grid[:, 0] <= 0.0)[0])
+    assert first >= 2 * _ROW_BLOCK
+    with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
+        reference_error(P, disc, NormSpec(p=2), quad_order=40, cache=cache)
+    # half-formed rows are not kept
+    assert cache.reference_rows is None
+
+
+def test_reference_error_incremental_call_allocates_no_rows():
+    problem = build_problem({"family": "cosine", "M": 2, "gamma": 0.9})
+    disc = SpatialDiscretization(problem, 128)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", 2)
+    for k in [(0, 0), (1, 0), (0, 1)]:
+        P.add_index(k, values=fresh_solves(P, cache, k)[1])
+    spec = NormSpec(p=2)
+    reference_error(P, disc, spec, quad_order=64, cache=cache)
+    state = cache.reference_rows
+    assert state.rows.shape[0] >= 4 * _ROW_BLOCK
+    P.add_index((1, 1), values=fresh_solves(P, cache, (1, 1))[1])
+    tracemalloc.start()
+    try:
+        got = reference_error(P, disc, spec, quad_order=64, cache=cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.reference_rows is state and state.n_rows == P.n_points
+    # a temporary of the rows' size (or of a large share of them) is gone
+    assert peak < state.rows.nbytes / 4, (peak, state.rows.nbytes)
+    want = reference_error(P, disc, spec, quad_order=64)
+    assert abs(got - want) <= 1e-12 * want

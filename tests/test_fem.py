@@ -4,6 +4,7 @@ solver correctness against closed forms and dense assembly, norms."""
 import numpy as np
 import pytest
 
+from sparseuq.estimators import _ROW_BLOCK
 from sparseuq.fem import (
     DiffusionProblem,
     EllipticityError,
@@ -238,6 +239,31 @@ def test_solve_cache_counts_and_reuse():
     assert V.shape == (3, 33) and cache.solve_y(Y.copy()) is V
     assert np.array_equal(V[0], v1)
     assert len(cache._by_y) == 2 and cache.n_solves == 2
+
+
+@pytest.mark.parametrize("size", [1, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
+def test_gradients_at_match_solved_gradients(size):
+    rng = np.random.default_rng(size)
+    # sum of |amps| below a0 keeps every coefficient positive
+    amps = rng.uniform(0.05, 0.6, size=3).tolist()
+    problem = build_problem({"family": "cosine", "M": 3, "a0": 2.0, "amps": amps})
+    disc = SpatialDiscretization(problem, 64)
+    Y = rng.uniform(-1.0, 1.0, size=(size, 3))
+    want = disc.gradient_rows(disc.solve_at(Y))
+    got = disc.gradients_at(Y)
+    assert got.shape == want.shape == (size, 64)
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+    out = np.full_like(want, np.nan)
+    assert disc.gradients_at(Y, out=out) is out
+    assert np.array_equal(out, got)
+
+
+def test_gradients_at_names_first_non_elliptic_point():
+    disc = SpatialDiscretization(two_plus_y(), 16)
+    Y = np.array([[0.5], [-2.5], [-3.0]])
+    with pytest.raises(EllipticityError, match=r"y=\[-2\.5\]"):
+        disc.gradients_at(Y)
 
 
 def test_solver_determinism_bitwise():

@@ -8,6 +8,9 @@ import pytest
 
 from sparseuq import kernels
 from sparseuq.nodes import (
+    _LEJA_CANDIDATES,
+    NodeFamily,
+    _golden_max,
     clenshaw_curtis_nodes,
     detail_sup_norm,
     get_family,
@@ -81,6 +84,51 @@ def test_leja_greedy_oracle():
         best = float(np.max(kernels.log_product(cand, prev)))
         ours = float(np.sum(np.log(np.abs(pts[k] - prev))))
         assert ours >= best - 1e-10
+
+
+def rescored_leja(n):
+    """The greedy Leja loop that rescores every candidate against all
+    placed nodes at each step: the oracle of the running-sum scan."""
+    nodes = [-1.0]
+    cand = -np.cos(np.pi * np.linspace(0.0, 1.0, _LEJA_CANDIDATES))
+    while len(nodes) < n:
+        arr = np.asarray(nodes)
+
+        def objective(y):
+            d = np.abs(y - arr)
+            if np.any(d == 0.0):
+                return -np.inf
+            return float(np.sum(np.log(d)))
+
+        vals = kernels.log_product(cand, arr)
+        best = float(np.max(vals))
+        pos = int(np.argmax(vals >= best - 1e-9))
+        y0 = float(cand[pos])
+        srt = np.sort(arr)
+        below = srt[srt < y0]
+        above = srt[srt > y0]
+        lo = float(below[-1]) if below.size else -1.0
+        hi = float(above[0]) if above.size else 1.0
+        y = _golden_max(objective, lo, hi)
+        for endpoint in (lo, hi):
+            if endpoint in (-1.0, 1.0) and objective(endpoint) >= objective(y) - 1e-12:
+                y = endpoint
+                break
+        if lo < 0.0 < hi and objective(0.0) >= objective(y) - 1e-12:
+            y = 0.0
+        nodes.append(float(y))
+    return np.asarray(nodes)
+
+
+def test_leja_running_scan_bitwise_matches_rescoring():
+    fam = NodeFamily("leja")
+    # the running sum must carry over between calls
+    for n in (1, 2, 8, 9, 40):
+        fam.ensure_nodes(n)
+    want = rescored_leja(40)
+    got = fam.nodes(40)
+    assert np.array_equal(got, want), np.flatnonzero(got != want)
+    assert np.array_equal(leja_nodes(40), want)
 
 
 def test_rleja_first_points():
