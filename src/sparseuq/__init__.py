@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .adaptive import AdaptiveConfig, AdaptiveTrace, run_gg, run_gn, run_gn_profit
 from .estimators import (
     NormSpec,
-    parametric_norm,
     profit,
     reference_error,
     residual_estimator,
@@ -81,7 +80,6 @@ __all__ = [
     "leja_nodes",
     "margin",
     "monotone_envelope",
-    "parametric_norm",
     "profit",
     "reduced_margin",
     "reference_error",

@@ -74,6 +74,8 @@ class AdaptiveConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1 or self.max_solves < 1:
             raise ValueError("budgets must be at least 1")
+        if self.reference_quad < 1:
+            raise ValueError("reference_quad must be at least 1")
         if not 0.0 <= self.dorfler <= 1.0:
             raise ValueError("dorfler fraction must lie in [0, 1]")
 
@@ -248,8 +250,8 @@ def _augment_gg(trace, disc, config, P, cache, report):
     already cached and the extension is free.  The extra trace row keeps
     the stopping iteration's estimator values, estimates nothing itself
     (zero fresh and reused counts and estimate_ms) and carries the
-    post-augmentation reference error and its reference_ms; its wall_ms
-    stays 0 as before.  The stopping row holds the pre-augmentation
+    post-augmentation reference error and its reference_ms, which is
+    also its wall_ms.  The stopping row holds the pre-augmentation
     error.
     """
     last = trace.rows[-1]
@@ -266,7 +268,8 @@ def _augment_gg(trace, disc, config, P, cache, report):
     if config.reference_every > 0:
         ref = reference_error(P, disc, config.norm, config.reference_quad, cache)
     trace.post_augmentation_error = ref
-    times_ms = (0.0, 0.0, (time.perf_counter() - t0) * 1000.0)
+    ref_ms = (time.perf_counter() - t0) * 1000.0
+    times_ms = (ref_ms, 0.0, ref_ms)
     row = _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, times_ms)
     row.estimates_fresh = row.estimates_reused = 0
 

@@ -96,6 +96,10 @@ def _deep_merge(base, update):
     return out
 
 
+# every key a config may set: the defaults, plus explicit problem amplitudes
+_KNOWN_KEYS = _deep_merge(DEFAULTS, {"problem": {"amps": None}})
+
+
 def load_config(path):
     try:
         text = Path(path).read_text()
@@ -109,12 +113,20 @@ def load_config(path):
         )
     if not isinstance(data, dict):
         raise ConfigError("config %s: top level must be a JSON object" % path)
-    unknown = set(data) - set(DEFAULTS)
+    unknown = _unknown_keys(data, _KNOWN_KEYS)
     if unknown:
-        raise ConfigError(
-            "config %s: unknown keys %s" % (path, ", ".join(sorted(unknown)))
-        )
+        raise ConfigError("config %s: unknown keys %s" % (path, ", ".join(unknown)))
     return _deep_merge(DEFAULTS, data)
+
+
+def _unknown_keys(data, known, prefix=""):
+    """Dotted names of the keys of data, and of its sections that are
+    mappings in known too, that known does not have."""
+    out = sorted(prefix + key for key in set(data) - set(known))
+    for key, val in sorted(data.items()):
+        if isinstance(val, dict) and isinstance(known.get(key), dict):
+            out += _unknown_keys(val, known[key], prefix + key + ".")
+    return out
 
 
 def problem_hash(cfg):
@@ -187,6 +199,27 @@ def run_experiment(config_path, outdir=None, force_reference=False):
     info = check_ellipticity(problem, disc)
     phash = problem_hash(cfg)
     every = _reference_cadence(cfg, problem.dim, force_reference)
+    strategies = cfg["strategies"]
+    if isinstance(strategies, str):
+        strategies = [strategies]
+    if not strategies:
+        raise ConfigError("strategies list is empty")
+    norm = NormSpec.from_config(cfg["norm"])
+    # every strategy's settings are checked before any file is written
+    configs = [
+        AdaptiveConfig(
+            strategy=strategy,
+            nodes=cfg["nodes"],
+            norm=norm,
+            tol=float(cfg["tol"]),
+            max_iter=int(cfg["max_iter"]),
+            max_solves=int(cfg["max_solves"]),
+            reference_every=every,
+            reference_quad=int(cfg["reference"]["quad_order"]),
+            dorfler=float(cfg["dorfler"]),
+        )
+        for strategy in strategies
+    ]
     out = Path(cfg["outdir"])
     out.mkdir(parents=True, exist_ok=True)
     log.info(
@@ -197,11 +230,6 @@ def run_experiment(config_path, outdir=None, force_reference=False):
         info["a_max"],
         info["alpha"],
     )
-    strategies = cfg["strategies"]
-    if isinstance(strategies, str):
-        strategies = [strategies]
-    if not strategies:
-        raise ConfigError("strategies list is empty")
     exit_code = 0
     summary = {
         "problem_hash": phash,
@@ -209,18 +237,7 @@ def run_experiment(config_path, outdir=None, force_reference=False):
         "config": cfg,
         "strategies": {},
     }
-    for strategy in strategies:
-        acfg = AdaptiveConfig(
-            strategy=strategy,
-            nodes=cfg["nodes"],
-            norm=NormSpec.from_config(cfg["norm"]),
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
-            max_solves=int(cfg["max_solves"]),
-            reference_every=every,
-            reference_quad=int(cfg["reference"]["quad_order"]),
-            dorfler=float(cfg["dorfler"]),
-        )
+    for strategy, acfg in zip(strategies, configs):
         writer = TraceWriter(out / ("%s-trace.csv" % strategy), phash)
         try:
             trace = run_strategy(problem, disc, acfg, on_row=writer.write_row)

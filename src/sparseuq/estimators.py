@@ -13,6 +13,7 @@ lower bound of the sup), and fixed-order Gauss quadrature otherwise.
 """
 
 import functools
+import inspect
 import math
 import weakref
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .fem import SolveCache
 from .interp import HierarchicalBlock, _times_y_rows, mode_product, work
-from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
 # reference grid rows per block of reference_error's pass: at mesh 256 a
@@ -43,11 +43,13 @@ def _parse_p(p):
 class NormSpec:
     """How to measure parametric L^p norms over the box.
 
-    sup_points_per_dim and sup_budget control the p = inf sample grid
-    (per-dimension resolution, capped so the total grid stays within
-    budget).  quad_order is used only for p outside {2, inf}; for p = 2
-    the order is derived from the integrand degree so the quadrature is
-    exact.
+    sup_points_per_dim (>= 2) and sup_budget control the p = inf sample
+    grid (per-dimension resolution, capped so the total grid stays
+    within budget).  The p = inf value is the maximum over that grid, a
+    lower bound of the sup, so total / a_min certifies the error only on
+    the grid.  quad_order (>= 1) is used only for p outside {2, inf};
+    for p = 2 the order is derived from the integrand degree so the
+    quadrature is exact.
     """
 
     def __init__(self, p=2, sup_points_per_dim=33, sup_budget=40000, quad_order=12):
@@ -55,18 +57,20 @@ class NormSpec:
         self.sup_points_per_dim = int(sup_points_per_dim)
         self.sup_budget = int(sup_budget)
         self.quad_order = int(quad_order)
+        if self.sup_points_per_dim < 2 or self.quad_order < 1:
+            raise ValueError("need sup_points_per_dim >= 2 and quad_order >= 1")
 
     @classmethod
     def from_config(cls, spec):
+        """A NormSpec from a bare p or a mapping of constructor keywords;
+        raises ValueError naming any key the constructor does not take."""
         if isinstance(spec, (int, float, str)):
             return cls(p=spec)
         spec = dict(spec or {})
-        return cls(
-            p=spec.get("p", 2),
-            sup_points_per_dim=spec.get("sup_points_per_dim", 33),
-            sup_budget=spec.get("sup_budget", 40000),
-            quad_order=spec.get("quad_order", 12),
-        )
+        unknown = sorted(set(spec) - set(inspect.signature(cls).parameters))
+        if unknown:
+            raise ValueError("unknown norm keys: %s" % ", ".join(unknown))
+        return cls(**spec)
 
     def describe(self):
         return {
@@ -114,10 +118,11 @@ def combine_axes(norms, axes, p):
     return float((w @ norms**p) ** (1.0 / p))
 
 
-def _euclidean_lp_norm(block, spec, degrees):
+def _euclidean_lp_norm(block, spec):
     """L^p-over-box norm of a detail block whose surplus rows were
     pre-transformed so the spatial norm is the plain Euclidean row norm.
 
+    Its degree in dimension m, m(i_m), is the end of its fresh range.
     The spatial axis is first compressed with an SVD when that shrinks
     it: row norms depend on the coefficient matrix only through its
     left singular factors, so this is exact and cuts the cost of the
@@ -129,7 +134,7 @@ def _euclidean_lp_norm(block, spec, degrees):
     if flat.shape[0] < flat.shape[1]:
         U, s, _ = np.linalg.svd(flat, full_matrices=False)
         block = HierarchicalBlock(block.family, block.index, U * s)
-    axes = norm_axes(spec, degrees)
+    axes = norm_axes(spec, [r.stop - 1 for r in block.ranges])
     raw = block.chain_raw([a[0] for a in axes])
     rows = raw.reshape(-1, raw.shape[-1])
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -179,7 +184,7 @@ def residual_estimator(P, problem, disc, k, spec):
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
     detail *= math.sqrt(disc.h)
     block = HierarchicalBlock(kind, k, detail.reshape(-1, detail.shape[-1]))
-    return _euclidean_lp_norm(block, spec, [growth(kind, km) for km in k])
+    return _euclidean_lp_norm(block, spec)
 
 
 def fresh_solves(P, cache, k):
@@ -201,12 +206,10 @@ def surplus_indicator(P, problem, disc, k, spec, cache):
         raise ValueError("index %r is not addable to the current set" % (k,))
     coords, u_rows = fresh_solves(P, cache, k)
     surplus = u_rows if P.n_points == 0 else u_rows - P.evaluate(coords)
-    kind = P.family.kind
     # H1_0 seminorm of nodal rows is the Euclidean norm of the scaled
     # element differences, which commute with the basis expansion
-    block = HierarchicalBlock(kind, k, np.diff(surplus, axis=-1) / math.sqrt(disc.h))
-    degrees = [growth(kind, km) for km in k]
-    return _euclidean_lp_norm(block, spec, degrees)
+    block = HierarchicalBlock(P.family, k, np.diff(surplus, axis=-1) / math.sqrt(disc.h))
+    return _euclidean_lp_norm(block, spec)
 
 
 def profit(indexset, kind, k, eta):
@@ -323,32 +326,6 @@ def drop_stale(memo, added):
             memo.pop(j[:m] + (j[m] + 1,) + j[m + 1 :], None)
 
 
-def parametric_norm(obj, disc, spec, spatial="L2", degrees=None):
-    """L^p-over-the-box norm of a grid-evaluable parametric polynomial.
-
-    obj needs evaluate_grid(axes) returning one spatial row per tensor
-    sample point (C order).  With disc=None the rows must be scalars
-    and their absolute value plays the role of the spatial norm.
-    """
-    if degrees is None:
-        if isinstance(obj, HierarchicalBlock):
-            degrees = [r.stop - 1 for r in obj.ranges]
-        elif hasattr(obj, "levels"):
-            kind = obj.family.kind
-            degrees = [growth(kind, lev) for lev in obj.levels]
-        else:
-            raise ValueError("degrees must be given for %r" % type(obj).__name__)
-    axes = norm_axes(spec, degrees)
-    rows = obj.evaluate_grid([a[0] for a in axes])
-    if disc is None:
-        if rows.shape[1] != 1:
-            raise ValueError("scalar rows required when disc is None")
-        norms = np.abs(rows[:, 0])
-    else:
-        norms = disc.norm_rows(rows, spatial)
-    return combine_axes(norms, axes, spec.p)
-
-
 class _ReferenceRows:
     """Gradient rows of u_h - S u_h on one reference grid, for one
     interpolant, with the number of surplus rows already subtracted."""
@@ -391,8 +368,7 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
             % dim
         )
     if spec.p == math.inf:
-        pts = np.linspace(-1.0, 1.0, sup_points_per_dim(spec, dim))
-        axes = [(pts, None)] * dim
+        axes = norm_axes(spec, [0] * dim)  # the estimators' sample grid
     else:
         axes = [gauss_axis(int(quad_order))] * dim
     mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")

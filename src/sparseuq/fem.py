@@ -148,57 +148,10 @@ class SpatialDiscretization:
         dV = np.diff(np.atleast_2d(np.asarray(V, dtype=np.float64)), axis=1)
         return np.sqrt(np.einsum("ij,ij->i", dV, dV) / self.h)
 
-    def l2_nodal_rows(self, V):
-        """L2 norm of each nodal row via the P1 mass matrix."""
-        V = np.atleast_2d(np.asarray(V, dtype=np.float64))
-        L, R = V[:, :-1], V[:, 1:]
-        return np.sqrt((self.h / 3.0) * np.sum(L * L + L * R + R * R, axis=1))
-
     def l2_element_rows(self, G):
         """L2 norm of piecewise-constant element rows, shape (P, n)."""
         G = np.atleast_2d(np.asarray(G, dtype=np.float64))
         return np.sqrt(self.h * np.einsum("ij,ij->i", G, G))
-
-    def spatial_norm(self, v, which="H1_0"):
-        """Norm of one spatial vector.
-
-        Nodal vectors have length n+1.  For the L2 norm a vector of
-        length n is treated as piecewise-constant element data (as
-        produced for gradients and fluxes).
-        """
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("spatial_norm expects a single vector")
-        which = which.upper().replace("-", "_")
-        nodal = v.shape[0] == self.n_elements + 1
-        element = v.shape[0] == self.n_elements
-        if not (nodal or element):
-            raise ValueError(
-                "vector length %d matches neither nodes (%d) nor elements (%d)"
-                % (v.shape[0], self.n_elements + 1, self.n_elements)
-            )
-        if which in ("H1_0", "H1"):
-            if not nodal:
-                raise ValueError("H1_0 seminorm needs a nodal vector")
-            return float(self.h1_rows(v[None, :])[0])
-        if which == "L2":
-            if nodal:
-                return float(self.l2_nodal_rows(v[None, :])[0])
-            return float(self.l2_element_rows(v[None, :])[0])
-        raise ValueError("unknown norm %r" % which)
-
-    def norm_rows(self, V, which="H1_0"):
-        """Batch version of spatial_norm with the same length dispatch."""
-        V = np.atleast_2d(np.asarray(V, dtype=np.float64))
-        which = which.upper().replace("-", "_")
-        nodal = V.shape[1] == self.n_elements + 1
-        if which in ("H1_0", "H1"):
-            if not nodal:
-                raise ValueError("H1_0 seminorm needs nodal rows")
-            return self.h1_rows(V)
-        if which == "L2":
-            return self.l2_nodal_rows(V) if nodal else self.l2_element_rows(V)
-        raise ValueError("unknown norm %r" % which)
 
 
 def check_ellipticity(problem, disc):

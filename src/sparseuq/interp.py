@@ -532,11 +532,6 @@ class HierarchicalBlock:
             T = np.tensordot(table, T, axes=(1, m))
         return T
 
-    def evaluate_grid(self, axes):
-        T = self.chain_raw(axes)
-        perm = tuple(range(self.dim - 1, -1, -1)) + (self.dim,)
-        return np.transpose(T, perm).reshape(-1, self.values.shape[-1])
-
     def evaluate(self, Y):
         Y = np.asarray(Y, dtype=np.float64).reshape(-1, self.dim)
         kind = self.family.kind

@@ -231,7 +231,9 @@ class NodeFamily:
         self._nodes_arr = np.asarray(self._nodes)
 
     def nodes(self, n):
-        """First n entries of the hierarchical sequence."""
+        """First n entries of the hierarchical sequence, n >= 0."""
+        if n < 0:
+            raise ValueError("node count must be non-negative, got %d" % n)
         self.ensure_nodes(n)
         return self._nodes_arr[:n].copy()
 

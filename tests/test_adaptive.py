@@ -250,6 +250,9 @@ def test_config_validation():
         AdaptiveConfig(dorfler=1.5)
     with pytest.raises(ValueError):
         AdaptiveConfig(max_iter=0)
+    with pytest.raises(ValueError, match="reference_quad"):
+        AdaptiveConfig(reference_quad=0)
+    assert AdaptiveConfig(reference_quad=1).reference_quad == 1
     cfg = AdaptiveConfig(norm={"p": "inf"}, nodes="CC")
     assert cfg.norm.p == float("inf")
     assert cfg.nodes == "clenshaw_curtis"

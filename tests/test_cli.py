@@ -85,6 +85,32 @@ def test_load_config_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_unknown_nested_keys(tmp_path):
+    path = write_config(tmp_path, "p.json", {"problem": {"M": 1, "amp": [0.5]}})
+    with pytest.raises(ConfigError, match=r"unknown keys problem\.amp$"):
+        load_config(path)
+    # explicit amplitudes and a load given as a mapping are known
+    ok = {"problem": {"M": 1, "amps": [0.5], "f": {"family": "sine", "amp": 2.0}}}
+    assert load_config(write_config(tmp_path, "ok.json", ok))["problem"]["amps"] == [0.5]
+
+
+def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
+    cases = (
+        ({"norm": {"P": "inf"}, "reference": {"evry": 1}}, "norm.P, reference.evry"),
+        ({"problem": {"gama": 0.5}}, "problem.gama"),
+        ({"norm": {"p": 3, "quad_order": 0}}, "quad_order >= 1"),
+        ({"norm": {"p": "inf", "sup_points_per_dim": 1}}, "sup_points_per_dim >= 2"),
+        ({"reference": {"quad_order": 0}}, "reference_quad must be at least 1"),
+        ({"strategies": ["gn_envelope", "newton"]}, "unknown strategy"),
+    )
+    for i, (over, message) in enumerate(cases):
+        out = tmp_path / ("o%d" % i)
+        cfg = deterministic_cfg(tmp_path, outdir=str(out), **over)
+        assert main(["run", cfg]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.json"))
@@ -328,10 +354,12 @@ def test_trace_splits_wall_time(tmp_path):
         # a row with a reference error spends time on it
         timed = [float(r["reference_ms"]) for r in loop if r["reference_error"]]
         assert timed and min(timed) > 0.0
-    # the gg augmentation row estimates nothing but times its reference
+    # the gg augmentation row estimates nothing but times its reference,
+    # which is all its wall time
     aug = rows[-1]
     assert aug["reference_error"] and float(aug["estimate_ms"]) == 0.0
     assert float(aug["reference_ms"]) > 0.0
+    assert float(aug["wall_ms"]) == float(aug["reference_ms"])
 
 
 def test_compare_reads_trace_without_split_times(tmp_path):
@@ -418,6 +446,12 @@ def test_nodes_command(capsys):
     assert lines[1] == "0,0,-1"
     assert lines[2] == "1,1,1"
     assert lines[3] == "2,2,0"
+
+
+def test_nodes_command_rejects_negative_count(capsys):
+    assert main(["nodes", "leja", "-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative" in captured.err
 
 
 def test_nodes_command_cc_levels(capsys):

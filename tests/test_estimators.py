@@ -20,7 +20,6 @@ from sparseuq.estimators import (
     margin_report,
     monte_carlo_error,
     norm_axes,
-    parametric_norm,
     profit,
     reduced_margin_report,
     reference_error,
@@ -40,7 +39,6 @@ from sparseuq.interp import (
     SparseInterpolant,
     TensorDetail,
     TensorPoly,
-    tensor_interpolant,
     tensor_values,
 )
 from sparseuq.multiindex import MonotoneIndexSet
@@ -83,6 +81,18 @@ def test_norm_spec_parsing():
     assert NormSpec.from_config(None).p == 2.0
     d = NormSpec(p=math.inf).describe()
     assert d["p"] == "inf"
+    assert NormSpec.from_config(d).describe() == d
+
+
+def test_norm_spec_rejects_unknown_keys_and_bad_ranges():
+    with pytest.raises(ValueError, match="unknown norm keys: P$"):
+        NormSpec.from_config({"P": "inf"})
+    with pytest.raises(ValueError, match="quad_order >= 1"):
+        NormSpec(p=3, quad_order=0)
+    with pytest.raises(ValueError, match="sup_points_per_dim >= 2"):
+        NormSpec(p="inf", sup_points_per_dim=1)
+    assert NormSpec(p=3, quad_order=1).quad_order == 1
+    assert NormSpec(p="inf", sup_points_per_dim=2).sup_points_per_dim == 2
 
 
 def test_gauss_axis_uniform_measure():
@@ -112,30 +122,42 @@ def test_combine_axes_values():
 
 
 def test_parametric_norm_linear_scalar():
-    P = tensor_interpolant("leja", (1,), lambda y: np.array([y[0]]))
-    assert parametric_norm(P, None, NormSpec(p=2)) == pytest.approx(
-        1.0 / math.sqrt(3.0), abs=1e-14
+    # the Leja level-1 detail of y is y + 1: one surplus 2 on (1,)
+    block = HierarchicalBlock("leja", (1,), [[2.0]])
+    assert _euclidean_lp_norm(block, NormSpec(p=2)) == pytest.approx(
+        math.sqrt(4.0 / 3.0), rel=1e-14
     )
-    assert parametric_norm(P, None, NormSpec(p="inf")) == pytest.approx(1.0, abs=0)
-    got = parametric_norm(P, None, NormSpec(p=4, quad_order=12))
-    assert got == pytest.approx(0.2**0.25, rel=1e-13)
+    assert _euclidean_lp_norm(block, NormSpec(p="inf")) == 2.0
+    got = _euclidean_lp_norm(block, NormSpec(p=4, quad_order=12))
+    assert got == pytest.approx((16.0 / 5.0) ** 0.25, rel=1e-13)
 
 
 def test_parametric_norm_quadrature_doubling():
-    P = tensor_interpolant("leja", (2, 2), lambda y: np.array([np.prod(y) + y[0] ** 2]))
-    lo = parametric_norm(P, None, NormSpec(p=4, quad_order=12))
-    hi = parametric_norm(P, None, NormSpec(p=4, quad_order=24))
+    # degree 2 per dimension: |.|^4 has degree 8, exact at either order
+    rng = np.random.default_rng(11)
+    block = HierarchicalBlock("leja", (2, 2), rng.normal(size=(1, 3)))
+    lo = _euclidean_lp_norm(block, NormSpec(p=4, quad_order=12))
+    hi = _euclidean_lp_norm(block, NormSpec(p=4, quad_order=24))
     assert abs(lo - hi) <= 1e-12 * hi
 
 
 def test_parametric_norm_spatial_dispatch():
+    # rows scaled as the estimators scale them make the Euclidean row
+    # norm the spatial norm: nodal differences over sqrt(h) give H1_0,
+    # element data times sqrt(h) gives L2
     disc = SpatialDiscretization(affine_problem(), 64)
     x = disc.nodes
     prof = x * (1 - x)
-    P = tensor_interpolant("leja", (1,), lambda y: y[0] * prof)
-    want = disc.spatial_norm(prof, "H1_0") / math.sqrt(3.0)
-    got = parametric_norm(P, disc, NormSpec(p=2), spatial="H1_0")
-    assert got == pytest.approx(want, rel=1e-13)
+    grad = disc.gradient_rows(prof)
+    spec = NormSpec(p=2)
+    h1 = HierarchicalBlock("leja", (1,), 2.0 * np.diff(prof)[None, :] / math.sqrt(disc.h))
+    want = disc.h1_rows(prof)[0] * math.sqrt(4.0 / 3.0)
+    assert _euclidean_lp_norm(h1, spec) == pytest.approx(want, rel=1e-13)
+    l2 = HierarchicalBlock("leja", (1,), 2.0 * grad * math.sqrt(disc.h))
+    want = disc.l2_element_rows(grad)[0] * math.sqrt(4.0 / 3.0)
+    assert _euclidean_lp_norm(l2, spec) == pytest.approx(want, rel=1e-13)
+    # the two agree: the H1_0 seminorm is the L2 norm of the gradient
+    assert disc.h1_rows(prof)[0] == pytest.approx(disc.l2_element_rows(grad)[0], rel=1e-13)
 
 
 # -- residual estimator -----------------------------------------------------
@@ -215,7 +237,7 @@ def sampled_residual(P, disc, k, spec):
     kind = P.family.kind
     flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
     block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
-    return _euclidean_lp_norm(block, spec, [growth(kind, km) for km in k])
+    return _euclidean_lp_norm(block, spec)
 
 
 def ct_residual(P, disc, k, spec):

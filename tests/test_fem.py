@@ -138,45 +138,16 @@ def test_batched_solve_matches_single():
 def test_norms_of_quadratic():
     disc = SpatialDiscretization(two_plus_y(), 256)
     v = disc.nodes * (1 - disc.nodes)
-    # continuous values: L2 = 1/sqrt(30), H1_0 seminorm = 1/sqrt(3)
-    assert disc.spatial_norm(v, "L2") == pytest.approx(1 / np.sqrt(30), rel=1e-4)
-    assert disc.spatial_norm(v, "H1_0") == pytest.approx(1 / np.sqrt(3), rel=1e-4)
-    assert disc.spatial_norm(v, "h1-0") == disc.spatial_norm(v, "H1_0")
+    # continuous value: H1_0 seminorm = 1/sqrt(3)
+    assert disc.h1_rows(v)[0] == pytest.approx(1 / np.sqrt(3), rel=1e-4)
 
 
 def test_element_data_l2():
     disc = SpatialDiscretization(two_plus_y(), 64)
     g = np.ones(disc.n_elements)
-    assert disc.spatial_norm(g, "L2") == pytest.approx(1.0, abs=1e-14)
+    assert disc.l2_element_rows(g)[0] == pytest.approx(1.0, abs=1e-14)
     g = 1.0 - 2.0 * disc.midpoints
-    assert disc.spatial_norm(g, "L2") == pytest.approx(1 / np.sqrt(3), rel=1e-3)
-
-
-def test_norm_dispatch_errors():
-    disc = SpatialDiscretization(two_plus_y(), 16)
-    with pytest.raises(ValueError):
-        disc.spatial_norm(np.ones(7), "L2")
-    with pytest.raises(ValueError):
-        disc.spatial_norm(np.ones(16), "H1_0")
-    with pytest.raises(ValueError):
-        disc.spatial_norm(np.ones(17), "L7")
-    with pytest.raises(ValueError):
-        disc.spatial_norm(np.ones((2, 17)), "L2")
-
-
-def test_norm_rows_matches_scalar():
-    rng = np.random.default_rng(22)
-    disc = SpatialDiscretization(two_plus_y(), 32)
-    V = rng.normal(size=(5, 33))
-    V[:, 0] = V[:, -1] = 0.0
-    for which in ("H1_0", "L2"):
-        rows = disc.norm_rows(V, which)
-        want = [disc.spatial_norm(v, which) for v in V]
-        assert np.allclose(rows, want, rtol=1e-14)
-    G = rng.normal(size=(4, 32))
-    assert np.allclose(
-        disc.norm_rows(G, "L2"), [disc.spatial_norm(g, "L2") for g in G], rtol=1e-14
-    )
+    assert disc.l2_element_rows(g)[0] == pytest.approx(1 / np.sqrt(3), rel=1e-3)
 
 
 def test_interpolation_error_decays_linearly():
@@ -187,7 +158,7 @@ def test_interpolation_error_decays_linearly():
     for n in (16, 32, 64):
         disc = SpatialDiscretization(two_plus_y(), n)
         uh = disc.solve_at(np.array([0.0]))
-        errs.append(np.sqrt(exact_sq - disc.spatial_norm(uh, "H1_0") ** 2))
+        errs.append(np.sqrt(exact_sq - disc.h1_rows(uh)[0] ** 2))
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.05)
 
@@ -197,11 +168,11 @@ def test_energy_stability_bound():
     p = build_problem({"family": "cosine", "M": 2, "a0": 2.0})
     disc = SpatialDiscretization(p, 128)
     a_min = check_ellipticity(p, disc)["a_min"]
-    f_l2 = disc.spatial_norm(disc.f_mid, "L2")
+    f_l2 = disc.l2_element_rows(disc.f_mid)[0]
     for _ in range(5):
         y = rng.uniform(-1, 1, size=2)
         u = disc.solve_at(y)
-        assert disc.spatial_norm(u, "H1_0") <= 1.001 * f_l2 / a_min
+        assert disc.h1_rows(u)[0] <= 1.001 * f_l2 / a_min
 
 
 def test_parametric_lipschitz_scaling():
@@ -213,7 +184,7 @@ def test_parametric_lipschitz_scaling():
     dists = []
     for d in deltas:
         u = disc.solve_at(y + np.array([d, 0.0]))
-        dists.append(disc.spatial_norm(u - base, "H1_0"))
+        dists.append(disc.h1_rows(u - base)[0])
     assert dists[0] / dists[1] == pytest.approx(10.0, rel=0.05)
 
 

@@ -65,6 +65,16 @@ def test_leja_first_points():
     assert got[4] == pytest.approx(0.65871, abs=1e-4)
 
 
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_node_count_non_negative(kind):
+    fam = get_family(kind)
+    fam.nodes(5)
+    assert fam.nodes(0).shape == (0,)
+    # a negative count once sliced the cached sequence from the end
+    with pytest.raises(ValueError, match="non-negative"):
+        fam.nodes(-2)
+
+
 def test_leja_distinct_and_in_interval():
     pts = leja_nodes(40)
     assert np.all(np.abs(pts) <= 1.0)
