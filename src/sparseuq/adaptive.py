@@ -39,7 +39,7 @@ from .estimators import (
     reduced_margin_report,
     reference_error,
 )
-from .fem import SolveCache, check_ellipticity
+from .fem import SolveCache, check_ellipticity, config_number
 from .interp import SparseInterpolant
 from .nodes import normalize_kind
 
@@ -70,6 +70,15 @@ class AdaptiveConfig:
         self.nodes = normalize_kind(self.nodes)
         if not isinstance(self.norm, NormSpec):
             self.norm = NormSpec.from_config(self.norm)
+        for name, kind in (
+            ("tol", float),
+            ("max_iter", int),
+            ("max_solves", int),
+            ("reference_every", int),
+            ("reference_quad", int),
+            ("dorfler", float),
+        ):
+            setattr(self, name, config_number(name, getattr(self, name), kind))
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1 or self.max_solves < 1:

@@ -31,7 +31,13 @@ import numpy as np
 from . import __version__
 from .adaptive import AdaptiveConfig, run_strategy
 from .estimators import NormSpec
-from .fem import EllipticityError, SpatialDiscretization, build_problem, check_ellipticity
+from .fem import (
+    EllipticityError,
+    SpatialDiscretization,
+    build_problem,
+    check_ellipticity,
+    config_number,
+)
 from .interp import SparseInterpolant
 from .nodes import get_family, growth_inverse, normalize_kind
 
@@ -183,7 +189,7 @@ def _reference_cadence(cfg, dim, force):
         if dim <= 4:
             return 5
         return 0
-    every = int(every)
+    every = config_number("reference.every", every, int)
     if every > 0 and dim > 4:
         raise ConfigError("reference errors are infeasible for M=%d" % dim)
     return every
@@ -195,7 +201,7 @@ def run_experiment(config_path, outdir=None, force_reference=False):
     if outdir is not None:
         cfg["outdir"] = str(outdir)
     problem = build_problem(cfg["problem"])
-    disc = SpatialDiscretization(problem, int(cfg["mesh_n"]))
+    disc = SpatialDiscretization(problem, config_number("mesh_n", cfg["mesh_n"], int))
     info = check_ellipticity(problem, disc)
     phash = problem_hash(cfg)
     every = _reference_cadence(cfg, problem.dim, force_reference)
@@ -211,12 +217,14 @@ def run_experiment(config_path, outdir=None, force_reference=False):
             strategy=strategy,
             nodes=cfg["nodes"],
             norm=norm,
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
-            max_solves=int(cfg["max_solves"]),
+            tol=cfg["tol"],
+            max_iter=cfg["max_iter"],
+            max_solves=cfg["max_solves"],
             reference_every=every,
-            reference_quad=int(cfg["reference"]["quad_order"]),
-            dorfler=float(cfg["dorfler"]),
+            reference_quad=config_number(
+                "reference.quad_order", cfg["reference"]["quad_order"], int
+            ),
+            dorfler=cfg["dorfler"],
         )
         for strategy in strategies
     ]

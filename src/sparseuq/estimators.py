@@ -19,7 +19,7 @@ import weakref
 
 import numpy as np
 
-from .fem import SolveCache
+from .fem import SolveCache, config_number
 from .interp import HierarchicalBlock, _times_y_rows, mode_product, work
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -30,11 +30,9 @@ _ROW_BLOCK = 256
 
 
 def _parse_p(p):
-    if isinstance(p, str):
-        if p.strip().lower() in _INF_ALIASES:
-            return math.inf
-        p = float(p)
-    p = float(p)
+    if isinstance(p, str) and p.strip().lower() in _INF_ALIASES:
+        return math.inf
+    p = config_number("norm.p", p)
     if p != math.inf and not 1.0 <= p:
         raise ValueError("p must lie in [1, inf], got %r" % p)
     return p
@@ -43,22 +41,29 @@ def _parse_p(p):
 class NormSpec:
     """How to measure parametric L^p norms over the box.
 
-    sup_points_per_dim (>= 2) and sup_budget control the p = inf sample
-    grid (per-dimension resolution, capped so the total grid stays
-    within budget).  The p = inf value is the maximum over that grid, a
-    lower bound of the sup, so total / a_min certifies the error only on
-    the grid.  quad_order (>= 1) is used only for p outside {2, inf};
-    for p = 2 the order is derived from the integrand degree so the
-    quadrature is exact.
+    sup_points_per_dim (>= 2) and sup_budget (>= 2) control the p = inf
+    sample grid (per-dimension resolution, capped so the total grid stays
+    within budget, but never below 2).  The p = inf value is the maximum
+    over that grid, a lower bound of the sup, so total / a_min certifies
+    the error only on the grid.  quad_order (>= 1) is used only for p
+    outside {2, inf}; for p = 2 the order is derived from the integrand
+    degree so the quadrature is exact.
     """
 
     def __init__(self, p=2, sup_points_per_dim=33, sup_budget=40000, quad_order=12):
         self.p = _parse_p(p)
-        self.sup_points_per_dim = int(sup_points_per_dim)
-        self.sup_budget = int(sup_budget)
-        self.quad_order = int(quad_order)
-        if self.sup_points_per_dim < 2 or self.quad_order < 1:
-            raise ValueError("need sup_points_per_dim >= 2 and quad_order >= 1")
+        self.sup_points_per_dim = config_number(
+            "norm.sup_points_per_dim", sup_points_per_dim, int
+        )
+        self.sup_budget = config_number("norm.sup_budget", sup_budget, int)
+        self.quad_order = config_number("norm.quad_order", quad_order, int)
+        for key, value, low in (
+            ("sup_points_per_dim", self.sup_points_per_dim, 2),
+            ("sup_budget", self.sup_budget, 2),
+            ("quad_order", self.quad_order, 1),
+        ):
+            if value < low:
+                raise ValueError("need norm.%s >= %d, got %d" % (key, low, value))
 
     @classmethod
     def from_config(cls, spec):
@@ -192,7 +197,7 @@ def fresh_solves(P, cache, k):
     rows in block order."""
     newjs = P.new_point_indices(k)
     coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
-    return coords, np.vstack([cache.solve_indexed(j, y) for j, y in zip(newjs, coords)])
+    return coords, cache.solve_indexed(newjs, coords)
 
 
 def surplus_indicator(P, problem, disc, k, spec, cache):

@@ -197,13 +197,20 @@ class SolveCache:
         self.n_solves = 0
         self.reference_rows = None
 
-    def solve_indexed(self, j, y):
-        j = tuple(int(v) for v in j)
-        u = self._by_index.get(j)
-        if u is None:
-            u = self._by_index[j] = self.disc.solve_at(y)
-            self.n_solves += 1
-        return u
+    def solve_indexed(self, js, Y):
+        """Solutions at the grid points with node-index rows js and
+        coordinates Y (P, M), shape (P, n+1) in the order of js: the
+        points not solved before are solved in one batch and counted."""
+        keys = [tuple(int(v) for v in j) for j in js]
+        missing = {}
+        for r, key in enumerate(keys):
+            if key not in self._by_index:
+                missing.setdefault(key, r)
+        if missing:
+            U = self.disc.solve_at(np.asarray(Y, dtype=np.float64)[list(missing.values())])
+            self._by_index.update(zip(missing, U))
+            self.n_solves += len(missing)
+        return np.vstack([self._by_index[key] for key in keys])
 
     def solve_y(self, Y):
         """Solutions at the point set Y, (P, M) or a single point (M,),
@@ -220,6 +227,17 @@ class SolveCache:
 
 # ---------------------------------------------------------------------------
 # built-in problem library
+
+
+def config_number(key, value, kind=float):
+    """value converted by kind (int or float).  A value of the wrong type,
+    such as a JSON null or list, raises ValueError naming the dotted
+    config key, like any other bad config value, not a TypeError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError("%s must be %s, got %r" % (key, what, value)) from None
 
 
 def _const(c):

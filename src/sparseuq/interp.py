@@ -138,7 +138,8 @@ class SparseInterpolant:
     def basis_weights(self, Y, start=0):
         """Tensor hierarchical basis values at points Y of shape (P, M) for
         the grid points from row start on, shape (P, rows): the
-        interpolant's part from those rows is basis_weights @ surpluses."""
+        interpolant's part from those rows is basis_weights @ surpluses.
+        The result is a column-major view (its transpose is C-ordered)."""
         if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
         Y = np.asarray(Y, dtype=np.float64)
@@ -155,9 +156,10 @@ class SparseInterpolant:
         total = 0
         for m in range(self.dim):
             offsets[m] = total
-            tables.append(self.family.basis_matrix(Y[:, m], int(nmax[m])))
+            # basis_matrix is a transposed view of a row-major (n, P) array
+            tables.append(self.family.basis_matrix(Y[:, m], int(nmax[m])).T)
             total += int(nmax[m])
-        table = np.concatenate(tables, axis=1)
+        table = np.concatenate(tables, axis=0).T
         cols = np.ascontiguousarray(pts + offsets[None, :])
         return kernels.weight_product(table, cols)
 

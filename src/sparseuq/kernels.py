@@ -48,13 +48,21 @@ def basis_table(ys, nodes, mks, denoms):
 #
 # W[p, r] = prod_m table[p, cols[r, m]] where table stacks the per-dimension
 # basis tables column-wise and cols holds absolute column ids per grid point.
+# The product runs on the transpose: row t of table.T holds basis function t
+# at every sample, so each factor is a gather of whole contiguous rows, not
+# of P scattered columns.  For the column-major (P, T) view that
+# SparseInterpolant.basis_weights passes, table.T is C-ordered already and
+# is not copied.  The factors are multiplied in the same order m = 0, 1, ...
+# as a column gather would, so W is bitwise the same; it is returned as a
+# column-major (P, N) view.
 
 
 def weight_product(table, cols):
-    out = table[:, cols[:, 0]].copy()
+    rows = np.ascontiguousarray(table.T)
+    out = rows[cols[:, 0]]
     for m in range(1, cols.shape[1]):
-        out *= table[:, cols[:, m]]
-    return out
+        out *= rows[cols[:, m]]
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,9 @@ class NodeFamily:
         return self._nodes_arr[:n].copy()
 
     def point(self, i):
+        """Entry i >= 0 of the hierarchical sequence."""
+        if i < 0:
+            raise ValueError("node index must be non-negative, got %d" % i)
         self.ensure_nodes(i + 1)
         return self._nodes[i]
 

@@ -280,12 +280,7 @@ def test_criterion_09_estimator_annihilation():
             for i in s.members_sorted():
                 js = P.new_point_indices(i)
                 ys = P.coords_of(np.asarray(js))
-                P.add_index(
-                    i,
-                    values=np.vstack(
-                        [cache.solve_indexed(j, y) for j, y in zip(js, ys)]
-                    ),
-                )
+                P.add_index(i, values=cache.solve_indexed(js, ys))
             degs = [
                 max(growth(kind, i[m]) for i in P.indexset) + 1
                 for m in range(P.dim)

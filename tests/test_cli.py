@@ -100,8 +100,20 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"problem": {"gama": 0.5}}, "problem.gama"),
         ({"norm": {"p": 3, "quad_order": 0}}, "quad_order >= 1"),
         ({"norm": {"p": "inf", "sup_points_per_dim": 1}}, "sup_points_per_dim >= 2"),
+        # at M = 2 a negative budget once died in a complex int() with exit 1
+        (
+            {
+                "problem": {"family": "constant", "M": 2, "amps": [0.0, 0.0]},
+                "norm": {"p": "inf", "sup_budget": -8},
+            },
+            "norm.sup_budget >= 2",
+        ),
         ({"reference": {"quad_order": 0}}, "reference_quad must be at least 1"),
         ({"strategies": ["gn_envelope", "newton"]}, "unknown strategy"),
+        # wrong-typed values once escaped as TypeError tracebacks with exit 1
+        ({"norm": {"quad_order": None}}, "norm.quad_order must be an integer"),
+        ({"max_iter": None}, "max_iter must be an integer"),
+        ({"reference": {"quad_order": [1]}}, "reference.quad_order must be an integer"),
     )
     for i, (over, message) in enumerate(cases):
         out = tmp_path / ("o%d" % i)

@@ -61,8 +61,7 @@ def build_chain(disc, levels, kind="leja"):
     for k in range(levels):
         js = P.new_point_indices((k,))
         ys = P.coords_of(np.asarray(js))
-        vals = np.vstack([cache.solve_indexed(j, y) for j, y in zip(js, ys)])
-        P.add_index((k,), values=vals)
+        P.add_index((k,), values=cache.solve_indexed(js, ys))
     return P, cache
 
 
@@ -91,6 +90,8 @@ def test_norm_spec_rejects_unknown_keys_and_bad_ranges():
         NormSpec(p=3, quad_order=0)
     with pytest.raises(ValueError, match="sup_points_per_dim >= 2"):
         NormSpec(p="inf", sup_points_per_dim=1)
+    with pytest.raises(ValueError, match="sup_budget >= 2"):
+        NormSpec(p="inf", sup_budget=1)
     assert NormSpec(p=3, quad_order=1).quad_order == 1
     assert NormSpec(p="inf", sup_points_per_dim=2).sup_points_per_dim == 2
 
@@ -326,9 +327,7 @@ def test_surplus_geometric_decay():
         vals.append(surplus_indicator(P, disc.problem, disc, (k,), spec, cache))
         js = P.new_point_indices((k,))
         ys = P.coords_of(np.asarray(js))
-        P.add_index(
-            (k,), values=np.vstack([cache.solve_indexed(j, y) for j, y in zip(js, ys)])
-        )
+        P.add_index((k,), values=cache.solve_indexed(js, ys))
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     assert all(r < 1.0 for r in ratios)
     assert vals[-1] / vals[0] < 1e-2
@@ -348,9 +347,7 @@ def test_surplus_reuses_cache_for_add():
     n = cache.n_solves
     js = P.new_point_indices((1,))
     ys = P.coords_of(np.asarray(js))
-    P.add_index(
-        (1,), values=np.vstack([cache.solve_indexed(j, y) for j, y in zip(js, ys)])
-    )
+    P.add_index((1,), values=cache.solve_indexed(js, ys))
     assert cache.n_solves == n
 
 

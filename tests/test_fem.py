@@ -194,22 +194,26 @@ def test_parametric_lipschitz_scaling():
 def test_solve_cache_counts_and_reuse():
     disc = SpatialDiscretization(two_plus_y(), 32)
     cache = SolveCache(disc)
-    u1 = cache.solve_indexed((3,), np.array([0.5]))
-    u2 = cache.solve_indexed((3,), np.array([0.5]))
-    assert u1 is u2
+    u1 = cache.solve_indexed([(3,)], np.array([[0.5]]))
+    u2 = cache.solve_indexed([(3,)], np.array([[0.5]]))
+    assert u1.shape == (1, 33) and np.array_equal(u1, u2)
     assert cache.n_solves == 1
-    cache.solve_indexed((4,), np.array([-0.5]))
-    assert cache.n_solves == 2
+    # a block solves only its misses, in one batch, and keeps block order
+    js = [(5,), (3,), (4,), (5,)]
+    Y = np.array([[0.25], [0.5], [-0.5], [0.25]])
+    U = cache.solve_indexed(js, Y)
+    assert cache.n_solves == 3
+    assert np.array_equal(U, disc.solve_at(Y))
     v1 = cache.solve_y([0.25])
     v2 = cache.solve_y([0.25])
     assert v1 is v2
-    assert cache.n_solves == 2
+    assert cache.n_solves == 3
     # a point set is one memo entry, solved in one batch
     Y = np.array([[0.25], [-0.5], [0.75]])
     V = cache.solve_y(Y)
     assert V.shape == (3, 33) and cache.solve_y(Y.copy()) is V
     assert np.array_equal(V[0], v1)
-    assert len(cache._by_y) == 2 and cache.n_solves == 2
+    assert len(cache._by_y) == 2 and cache.n_solves == 3
 
 
 @pytest.mark.parametrize("size", [1, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])

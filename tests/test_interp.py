@@ -248,6 +248,28 @@ def test_surplus_rows_append_only():
     assert np.allclose(head + sum(parts), P.evaluate(Y), rtol=0, atol=1e-13)
 
 
+def test_basis_weights_match_per_dimension_columns():
+    # basis_weights gathers whole rows of the stacked per-dimension tables;
+    # every weight is bitwise the product of the grid point's basis_matrix
+    # columns, multiplied in dimension order
+    rng = np.random.default_rng(12)
+    s = random_monotone(rng, 5, 30)
+    f = lambda y: np.array([np.exp(0.2 * y.sum()), y[0] * y[4], 1.0])
+    P = build_interpolant("clenshaw_curtis", s, f)
+    Y = rng.uniform(-1, 1, size=(37, 5))
+    pts = np.asarray(P.point_indices())
+    want = None
+    for m in range(5):
+        cols = P.family.basis_matrix(Y[:, m], int(pts[:, m].max()) + 1)[:, pts[:, m]]
+        want = cols.copy() if want is None else want * cols
+    W = P.basis_weights(Y)
+    assert W.shape == (37, P.n_points)
+    assert W.tobytes() == want.tobytes()
+    # the matmul may take another BLAS path for the column-major layout
+    got = P.evaluate(Y)
+    assert np.allclose(got, want @ P.surpluses(), rtol=1e-13, atol=1e-14)
+
+
 def test_malformed_snapshot_rejected():
     # CC levels 0 and 1: point (0, 0), then the block of (1, 0) with (1, 0), (2, 0)
     s = MonotoneIndexSet(2, [(0, 0), (1, 0)])

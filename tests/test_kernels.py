@@ -79,6 +79,26 @@ def test_weight_product_matches_loop():
             assert got[p, r] == pytest.approx(expect, rel=1e-13)
 
 
+def weight_product_columns(table, cols):
+    """The column gather weight_product replaced: the oracle."""
+    out = table[:, cols[:, 0]].copy()
+    for m in range(1, cols.shape[1]):
+        out *= table[:, cols[:, m]]
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("n_pts, n_rows", [(33, 20), (1, 20), (33, 1)])
+def test_weight_product_matches_column_gather(order, dim, n_pts, n_rows):
+    rng = np.random.default_rng(dim * 100 + n_pts + n_rows)
+    table = np.asarray(rng.standard_normal((n_pts, 6 * dim)), order=order)
+    cols = rng.integers(0, 6 * dim, size=(n_rows, dim)).astype(np.int64)
+    got = kernels.weight_product(table, cols)
+    assert got.shape == (n_pts, n_rows)
+    assert got.tobytes() == weight_product_columns(table, cols).tobytes()
+
+
 def test_log_product_values_and_collisions():
     nodes = np.array([-1.0, 0.25, 0.5])
     ys = np.array([-1.0, 0.0, 0.5, 0.75])

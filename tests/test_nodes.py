@@ -73,6 +73,10 @@ def test_node_count_non_negative(kind):
     # a negative count once sliced the cached sequence from the end
     with pytest.raises(ValueError, match="non-negative"):
         fam.nodes(-2)
+    # point(-1) returned the last cached node the same way
+    assert fam.point(4) == fam.nodes(5)[4]
+    with pytest.raises(ValueError, match="non-negative"):
+        fam.point(-1)
 
 
 def test_leja_distinct_and_in_interval():

@@ -7,9 +7,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparseuq
+from sparseuq import kernels
+from sparseuq.interp import SparseInterpolant
+from sparseuq.multiindex import MonotoneIndexSet
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,7 +40,7 @@ def test_tracer_targets_resolve(tracer):
 
 
 def test_benchmark_names_exist(tracer):
-    from sparseuq import cli, kernels
+    from sparseuq import cli
 
     # perfbench/rep.py reads both
     assert hasattr(kernels, "USE_NUMBA")
@@ -46,3 +50,20 @@ def test_benchmark_names_exist(tracer):
 def test_public_names_exist():
     missing = [name for name in sparseuq.__all__ if not hasattr(sparseuq, name)]
     assert missing == []
+
+
+def test_weight_product_counters_see_real_shapes(tracer, monkeypatch):
+    # the tracer counts flops from the (P, T) table and (N, M) ids that
+    # basis_weights passes, whatever memory layout the table has
+    t = tracer.Tracer()
+    name = "kernels.weight_product"
+    monkeypatch.setattr(kernels, "weight_product", t.wrap(name, kernels.weight_product))
+    P = SparseInterpolant("clenshaw_curtis", 3)
+    s = MonotoneIndexSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1)])
+    for i in s.members_sorted():
+        P.add_index(i, lambda y: np.array([y.sum()]))
+    t.counters.clear()
+    Y = np.random.default_rng(0).uniform(-1, 1, size=(11, 3))
+    W = P.basis_weights(Y)
+    assert W.shape == (11, P.n_points)
+    assert t.counters[name + ".flops_computed"] == 11 * P.n_points * (3 - 1)
