@@ -226,7 +226,7 @@ class SolveCache:
 
 
 # ---------------------------------------------------------------------------
-# built-in problem library
+# config values
 
 
 def config_number(key, value, kind=float):
@@ -238,6 +238,10 @@ def config_number(key, value, kind=float):
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ValueError("%s must be %s, got %r" % (key, what, value)) from None
+
+
+# ---------------------------------------------------------------------------
+# built-in problem library
 
 
 def _const(c):
