@@ -20,6 +20,19 @@ counts the values estimated for it and those reused from the memo, and
 splits its wall_ms into estimate_ms (the margin report) and
 reference_ms (the reference error, if one is due).
 
+gn_profit keeps its profits across iterations the same way: pis maps
+each margin candidate to its profit and users maps each index to the
+candidates whose monotone envelope contains it.  Only candidates missing
+from pis get a profit, and after an extension the candidates in
+users[j] leave pis for every key j that drop_stale returned.  The
+envelope of k is every ancestor of k missing from the set, since a walk
+down from k through missing indices reaches each of them; adding
+indices outside it leaves it unchanged, and a member's estimate
+changes only when drop_stale forgets it.  So a candidate whose envelope
+meets no returned key keeps its envelope, numerator and denominator
+bit for bit, and its kept profit is exactly the one a fresh computation
+would give.
+
 All loops start from the singleton zero index, estimate candidates in
 lexicographic order and break ties lexicographically, so reruns are
 bitwise identical.
@@ -193,6 +206,28 @@ def _dorfler_mark(report, theta):
     return marked
 
 
+def _profit_argmax(indexset, kind, eta, pis, users):
+    """The margin candidate of largest profit, ties broken
+    lexicographically.  eta holds the margin's estimates; profits are
+    computed, in eta's order, only for candidates missing from pis, and
+    users records the envelope members of each one computed."""
+    for k in eta:
+        if k not in pis:
+            env = indexset.monotone_envelope(k)
+            pis[k] = profit(kind, env, eta)
+            for j in env:
+                users.setdefault(j, set()).add(k)
+    return min(pis, key=lambda k: (-pis[k], k))
+
+
+def _forget_profits(pis, users, keys):
+    """Drop the profit of every candidate whose envelope contains one of
+    the keys drop_stale returned."""
+    for j in keys:
+        for k in users.pop(j, ()):
+            pis.pop(k, None)
+
+
 def _run(problem, disc, config, on_row=None):
     info = check_ellipticity(problem, disc)
     trace = AdaptiveTrace(config.strategy, config, info)
@@ -203,7 +238,7 @@ def _run(problem, disc, config, on_row=None):
     a_min = info["a_min"]
     is_gg = config.strategy == "gg"
     _add_indices(P, cache, [(0,) * problem.dim])
-    memo = {}
+    memo, pis, users = {}, {}, {}
     n = 0
     while True:
         t0 = time.perf_counter()
@@ -230,11 +265,7 @@ def _run(problem, disc, config, on_row=None):
             trace.budget_exhausted = True
             break
         if config.strategy == "gn_profit":
-            pis = {
-                k: profit(P.indexset, config.nodes, k, report.values)
-                for k in report.values
-            }
-            kstar = min(pis, key=lambda k: (-pis[k], k))
+            kstar = _profit_argmax(P.indexset, config.nodes, report.values, pis, users)
             marked = P.indexset.monotone_envelope(kstar)
         elif config.strategy == "gn_envelope":
             kstar = report.argmax()
@@ -245,7 +276,7 @@ def _run(problem, disc, config, on_row=None):
             else:
                 marked = [report.argmax()]
         _add_indices(P, cache, marked)
-        drop_stale(memo, marked)
+        _forget_profits(pis, users, drop_stale(memo, marked))
         n += 1
     if is_gg:
         _augment_gg(trace, disc, config, P, cache, report)

@@ -36,6 +36,7 @@ from .fem import (
     SpatialDiscretization,
     build_problem,
     check_ellipticity,
+    config_mapping,
     config_number,
 )
 from .interp import SparseInterpolant
@@ -176,7 +177,7 @@ class TraceWriter:
 
 
 def _reference_cadence(cfg, dim, force):
-    every = cfg["reference"]["every"]
+    every = config_mapping("reference", cfg["reference"])["every"]
     if force:
         if dim > 4:
             raise ConfigError(
@@ -208,6 +209,8 @@ def run_experiment(config_path, outdir=None, force_reference=False):
     strategies = cfg["strategies"]
     if isinstance(strategies, str):
         strategies = [strategies]
+    if not isinstance(strategies, list):
+        raise ConfigError("strategies must be a name or a list, got %r" % (strategies,))
     if not strategies:
         raise ConfigError("strategies list is empty")
     norm = NormSpec.from_config(cfg["norm"])
@@ -228,6 +231,8 @@ def run_experiment(config_path, outdir=None, force_reference=False):
         )
         for strategy in strategies
     ]
+    if not isinstance(cfg["outdir"], str):
+        raise ConfigError("outdir must be a path, got %r" % (cfg["outdir"],))
     out = Path(cfg["outdir"])
     out.mkdir(parents=True, exist_ok=True)
     log.info(

@@ -19,7 +19,7 @@ import weakref
 
 import numpy as np
 
-from .fem import SolveCache, config_number
+from .fem import SolveCache, config_mapping, config_number
 from .interp import HierarchicalBlock, _times_y_rows, mode_product, work
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -71,7 +71,7 @@ class NormSpec:
         raises ValueError naming any key the constructor does not take."""
         if isinstance(spec, (int, float, str)):
             return cls(p=spec)
-        spec = dict(spec or {})
+        spec = dict(config_mapping("norm", {} if spec is None else spec))
         unknown = sorted(set(spec) - set(inspect.signature(cls).parameters))
         if unknown:
             raise ValueError("unknown norm keys: %s" % ", ".join(unknown))
@@ -217,15 +217,22 @@ def surplus_indicator(P, problem, disc, k, spec, cache):
     return _euclidean_lp_norm(block, spec)
 
 
-def profit(indexset, kind, k, eta):
+def profit(kind, env, eta):
     """Envelope-averaged profit: summed estimators over summed work.
 
-    eta maps margin indices to estimator values and must cover the
-    monotone envelope of k.
+    env is a candidate's sorted monotone envelope (as
+    MonotoneIndexSet.monotone_envelope returns it) and eta maps margin
+    indices to estimator values covering it; both sums run in env's
+    order.  The envelope of k is every ancestor of k missing from
+    Lambda: Lambda is downward closed, so a walk down from k through
+    missing indices reaches each of them.  Adding indices outside it
+    therefore leaves it unchanged, and a member's value changes only
+    when drop_stale forgets it.  So a profit whose envelope meets none
+    of the keys drop_stale returned is the same, bit for bit, after the
+    extension, and adaptive._run recomputes only the others.
     """
-    env = indexset.monotone_envelope(k)
-    num = sum(eta[tuple(j)] for j in env)
-    den = sum(work(kind, tuple(j)) for j in env)
+    num = sum(eta[j] for j in env)
+    den = sum(work(kind, j) for j in env)
     return num / den
 
 
@@ -324,11 +331,22 @@ def reduced_margin_report(P, problem, disc, spec, cache, memo=None):
 def drop_stale(memo, added):
     """Forget the memoized values that adding the indices `added` may
     change: each added index and each of its forward neighbours, the
-    only candidates that gain a backward neighbour."""
+    only candidates that gain a backward neighbour.
+
+    Returns the set of these keys, whether or not memo held them.  A
+    candidate's monotone envelope loses exactly the added indices it
+    held and gains none, and the only values forgotten are these keys',
+    so a value read off an envelope and its members' estimates, like
+    profit, can be stale only when its envelope meets one of them.
+    """
+    keys = set()
     for j in map(tuple, added):
-        memo.pop(j, None)
+        keys.add(j)
         for m in range(len(j)):
-            memo.pop(j[:m] + (j[m] + 1,) + j[m + 1 :], None)
+            keys.add(j[:m] + (j[m] + 1,) + j[m + 1 :])
+    for j in keys:
+        memo.pop(j, None)
+    return keys
 
 
 class _ReferenceRows:

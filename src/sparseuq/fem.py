@@ -15,6 +15,8 @@ are the fluxes divided by a, so gradients_at forms them without the
 nodal values, which is all an error in the H1_0 seminorm needs.
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from . import kernels
@@ -240,6 +242,14 @@ def config_number(key, value, kind=float):
         raise ValueError("%s must be %s, got %r" % (key, what, value)) from None
 
 
+def config_mapping(key, value):
+    """value itself when it is a mapping (a JSON object); otherwise a
+    ValueError naming the dotted config key."""
+    if not isinstance(value, Mapping):
+        raise ValueError("%s must be a mapping, got %r" % (key, value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # built-in problem library
 
@@ -251,12 +261,17 @@ def _const(c):
 
 def _amplitudes(dim, spec):
     if "amps" in spec:
-        amps = [float(v) for v in spec["amps"]]
+        try:
+            amps = list(spec["amps"])
+        except TypeError:
+            what = spec["amps"]
+            raise ValueError("problem.amps must be a list, got %r" % (what,)) from None
+        amps = [config_number("problem.amps[%d]" % m, v) for m, v in enumerate(amps)]
         if len(amps) != dim:
             raise ValueError("amps must have %d entries" % dim)
         return amps
-    gamma = float(spec.get("gamma", 0.9))
-    sigma = float(spec.get("sigma", 2.0))
+    gamma = config_number("problem.gamma", spec.get("gamma", 0.9))
+    sigma = config_number("problem.sigma", spec.get("sigma", 2.0))
     return [gamma * (m + 1) ** (-sigma) for m in range(dim)]
 
 
@@ -267,14 +282,15 @@ def build_problem(spec):
     with a_m(x) = amp_m; "inclusion" with amp_m on the m-th of M equal
     subintervals.  Amplitudes come from an explicit "amps" list or the
     decay amp_m = gamma * m**(-sigma).  The load is constant or
-    amp * sin(pi x).
+    amp * sin(pi x).  A section or number of the wrong type raises
+    ValueError naming its dotted key.
     """
-    spec = dict(spec)
-    dim = int(spec.get("M", 2))
+    spec = dict(config_mapping("problem", spec))
+    dim = config_number("problem.M", spec.get("M", 2), int)
     if dim < 0:
         raise ValueError("M must be non-negative")
     family = str(spec.get("family", "cosine")).lower()
-    a0 = float(spec.get("a0", 2.0))
+    a0 = config_number("problem.a0", spec.get("a0", 2.0))
     amps = _amplitudes(dim, spec)
     if family == "cosine":
         def mk(m, amp):
@@ -293,13 +309,13 @@ def build_problem(spec):
     else:
         raise ValueError("unknown coefficient family %r" % family)
     fspec = spec.get("f", 1.0)
-    if isinstance(fspec, (int, float)):
-        fspec = {"family": "constant", "value": float(fspec)}
+    if not isinstance(fspec, Mapping):
+        fspec = {"family": "constant", "value": config_number("problem.f", fspec)}
     ffam = str(fspec.get("family", "constant")).lower()
     if ffam == "constant":
-        f = _const(fspec.get("value", 1.0))
+        f = _const(config_number("problem.f.value", fspec.get("value", 1.0)))
     elif ffam == "sine":
-        amp = float(fspec.get("amp", 1.0))
+        amp = config_number("problem.f.amp", fspec.get("amp", 1.0))
         f = lambda x: amp * np.sin(np.pi * np.asarray(x, dtype=np.float64))
     else:
         raise ValueError("unknown load family %r" % ffam)
@@ -310,4 +326,5 @@ def build_problem(spec):
         "amps": amps,
         "f": fspec,
     }
-    return DiffusionProblem(dim, _const(a0), terms, f, floor=float(spec.get("floor", 0.0)), meta=meta)
+    floor = config_number("problem.floor", spec.get("floor", 0.0))
+    return DiffusionProblem(dim, _const(a0), terms, f, floor=floor, meta=meta)

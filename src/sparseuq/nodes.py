@@ -21,6 +21,7 @@ so level sets have m(k) + 1 points.  Node values are computed once and
 cached, which makes nestedness exact in floating point.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -54,7 +55,16 @@ def normalize_kind(kind):
 
 
 def growth(kind, k):
-    """Largest sequence position of level k: identity, or doubling for CC."""
+    """Largest sequence position of level k: identity, or doubling for CC.
+
+    A plain int for any integer k (NumPy ones too), memoized per
+    (kind, level) so the kind is resolved only once per level.
+    """
+    return _growth(kind, int(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _growth(kind, k):
     if k < 0:
         raise ValueError("level must be non-negative")
     if normalize_kind(kind) == CLENSHAW_CURTIS:

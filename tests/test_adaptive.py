@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from sparseuq import adaptive
 from sparseuq.adaptive import (
     AdaptiveConfig,
     STRATEGIES,
@@ -15,7 +16,7 @@ from sparseuq.adaptive import (
     run_gn_profit,
     run_strategy,
 )
-from sparseuq.estimators import EstimatorReport, NormSpec
+from sparseuq.estimators import EstimatorReport, NormSpec, profit
 from sparseuq.fem import (
     DiffusionProblem,
     EllipticityError,
@@ -154,6 +155,43 @@ def test_gn_marks_whole_envelope():
     trace = run_gn(p, disc, tol=1e-5)
     trace.interpolant.indexset.validate_caches()
     assert trace.rows[-1].n_indices == len(trace.interpolant.indexset)
+
+
+def test_gn_profit_recomputes_only_stale_profits(monkeypatch):
+    # profits are kept across iterations, so far fewer are computed than
+    # one per margin candidate and row, and the run equals one whose
+    # marking recomputes every profit
+    p = cosine_problem(4)
+    disc = SpatialDiscretization(p, 64)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return profit(*args)
+
+    def run():
+        calls.clear()
+        trace = run_gn_profit(p, disc, tol=1e-3)
+        return trace, len(calls)
+
+    monkeypatch.setattr(adaptive, "profit", counted)
+    kept, n_kept = run()
+    monkeypatch.setattr(
+        adaptive, "_forget_profits", lambda pis, users, keys: (pis.clear(), users.clear())
+    )
+    fresh, n_fresh = run()
+    assert len(kept.rows) >= 30
+    margins = sum(r.estimates_fresh + r.estimates_reused for r in kept.rows[:-1])
+    assert n_fresh == margins
+    assert n_kept < margins / 4
+    assert kept.interpolant.indexset.members_sorted() == (
+        fresh.interpolant.indexset.members_sorted()
+    )
+
+    def columns(row):
+        return {k: v for k, v in asdict(row).items() if not k.endswith("_ms")}
+
+    assert [columns(r) for r in kept.rows] == [columns(r) for r in fresh.rows]
 
 
 # -- reference and effectivity ----------------------------------------------

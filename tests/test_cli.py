@@ -114,6 +114,12 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"norm": {"quad_order": None}}, "norm.quad_order must be an integer"),
         ({"max_iter": None}, "max_iter must be an integer"),
         ({"reference": {"quad_order": [1]}}, "reference.quad_order must be an integer"),
+        # so did sections of the wrong type and null problem numbers
+        ({"problem": {"M": None}}, "problem.M must be an integer"),
+        ({"problem": [1]}, "problem must be a mapping"),
+        ({"norm": [2]}, "norm must be a mapping"),
+        ({"reference": 5}, "reference must be a mapping"),
+        ({"strategies": 5}, "strategies must be a name or a list"),
     )
     for i, (over, message) in enumerate(cases):
         out = tmp_path / ("o%d" % i)
@@ -121,6 +127,10 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         assert main(["run", cfg]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+    # the path itself comes from the config here, not from --outdir
+    cfg = deterministic_cfg(tmp_path, outdir=5)
+    assert main(["run", cfg]) == 3
+    assert "outdir must be a path" in capsys.readouterr().err
 
 
 def test_load_config_missing_file(tmp_path):

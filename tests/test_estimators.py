@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparseuq.adaptive import _forget_profits, _profit_argmax
 from sparseuq.estimators import (
     _ROW_BLOCK,
     EstimatorReport,
@@ -357,22 +358,65 @@ def test_surplus_reuses_cache_for_add():
 def test_profit_unit_growth_reduced_margin():
     s = MonotoneIndexSet(1, [(0,)])
     eta = {(1,): 0.7}
-    assert profit(s, "leja", (1,), eta) == pytest.approx(0.7, abs=0)
+    assert profit("leja", s.monotone_envelope((1,)), eta) == pytest.approx(0.7, abs=0)
 
 
 def test_profit_cc_singleton_envelope():
     s = MonotoneIndexSet(1, [(0,), (1,)])
     eta = {(2,): 0.6}
-    assert profit(s, "clenshaw_curtis", (2,), eta) == pytest.approx(0.3, abs=0)
+    assert profit("clenshaw_curtis", s.monotone_envelope((2,)), eta) == pytest.approx(0.3, abs=0)
 
 
 def test_profit_envelope_average():
     # the envelope of (1,1) over {(0,0),(1,0)} is {(0,1),(1,1)}
     s = MonotoneIndexSet(2, [(0, 0), (1, 0)])
     eta = {(2, 0): 0.9, (0, 1): 0.3, (1, 1): 0.1}
-    got = profit(s, "leja", (1, 1), eta)
+    got = profit("leja", s.monotone_envelope((1, 1)), eta)
     assert got == pytest.approx((0.3 + 0.1) / 2.0, abs=1e-15)
-    assert profit(s, "leja", (2, 0), eta) == pytest.approx(0.9, abs=0)
+    assert profit("leja", s.monotone_envelope((2, 0)), eta) == pytest.approx(0.9, abs=0)
+
+
+def test_drop_stale_returns_forgotten_keys():
+    # each added index and each forward neighbour, held in memo or not
+    memo = {(1, 0): 0.1, (0, 1): 0.2, (2, 0): 0.3, (1, 1): 0.4, (0, 2): 0.5}
+    keys = drop_stale(memo, [(1, 0), (0, 1)])
+    assert keys == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
+    assert memo == {}
+    memo = {(3, 0): 0.6}
+    assert drop_stale(memo, [(2, 0)]) == {(2, 0), (3, 0), (2, 1)}
+    assert memo == {}
+    assert drop_stale({}, []) == set()
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_kept_profits_equal_fresh_profits(kind):
+    # the gn_profit loop's profits, kept across envelope extensions and
+    # dropped through drop_stale's keys, equal fresh ones bit for bit,
+    # with estimates refreshed only for the keys drop_stale returns
+    rng = np.random.default_rng(71)
+    kept = 0
+    for dim in (2, 3, 4):
+        disc = SpatialDiscretization(build_problem({"family": "cosine", "M": dim}), 8)
+        P = SparseInterpolant(kind, dim)
+        random_monotone_growth(P, SolveCache(disc), rng, 1 + dim)
+        s = P.indexset.copy()
+        eta = {k: rng.random() for k in s.margin()}
+        pis, users = {}, {}
+        for step in range(10):
+            before = dict(pis)
+            _profit_argmax(s, kind, eta, pis, users)
+            assert set(pis) == set(eta) == set(s.margin())
+            for k, v in pis.items():
+                assert v == profit(kind, s.monotone_envelope(k), eta), (dim, step, k)
+            kept += sum(1 for k in before if k in pis)
+            cand = s.margin()
+            marked = s.monotone_envelope(cand[rng.integers(len(cand))])
+            for j in marked:
+                s.add(j)
+            keys = drop_stale(eta, marked)
+            eta.update((j, rng.random()) for j in sorted(keys) if j not in s)
+            _forget_profits(pis, users, keys)
+    assert kept > 0
 
 
 # -- reports ----------------------------------------------------------------

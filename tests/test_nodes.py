@@ -44,6 +44,20 @@ def test_growth_values():
     assert growth("clenshaw_curtis", 3) == 8
 
 
+def test_growth_plain_int_and_negative_level():
+    # a NumPy level reaches the memo first (no other test uses level 29),
+    # and every later lookup still gives a plain int
+    for kind, want in (("leja", 29), ("clenshaw_curtis", 2**29)):
+        for k in (np.int64(29), 29, np.int64(29)):
+            got = growth(kind, k)
+            assert type(got) is int and got == want
+    for k in (-1, np.int64(-2)):
+        with pytest.raises(ValueError):
+            growth("clenshaw_curtis", k)
+        with pytest.raises(ValueError):
+            growth("leja", k)
+
+
 def test_growth_inverse_values():
     assert growth_inverse("clenshaw_curtis", 3) == 2
     assert growth_inverse("leja", 7) == 7
