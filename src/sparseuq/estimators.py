@@ -5,11 +5,17 @@ applies a detail operator to the flux of the current interpolant and
 needs no new PDE solves, and the surplus indicator, which solves the
 PDE at the candidate's fresh grid points.  The residual detail follows
 from the stored surplus blocks of the candidate's backward neighbours
-alone, the surplus detail from the new solves.  Both form the detail as
-a HierarchicalBlock of surpluses and measure it in a parametric L^p norm
-over the box: exact tensor Gauss quadrature for p = 2 (uniform product
-measure, weights halved), a tensor sample-grid maximum for p = inf (a
-lower bound of the sup), and fixed-order Gauss quadrature otherwise.
+alone, the surplus detail from the new solves.  Both measure the detail,
+a block of surpluses, in a parametric L^p norm over the box: exact
+tensor Gauss quadrature for p = 2 (uniform product measure, weights
+halved), a tensor sample-grid maximum for p = inf (a lower bound of the
+sup), and fixed-order Gauss quadrature otherwise.  For Leja and R-Leja
+every fresh block is one row c times prod_m h_{k_m}(y_m), so its norm
+factorises exactly into ||c||_2 times a product of memoized 1-D norms of
+the h_{k_m}, for every p: at p = inf the maximum of a product of
+nonnegative per-axis factors over a tensor grid is the product of the
+per-axis maxima.  Multi-point blocks (Clenshaw-Curtis) are expanded on
+the tensor grid.
 """
 
 import functools
@@ -20,7 +26,8 @@ import weakref
 import numpy as np
 
 from .fem import SolveCache, config_mapping, config_number
-from .interp import HierarchicalBlock, _times_y_rows, mode_product, work
+from .interp import HierarchicalBlock, _fresh_table, _times_y_rows, mode_product, work
+from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
 # reference grid rows per block of reference_error's pass: at mesh 256 a
@@ -98,15 +105,29 @@ def sup_points_per_dim(spec, dim):
     return max(2, min(spec.sup_points_per_dim, per))
 
 
+def _fixed_axis_size(spec, dim):
+    """Points per norm axis where they do not depend on the degree: the
+    sample count for p = inf, the quadrature order for p outside
+    {2, inf}.  None for p = 2, whose Gauss order is the degree plus one."""
+    if spec.p == math.inf:
+        return sup_points_per_dim(spec, dim)
+    if spec.p == 2.0:
+        return None
+    return spec.quad_order
+
+
+def _norm_axis(p, n):
+    """One n-point norm axis: equispaced samples with weights None for
+    p = inf, Gauss points and weights otherwise."""
+    if p == math.inf:
+        return np.linspace(-1.0, 1.0, n), None
+    return gauss_axis(n)
+
+
 def norm_axes(spec, degrees):
     """Per-dimension (points, weights) pairs; weights None for p = inf."""
-    dim = len(degrees)
-    if spec.p == math.inf:
-        pts = np.linspace(-1.0, 1.0, sup_points_per_dim(spec, dim))
-        return [(pts, None)] * dim
-    if spec.p == 2.0:
-        return [gauss_axis(int(d) + 1) for d in degrees]
-    return [gauss_axis(spec.quad_order)] * dim
+    n = _fixed_axis_size(spec, len(degrees))
+    return [_norm_axis(spec.p, int(d) + 1 if n is None else n) for d in degrees]
 
 
 def combine_axes(norms, axes, p):
@@ -123,19 +144,56 @@ def combine_axes(norms, axes, p):
     return float((w @ norms**p) ** (1.0 / p))
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_norm(kind, level, p, n):
+    """L^p norm over [-1, 1] of the single fresh basis function of a
+    unit-growth level, on its n-point norm axis (n None: the p = 2 Gauss
+    order m(level) + 1), as norm_axes gives it: sqrt(sum w h^2) for p = 2,
+    max |h| over the samples for p = inf, (sum w |h|^p)^(1/p) otherwise."""
+    if n is None:
+        n = growth(kind, level) + 1
+    pts, w = _norm_axis(p, n)
+    h = np.abs(_fresh_table(kind, level, pts)[:, 0])
+    if p == math.inf:
+        return float(np.max(h))
+    if p == 2.0:
+        return math.sqrt(float(w @ (h * h)))
+    return float(w @ h**p) ** (1.0 / p)
+
+
+def _rank_one_norm(kind, index, row, spec):
+    """L^p-over-box norm of the detail row * prod_m h_{k_m}(y_m), the
+    block of an index whose every fresh range holds one point.
+
+    On the tensor grid of norm_axes the grid norm factorises exactly:
+    ||row||_2 times the product over m of _axis_norm.  For p = inf the
+    maximum over the grid of a product of nonnegative per-axis factors
+    is the product of the per-axis maxima.
+    """
+    n = _fixed_axis_size(spec, len(index))
+    value = math.sqrt(float(row @ row))
+    for km in index:
+        value *= _axis_norm(kind, km, spec.p, n)
+    return value
+
+
 def _euclidean_lp_norm(block, spec):
     """L^p-over-box norm of a detail block whose surplus rows were
     pre-transformed so the spatial norm is the plain Euclidean row norm.
 
-    Its degree in dimension m, m(i_m), is the end of its fresh range.
-    The spatial axis is first compressed with an SVD when that shrinks
-    it: row norms depend on the coefficient matrix only through its
-    left singular factors, so this is exact and cuts the cost of the
-    grid expansion.  For p = inf the sample order is irrelevant (plain
-    max); otherwise the norms are restored to canonical order before
-    weighting.
+    A one-row block (Leja, R-Leja) is measured by _rank_one_norm, a
+    product of memoized 1-D norms.  A multi-point block (Clenshaw-Curtis)
+    is expanded on the tensor grid of norm_axes: its degree in dimension
+    m, m(i_m), is the end of its fresh range.  The spatial axis is first
+    compressed with an SVD when that shrinks it: row norms depend on the
+    coefficient matrix only through its left singular factors, so this
+    is exact and cuts the cost of the grid expansion.  For p = inf the
+    sample order is irrelevant (plain max); otherwise the norms are
+    restored to canonical order before weighting.
     """
     flat = block.values.reshape(-1, block.values.shape[-1])
+    if flat.shape[0] == 1:
+        return _rank_one_norm(block.family.kind, block.index, flat[0], spec)
     if flat.shape[0] < flat.shape[1]:
         U, s, _ = np.linalg.svd(flat, full_matrices=False)
         block = HierarchicalBlock(block.family, block.index, U * s)
@@ -165,6 +223,14 @@ def residual_estimator(P, problem, disc, k, spec):
     degree in dimension m is m(k_m) and the norm depends on k alone, not
     on the rest of the index set.  k must lie outside the current index
     set; with no backward neighbour in it the detail is zero.
+
+    When every fresh range of k holds one point (always for Leja and
+    R-Leja), all axes but m of block k - e_m have length one, so the
+    mode product along m is a plain matrix product with its rows (for
+    unit-growth families the scalar d_l / d_{l-1} times its one row).
+    The detail is then one spatial vector, measured by _rank_one_norm
+    with no block, mode product or SVD; other details take
+    _euclidean_lp_norm's grid path.
     """
     k = tuple(int(v) for v in k)
     if len(k) != P.dim:
@@ -172,6 +238,7 @@ def residual_estimator(P, problem, disc, k, spec):
     if k in P.indexset:
         raise ValueError("index %r is already in the set" % (k,))
     kind = P.family.kind
+    rank_one = work(kind, k) == 1
     detail = None
     for m, km in enumerate(k):
         back = k[:m] + (km - 1,) + k[m + 1 :]
@@ -179,15 +246,20 @@ def residual_estimator(P, problem, disc, k, spec):
             continue
         start, count = P.block_of(back)
         grads = disc.gradient_rows(P.surpluses()[start : start + count])
-        term = mode_product(
-            _times_y_rows(kind, km), HierarchicalBlock(kind, back, grads).values, m
-        )
+        if rank_one:
+            term = _times_y_rows(kind, km) @ grads
+        else:
+            term = mode_product(
+                _times_y_rows(kind, km), HierarchicalBlock(kind, back, grads).values, m
+            )
         term *= disc.terms_mid[m]
         detail = term if detail is None else detail + term
     if detail is None:
         return 0.0
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
     detail *= math.sqrt(disc.h)
+    if rank_one:
+        return _rank_one_norm(kind, k, detail[0], spec)
     block = HierarchicalBlock(kind, k, detail.reshape(-1, detail.shape[-1]))
     return _euclidean_lp_norm(block, spec)
 

@@ -9,7 +9,8 @@ the telescoping sum of tensorized detail operators over the index set.
 
 HierarchicalBlock holds one detail polynomial in the same hierarchical
 form, either from surpluses or, through from_level_grid, from values on
-a full level grid; both estimators measure their details in this form.
+a full level grid; the estimators measure multi-point details in this
+form (a one-point detail is a single row, measured without a block).
 _times_y_rows carries a block's surpluses through "multiply by y_m, then
 take the next level's detail", which is how the residual estimator forms
 its detail from the stored blocks alone.
@@ -39,8 +40,14 @@ def work(kind, i):
 
     Product over dimensions of m(i_m) - m(i_m - 1), where the growth
     function is extended by m(-1) = -1 so a zero component contributes
-    one point.
+    one point.  A plain int, memoized per (kind, index); NumPy integer
+    components share the entry of the equal plain ones.
     """
+    return _work(kind, tuple(i))
+
+
+@functools.lru_cache(maxsize=None)
+def _work(kind, i):
     w = 1
     for im in i:
         prev = growth(kind, im - 1) if im >= 1 else -1

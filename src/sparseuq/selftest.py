@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from .adaptive import AdaptiveConfig, run_strategy
+from .estimators import NormSpec, _euclidean_lp_norm
 from .fem import DiffusionProblem, SpatialDiscretization, build_problem, check_ellipticity
 from .interp import HierarchicalBlock, SparseInterpolant, detail_apply_ct
 from .multiindex import MonotoneIndexSet, is_monotone, margin, reduced_margin
@@ -53,6 +54,17 @@ def _check_interpolation():
     assert np.allclose(blk.evaluate(Y), ct.evaluate(Y), atol=1e-12)
 
 
+def _check_norms():
+    # a Leja block on (1, 1) with the one surplus row [3, 4] is the detail
+    # [3, 4] (y0 + 1)(y1 + 1) / 4; its norm factorises into ||[3, 4]|| = 5
+    # times the 1-D norms of (y + 1) / 2: 1/sqrt(3) at p = 2, 1 at p = inf
+    blk = HierarchicalBlock("leja", (1, 1), [[3.0, 4.0]])
+    got = _euclidean_lp_norm(blk, NormSpec(p=2))
+    assert abs(got - 5.0 / 3.0) < 1e-14, got
+    got = _euclidean_lp_norm(blk, NormSpec(p="inf"))
+    assert abs(got - 5.0) < 1e-14, got
+
+
 def _check_fem():
     prob = DiffusionProblem(1, lambda x: np.full_like(x, 2.0), [lambda x: np.zeros_like(x)], lambda x: np.ones_like(x))
     disc = SpatialDiscretization(prob, 64)
@@ -87,6 +99,7 @@ CHECKS = [
     ("node families", _check_nodes),
     ("monotone sets", _check_multiindex),
     ("sparse interpolation", _check_interpolation),
+    ("parametric norms", _check_norms),
     ("finite elements", _check_fem),
     ("adaptive loop", _check_adaptive),
 ]

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparseuq import estimators
 from sparseuq.adaptive import _forget_profits, _profit_argmax
 from sparseuq.estimators import (
     _ROW_BLOCK,
@@ -41,6 +42,7 @@ from sparseuq.interp import (
     TensorDetail,
     TensorPoly,
     tensor_values,
+    work,
 )
 from sparseuq.multiindex import MonotoneIndexSet
 from sparseuq.nodes import growth
@@ -162,6 +164,60 @@ def test_parametric_norm_spatial_dispatch():
     assert disc.h1_rows(prof)[0] == pytest.approx(disc.l2_element_rows(grad)[0], rel=1e-13)
 
 
+def grid_lp_norm(block, spec):
+    """Grid-expansion oracle: the block's values on the tensor grid of
+    norm_axes, row norms, then combine_axes.  The spatial axis is first
+    compressed by an SVD when that shrinks it, exactly as the grid path
+    does, so the two agree bitwise on the blocks that take it."""
+    flat = block.values.reshape(-1, block.values.shape[-1])
+    if flat.shape[0] < flat.shape[1]:
+        U, s, _ = np.linalg.svd(flat, full_matrices=False)
+        block = HierarchicalBlock(block.family, block.index, U * s)
+    axes = norm_axes(spec, [r.stop - 1 for r in block.ranges])
+    raw = block.chain_raw([a[0] for a in axes])
+    rows = raw.reshape(-1, raw.shape[-1])
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    # chain_raw leaves the sample axes reversed; combine_axes wants C order
+    norms = np.ascontiguousarray(norms.reshape(raw.shape[:-1]).transpose()).ravel()
+    return combine_axes(norms, axes, spec.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+@pytest.mark.parametrize("kind", ["leja", "rleja"])
+def test_rank_one_norm_matches_grid_expansion(kind, p):
+    # one-row blocks are measured as ||c||_2 times a product of 1-D norms;
+    # every level 0..6 appears in every dimension count
+    rng = np.random.default_rng(83)
+    spec = NormSpec(p=p)
+    for dim in range(1, 7):
+        for shift in range(7):
+            index = tuple((shift + 3 * m) % 7 for m in range(dim))
+            block = HierarchicalBlock(kind, index, rng.normal(size=(1, 5)))
+            got = _euclidean_lp_norm(block, spec)
+            want = grid_lp_norm(block, spec)
+            assert abs(got - want) <= 1e-13 * want, (dim, index, got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+def test_multi_point_blocks_keep_grid_path(p):
+    # Clenshaw-Curtis blocks with more than one fresh point are expanded on
+    # the grid as before, with and without the SVD compression
+    rng = np.random.default_rng(89)
+    spec = NormSpec(p=p)
+    seen = 0
+    for dim in (1, 2, 3):
+        for _ in range(5):
+            index = tuple(int(v) for v in rng.integers(0, 4, size=dim))
+            rows = work("clenshaw_curtis", index)
+            if rows == 1:
+                continue
+            for K in (1, 70):
+                block = HierarchicalBlock("clenshaw_curtis", index, rng.normal(size=(rows, K)))
+                assert _euclidean_lp_norm(block, spec) == grid_lp_norm(block, spec)
+                seen += 1
+    assert seen >= 20
+
+
 # -- residual estimator -----------------------------------------------------
 
 
@@ -239,7 +295,7 @@ def sampled_residual(P, disc, k, spec):
     kind = P.family.kind
     flux = tensor_values(kind, k, lambda Y: flux_on_points(P, disc, Y))
     block = HierarchicalBlock.from_level_grid(kind, k, flux * math.sqrt(disc.h))
-    return _euclidean_lp_norm(block, spec)
+    return grid_lp_norm(block, spec)
 
 
 def ct_residual(P, disc, k, spec):
@@ -295,6 +351,35 @@ def test_residual_neighbour_blocks_match_sampling(kind, p):
             got = residual_estimator(P, problem, disc, k, spec)
             want = sampled_residual(P, disc, tuple(k), spec)
             assert abs(got - want) <= 1e-12 * scale, (dim, k, got, want)
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja"])
+def test_rank_one_residuals_skip_the_grid_path(kind, monkeypatch):
+    # unit-growth details are one spatial vector measured by 1-D norms: no
+    # block, mode product, grid expansion or SVD may run, so a silent
+    # fall-back to the grid path fails here
+    rng = np.random.default_rng(97)
+    problem = build_problem({"family": "cosine", "M": 3, "gamma": 0.9})
+    disc = SpatialDiscretization(problem, 32)
+    P = SparseInterpolant(kind, 3)
+    random_monotone_growth(P, SolveCache(disc), rng, 10)
+    spec = NormSpec(p=2)
+    want = {tuple(k): sampled_residual(P, disc, tuple(k), spec) for k in P.indexset.margin()}
+    flux0 = flux_on_points(P, disc, np.zeros((1, 3)))
+    scale = math.sqrt(disc.h) * float(np.linalg.norm(flux0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid path ran")
+
+    monkeypatch.setattr(estimators, "mode_product", refuse)
+    monkeypatch.setattr(estimators, "HierarchicalBlock", refuse)
+    monkeypatch.setattr(HierarchicalBlock, "chain_raw", refuse)
+    monkeypatch.setattr(estimators.np.linalg, "svd", refuse)
+    report = margin_report(P, problem, disc, spec)
+    assert set(report.values) == set(want)
+    assert report.vmax > 0.0
+    for k, got in report.values.items():
+        assert abs(got - want[k]) <= 1e-12 * scale, (k, got, want[k])
 
 
 # -- surplus indicator ------------------------------------------------------

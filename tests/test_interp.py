@@ -2,10 +2,12 @@
 polynomial-exactness properties, combination-technique cross-checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from sparseuq.estimators import profit
 from sparseuq.interp import (
     HierarchicalBlock,
     SparseInterpolant,
@@ -66,6 +68,39 @@ def test_work_examples():
     assert work("clenshaw_curtis", (0,)) == 1
     assert work("clenshaw_curtis", (1,)) == 2
     assert work("clenshaw_curtis", (2, 1)) == 4
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_work_memo_counts_fresh_points(kind):
+    # memoized per (kind, index); NumPy components give the same plain int
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 4):
+        for _ in range(10):
+            i = rng.integers(0, 5, size=dim)
+            plain = tuple(int(v) for v in i)
+            want = math.prod(len(r) for r in fresh_ranges(kind, plain))
+            for key in (tuple(i), plain, i):
+                got = work(kind, key)
+                assert got == want and type(got) is int, (key, got, want)
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_work_memo_keeps_reload_and_profit(kind):
+    rng = np.random.default_rng(6)
+    s = random_monotone(rng, 3, 8)
+    P = build_interpolant(kind, s, lambda y: np.array([np.cos(y).sum()]))
+    Q = SparseInterpolant.from_jsonable(P.to_jsonable())
+    assert Q.point_indices() == P.point_indices()
+    assert np.array_equal(Q.surpluses(), P.surpluses())
+    data = P.to_jsonable()
+    data["points"].pop()
+    with pytest.raises(ValueError, match="point count"):
+        SparseInterpolant.from_jsonable(data)
+    eta = {k: rng.random() for k in s.margin()}
+    for k in s.margin():
+        env = s.monotone_envelope(k)
+        den = sum(len(list(itertools.product(*fresh_ranges(kind, j)))) for j in env)
+        assert profit(kind, env, eta) == sum(eta[j] for j in env) / den
 
 
 def test_fresh_ranges_cc():
