@@ -5,14 +5,16 @@ applies a detail operator to the flux of the current interpolant and
 needs no new PDE solves, and the surplus indicator, which solves the
 PDE at the candidate's fresh grid points.  The residual detail follows
 from the stored surplus blocks of the candidate's backward neighbours
-alone, the surplus detail from the new solves.  Both measure the detail,
-a block of surpluses, in a parametric L^p norm over the box: exact
-tensor Gauss quadrature for p = 2 (uniform product measure, weights
-halved), a tensor sample-grid maximum for p = inf (a lower bound of the
-sup), and fixed-order Gauss quadrature otherwise.  For Leja and R-Leja
-every fresh block is one row c times prod_m h_{k_m}(y_m), so its norm
-factorises exactly into ||c||_2 times a product of memoized 1-D norms of
-the h_{k_m}, for every p: at p = inf the maximum of a product of
+alone, the surplus detail from the new solves.  Either detail is a
+block of flat surplus rows on the candidate's fresh points, formed by
+interp.mode_product and measured by one function, _euclidean_lp_norm,
+in a parametric L^p norm over the box: exact tensor Gauss quadrature
+for p = 2 (uniform product measure, weights halved), a tensor
+sample-grid maximum for p = inf (a lower bound of the sup), and
+fixed-order Gauss quadrature otherwise.  For Leja and R-Leja every
+fresh block is one row c times prod_m h_{k_m}(y_m), so its norm
+factorises exactly into ||c||_2 times a product of memoized 1-D norms
+of the h_{k_m}, for every p: at p = inf the maximum of a product of
 nonnegative per-axis factors over a tensor grid is the product of the
 per-axis maxima.  Multi-point blocks (Clenshaw-Curtis) are expanded on
 the tensor grid.
@@ -26,7 +28,7 @@ import weakref
 import numpy as np
 
 from .fem import SolveCache, config_mapping, config_number
-from .interp import HierarchicalBlock, _fresh_table, _times_y_rows, mode_product, work
+from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -144,66 +146,66 @@ def combine_axes(norms, axes, p):
     return float((w @ norms**p) ** (1.0 / p))
 
 
+def _level_axis(kind, level, p, n):
+    """Level's norm axis as norm_axes gives it: n points, or for n None
+    (p = 2) the Gauss order m(level) + 1."""
+    return _norm_axis(p, growth(kind, level) + 1 if n is None else n)
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_table(kind, level, p, n):
+    """Fresh-basis columns of one level on its norm axis.  Norm axes
+    repeat from call to call, so each table is built once.  Read-only:
+    every caller shares it."""
+    table = _fresh_table(kind, level, _level_axis(kind, level, p, n)[0])
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=None)
 def _axis_norm(kind, level, p, n):
     """L^p norm over [-1, 1] of the single fresh basis function of a
-    unit-growth level, on its n-point norm axis (n None: the p = 2 Gauss
-    order m(level) + 1), as norm_axes gives it: sqrt(sum w h^2) for p = 2,
-    max |h| over the samples for p = inf, (sum w |h|^p)^(1/p) otherwise."""
-    if n is None:
-        n = growth(kind, level) + 1
-    pts, w = _norm_axis(p, n)
-    h = np.abs(_fresh_table(kind, level, pts)[:, 0])
-    if p == math.inf:
-        return float(np.max(h))
-    if p == 2.0:
-        return math.sqrt(float(w @ (h * h)))
-    return float(w @ h**p) ** (1.0 / p)
+    unit-growth level on its norm axis, as combine_axes measures it."""
+    h = np.abs(_axis_table(kind, level, p, n)[:, 0])
+    return combine_axes(h, [_level_axis(kind, level, p, n)], p)
 
 
-def _rank_one_norm(kind, index, row, spec):
-    """L^p-over-box norm of the detail row * prod_m h_{k_m}(y_m), the
-    block of an index whose every fresh range holds one point.
+def _euclidean_lp_norm(kind, index, rows, spec):
+    """L^p-over-box norm of the detail on the fresh block of index, given
+    as flat C-order surplus rows pre-transformed so the spatial norm is
+    the plain Euclidean row norm.
 
-    On the tensor grid of norm_axes the grid norm factorises exactly:
-    ||row||_2 times the product over m of _axis_norm.  For p = inf the
-    maximum over the grid of a product of nonnegative per-axis factors
-    is the product of the per-axis maxima.
-    """
-    n = _fixed_axis_size(spec, len(index))
-    value = math.sqrt(float(row @ row))
-    for km in index:
-        value *= _axis_norm(kind, km, spec.p, n)
-    return value
-
-
-def _euclidean_lp_norm(block, spec):
-    """L^p-over-box norm of a detail block whose surplus rows were
-    pre-transformed so the spatial norm is the plain Euclidean row norm.
-
-    A one-row block (Leja, R-Leja) is measured by _rank_one_norm, a
-    product of memoized 1-D norms.  A multi-point block (Clenshaw-Curtis)
-    is expanded on the tensor grid of norm_axes: its degree in dimension
-    m, m(i_m), is the end of its fresh range.  The spatial axis is first
-    compressed with an SVD when that shrinks it: row norms depend on the
-    coefficient matrix only through its left singular factors, so this
-    is exact and cuts the cost of the grid expansion.  For p = inf the
-    sample order is irrelevant (plain max); otherwise the norms are
+    One row c (Leja, R-Leja) is the detail c * prod_m h_{k_m}(y_m).  On
+    the tensor grid of norm_axes its norm factorises exactly: ||c||_2
+    times the product over m of _axis_norm.  For p = inf the maximum over
+    the grid of a product of nonnegative per-axis factors is the product
+    of the per-axis maxima.  More rows (Clenshaw-Curtis) are expanded on
+    that grid: the degree in dimension m is m(k_m).  The spatial axis is
+    first compressed with an SVD when that shrinks it: row norms depend
+    on the coefficient matrix only through its left singular factors, so
+    this is exact and cuts the cost of the grid expansion.  For p = inf
+    the sample order is irrelevant (plain max); otherwise the norms are
     restored to canonical order before weighting.
     """
-    flat = block.values.reshape(-1, block.values.shape[-1])
-    if flat.shape[0] == 1:
-        return _rank_one_norm(block.family.kind, block.index, flat[0], spec)
-    if flat.shape[0] < flat.shape[1]:
-        U, s, _ = np.linalg.svd(flat, full_matrices=False)
-        block = HierarchicalBlock(block.family, block.index, U * s)
-    axes = norm_axes(spec, [r.stop - 1 for r in block.ranges])
-    raw = block.chain_raw([a[0] for a in axes])
-    rows = raw.reshape(-1, raw.shape[-1])
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    n = _fixed_axis_size(spec, len(index))
+    if rows.shape[0] == 1:
+        value = math.sqrt(float(rows[0] @ rows[0]))
+        for km in index:
+            value *= _axis_norm(kind, km, spec.p, n)
+        return value
+    if rows.shape[0] < rows.shape[1]:
+        U, s, _ = np.linalg.svd(rows, full_matrices=False)
+        rows = U * s
+    T = rows.reshape(fresh_shape(kind, index) + (rows.shape[1],))
+    # each contraction puts its sample axis first: they end up reversed
+    for m, km in enumerate(index):
+        T = np.tensordot(_axis_table(kind, km, spec.p, n), T, axes=(1, m))
+    flat = T.reshape(-1, T.shape[-1])
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     if spec.p == math.inf:
         return float(np.max(norms)) if norms.size else 0.0
-    norms = np.ascontiguousarray(norms.reshape(raw.shape[:-1]).transpose()).ravel()
+    norms = np.ascontiguousarray(norms.reshape(T.shape[:-1]).transpose()).ravel()
+    axes = [_level_axis(kind, km, spec.p, n) for km in index]
     return combine_axes(norms, axes, spec.p)
 
 
@@ -224,13 +226,10 @@ def residual_estimator(P, problem, disc, k, spec):
     on the rest of the index set.  k must lie outside the current index
     set; with no backward neighbour in it the detail is zero.
 
-    When every fresh range of k holds one point (always for Leja and
-    R-Leja), all axes but m of block k - e_m have length one, so the
-    mode product along m is a plain matrix product with its rows (for
-    unit-growth families the scalar d_l / d_{l-1} times its one row).
-    The detail is then one spatial vector, measured by _rank_one_norm
-    with no block, mode product or SVD; other details take
-    _euclidean_lp_norm's grid path.
+    The detail is formed as flat rows on k's fresh block: block k - e_m
+    has k's fresh shape in every axis but m, so interp.mode_product maps
+    its rows along m.  For Leja and R-Leja every block is one row and the
+    mode product a scalar times it.
     """
     k = tuple(int(v) for v in k)
     if len(k) != P.dim:
@@ -238,7 +237,7 @@ def residual_estimator(P, problem, disc, k, spec):
     if k in P.indexset:
         raise ValueError("index %r is already in the set" % (k,))
     kind = P.family.kind
-    rank_one = work(kind, k) == 1
+    shape = fresh_shape(kind, k)
     detail = None
     for m, km in enumerate(k):
         back = k[:m] + (km - 1,) + k[m + 1 :]
@@ -246,22 +245,14 @@ def residual_estimator(P, problem, disc, k, spec):
             continue
         start, count = P.block_of(back)
         grads = disc.gradient_rows(P.surpluses()[start : start + count])
-        if rank_one:
-            term = _times_y_rows(kind, km) @ grads
-        else:
-            term = mode_product(
-                _times_y_rows(kind, km), HierarchicalBlock(kind, back, grads).values, m
-            )
+        term = mode_product(_times_y_rows(kind, km), grads, math.prod(shape[:m]))
         term *= disc.terms_mid[m]
         detail = term if detail is None else detail + term
     if detail is None:
         return 0.0
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
     detail *= math.sqrt(disc.h)
-    if rank_one:
-        return _rank_one_norm(kind, k, detail[0], spec)
-    block = HierarchicalBlock(kind, k, detail.reshape(-1, detail.shape[-1]))
-    return _euclidean_lp_norm(block, spec)
+    return _euclidean_lp_norm(kind, k, detail, spec)
 
 
 def fresh_solves(P, cache, k):
@@ -285,8 +276,8 @@ def surplus_indicator(P, problem, disc, k, spec, cache):
     surplus = u_rows if P.n_points == 0 else u_rows - P.evaluate(coords)
     # H1_0 seminorm of nodal rows is the Euclidean norm of the scaled
     # element differences, which commute with the basis expansion
-    block = HierarchicalBlock(P.family, k, np.diff(surplus, axis=-1) / math.sqrt(disc.h))
-    return _euclidean_lp_norm(block, spec)
+    rows = np.diff(surplus, axis=-1) / math.sqrt(disc.h)
+    return _euclidean_lp_norm(P.family.kind, k, rows, spec)
 
 
 def profit(kind, env, eta):

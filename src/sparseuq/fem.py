@@ -287,8 +287,8 @@ def build_problem(spec):
     """
     spec = dict(config_mapping("problem", spec))
     dim = config_number("problem.M", spec.get("M", 2), int)
-    if dim < 0:
-        raise ValueError("M must be non-negative")
+    if dim < 1:
+        raise ValueError("problem.M must be at least 1, got %d" % dim)
     family = str(spec.get("family", "cosine")).lower()
     a0 = config_number("problem.a0", spec.get("a0", 2.0))
     amps = _amplitudes(dim, spec)

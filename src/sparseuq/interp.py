@@ -7,13 +7,14 @@ product of univariate hierarchical basis functions.  For nested node
 families and monotone index sets this sum is interpolatory and equal to
 the telescoping sum of tensorized detail operators over the index set.
 
-HierarchicalBlock holds one detail polynomial in the same hierarchical
-form, either from surpluses or, through from_level_grid, from values on
-a full level grid; the estimators measure multi-point details in this
-form (a one-point detail is a single row, measured without a block).
-_times_y_rows carries a block's surpluses through "multiply by y_m, then
-take the next level's detail", which is how the residual estimator forms
-its detail from the stored blocks alone.
+The surpluses of one index's fresh block are flat rows in C order over
+its fresh_shape.  mode_product applies a matrix along one axis of such
+rows without leaving the flat form: _times_y_rows carries a block
+through "multiply by y_m, then take the next level's detail", which is
+how the residual estimator forms its detail from the stored blocks
+alone, and _fresh_inverse_rows takes level-grid values to surpluses.
+HierarchicalBlock wraps one such block as an evaluable detail
+polynomial, for selftest and the tests' oracles.
 
 TensorPoly and TensorDetail provide the combination-technique view: a
 detail operator applied to a function is a signed sum of full tensor
@@ -24,6 +25,7 @@ tests' reference for the hierarchical form.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -35,24 +37,29 @@ _EINSUM_LETTERS = "abcdefghij"
 _DOMAIN_SLACK = 1e-12
 
 
-def work(kind, i):
-    """Number of fresh grid points a multi-index contributes.
+def fresh_shape(kind, i):
+    """Per-dimension counts m(i_m) - m(i_m - 1) of the fresh points of i,
+    the growth function extended by m(-1) = -1 so a zero component
+    contributes one point.  A tuple of plain ints, memoized per
+    (kind, index); NumPy integer components share the entry of the equal
+    plain ones."""
+    return _fresh_shape(kind, tuple(i))
 
-    Product over dimensions of m(i_m) - m(i_m - 1), where the growth
-    function is extended by m(-1) = -1 so a zero component contributes
-    one point.  A plain int, memoized per (kind, index); NumPy integer
-    components share the entry of the equal plain ones.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _fresh_shape(kind, i):
+    return tuple(len(r) for r in fresh_ranges(kind, i))
+
+
+def work(kind, i):
+    """Number of fresh grid points a multi-index contributes: the product
+    of its fresh_shape, a plain int memoized like it."""
     return _work(kind, tuple(i))
 
 
 @functools.lru_cache(maxsize=None)
 def _work(kind, i):
-    w = 1
-    for im in i:
-        prev = growth(kind, im - 1) if im >= 1 else -1
-        w *= growth(kind, im) - prev
-    return w
+    return math.prod(_fresh_shape(kind, i))
 
 
 def fresh_ranges(kind, i):
@@ -469,25 +476,22 @@ def _times_y_rows(kind, level):
     return rows
 
 
-def mode_product(A, T, m):
-    """The matrix A applied along axis m of the tensor T."""
-    return np.moveaxis(np.tensordot(A, T, axes=(1, m)), 0, m)
+def mode_product(A, rows, pre):
+    """The matrix A applied along one axis of a block's flat C-order rows.
+
+    pre is the product of the axis lengths before that axis: the rows
+    are viewed as a (pre, A.shape[1], post) tensor of row vectors and
+    one np.matmul maps the middle axis.  Returns flat rows again, in C
+    order over the block's shape with that axis now A.shape[0] long.
+    """
+    T = rows.reshape(pre, A.shape[1], -1)
+    return np.matmul(A, T).reshape(-1, rows.shape[-1])
 
 
 def _fresh_table(kind, level, ys):
     """Fresh-basis columns of one level at the samples ys."""
     r = fresh_ranges(kind, (level,))[0]
     return get_family(kind).basis_matrix(ys, r.stop)[:, r.start : r.stop]
-
-
-@functools.lru_cache(maxsize=1024)
-def _axis_table(kind, level, axis_bytes):
-    """_fresh_table on a norm axis given by its bytes.  Norm axes repeat
-    from call to call, so the tables are built once.  Read-only: every
-    caller shares it."""
-    table = _fresh_table(kind, level, np.frombuffer(axis_bytes))
-    table.flags.writeable = False
-    return table
 
 
 class HierarchicalBlock:
@@ -502,11 +506,10 @@ class HierarchicalBlock:
         self.family = get_family(family)
         self.index = tuple(int(v) for v in i)
         self.dim = len(self.index)
-        self.ranges = fresh_ranges(self.family.kind, self.index)
-        shape = tuple(len(r) for r in self.ranges)
         rows = np.asarray(surplus_rows, dtype=np.float64)
         if rows.ndim == 1:
             rows = rows[:, None]
+        shape = fresh_shape(self.family.kind, self.index)
         self.values = rows.reshape(shape + (rows.shape[1],))
 
     @classmethod
@@ -520,26 +523,14 @@ class HierarchicalBlock:
         product per dimension, leave the detail's surpluses.
         """
         fam = get_family(family)
-        T = np.asarray(values_nd, dtype=np.float64)
+        shape = fresh_shape(fam.kind, i)
+        values = np.asarray(values_nd, dtype=np.float64)
+        rows = values.reshape(-1, values.shape[-1])
         for m, km in enumerate(i):
-            if growth(fam.kind, km) == 0:
-                continue  # one node: its value is its surplus
-            T = mode_product(_fresh_inverse_rows(fam.kind, int(km)), T, m)
-        return cls(fam, i, T.reshape(-1, T.shape[-1]))
-
-    def _tables(self, axes):
-        """Fresh-basis tables on the 1-D norm axes, from the memo."""
-        kind = self.family.kind
-        return [
-            _axis_table(kind, km, np.asarray(axes[m], dtype=np.float64).tobytes())
-            for m, km in enumerate(self.index)
-        ]
-
-    def chain_raw(self, axes):
-        T = self.values
-        for m, table in enumerate(self._tables(axes)):
-            T = np.tensordot(table, T, axes=(1, m))
-        return T
+            # axes before m already hold the fresh points of i
+            A = _fresh_inverse_rows(fam.kind, int(km))
+            rows = mode_product(A, rows, math.prod(shape[:m]))
+        return cls(fam, i, rows)
 
     def evaluate(self, Y):
         Y = np.asarray(Y, dtype=np.float64).reshape(-1, self.dim)

@@ -104,6 +104,16 @@ def _golden_max(f, a, b, iters=_GOLDEN_ITERS):
     return 0.5 * (a + b)
 
 
+def _grow_circle_fractions(qs, n):
+    """Extend the circle-Leja angles qs (multiples of pi, starting 0, 1)
+    to at least n entries.  Each step halves the angle halfway along the
+    list and appends it and its antipode, q/2 and q/2 + 1."""
+    while len(qs) < n:
+        q = qs[len(qs) // 2] / 2
+        qs.append(q)
+        qs.append(q + 1)
+
+
 class NodeFamily:
     """One nested node family with cached sequence and basis data."""
 
@@ -194,11 +204,7 @@ class NodeFamily:
         idx = self._rleja_next
         half = Fraction(1, 2)
         while len(nodes) < n:
-            if idx >= len(qs):
-                m = len(qs) // 2
-                q = qs[m] / 2
-                qs.append(q)
-                qs.append(q + 1)
+            _grow_circle_fractions(qs, idx + 1)
             q = qs[idx]
             idx += 1
             r = q if q <= 1 else 2 - q
@@ -348,13 +354,8 @@ def rleja_circle_fractions(n):
     These are the angles of the greedy sequence on the full unit circle
     whose projection gives the rleja family.
     """
-    fam = get_family(RLEJA)
-    qs = fam._rleja_qs
-    while len(qs) < n:
-        m = len(qs) // 2
-        q = qs[m] / 2
-        qs.append(q)
-        qs.append(q + 1)
+    qs = get_family(RLEJA)._rleja_qs
+    _grow_circle_fractions(qs, n)
     return list(qs[:n])
 
 

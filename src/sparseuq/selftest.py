@@ -58,10 +58,10 @@ def _check_norms():
     # a Leja block on (1, 1) with the one surplus row [3, 4] is the detail
     # [3, 4] (y0 + 1)(y1 + 1) / 4; its norm factorises into ||[3, 4]|| = 5
     # times the 1-D norms of (y + 1) / 2: 1/sqrt(3) at p = 2, 1 at p = inf
-    blk = HierarchicalBlock("leja", (1, 1), [[3.0, 4.0]])
-    got = _euclidean_lp_norm(blk, NormSpec(p=2))
+    row = np.array([[3.0, 4.0]])
+    got = _euclidean_lp_norm("leja", (1, 1), row, NormSpec(p=2))
     assert abs(got - 5.0 / 3.0) < 1e-14, got
-    got = _euclidean_lp_norm(blk, NormSpec(p="inf"))
+    got = _euclidean_lp_norm("leja", (1, 1), row, NormSpec(p="inf"))
     assert abs(got - 5.0) < 1e-14, got
 
 

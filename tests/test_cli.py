@@ -116,6 +116,8 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"reference": {"quad_order": [1]}}, "reference.quad_order must be an integer"),
         # so did sections of the wrong type and null problem numbers
         ({"problem": {"M": None}}, "problem.M must be an integer"),
+        # M = 0 once left a header-only trace file behind, then exited 3
+        ({"problem": {"M": 0}}, "problem.M must be at least 1"),
         ({"problem": [1]}, "problem must be a mapping"),
         ({"norm": [2]}, "norm must be a mapping"),
         ({"reference": 5}, "reference must be a mapping"),

@@ -18,6 +18,7 @@ from sparseuq.interp import (
     detail_apply_ct,
     fresh_ranges,
     grid_points,
+    mode_product,
     tensor_grid_axes,
     tensor_grid_coords,
     tensor_interpolant,
@@ -415,6 +416,35 @@ def test_fresh_inverse_rows_invert_basis_table(kind):
         fresh = fresh_ranges(kind, (level,))[0]
         got = _fresh_inverse_rows(kind, level) @ B
         assert np.max(np.abs(got - np.eye(n)[fresh.start :])) <= 1e-13, level
+
+
+@pytest.mark.parametrize("kind", ["leja", "clenshaw_curtis"])
+def test_mode_product_on_flat_rows_matches_tensordot(kind):
+    # flat C-order rows against the tensor form of the same mode product,
+    # with the matrices the residual estimator and from_level_grid apply
+    rng = np.random.default_rng(19)
+    mats = [_times_y_rows(kind, lev) for lev in range(1, 5)]
+    mats += [_fresh_inverse_rows(kind, lev) for lev in range(1, 5)]
+    one_row = 0
+    for dim in (1, 2, 3, 4):
+        for m in range(dim):
+            for A in mats:
+                for ones in (True, False):
+                    shape = [1] * dim if ones else [int(v) for v in rng.integers(1, 4, size=dim)]
+                    shape[m] = A.shape[1]
+                    T = rng.normal(size=tuple(shape) + (int(rng.integers(1, 6)),))
+                    rows = T.reshape(-1, T.shape[-1])
+                    got = mode_product(A, rows, math.prod(shape[:m]))
+                    want = np.moveaxis(np.tensordot(A, T, (1, m)), 0, m)
+                    want = want.reshape(-1, T.shape[-1])
+                    assert got.shape == want.shape
+                    if rows.shape[0] == 1 and got.shape[0] == 1:
+                        assert np.array_equal(got, want), (dim, m, A.shape)
+                        one_row += 1
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-14 * scale, (dim, m, A.shape)
+    # at least Leja's four 1 x 1 matrices on all-ones shapes, every (dim, m)
+    assert one_row >= (40 if kind == "leja" else 0)
 
 
 @pytest.mark.parametrize("kind", ["leja", "rleja"])
