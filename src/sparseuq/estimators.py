@@ -267,13 +267,15 @@ def surplus_indicator(P, problem, disc, k, spec, cache):
     """Parametric norm (spatial H1_0) of the candidate's detail of u.
 
     Solves the PDE at the fresh grid points of k through the cache, so
-    a later add_index(k) reuses every solve.  k must be addable.
+    a later add_index(k) reuses every solve.  k must be addable.  The
+    interpolant's part is P.value_below(k), summed over the blocks
+    i <= k only (see there why the others vanish at these points).
     """
     k = tuple(int(v) for v in k)
     if not P.indexset.is_admissible(k):
         raise ValueError("index %r is not addable to the current set" % (k,))
-    coords, u_rows = fresh_solves(P, cache, k)
-    surplus = u_rows if P.n_points == 0 else u_rows - P.evaluate(coords)
+    u_rows = fresh_solves(P, cache, k)[1]
+    surplus = u_rows if P.n_points == 0 else u_rows - P.value_below(k)
     # H1_0 seminorm of nodal rows is the Euclidean norm of the scaled
     # element differences, which commute with the basis expansion
     rows = np.diff(surplus, axis=-1) / math.sqrt(disc.h)
@@ -379,8 +381,9 @@ def reduced_margin_report(P, problem, disc, spec, cache, memo=None):
     all its backward neighbours, and so every index i < k, in Lambda.
     At k's fresh points S_Lambda u involves only the blocks of indices
     i < k: the basis functions of a block with some i_m > k_m vanish
-    exactly on level k_m's nodes.  So k's surplus, and its indicator,
-    never change until k itself is added.
+    exactly on level k_m's nodes (SparseInterpolant.value_below states
+    the argument and sums only those blocks).  So k's surplus, and its
+    indicator, never change until k itself is added.
     """
     cands = [tuple(k) for k in P.indexset.reduced_margin()]
     return _memo_report(

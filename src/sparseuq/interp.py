@@ -7,6 +7,12 @@ product of univariate hierarchical basis functions.  For nested node
 families and monotone index sets this sum is interpolatory and equal to
 the telescoping sum of tensorized detail operators over the index set.
 
+At a new index's fresh points only the stored blocks below it carry
+nonzero basis weights, so SparseInterpolant.value_below sums those
+alone, with weights gathered from memoized per-level basis tables; it
+gives both add_index and the surplus indicator the interpolant's values
+there.
+
 The surpluses of one index's fresh block are flat rows in C order over
 its fresh_shape.  mode_product applies a matrix along one axis of such
 rows without leaving the flat form: _times_y_rows carries a block
@@ -78,6 +84,18 @@ def grid_points(kind, indexset):
     for i in indexset:
         js.extend(itertools.product(*fresh_ranges(kind, i)))
     return js
+
+
+def _tensor_weights(rows, pts):
+    """Tensor weights W[p, r] = prod_m rows[m][pts[r, m], p], given per
+    dimension the basis rows (basis function by sample, C-ordered) and
+    the grid points' node indices: the rows are stacked and
+    kernels.weight_product gathers them at the points' stacked ids.  A
+    column-major (P, len(pts)) view."""
+    offsets = list(itertools.accumulate((r.shape[0] for r in rows[:-1]), initial=0))
+    table = np.concatenate(rows, axis=0).T
+    cols = np.ascontiguousarray(pts + np.array(offsets, dtype=np.int64))
+    return kernels.weight_product(table, cols)
 
 
 class SparseInterpolant:
@@ -165,17 +183,42 @@ class SparseInterpolant:
         if np.any(np.abs(Y) > 1.0 + _DOMAIN_SLACK):
             raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
         nmax = pts.max(axis=0) + 1
-        tables = []
-        offsets = np.zeros(self.dim, dtype=np.int64)
-        total = 0
-        for m in range(self.dim):
-            offsets[m] = total
-            # basis_matrix is a transposed view of a row-major (n, P) array
-            tables.append(self.family.basis_matrix(Y[:, m], int(nmax[m])).T)
-            total += int(nmax[m])
-        table = np.concatenate(tables, axis=0).T
-        cols = np.ascontiguousarray(pts + offsets[None, :])
-        return kernels.weight_product(table, cols)
+        # basis_matrix is a transposed view of a row-major (n, P) array
+        rows = [self.family.basis_matrix(Y[:, m], int(nmax[m])).T for m in range(self.dim)]
+        return _tensor_weights(rows, pts)
+
+    def value_below(self, k):
+        """The interpolant's values at the fresh points of k, shape
+        (work(k), K), rows in new_point_indices(k) order.
+
+        Only the stored rows in the box j_m <= m(k_m) for every m are
+        summed; the others have basis weights that are exact zeros there.
+        A row with j_m > m(k_m) belongs to a level above k_m in dimension
+        m, whose node set holds all of level k_m's nodes, so h_{j_m} has
+        a factor (y - y_l) for each of them and vanishes at the coordinate
+        y_m of every fresh point of k.  In a downward closed set the box
+        rows are the blocks i <= k in it.  Every coordinate is a level-k_m
+        node, so the weights are gathered from the memoized table
+        _level_basis(kind, k_m) at the fresh positions and no basis table
+        is built.  The box weights equal evaluate's bit for bit; the
+        product with the surpluses sums fewer terms, so the values agree
+        with evaluate at the same coordinates to roundoff.  k need not lie
+        in the set or be addable.
+        """
+        if not self._n:
+            raise ValueError("cannot evaluate an empty interpolant")
+        k = tuple(int(v) for v in k)
+        if len(k) != self.dim:
+            raise ValueError("index length %d does not match dimension %d" % (len(k), self.dim))
+        kind = self.family.kind
+        fresh = np.indices(fresh_shape(kind, k)).reshape(self.dim, -1)
+        pts = self._pts[: self._n]
+        box = (pts <= [growth(kind, km) for km in k]).all(axis=1)
+        rows = []
+        for m, (km, r) in enumerate(zip(k, fresh_ranges(kind, k))):
+            # basis functions by nodes, C-ordered: gather the fresh nodes' columns
+            rows.append(_level_basis(kind, km).T[:, fresh[m] + r.start])
+        return _tensor_weights(rows, pts[box]) @ self._vals[: self._n][box]
 
     def evaluate(self, Y):
         """Evaluate at points Y of shape (P, M); returns shape (P, K)."""
@@ -191,7 +234,8 @@ class SparseInterpolant:
         either from the per-point evaluator f or from a precomputed array
         ``values`` of shape (count, K) ordered like new_point_indices(i).
         Surpluses are value minus current-interpolant value, computed
-        before insertion.  Returns the number of fresh points.
+        before insertion from the blocks below i (see value_below).
+        Returns the number of fresh points.
         """
         i = tuple(int(v) for v in i)
         if not self.indexset.is_admissible(i):
@@ -199,7 +243,6 @@ class SparseInterpolant:
                 "index %r is not addable (must be the root or reduced-margin)" % (i,)
             )
         newjs = self.new_point_indices(i)
-        coords = self.coords_of(np.asarray(newjs, dtype=np.int64))
         if values is not None:
             fvals = np.asarray(values, dtype=np.float64)
             if fvals.ndim == 1:
@@ -209,6 +252,7 @@ class SparseInterpolant:
                     "expected %d value rows, got %d" % (len(newjs), fvals.shape[0])
                 )
         elif f is not None:
+            coords = self.coords_of(np.asarray(newjs, dtype=np.int64))
             fvals = np.vstack(
                 [np.atleast_1d(np.asarray(f(y), dtype=np.float64)) for y in coords]
             )
@@ -222,7 +266,7 @@ class SparseInterpolant:
                     "value length %d does not match stored %d"
                     % (fvals.shape[1], self._K)
                 )
-            surplus = fvals - self.evaluate(coords)
+            surplus = fvals - self.value_below(i)
         self.indexset.add(i)
         self._blocks[i] = (self._n, len(newjs))
         self._append(newjs, surplus)
@@ -438,15 +482,28 @@ def detail_apply_ct(kind, i, g):
 
 
 @functools.lru_cache(maxsize=None)
-def _fresh_inverse_rows(kind, level):
-    """Rows of B^-1 at the fresh points of one level, B the hierarchical
-    basis table on the level's nodes.  B is unit lower triangular, so B^-1
-    follows by forward substitution: row i is e_i minus the earlier rows
-    weighted by B[i, :i].  Read-only: every caller shares it."""
+def _level_basis(kind, level):
+    """Hierarchical basis table of one level at its own nodes: entry
+    [j, i] is h_i at node j, for i, j <= m(level).  It is unit lower
+    triangular, since h_i is one at node i and vanishes at the earlier
+    nodes of its level.  Read-only: value_below, _fresh_inverse_rows and
+    _times_y_rows share it."""
     fam = get_family(kind)
+    n = growth(kind, level) + 1
+    B = fam.basis_matrix(fam.nodes(n), n)
+    B.flags.writeable = False
+    return B
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_inverse_rows(kind, level):
+    """Rows of B^-1 at the fresh points of one level, B = _level_basis.
+    B is unit lower triangular, so B^-1 follows by forward substitution:
+    row i is e_i minus the earlier rows weighted by B[i, :i].  Read-only:
+    every caller shares it."""
     r = fresh_ranges(kind, (level,))[0]
     n = r.stop
-    B = fam.basis_matrix(fam.nodes(n), n)
+    B = _level_basis(kind, level)
     inv = np.eye(n)
     for i in range(1, n):
         inv[i] -= B[i, :i] @ inv[:i]
@@ -466,11 +523,9 @@ def _times_y_rows(kind, level):
     points: the fresh rows of B^-1 applied to the nodal values x * h(x).
     For unit-growth families it is the scalar d_l / d_{l-1}, d_i the
     basis denominators.  Read-only: every caller shares it."""
-    fam = get_family(kind)
     prev = fresh_ranges(kind, (level - 1,))[0]
-    n = growth(kind, level) + 1
-    x = fam.nodes(n)
-    B = fam.basis_matrix(x, n)
+    B = _level_basis(kind, level)
+    x = get_family(kind).nodes(B.shape[0])
     rows = _fresh_inverse_rows(kind, level) @ (x[:, None] * B[:, prev.start : prev.stop])
     rows.flags.writeable = False
     return rows

@@ -43,6 +43,14 @@ def _check_interpolation():
     Y = np.array([[0.3, -0.7], [-0.2, 0.9], [0.0, 0.0]])
     want = np.array([[f(y)[0]] for y in Y])
     assert np.allclose(P.evaluate(Y), want, atol=1e-12)
+    # at a Clenshaw-Curtis candidate's fresh points the blocks below it
+    # give the full evaluation: the rows of (0, 1) and (1, 1) weigh zero
+    P = SparseInterpolant("clenshaw_curtis", 2)
+    for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        P.add_index(k, f)
+    k = (2, 0)
+    full = P.evaluate(P.coords_of(P.new_point_indices(k)))
+    assert np.max(np.abs(P.value_below(k) - full)) <= 1e-14 * np.max(np.abs(full))
     # detail of y0*y1 at the top of the 2x2 rectangle: one surplus of 4
     # at node (1, 1) times the two hat values 0.7 and 0.8
     d = detail_apply_ct("leja", (1, 1), lambda y: np.array([y[0] * y[1]]))

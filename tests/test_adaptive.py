@@ -23,6 +23,7 @@ from sparseuq.fem import (
     SpatialDiscretization,
     build_problem,
 )
+from sparseuq.interp import SparseInterpolant
 
 
 def const(c):
@@ -121,6 +122,24 @@ def test_gg_solves_cover_reduced_margin_each_iteration():
     trace = run_gg(p, disc, tol=1e-4)
     for row in trace.rows[:-1]:
         assert row.n_solves > row.n_grid
+
+
+@pytest.mark.parametrize("strategy, nodes", [("gg", "clenshaw_curtis"), ("gn_profit", "leja")])
+def test_build_never_takes_the_full_evaluation(strategy, nodes, monkeypatch):
+    # surpluses at new points come from the blocks below each index
+    # (SparseInterpolant.value_below), so a fall-back to the evaluation
+    # over every stored row fails here
+    p = cosine_problem(3)
+    disc = SpatialDiscretization(p, 64)
+
+    def refuse(self, Y):
+        raise AssertionError("the full evaluation ran")
+
+    monkeypatch.setattr(SparseInterpolant, "evaluate", refuse)
+    cfg = AdaptiveConfig(strategy=strategy, nodes=nodes, tol=1e-5, reference_every=0)
+    trace = run_strategy(p, disc, cfg)
+    assert trace.stop_reason == "tol"
+    assert trace.interpolant.n_points > 20
 
 
 # -- marking ----------------------------------------------------------------

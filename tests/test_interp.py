@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseuq.estimators import profit
 from sparseuq.interp import (
     HierarchicalBlock,
     SparseInterpolant,
     _fresh_inverse_rows,
+    _level_basis,
     _times_y_rows,
     TensorDetail,
     TensorPoly,
@@ -489,3 +492,128 @@ def test_values_rejected_on_shape_mismatch():
         P.add_index((1,), values=np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
         P.add_index((1,))
+
+
+# -- values at a candidate's fresh points, from the box below it -------------
+
+
+KINDS = ["leja", "rleja", "clenshaw_curtis"]
+# deepest level per axis: Clenshaw-Curtis level 5 already holds 33 nodes
+LEVEL_CAP = {"leja": 10, "rleja": 10, "clenshaw_curtis": 5}
+
+
+def capped_monotone(kind, dim, picks):
+    """A downward closed set grown by one reduced-margin candidate per
+    pick, taken modulo the candidates within LEVEL_CAP, until none is
+    left."""
+    s = MonotoneIndexSet(dim)
+    s.add((0,) * dim)
+    for pick in picks:
+        cand = [k for k in s.reduced_margin() if max(k) <= LEVEL_CAP[kind]]
+        if not cand:
+            break
+        s.add(cand[pick % len(cand)])
+    return s
+
+
+def random_valued(kind, indexset, rng, n_out=3):
+    """An interpolant on indexset whose function values are random rows."""
+    P = SparseInterpolant(kind, indexset.dim)
+    for i in indexset.members_sorted():
+        P.add_index(i, values=rng.normal(size=(work(kind, i), n_out)))
+    return P
+
+
+def fresh_coords(P, k):
+    return P.coords_of(P.new_point_indices(k))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_above_a_candidate_weigh_exactly_zero(kind):
+    # at k's fresh points every stored row outside the box j_m <= m(k_m)
+    # has a basis weight that is exactly zero: value_below skips them
+    rng = np.random.default_rng(41)
+    outside_seen = 0
+    for dim in (1, 2, 3):
+        for n_add in (0, 3, 6, 10):
+            s = capped_monotone(kind, dim, rng.integers(0, 10**6, size=n_add))
+            P = random_valued(kind, s, rng)
+            pts = np.asarray(P.point_indices())
+            for k in s.reduced_margin():
+                tops = [growth(kind, km) for km in k]
+                outside = np.any(pts > tops, axis=1)
+                W = P.basis_weights(fresh_coords(P, k))
+                assert np.all(W[:, outside] == 0.0), (dim, s.members_sorted(), k)
+                outside_seen += int(outside.sum())
+    assert outside_seen > 0
+
+
+def check_value_below(P, k):
+    got = P.value_below(k)
+    want = P.evaluate(fresh_coords(P, k))
+    assert got.shape == want.shape == (work(P.family.kind, k), P.n_outputs)
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale, (k, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    dim=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 10**6), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_below_matches_evaluate(kind, dim, picks, seed):
+    s = capped_monotone(kind, dim, picks)
+    P = random_valued(kind, s, np.random.default_rng(seed))
+    for k in s.reduced_margin():
+        check_value_below(P, k)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_below_root_and_one_block(kind):
+    for dim in (1, 2, 3, 4):
+        P = SparseInterpolant(kind, dim)
+        with pytest.raises(ValueError):
+            P.value_below((0,) * dim)
+        P.add_index((0,) * dim, values=np.array([[1.5, -2.0]]))
+        # the root's own point weighs its one row by h_0 = 1
+        assert np.array_equal(P.value_below((0,) * dim), P.surpluses())
+        for m in range(dim):
+            # the box of e_m holds the root block only
+            check_value_below(P, tuple(int(v == m) for v in range(dim)))
+        with pytest.raises(ValueError):
+            P.value_below((0,) * (dim + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_add_index_from_f_subtracts_the_full_evaluation(kind):
+    # add_index(f=...) takes S u at the new points from value_below; the
+    # stored block agrees with values minus the full evaluation
+    rng = np.random.default_rng(8)
+    f = lambda y: np.array([np.exp(0.3 * y.sum()), np.cos(y[0] - y[-1]), 1.0])
+    for dim in (1, 2, 3, 4):
+        s = capped_monotone(kind, dim, rng.integers(0, 10**6, size=8))
+        P = SparseInterpolant(kind, dim)
+        for i in s.members_sorted():
+            coords = fresh_coords(P, i)
+            fvals = np.vstack([f(y) for y in coords])
+            want = fvals - P.evaluate(coords) if P.n_points else fvals
+            P.add_index(i, f)
+            start, count = P.block_of(i)
+            got = P.surpluses()[start : start + count]
+            scale = float(np.max(np.abs(fvals)))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, (dim, i)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_level_basis_is_the_shared_basis_table(kind):
+    # one read-only table per level, bitwise the basis_matrix at the
+    # level's nodes, serves value_below and the residual's matrices
+    fam = get_family(kind)
+    for level in range(5 if kind == "clenshaw_curtis" else 9):
+        n = growth(kind, level) + 1
+        B = _level_basis(kind, level)
+        assert B is _level_basis(kind, level)
+        assert not B.flags.writeable
+        assert B.tobytes() == fam.basis_matrix(fam.nodes(n), n).tobytes()
