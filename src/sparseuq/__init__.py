@@ -5,13 +5,13 @@ node families (nodes), hierarchical sparse interpolation and the
 combination technique (interp), a P1 finite-element discretization of
 the affine-coefficient diffusion problem (fem), residual and surplus
 error estimators with parametric norms (estimators), the adaptive
-refinement drivers (adaptive), and a config-driven experiment CLI
+refinement loop (adaptive), and a config-driven experiment CLI
 (cli).
 """
 
 __version__ = "0.1.0"
 
-from .adaptive import AdaptiveConfig, AdaptiveTrace, run_gg, run_gn, run_gn_profit
+from .adaptive import AdaptiveConfig, AdaptiveTrace
 from .estimators import (
     NormSpec,
     profit,
@@ -85,9 +85,6 @@ __all__ = [
     "reference_error",
     "residual_estimator",
     "rleja_nodes",
-    "run_gg",
-    "run_gn",
-    "run_gn_profit",
     "surplus_indicator",
     "tensor_interpolant",
     "work",

@@ -1,6 +1,7 @@
-"""Adaptive refinement drivers.
+"""Adaptive refinement.
 
-Three strategies over the same generic loop (estimate, mark, extend):
+One loop, run_strategy (estimate, mark, extend), with three strategies
+chosen by AdaptiveConfig.strategy:
 
 * ``gn_envelope``: residual estimators on the full margin, mark the
   monotone envelope of the maximizer.  Estimation needs no PDE solves,
@@ -33,8 +34,8 @@ meets no returned key keeps its envelope, numerator and denominator
 bit for bit, and its kept profit is exactly the one a fresh computation
 would give.
 
-All loops start from the singleton zero index, estimate candidates in
-lexicographic order and break ties lexicographically, so reruns are
+Every run starts from the singleton zero index, estimates candidates in
+lexicographic order and breaks ties lexicographically, so reruns are
 bitwise identical.
 """
 
@@ -47,6 +48,7 @@ from .estimators import (
     NormSpec,
     drop_stale,
     fresh_solves,
+    lex_argmax,
     margin_report,
     profit,
     reduced_margin_report,
@@ -114,14 +116,12 @@ class TraceRow:
     reference_error: float = None
     effectivity: float = None
     wall_ms: float = 0.0
+    # wall_ms split into the margin report and the reference error
+    estimate_ms: float = 0.0
+    reference_ms: float = 0.0
     estimates_fresh: int = 0
     estimates_reused: int = 0
     ratio_c: float = 1.0
-    # wall_ms split into the margin report and the reference error, set
-    # per row by the loop; plain attributes rather than fields, so that
-    # asdict and row equality see the same fields as before the split
-    estimate_ms = 0.0
-    reference_ms = 0.0
 
 
 class AdaptiveTrace:
@@ -135,7 +135,6 @@ class AdaptiveTrace:
         self.interpolant = None
         self.cache = None
         self.stop_reason = None
-        self.budget_exhausted = False
         self.augmented = False
         self.pre_augmentation_error = None
         self.post_augmentation_error = None
@@ -144,10 +143,14 @@ class AdaptiveTrace:
     def a_min(self):
         return self.info["a_min"]
 
+    @property
+    def budget_exhausted(self):
+        return self.stop_reason in ("max_iter", "max_solves")
+
 
 def _add_indices(P, cache, marked):
     for k in marked:
-        P.add_index(k, values=fresh_solves(P, cache, k)[1])
+        P.add_index(k, values=fresh_solves(P, cache, k))
 
 
 def _maybe_reference(P, disc, config, cache, n):
@@ -163,6 +166,7 @@ def _row(trace, n, P, cache, report, ref, a_min, times_ms):
     eff = None
     if ref is not None and ref > 0.0:
         eff = (report.total / a_min) / ref
+    wall_ms, estimate_ms, reference_ms = times_ms
     row = TraceRow(
         n=n,
         strategy=trace.strategy,
@@ -173,11 +177,13 @@ def _row(trace, n, P, cache, report, ref, a_min, times_ms):
         max_estimator=report.vmax,
         reference_error=ref,
         effectivity=eff,
+        wall_ms=wall_ms,
+        estimate_ms=estimate_ms,
+        reference_ms=reference_ms,
         estimates_fresh=report.fresh,
         estimates_reused=report.reused,
         ratio_c=report.ratio_c,
     )
-    row.wall_ms, row.estimate_ms, row.reference_ms = times_ms
     trace.rows.append(row)
     log.info(
         "%s n=%d |set|=%d grid=%d solves=%d total=%.6e ref=%s",
@@ -217,7 +223,7 @@ def _profit_argmax(indexset, kind, eta, pis, users):
             pis[k] = profit(kind, env, eta)
             for j in env:
                 users.setdefault(j, set()).add(k)
-    return min(pis, key=lambda k: (-pis[k], k))
+    return lex_argmax(pis)
 
 
 def _forget_profits(pis, users, keys):
@@ -228,7 +234,9 @@ def _forget_profits(pis, users, keys):
             pis.pop(k, None)
 
 
-def _run(problem, disc, config, on_row=None):
+def run_strategy(problem, disc, config, on_row=None):
+    """Run config.strategy from the singleton zero index to a stop;
+    on_row, if given, receives each trace row as it is appended."""
     info = check_ellipticity(problem, disc)
     trace = AdaptiveTrace(config.strategy, config, info)
     P = SparseInterpolant(config.nodes, problem.dim)
@@ -243,9 +251,9 @@ def _run(problem, disc, config, on_row=None):
     while True:
         t0 = time.perf_counter()
         if is_gg:
-            report = reduced_margin_report(P, problem, disc, config.norm, cache, memo)
+            report = reduced_margin_report(P, disc, config.norm, cache, memo)
         else:
-            report = margin_report(P, problem, disc, config.norm, memo)
+            report = margin_report(P, disc, config.norm, memo)
         t1 = time.perf_counter()
         ref = _maybe_reference(P, disc, config, cache, n)
         t2 = time.perf_counter()
@@ -258,23 +266,21 @@ def _run(problem, disc, config, on_row=None):
             break
         if n + 1 > config.max_iter:
             trace.stop_reason = "max_iter"
-            trace.budget_exhausted = True
             break
         if cache.n_solves >= config.max_solves:
             trace.stop_reason = "max_solves"
-            trace.budget_exhausted = True
             break
         if config.strategy == "gn_profit":
             kstar = _profit_argmax(P.indexset, config.nodes, report.values, pis, users)
             marked = P.indexset.monotone_envelope(kstar)
         elif config.strategy == "gn_envelope":
-            kstar = report.argmax()
+            kstar = lex_argmax(report.values)
             marked = P.indexset.monotone_envelope(kstar)
         else:
             if config.dorfler > 0.0:
                 marked = _dorfler_mark(report, config.dorfler)
             else:
-                marked = [report.argmax()]
+                marked = [lex_argmax(report.values)]
         _add_indices(P, cache, marked)
         _forget_profits(pis, users, drop_stale(memo, marked))
         n += 1
@@ -312,43 +318,3 @@ def _augment_gg(trace, disc, config, P, cache, report):
     times_ms = (ref_ms, 0.0, ref_ms)
     row = _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, times_ms)
     row.estimates_fresh = row.estimates_reused = 0
-
-
-def run_gg(problem, disc, config=None, **kw):
-    config = _coerce(config, "gg", kw)
-    return _run(problem, disc, config, kw.get("on_row"))
-
-
-def run_gn(problem, disc, config=None, **kw):
-    config = _coerce(config, "gn_envelope", kw)
-    return _run(problem, disc, config, kw.get("on_row"))
-
-
-def run_gn_profit(problem, disc, config=None, **kw):
-    config = _coerce(config, "gn_profit", kw)
-    return _run(problem, disc, config, kw.get("on_row"))
-
-
-def run_strategy(problem, disc, config, on_row=None):
-    return _run(problem, disc, config, on_row)
-
-
-def _coerce(config, strategy, kw):
-    fields = {k: v for k, v in kw.items() if k != "on_row"}
-    if config is None:
-        unknown = sorted(set(fields) - set(AdaptiveConfig.__dataclass_fields__))
-        if unknown:
-            raise TypeError("unknown keyword arguments: %s" % ", ".join(unknown))
-        fields.setdefault("strategy", strategy)
-        config = AdaptiveConfig(**fields)
-    elif fields:
-        raise TypeError(
-            "keyword arguments %s cannot be combined with config="
-            % ", ".join(sorted(fields))
-        )
-    if config.strategy != strategy:
-        raise ValueError(
-            "config strategy %r does not match entry point %r"
-            % (config.strategy, strategy)
-        )
-    return config

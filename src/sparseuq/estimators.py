@@ -209,7 +209,7 @@ def _euclidean_lp_norm(kind, index, rows, spec):
     return combine_axes(norms, axes, spec.p)
 
 
-def residual_estimator(P, problem, disc, k, spec):
+def residual_estimator(P, disc, k, spec):
     """Parametric norm of the detail operator applied to the flux.
 
     Purely post-processes the current interpolant and solves no PDE.
@@ -256,14 +256,13 @@ def residual_estimator(P, problem, disc, k, spec):
 
 
 def fresh_solves(P, cache, k):
-    """Coordinates of the fresh points of k and the cached solves there,
-    rows in block order."""
+    """The cached solves at the fresh points of k, rows in block order."""
     newjs = P.new_point_indices(k)
     coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
-    return coords, cache.solve_indexed(newjs, coords)
+    return cache.solve_indexed(newjs, coords)
 
 
-def surplus_indicator(P, problem, disc, k, spec, cache):
+def surplus_indicator(P, disc, k, spec, cache):
     """Parametric norm (spatial H1_0) of the candidate's detail of u.
 
     Solves the PDE at the fresh grid points of k through the cache, so
@@ -274,7 +273,7 @@ def surplus_indicator(P, problem, disc, k, spec, cache):
     k = tuple(int(v) for v in k)
     if not P.indexset.is_admissible(k):
         raise ValueError("index %r is not addable to the current set" % (k,))
-    u_rows = fresh_solves(P, cache, k)[1]
+    u_rows = fresh_solves(P, cache, k)
     surplus = u_rows if P.n_points == 0 else u_rows - P.value_below(k)
     # H1_0 seminorm of nodal rows is the Euclidean norm of the scaled
     # element differences, which commute with the basis expansion
@@ -294,7 +293,7 @@ def profit(kind, env, eta):
     therefore leaves it unchanged, and a member's value changes only
     when drop_stale forgets it.  So a profit whose envelope meets none
     of the keys drop_stale returned is the same, bit for bit, after the
-    extension, and adaptive._run recomputes only the others.
+    extension, and adaptive.run_strategy recomputes only the others.
     """
     num = sum(eta[j] for j in env)
     den = sum(work(kind, j) for j in env)
@@ -322,14 +321,10 @@ class EstimatorReport:
         else:
             self.ratio_c = math.inf if self.vmax > 0.0 else 1.0
 
-    def argmax(self):
-        """Lexicographically smallest maximizing candidate."""
-        best = None
-        for k in sorted(self.values):
-            v = self.values[k]
-            if best is None or v > self.values[best]:
-                best = k
-        return best
+
+def lex_argmax(values):
+    """The lexicographically smallest key of largest value."""
+    return min(values, key=lambda k: (-values[k], k))
 
 
 def _memo_report(cands, reduced, memo, estimate):
@@ -346,7 +341,7 @@ def _memo_report(cands, reduced, memo, estimate):
     return EstimatorReport(values, reduced, reused)
 
 
-def margin_report(P, problem, disc, spec, memo=None):
+def margin_report(P, disc, spec, memo=None):
     """Residual estimators for every full-margin candidate.
 
     memo maps candidates to their values from earlier iterations of the
@@ -370,11 +365,11 @@ def margin_report(P, problem, disc, spec, memo=None):
         P.indexset.margin(),
         set(map(tuple, P.indexset.reduced_margin())),
         memo,
-        lambda k: residual_estimator(P, problem, disc, k, spec),
+        lambda k: residual_estimator(P, disc, k, spec),
     )
 
 
-def reduced_margin_report(P, problem, disc, spec, cache, memo=None):
+def reduced_margin_report(P, disc, spec, cache, memo=None):
     """Surplus indicators for every reduced-margin candidate.
 
     memo works as for margin_report.  A reduced-margin candidate k has
@@ -390,7 +385,7 @@ def reduced_margin_report(P, problem, disc, spec, cache, memo=None):
         cands,
         set(cands),
         memo,
-        lambda k: surplus_indicator(P, problem, disc, k, spec, cache),
+        lambda k: surplus_indicator(P, disc, k, spec, cache),
     )
 
 

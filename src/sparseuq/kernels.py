@@ -14,9 +14,15 @@ USE_NUMBA = False
 # ---------------------------------------------------------------------------
 # hierarchical Lagrange basis table
 #
-# Column i holds h_i(ys) = prod_{j <= mks[i], j != i} (ys - nodes[j]) / denoms[i]
+# Column i holds h_i(ys) = prod_{j <= mks[i], j != i} 2 (ys - nodes[j]) / denoms[i]
 # where mks[i] is the last node index of the level that introduced node i and
-# denoms[i] = prod_{j <= mks[i], j != i} (nodes[i] - nodes[j]).  Node i lies
+# denoms[i] = prod_{j <= mks[i], j != i} 2 (nodes[i] - nodes[j]).  The
+# factor 2 cancels, but without it the products of differences of the
+# 1,025 Clenshaw-Curtis nodes of level 10 underflow to 0 (the logarithmic
+# capacity of [-1, 1] is 1/2, so products of m differences shrink like
+# 2^-m); scaling by a power of two is exact, so wherever nothing
+# underflowed the table is bitwise the unscaled one, and 2 ys - 2 nodes[j]
+# is 2 (ys - nodes[j]) without a pass over the differences.  Node i lies
 # in its own level and levels are nested, so mks is nondecreasing with
 # mks[i] >= i.  The factors j < i of all columns are one running product;
 # a factor j > i enters the columns lo..j-1, lo the first column whose mks
@@ -30,7 +36,7 @@ USE_NUMBA = False
 
 def basis_table(ys, nodes, mks, denoms):
     n = mks.shape[0]
-    diffs = ys[None, :] - nodes[:, None]
+    diffs = (2.0 * ys)[None, :] - (2.0 * nodes)[:, None]
     out = np.empty((n, ys.shape[0]))
     out[:1] = 1.0
     for i in range(1, n):

@@ -266,6 +266,15 @@ class NodeFamily:
 
     # -- basis data ---------------------------------------------------------
 
+    def _denom(self, i, mk):
+        """prod_{j <= mk, j != i} 2 (y_i - y_j), the denominator
+        kernels.basis_table takes for node i among the first mk + 1."""
+        d = 1.0
+        for j in range(mk + 1):
+            if j != i:
+                d *= 2.0 * (self._nodes[i] - self._nodes[j])
+        return d
+
     def ensure_basis(self, n):
         """Precompute level sizes and denominators for sequence positions < n."""
         if len(self._mks) >= n:
@@ -274,13 +283,8 @@ class NodeFamily:
             i = len(self._mks)
             mk = self.growth(self.growth_inverse(i))
             self.ensure_nodes(mk + 1)
-            yi = self._nodes[i]
-            d = 1.0
-            for j in range(mk + 1):
-                if j != i:
-                    d *= yi - self._nodes[j]
             self._mks.append(mk)
-            self._denoms.append(d)
+            self._denoms.append(self._denom(i, mk))
         self._mks_arr = np.asarray(self._mks, dtype=np.int64)
         self._denoms_arr = np.asarray(self._denoms)
 
@@ -298,14 +302,7 @@ class NodeFamily:
         if denoms is None:
             mk = self.growth(k)
             self.ensure_nodes(mk + 1)
-            arr = self._nodes_arr[: mk + 1]
-            denoms = np.empty(mk + 1)
-            for i in range(mk + 1):
-                d = 1.0
-                for j in range(mk + 1):
-                    if j != i:
-                        d *= arr[i] - arr[j]
-                denoms[i] = d
+            denoms = np.array([self._denom(i, mk) for i in range(mk + 1)])
             self._level_denom_cache[k] = denoms
         return denoms
 

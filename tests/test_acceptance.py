@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sparseuq.adaptive import run_gg, run_gn
+from sparseuq.adaptive import AdaptiveConfig, run_strategy
 from sparseuq.estimators import NormSpec, residual_estimator
 from sparseuq.fem import SolveCache, SpatialDiscretization, build_problem
 from sparseuq.interp import (
@@ -42,9 +42,10 @@ def gn_m2(m2_setup):
     """Certified envelope-marking run on the 2-parameter default."""
     problem, disc = m2_setup
     t0 = time.perf_counter()
-    trace = run_gn(
-        problem, disc, tol=1e-8, max_iter=200, reference_every=1, reference_quad=20
+    cfg = AdaptiveConfig(
+        strategy="gn_envelope", tol=1e-8, max_iter=200, reference_every=1, reference_quad=20
     )
+    trace = run_strategy(problem, disc, cfg)
     return trace, time.perf_counter() - t0
 
 
@@ -199,14 +200,14 @@ def test_criterion_06_estimator_reliability(gn_m2):
         else:
             problem = default_problem(dim)
             disc = SpatialDiscretization(problem, 256)
-            trace = run_gn(
-                problem,
-                disc,
+            cfg = AdaptiveConfig(
+                strategy="gn_envelope",
                 tol=tol,
                 norm=NormSpec(p=p),
                 reference_every=1,
                 reference_quad=20,
             )
+            trace = run_strategy(problem, disc, cfg)
         dt = time.perf_counter() - t0
         effs = [r.effectivity for r in trace.rows if r.effectivity is not None]
         assert effs, "no reference errors recorded"
@@ -238,9 +239,10 @@ def test_criterion_08_surplus_convergence_and_cost(m2_setup, gn_m2):
     problem, disc = m2_setup
     gn_trace, _ = gn_m2
     t0 = time.perf_counter()
-    gg_trace = run_gg(
-        problem, disc, tol=1e-8, max_iter=200, reference_every=1, reference_quad=20
+    cfg = AdaptiveConfig(
+        strategy="gg", tol=1e-8, max_iter=200, reference_every=1, reference_quad=20
     )
+    gg_trace = run_strategy(problem, disc, cfg)
     dt = time.perf_counter() - t0
     assert gg_trace.stop_reason == "tol"
     stop_row = gg_trace.rows[-2]
@@ -292,7 +294,7 @@ def test_criterion_09_estimator_annihilation():
                 k = tuple(k)
                 if k in P.indexset:
                     continue
-                eta = residual_estimator(P, problem, disc, k, spec)
+                eta = residual_estimator(P, disc, k, spec)
                 assert eta <= 1e-12, "expected exact zero for %r, got %g" % (k, eta)
                 cases += 1
 

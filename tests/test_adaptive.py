@@ -1,5 +1,5 @@
-"""Adaptive drivers: stopping, solve accounting, marking rules,
-budgets, rerun determinism and keyword validation."""
+"""The adaptive loop: stopping, solve accounting, marking rules,
+budgets, rerun determinism and config validation."""
 
 from dataclasses import asdict
 
@@ -11,9 +11,6 @@ from sparseuq.adaptive import (
     AdaptiveConfig,
     STRATEGIES,
     _dorfler_mark,
-    run_gg,
-    run_gn,
-    run_gn_profit,
     run_strategy,
 )
 from sparseuq.estimators import EstimatorReport, NormSpec, profit
@@ -42,7 +39,13 @@ def cosine_problem(dim=2):
     return build_problem({"family": "cosine", "M": dim, "a0": 2.0})
 
 
-RUNNERS = {"gn_envelope": run_gn, "gn_profit": run_gn_profit, "gg": run_gg}
+def run(strategy, problem, disc, **kw):
+    return run_strategy(problem, disc, AdaptiveConfig(strategy=strategy, **kw))
+
+
+def columns(row):
+    """A trace row without its timings."""
+    return {k: v for k, v in asdict(row).items() if not k.endswith("_ms")}
 
 
 # -- stopping ---------------------------------------------------------------
@@ -52,7 +55,8 @@ RUNNERS = {"gn_envelope": run_gn, "gn_profit": run_gn_profit, "gg": run_gg}
 def test_deterministic_problem_stops_immediately(strategy):
     p = deterministic_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = RUNNERS[strategy](p, disc, tol=1e-12)
+    trace = run(strategy, p, disc, tol=1e-12)
+    assert trace.strategy == strategy
     assert trace.stop_reason == "tol"
     assert not trace.budget_exhausted
     assert trace.rows[0].n == 0
@@ -74,7 +78,7 @@ def test_deterministic_problem_stops_immediately(strategy):
 def test_affine_chain_reaches_tolerance(strategy):
     p = affine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = RUNNERS[strategy](p, disc, tol=1e-9)
+    trace = run(strategy, p, disc, tol=1e-9)
     assert trace.stop_reason == "tol"
     assert trace.rows[-1].total_estimator <= 1e-9
     # 1-D monotone sets are chains 0..k
@@ -89,7 +93,7 @@ def test_affine_chain_reaches_tolerance(strategy):
 def test_gn_solves_equal_grid_every_iteration():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn(p, disc, tol=1e-5)
+    trace = run("gn_envelope", p, disc, tol=1e-5)
     for row in trace.rows:
         assert row.n_solves == row.n_grid
 
@@ -97,7 +101,7 @@ def test_gn_solves_equal_grid_every_iteration():
 def test_gn_profit_solves_equal_grid():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn_profit(p, disc, tol=1e-5)
+    trace = run("gn_profit", p, disc, tol=1e-5)
     for row in trace.rows:
         assert row.n_solves == row.n_grid
     assert trace.stop_reason == "tol"
@@ -106,7 +110,7 @@ def test_gn_profit_solves_equal_grid():
 def test_gg_augmentation_absorbs_cached_solves():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gg(p, disc, tol=1e-5)
+    trace = run("gg", p, disc, tol=1e-5)
     assert trace.augmented
     stop_row, aug_row = trace.rows[-2], trace.rows[-1]
     assert aug_row.n_solves == stop_row.n_solves
@@ -119,7 +123,7 @@ def test_gg_augmentation_absorbs_cached_solves():
 def test_gg_solves_cover_reduced_margin_each_iteration():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gg(p, disc, tol=1e-4)
+    trace = run("gg", p, disc, tol=1e-4)
     for row in trace.rows[:-1]:
         assert row.n_solves > row.n_grid
 
@@ -160,8 +164,8 @@ def test_dorfler_tie_break_lexicographic():
 def test_gg_dorfler_smoke():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    plain = run_gg(p, disc, tol=1e-4)
-    bulk = run_gg(p, disc, tol=1e-4, dorfler=0.6)
+    plain = run("gg", p, disc, tol=1e-4)
+    bulk = run("gg", p, disc, tol=1e-4, dorfler=0.6)
     assert bulk.stop_reason == "tol"
     assert len(bulk.rows) <= len(plain.rows)
 
@@ -171,7 +175,7 @@ def test_gn_marks_whole_envelope():
     # monotone even though maximizers may sit deep in the margin
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn(p, disc, tol=1e-5)
+    trace = run("gn_envelope", p, disc, tol=1e-5)
     trace.interpolant.indexset.validate_caches()
     assert trace.rows[-1].n_indices == len(trace.interpolant.indexset)
 
@@ -188,17 +192,17 @@ def test_gn_profit_recomputes_only_stale_profits(monkeypatch):
         calls.append(args)
         return profit(*args)
 
-    def run():
+    def counted_run():
         calls.clear()
-        trace = run_gn_profit(p, disc, tol=1e-3)
+        trace = run("gn_profit", p, disc, tol=1e-3)
         return trace, len(calls)
 
     monkeypatch.setattr(adaptive, "profit", counted)
-    kept, n_kept = run()
+    kept, n_kept = counted_run()
     monkeypatch.setattr(
         adaptive, "_forget_profits", lambda pis, users, keys: (pis.clear(), users.clear())
     )
-    fresh, n_fresh = run()
+    fresh, n_fresh = counted_run()
     assert len(kept.rows) >= 30
     margins = sum(r.estimates_fresh + r.estimates_reused for r in kept.rows[:-1])
     assert n_fresh == margins
@@ -206,9 +210,6 @@ def test_gn_profit_recomputes_only_stale_profits(monkeypatch):
     assert kept.interpolant.indexset.members_sorted() == (
         fresh.interpolant.indexset.members_sorted()
     )
-
-    def columns(row):
-        return {k: v for k, v in asdict(row).items() if not k.endswith("_ms")}
 
     assert [columns(r) for r in kept.rows] == [columns(r) for r in fresh.rows]
 
@@ -219,7 +220,7 @@ def test_gn_profit_recomputes_only_stale_profits(monkeypatch):
 def test_reference_cadence():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn(p, disc, tol=1e-4, reference_every=2)
+    trace = run("gn_envelope", p, disc, tol=1e-4, reference_every=2)
     for row in trace.rows:
         if row.n % 2 == 0:
             assert row.reference_error is not None
@@ -230,7 +231,7 @@ def test_reference_cadence():
 def test_effectivity_reliable_small_case():
     p = affine_problem()
     disc = SpatialDiscretization(p, 128)
-    trace = run_gn(p, disc, tol=1e-8, reference_every=1)
+    trace = run("gn_envelope", p, disc, tol=1e-8, reference_every=1)
     effs = [r.effectivity for r in trace.rows if r.effectivity is not None]
     assert effs and min(effs) >= 1.0
 
@@ -238,7 +239,7 @@ def test_effectivity_reliable_small_case():
 def test_gg_augmentation_reference_errors():
     p = affine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gg(p, disc, tol=1e-8, reference_every=1)
+    trace = run("gg", p, disc, tol=1e-8, reference_every=1)
     assert trace.pre_augmentation_error == trace.rows[-2].reference_error
     assert trace.post_augmentation_error == trace.rows[-1].reference_error
     assert trace.post_augmentation_error <= trace.pre_augmentation_error
@@ -250,7 +251,7 @@ def test_gg_augmentation_reference_errors():
 def test_max_iter_budget():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn(p, disc, tol=1e-14, max_iter=3)
+    trace = run("gn_envelope", p, disc, tol=1e-14, max_iter=3)
     assert trace.stop_reason == "max_iter"
     assert trace.budget_exhausted
     assert [r.n for r in trace.rows] == [0, 1, 2, 3]
@@ -259,7 +260,7 @@ def test_max_iter_budget():
 def test_max_solves_budget():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn(p, disc, tol=1e-14, max_solves=6)
+    trace = run("gn_envelope", p, disc, tol=1e-14, max_solves=6)
     assert trace.stop_reason == "max_solves"
     assert trace.budget_exhausted
     assert trace.rows[-1].n_solves >= 6
@@ -268,7 +269,7 @@ def test_max_solves_budget():
 def test_gg_budget_still_augments():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gg(p, disc, tol=1e-14, max_iter=4)
+    trace = run("gg", p, disc, tol=1e-14, max_iter=4)
     assert trace.budget_exhausted
     assert trace.augmented
     assert trace.rows[-1].n_grid == trace.rows[-1].n_solves
@@ -281,8 +282,8 @@ def test_gg_budget_still_augments():
 def test_rerun_bitwise_identical(strategy):
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
-    t1 = RUNNERS[strategy](p, disc, tol=1e-5)
-    t2 = RUNNERS[strategy](p, disc, tol=1e-5)
+    t1 = run(strategy, p, disc, tol=1e-5)
+    t2 = run(strategy, p, disc, tol=1e-5)
     assert (
         t1.interpolant.indexset.members_sorted()
         == t2.interpolant.indexset.members_sorted()
@@ -290,9 +291,7 @@ def test_rerun_bitwise_identical(strategy):
     assert t1.interpolant.point_indices() == t2.interpolant.point_indices()
     assert len(t1.rows) == len(t2.rows)
     for r1, r2 in zip(t1.rows, t2.rows):
-        f1, f2 = asdict(r1), asdict(r2)
-        del f1["wall_ms"], f2["wall_ms"]
-        assert f1 == f2
+        assert columns(r1) == columns(r2)
 
 
 # -- configuration and errors -----------------------------------------------
@@ -316,50 +315,30 @@ def test_config_validation():
 
 
 def test_unknown_keywords_rejected():
-    p = affine_problem()
-    disc = SpatialDiscretization(p, 64)
     with pytest.raises(TypeError, match="max_solve"):
-        run_gn(p, disc, tol=1e-6, max_solve=3)
-    cfg = AdaptiveConfig(strategy="gn_envelope", tol=1e-3)
-    with pytest.raises(TypeError, match="tol"):
-        run_gn(p, disc, cfg, tol=1e-6)
-    seen = []
-    run_gn(p, disc, cfg, on_row=seen.append)
-    assert seen
-
-
-def test_entry_point_strategy_guard():
-    p = affine_problem()
-    disc = SpatialDiscretization(p, 64)
-    cfg = AdaptiveConfig(strategy="gg", tol=1e-3)
-    with pytest.raises(ValueError, match="does not match entry point"):
-        run_gn(p, disc, cfg)
-    with pytest.raises(ValueError, match="does not match entry point"):
-        run_gn(p, disc, tol=1e-3, strategy="gg")
-    assert run_gg(p, disc, tol=1e-3, strategy="gg").strategy == "gg"
-    trace = run_strategy(p, disc, cfg)
-    assert trace.strategy == "gg"
+        AdaptiveConfig(tol=1e-6, max_solve=3)
 
 
 def test_ellipticity_failure_propagates():
     p = DiffusionProblem(1, const(1.0), [const(1.0)], const(1.0))
     disc = SpatialDiscretization(p, 64)
     with pytest.raises(EllipticityError):
-        run_gn(p, disc, tol=1e-3)
+        run("gn_envelope", p, disc, tol=1e-3)
 
 
 def test_on_row_callback_streams_rows():
     p = affine_problem()
     disc = SpatialDiscretization(p, 64)
     seen = []
-    trace = run_gn(p, disc, tol=1e-6, on_row=seen.append)
+    cfg = AdaptiveConfig(strategy="gn_envelope", tol=1e-6)
+    trace = run_strategy(p, disc, cfg, on_row=seen.append)
     assert seen == trace.rows
 
 
 def test_nodes_choice_respected():
     p = affine_problem()
     disc = SpatialDiscretization(p, 64)
-    trace = run_gn(p, disc, tol=1e-6, nodes="clenshaw_curtis")
+    trace = run("gn_envelope", p, disc, tol=1e-6, nodes="clenshaw_curtis")
     assert trace.interpolant.family.kind == "clenshaw_curtis"
     row = trace.rows[-1]
     assert row.n_grid == trace.interpolant.n_points

@@ -197,6 +197,20 @@ def test_interpolatory_at_grid_points(kind):
         assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1.0)
 
 
+def test_clenshaw_curtis_level_ten_interpolates():
+    # the 1,025 nodes of level 10 once gave basis denominators that
+    # underflowed to zero, and an interpolant that was nan everywhere
+    f = lambda y: np.array([math.sin(3.0 * y[0])])
+    P = SparseInterpolant("clenshaw_curtis", 1)
+    for k in range(11):
+        P.add_index((k,), f)
+    Y = P.grid_coords()
+    got = P.evaluate(Y)[:, 0]
+    assert Y.shape[0] == 1025
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - np.sin(3.0 * Y[:, 0]))) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["leja", "clenshaw_curtis"])
 def test_monomial_exactness(kind):
     rng = np.random.default_rng(5)

@@ -8,15 +8,29 @@ from sparseuq.nodes import get_family
 
 
 def basis_table_loop(ys, nodes, mks, denoms):
-    """The per-column double loop basis_table replaced: the oracle."""
+    """The per-column double loop basis_table replaced: the oracle.
+    Differences are doubled, as in basis_table and its denominators."""
     out = np.empty((ys.shape[0], mks.shape[0]))
     for i in range(mks.shape[0]):
         acc = np.ones(ys.shape[0])
         for j in range(int(mks[i]) + 1):
             if j != i:
-                acc *= ys - nodes[j]
+                acc *= 2.0 * (ys - nodes[j])
         out[:, i] = acc / denoms[i]
     return out
+
+
+def unscaled_table(ys, nodes, mks):
+    """The basis table from plain node differences, each column's
+    numerator and denominator multiplied left to right in j."""
+    n = mks.shape[0]
+    num = np.ones((ys.shape[0], n))
+    den = np.ones(n)
+    for j in range(int(mks.max()) + 1):
+        cols = np.flatnonzero((mks >= j) & (np.arange(n) != j))
+        num[:, cols] *= (ys - nodes[j])[:, None]
+        den[cols] *= nodes[cols] - nodes[j]
+    return num / den
 
 
 def _basis_inputs(rng, n_nodes=9, n_pts=40):
@@ -28,7 +42,7 @@ def _basis_inputs(rng, n_nodes=9, n_pts=40):
         d = 1.0
         for j in range(int(mks[i]) + 1):
             if j != i:
-                d *= nodes[i] - nodes[j]
+                d *= 2.0 * (nodes[i] - nodes[j])
         denoms[i] = d
     ys = rng.uniform(-1, 1, n_pts)
     return ys, nodes, mks, denoms
@@ -66,6 +80,22 @@ def test_basis_table_bitwise_matches_loop(kind):
         mks = np.full(mk + 1, mk, dtype=np.int64)
         want = basis_table_loop(ys, fam._nodes_arr[: mk + 1], mks, fam._level_denoms(k))
         assert got.tobytes() == want.tobytes(), k
+
+
+def test_clenshaw_curtis_tables_equal_unscaled_ones():
+    # doubling every node difference is exact: up to level 9, where the
+    # plain products stay normal, the tables are those of plain differences
+    fam = get_family("clenshaw_curtis")
+    rng = np.random.default_rng(11)
+    for k in range(10):
+        n = fam.growth(k) + 1
+        nodes = fam.nodes(n)
+        ys = np.concatenate([rng.uniform(-1, 1, 20), nodes[-5:], [-1.0, 0.0, 1.0]])
+        got = fam.basis_matrix(ys, n)
+        assert got.tobytes() == unscaled_table(ys, nodes, fam._mks_arr[:n]).tobytes(), k
+        got = fam.lagrange_matrix(ys, k)
+        mks = np.full(n, n - 1, dtype=np.int64)
+        assert got.tobytes() == unscaled_table(ys, nodes, mks).tobytes(), k
 
 
 def test_weight_product_matches_loop():

@@ -5,6 +5,9 @@ A rename or deletion that breaks them fails here, not in a traced run."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +70,57 @@ def test_weight_product_counters_see_real_shapes(tracer, monkeypatch):
     W = P.basis_weights(Y)
     assert W.shape == (11, P.n_points)
     assert t.counters[name + ".flops_computed"] == 11 * P.n_points * (3 - 1)
+
+
+# the spans each strategy's loop must open when the tracer is installed
+LOOP_SPANS = {
+    "gn_envelope": ("estimators.margin_report", "estimators.residual_estimator"),
+    "gn_profit": (
+        "estimators.margin_report",
+        "estimators.residual_estimator",
+        "estimators.profit",
+    ),
+    "gg": ("estimators.reduced_margin_report", "estimators.surplus_indicator"),
+}
+
+# runs in a fresh interpreter, so the bindings the tracer replaces never
+# leak into this one
+_SPAN_RUN = """
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[2])
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+from sparseuq import adaptive, cli, estimators, fem, interp, kernels, multiindex, nodes
+t = tracer.Tracer()
+t.install([adaptive, cli, estimators, fem, interp, kernels, multiindex, nodes])
+problem = fem.build_problem({"family": "cosine", "M": 2, "a0": 2.0})
+disc = fem.SpatialDiscretization(problem, 32)
+out = {}
+for strategy in adaptive.STRATEGIES:
+    before = {name: rec[0] for name, rec in t.sums.items()}
+    cfg = adaptive.AdaptiveConfig(strategy=strategy, tol=1e-3, reference_every=1)
+    trace = adaptive.run_strategy(problem, disc, cfg)
+    calls = {name: rec[0] - before[name] for name, rec in t.sums.items()}
+    out[strategy] = {"rows": len(trace.rows), "calls": calls}
+print(json.dumps(out))
+"""
+
+
+def test_loop_spans_fire(tracer):
+    # a call that bypasses a module binding the tracer wraps leaves its
+    # span at zero calls
+    src = Path(sparseuq.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _SPAN_RUN, str(TRACER), str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    runs = json.loads(done.stdout)
+    assert set(runs) == set(LOOP_SPANS)
+    for strategy, run in runs.items():
+        assert run["rows"] > 2, strategy
+        need = (tracer.RUN, tracer.EXTEND, "estimators.reference_error")
+        for name in need + LOOP_SPANS[strategy]:
+            assert run["calls"][name] > 0, (strategy, name)
