@@ -307,7 +307,8 @@ def _augment_gg(trace, disc, config, P, cache, report):
         return
     before = cache.n_solves
     _add_indices(P, cache, pending)
-    assert cache.n_solves == before, "augmentation must reuse cached solves"
+    if cache.n_solves != before:
+        raise RuntimeError("augmentation must reuse cached solves")
     trace.augmented = True
     ref = None
     t0 = time.perf_counter()

@@ -16,8 +16,10 @@ fresh block is one row c times prod_m h_{k_m}(y_m), so its norm
 factorises exactly into ||c||_2 times a product of memoized 1-D norms
 of the h_{k_m}, for every p: at p = inf the maximum of a product of
 nonnegative per-axis factors over a tensor grid is the product of the
-per-axis maxima.  Multi-point blocks (Clenshaw-Curtis) are expanded on
-the tensor grid.
+per-axis maxima.  Multi-point blocks (Clenshaw-Curtis) at p = 2 are
+measured through the memoized Gram matrices of the per-level fresh
+bases, one mode product per axis; at other p they are expanded on the
+tensor grid.
 """
 
 import functools
@@ -170,6 +172,20 @@ def _axis_norm(kind, level, p, n):
     return combine_axes(h, [_level_axis(kind, level, p, n)], p)
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_gram(kind, level):
+    """Gram matrix G = B^T diag(w) B of one level's fresh basis under the
+    uniform measure on [-1, 1]: B is the p = 2 _axis_table and w the
+    weights of its Gauss order m(level) + 1, which is exact for the
+    products h_i h_j of degree at most 2 m(level).  Read-only: every
+    caller shares it."""
+    B = _axis_table(kind, level, 2.0, None)
+    w = _level_axis(kind, level, 2.0, None)[1]
+    G = B.T @ (w[:, None] * B)
+    G.flags.writeable = False
+    return G
+
+
 def _euclidean_lp_norm(kind, index, rows, spec):
     """L^p-over-box norm of the detail on the fresh block of index, given
     as flat C-order surplus rows pre-transformed so the spatial norm is
@@ -179,12 +195,15 @@ def _euclidean_lp_norm(kind, index, rows, spec):
     the tensor grid of norm_axes its norm factorises exactly: ||c||_2
     times the product over m of _axis_norm.  For p = inf the maximum over
     the grid of a product of nonnegative per-axis factors is the product
-    of the per-axis maxima.  More rows (Clenshaw-Curtis) are expanded on
-    that grid: the degree in dimension m is m(k_m).  The spatial axis is
-    first compressed with an SVD when that shrinks it: row norms depend
-    on the coefficient matrix only through its left singular factors, so
-    this is exact and cuts the cost of the grid expansion.  For p = inf
-    the sample order is irrelevant (plain max); otherwise the norms are
+    of the per-axis maxima.  More rows (Clenshaw-Curtis) at p = 2 give
+    the squared norm sum_e c_e^T (G_1 x ... x G_M) c_e over the spatial
+    columns c_e, with G_m = _axis_gram(kind, k_m): one mode product per
+    axis, no grid.  At other p they are expanded on the norm_axes grid:
+    the degree in dimension m is m(k_m).  The spatial axis is first
+    compressed with an SVD when that shrinks it: row norms depend on the
+    coefficient matrix only through its left singular factors, so this
+    is exact and cuts the cost of the grid expansion.  For p = inf the
+    sample order is irrelevant (plain max); otherwise the norms are
     restored to canonical order before weighting.
     """
     n = _fixed_axis_size(spec, len(index))
@@ -193,6 +212,12 @@ def _euclidean_lp_norm(kind, index, rows, spec):
         for km in index:
             value *= _axis_norm(kind, km, spec.p, n)
         return value
+    if spec.p == 2.0:
+        shape = fresh_shape(kind, index)
+        G_rows = rows
+        for m, km in enumerate(index):
+            G_rows = mode_product(_axis_gram(kind, km), G_rows, math.prod(shape[:m]))
+        return math.sqrt(float(np.vdot(rows, G_rows)))
     if rows.shape[0] < rows.shape[1]:
         U, s, _ = np.linalg.svd(rows, full_matrices=False)
         rows = U * s
@@ -268,7 +293,8 @@ def surplus_indicator(P, disc, k, spec, cache):
     Solves the PDE at the fresh grid points of k through the cache, so
     a later add_index(k) reuses every solve.  k must be addable.  The
     interpolant's part is P.value_below(k), summed over the blocks
-    i <= k only (see there why the others vanish at these points).
+    i <= k only (see there why the others vanish at these points); P
+    keeps it, so add_index(k) does not form it again.
     """
     k = tuple(int(v) for v in k)
     if not P.indexset.is_admissible(k):

@@ -11,7 +11,9 @@ At a new index's fresh points only the stored blocks below it carry
 nonzero basis weights, so SparseInterpolant.value_below sums those
 alone, with weights gathered from memoized per-level basis tables; it
 gives both add_index and the surplus indicator the interpolant's values
-there.
+there.  For an addable index that sum cannot change until the index
+itself is added, so the interpolant keeps it, read-only, and add_index
+takes it back out: a candidate's values are formed once.
 
 The surpluses of one index's fresh block are flat rows in C order over
 its fresh_shape.  mode_product applies a matrix along one axis of such
@@ -107,6 +109,8 @@ class SparseInterpolant:
         self.indexset = MonotoneIndexSet(self.dim)
         self._blocks = {}
         self._K = None
+        # value_below of addable indices, until add_index takes them
+        self._below = {}
         # rows in insertion order, appended into capacity-doubling buffers
         self._n = 0
         self._pts = np.empty((0, self.dim), dtype=np.int64)
@@ -204,12 +208,21 @@ class SparseInterpolant:
         product with the surpluses sums fewer terms, so the values agree
         with evaluate at the same coordinates to roundoff.  k need not lie
         in the set or be addable.
+
+        For an addable k the result is kept, read-only, and returned again
+        until add_index(k) takes it out.  That is exact: every block i < k
+        is already in the set, and an index added before k is not <= k,
+        so its rows lie outside k's box.  A k that is not addable is never
+        kept, since a block below it may still arrive.
         """
         if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
         k = tuple(int(v) for v in k)
         if len(k) != self.dim:
             raise ValueError("index length %d does not match dimension %d" % (len(k), self.dim))
+        kept = self._below.get(k)
+        if kept is not None:
+            return kept
         kind = self.family.kind
         fresh = np.indices(fresh_shape(kind, k)).reshape(self.dim, -1)
         pts = self._pts[: self._n]
@@ -218,7 +231,11 @@ class SparseInterpolant:
         for m, (km, r) in enumerate(zip(k, fresh_ranges(kind, k))):
             # basis functions by nodes, C-ordered: gather the fresh nodes' columns
             rows.append(_level_basis(kind, km).T[:, fresh[m] + r.start])
-        return _tensor_weights(rows, pts[box]) @ self._vals[: self._n][box]
+        out = _tensor_weights(rows, pts[box]) @ self._vals[: self._n][box]
+        if self.indexset.is_admissible(k):
+            out.flags.writeable = False
+            self._below[k] = out
+        return out
 
     def evaluate(self, Y):
         """Evaluate at points Y of shape (P, M); returns shape (P, K)."""
@@ -234,7 +251,8 @@ class SparseInterpolant:
         either from the per-point evaluator f or from a precomputed array
         ``values`` of shape (count, K) ordered like new_point_indices(i).
         Surpluses are value minus current-interpolant value, computed
-        before insertion from the blocks below i (see value_below).
+        before insertion from the blocks below i (see value_below, whose
+        kept values for i are used and then dropped).
         Returns the number of fresh points.
         """
         i = tuple(int(v) for v in i)
@@ -267,6 +285,7 @@ class SparseInterpolant:
                     % (fvals.shape[1], self._K)
                 )
             surplus = fvals - self.value_below(i)
+            del self._below[i]
         self.indexset.add(i)
         self._blocks[i] = (self._n, len(newjs))
         self._append(newjs, surplus)

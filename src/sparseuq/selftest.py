@@ -1,7 +1,8 @@
 """Fast built-in consistency checks behind ``sparseuq selftest``.
 
 A small, dependency-free subset of the test suite: enough to tell a
-broken installation from a working one in about a second.
+broken installation from a working one in about a second.  Checks go
+through _require rather than assert, so they also run under python -O.
 """
 
 import math
@@ -16,23 +17,29 @@ from .multiindex import MonotoneIndexSet, is_monotone, margin, reduced_margin
 from .nodes import clenshaw_curtis_nodes, leja_nodes, rleja_nodes
 
 
+def _require(ok, *detail):
+    """Raise AssertionError, with detail as its message, unless ok."""
+    if not ok:
+        raise AssertionError(*detail)
+
+
 def _check_nodes():
     first = leja_nodes(5)
     ref = [-1.0, 1.0, 0.0, -0.57735, 0.65871]
-    assert np.allclose(first, ref, atol=1e-4), first
+    _require(np.allclose(first, ref, atol=1e-4), first)
     r = rleja_nodes(5)
-    assert np.allclose(r, [1.0, -1.0, 0.0, math.sqrt(2) / 2, -math.sqrt(2) / 2], atol=1e-12), r
+    _require(np.allclose(r, [1.0, -1.0, 0.0, math.sqrt(2) / 2, -math.sqrt(2) / 2], atol=1e-12), r)
     cc = clenshaw_curtis_nodes(2)
-    assert np.allclose(sorted(cc), [-1.0, -math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2, 1.0]), cc
+    _require(np.allclose(sorted(cc), [-1.0, -math.sqrt(2) / 2, 0.0, math.sqrt(2) / 2, 1.0]), cc)
 
 
 def _check_multiindex():
     s = MonotoneIndexSet(2)
     for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         s.add(k)
-    assert is_monotone(s.members_sorted())
-    assert set(s.margin()) == margin(s.members_sorted())
-    assert set(s.reduced_margin()) == reduced_margin(s.members_sorted())
+    _require(is_monotone(s.members_sorted()))
+    _require(set(s.margin()) == margin(s.members_sorted()))
+    _require(set(s.reduced_margin()) == reduced_margin(s.members_sorted()))
 
 
 def _check_interpolation():
@@ -42,7 +49,7 @@ def _check_interpolation():
         P.add_index(k, f)
     Y = np.array([[0.3, -0.7], [-0.2, 0.9], [0.0, 0.0]])
     want = np.array([[f(y)[0]] for y in Y])
-    assert np.allclose(P.evaluate(Y), want, atol=1e-12)
+    _require(np.allclose(P.evaluate(Y), want, atol=1e-12))
     # at a Clenshaw-Curtis candidate's fresh points the blocks below it
     # give the full evaluation: the rows of (0, 1) and (1, 1) weigh zero
     P = SparseInterpolant("clenshaw_curtis", 2)
@@ -50,16 +57,16 @@ def _check_interpolation():
         P.add_index(k, f)
     k = (2, 0)
     full = P.evaluate(P.coords_of(P.new_point_indices(k)))
-    assert np.max(np.abs(P.value_below(k) - full)) <= 1e-14 * np.max(np.abs(full))
+    _require(np.max(np.abs(P.value_below(k) - full)) <= 1e-14 * np.max(np.abs(full)))
     # detail of y0*y1 at the top of the 2x2 rectangle: one surplus of 4
     # at node (1, 1) times the two hat values 0.7 and 0.8
     d = detail_apply_ct("leja", (1, 1), lambda y: np.array([y[0] * y[1]]))
-    assert abs(d.evaluate(np.array([[0.4, 0.6]]))[0, 0] - 2.24) < 1e-12
+    _require(abs(d.evaluate(np.array([[0.4, 0.6]]))[0, 0] - 2.24) < 1e-12)
     # the estimators' hierarchical detail agrees with the combination technique
     g = lambda y: np.array([math.exp(y[0]) * math.cos(y[1])])
     ct = detail_apply_ct("clenshaw_curtis", (2, 1), g)
     blk = HierarchicalBlock.from_level_grid("clenshaw_curtis", (2, 1), ct.values)
-    assert np.allclose(blk.evaluate(Y), ct.evaluate(Y), atol=1e-12)
+    _require(np.allclose(blk.evaluate(Y), ct.evaluate(Y), atol=1e-12))
 
 
 def _check_norms():
@@ -68,19 +75,24 @@ def _check_norms():
     # times the 1-D norms of (y + 1) / 2: 1/sqrt(3) at p = 2, 1 at p = inf
     row = np.array([[3.0, 4.0]])
     got = _euclidean_lp_norm("leja", (1, 1), row, NormSpec(p=2))
-    assert abs(got - 5.0 / 3.0) < 1e-14, got
+    _require(abs(got - 5.0 / 3.0) < 1e-14, got)
     got = _euclidean_lp_norm("leja", (1, 1), row, NormSpec(p="inf"))
-    assert abs(got - 5.0) < 1e-14, got
+    _require(abs(got - 5.0) < 1e-14, got)
+    # a Clenshaw-Curtis block on (1,) with surplus rows [[1], [1]] is
+    # h_1 + h_2 = y^2, measured through the Gram matrix of level 1's
+    # fresh basis: its p = 2 norm is sqrt(1/5)
+    got = _euclidean_lp_norm("clenshaw_curtis", (1,), np.ones((2, 1)), NormSpec(p=2))
+    _require(abs(got - 1.0 / math.sqrt(5.0)) < 1e-14, got)
 
 
 def _check_fem():
     prob = DiffusionProblem(1, lambda x: np.full_like(x, 2.0), [lambda x: np.zeros_like(x)], lambda x: np.ones_like(x))
     disc = SpatialDiscretization(prob, 64)
     info = check_ellipticity(prob, disc)
-    assert abs(info["a_min"] - 2.0) < 1e-12
+    _require(abs(info["a_min"] - 2.0) < 1e-12)
     u = disc.solve_at(np.array([0.0]))
     x = disc.nodes
-    assert np.max(np.abs(u - x * (1 - x) / 4.0)) < 1e-12
+    _require(np.max(np.abs(u - x * (1 - x) / 4.0)) < 1e-12)
     # a batch of solves against the dense assembled stiffness, on a
     # random coefficient that stays positive (amplitudes sum below a0)
     rng = np.random.default_rng(0)
@@ -92,7 +104,7 @@ def _check_fem():
         c = disc.coefficient_at(y) / disc.h
         K = np.diag(c[:-1] + c[1:]) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)
         want = np.linalg.solve(K, disc.load)
-        assert np.max(np.abs(u[1:-1] - want)) < 1e-11 * np.max(np.abs(want))
+        _require(np.max(np.abs(u[1:-1] - want)) < 1e-11 * np.max(np.abs(want)))
 
 
 def _check_adaptive():
@@ -100,7 +112,7 @@ def _check_adaptive():
     disc = SpatialDiscretization(prob, 32)
     cfg = AdaptiveConfig(strategy="gn_envelope", tol=1e-10, max_iter=5, reference_every=0)
     trace = run_strategy(prob, disc, cfg)
-    assert len(trace.rows) == 1 and trace.rows[0].total_estimator == 0.0
+    _require(len(trace.rows) == 1 and trace.rows[0].total_estimator == 0.0)
 
 
 CHECKS = [

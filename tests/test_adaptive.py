@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sparseuq import adaptive
+from sparseuq import adaptive, kernels
 from sparseuq.adaptive import (
     AdaptiveConfig,
     STRATEGIES,
@@ -144,6 +144,31 @@ def test_build_never_takes_the_full_evaluation(strategy, nodes, monkeypatch):
     trace = run_strategy(p, disc, cfg)
     assert trace.stop_reason == "tol"
     assert trace.interpolant.n_points > 20
+
+
+def test_gg_weights_each_candidate_once(monkeypatch):
+    # S u at a candidate's fresh points is formed once, by its surplus
+    # indicator; add_index and the augmentation take the kept product
+    calls = []
+    weight_product = kernels.weight_product
+
+    def counted(table, cols):
+        calls.append(cols.shape)
+        return weight_product(table, cols)
+
+    monkeypatch.setattr(kernels, "weight_product", counted)
+    p = cosine_problem(3)
+    disc = SpatialDiscretization(p, 64)
+    for dorfler in (0.0, 0.5):
+        calls.clear()
+        cfg = AdaptiveConfig(
+            strategy="gg", nodes="clenshaw_curtis", tol=1e-5, reference_every=0, dorfler=dorfler
+        )
+        trace = run_strategy(p, disc, cfg)
+        assert trace.stop_reason == "tol" and trace.augmented
+        fresh = sum(row.estimates_fresh for row in trace.rows)
+        assert fresh > 20
+        assert len(calls) == fresh, dorfler
 
 
 # -- marking ----------------------------------------------------------------

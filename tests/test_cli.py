@@ -530,3 +530,21 @@ def test_subprocess_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0, res.stdout + res.stderr
     assert "ok:" in res.stdout
+
+
+def test_selftest_fails_under_optimize_flag():
+    # python -O strips assert statements; a broken check must still fail
+    code = (
+        "import sys\n"
+        "from sparseuq import selftest\n"
+        "print(__debug__)\n"
+        "selftest._euclidean_lp_norm = lambda *args: 0.0\n"
+        "sys.exit(selftest.run())\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert res.stdout.splitlines()[0] == "False", res.stdout + res.stderr
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "FAIL: parametric norms" in res.stdout
+    assert "1 of 6 checks failed" in res.stdout

@@ -207,10 +207,11 @@ def test_rank_one_norm_matches_grid_expansion(kind, p):
             assert abs(got - want) <= 1e-13 * want, (dim, index, got, want)
 
 
-@pytest.mark.parametrize("p", [2, 3, "inf"])
+@pytest.mark.parametrize("p", [3, "inf"])
 def test_multi_point_blocks_keep_grid_path(p):
     # Clenshaw-Curtis blocks with more than one fresh point are expanded on
-    # the grid as before, with and without the SVD compression
+    # the grid as before for p outside {2}, with and without the SVD
+    # compression
     rng = np.random.default_rng(89)
     spec = NormSpec(p=p)
     seen = 0
@@ -226,6 +227,49 @@ def test_multi_point_blocks_keep_grid_path(p):
                 assert got == grid_lp_norm("clenshaw_curtis", index, block, spec)
                 seen += 1
     assert seen >= 20
+
+
+def test_multi_point_p2_norm_matches_grid_expansion():
+    # at p = 2 Clenshaw-Curtis blocks with more than one fresh point are
+    # measured through the per-level Gram matrices; the grid expansion is
+    # the oracle.  Indices are drawn at M = 1..6 with their grid capped at
+    # 20,000 points, and at K = 70 blocks come both taller and wider than K
+    rng = np.random.default_rng(91)
+    spec = NormSpec(p=2)
+    seen, taller, wider = 0, 0, 0
+    for dim in range(1, 7):
+        drawn = 0
+        while drawn < 6:
+            index = tuple(int(v) for v in rng.integers(0, 5 if dim <= 2 else 4, size=dim))
+            rows = work("clenshaw_curtis", index)
+            if rows == 1 or math.prod(growth("clenshaw_curtis", k) + 1 for k in index) > 20000:
+                continue
+            drawn += 1
+            for K in (1, 70):
+                block = rng.normal(size=(rows, K))
+                got = _euclidean_lp_norm("clenshaw_curtis", index, block, spec)
+                want = grid_lp_norm("clenshaw_curtis", index, block, spec)
+                assert abs(got - want) <= 1e-13 * want, (index, K, got, want)
+                seen += 1
+                if K == 70:
+                    taller += rows > K
+                    wider += rows < K
+    assert seen == 72 and taller >= 3 and wider >= 3, (taller, wider)
+
+
+def test_axis_gram_is_exact_shared_and_read_only():
+    # Gauss order m(level) + 1 integrates the products of the level's
+    # fresh basis exactly: a higher order gives the same matrix.  The
+    # basis stays within about 1 in magnitude and the weights sum to 1,
+    # so the bound on the entries is absolute
+    for level in range(7):
+        G = estimators._axis_gram("clenshaw_curtis", level)
+        assert G is estimators._axis_gram("clenshaw_curtis", level)
+        assert not G.flags.writeable
+        x, w = gauss_axis(growth("clenshaw_curtis", level) + 9)
+        B = _fresh_table("clenshaw_curtis", level, x)
+        want = B.T @ (w[:, None] * B)
+        assert np.max(np.abs(G - want)) <= 1e-14, level
 
 
 # -- residual estimator -----------------------------------------------------
@@ -388,6 +432,45 @@ def test_rank_one_residuals_skip_the_grid_path(kind, monkeypatch):
     assert report.vmax > 0.0
     for k, got in report.values.items():
         assert abs(got - want[k]) <= 1e-12 * scale, (k, got, want[k])
+
+
+def test_clenshaw_curtis_p2_reports_skip_the_grid_path(monkeypatch):
+    # at p = 2 multi-point details are measured by Gram matrices: no grid
+    # expansion or SVD may run in the residual or the surplus report, so a
+    # silent fall-back to the grid path fails here.  The oracles run first,
+    # on the grid
+    rng = np.random.default_rng(101)
+    problem = build_problem({"family": "cosine", "M": 3, "gamma": 0.9})
+    disc = SpatialDiscretization(problem, 32)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("clenshaw_curtis", 3)
+    random_monotone_growth(P, cache, rng, 8)
+    spec = NormSpec(p=2)
+    want_res = {tuple(k): sampled_residual(P, disc, tuple(k), spec) for k in P.indexset.margin()}
+    want_sur = {}
+    for k in map(tuple, P.indexset.reduced_margin()):
+        surplus = fresh_solves(P, cache, k) - P.evaluate(P.coords_of(P.new_point_indices(k)))
+        rows = np.diff(surplus, axis=-1) / math.sqrt(disc.h)
+        want_sur[k] = grid_lp_norm("clenshaw_curtis", k, rows, spec)
+    flux0 = flux_on_points(P, disc, np.zeros((1, 3)))
+    res_scale = math.sqrt(disc.h) * float(np.linalg.norm(flux0))
+    sur_scale = float(np.linalg.norm(np.diff(P.surpluses()[0]))) / math.sqrt(disc.h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid path ran")
+
+    monkeypatch.setattr(estimators.np, "tensordot", refuse)
+    monkeypatch.setattr(estimators.np.linalg, "svd", refuse)
+    report = margin_report(P, disc, spec)
+    assert set(report.values) == set(want_res)
+    assert report.vmax > 0.0
+    for k, got in report.values.items():
+        assert abs(got - want_res[k]) <= 1e-12 * res_scale, (k, got, want_res[k])
+    report = reduced_margin_report(P, disc, spec, cache)
+    assert set(report.values) == set(want_sur)
+    assert report.vmax > 0.0
+    for k, got in report.values.items():
+        assert abs(got - want_sur[k]) <= 1e-12 * sur_scale, (k, got, want_sur[k])
 
 
 # -- surplus indicator ------------------------------------------------------

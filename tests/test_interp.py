@@ -621,6 +621,80 @@ def test_add_index_from_f_subtracts_the_full_evaluation(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_kept_value_below_equals_a_fresh_product(kind):
+    # value_below of an addable index is kept, read-only, and returned
+    # again; other indices added meanwhile leave it bitwise equal to the
+    # product formed from scratch on the grown interpolant
+    rng = np.random.default_rng(43)
+    for dim in (1, 2, 3):
+        s = capped_monotone(kind, dim, rng.integers(0, 10**6, size=6))
+        P = random_valued(kind, s, rng)
+        kept = {tuple(k): P.value_below(k) for k in s.reduced_margin()}
+        for k, v in kept.items():
+            assert not v.flags.writeable
+            assert P.value_below(k) is v
+        others = list(kept)
+        for k in others[::2]:
+            P.add_index(k, values=rng.normal(size=(work(kind, k), 3)))
+        Q = SparseInterpolant.from_jsonable(P.to_jsonable())
+        seen = 0
+        for k, v in kept.items():
+            if P.indexset.is_admissible(k):
+                assert P.value_below(k) is v
+                assert v.tobytes() == Q.value_below(k).tobytes(), (dim, k)
+                seen += 1
+        assert seen == len(others[1::2])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_add_index_drops_the_kept_value_below(kind):
+    rng = np.random.default_rng(47)
+    P = random_valued(kind, capped_monotone(kind, 2, [3, 1, 4]), rng)
+    k = tuple(P.indexset.reduced_margin()[0])
+    v = P.value_below(k)
+    P.add_index(k, values=rng.normal(size=(work(kind, k), 3)))
+    assert k not in P._below
+    # k is in the set now: its own block counts, and nothing is kept
+    w = P.value_below(k)
+    assert w is not v and w.flags.writeable and k not in P._below
+    check_value_below(P, k)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_below_of_a_non_addable_index_is_not_kept(kind):
+    # (1, 1) lacks its backward neighbour (0, 1), whose block lies below
+    # (1, 1) and arrives later: a kept product would then be stale
+    rng = np.random.default_rng(53)
+    P = SparseInterpolant(kind, 2)
+    for i in [(0, 0), (1, 0)]:
+        P.add_index(i, values=rng.normal(size=(work(kind, i), 3)))
+    k = (1, 1)
+    before = P.value_below(k)
+    assert before.flags.writeable and k not in P._below
+    P.add_index((0, 1), values=rng.normal(size=(work(kind, (0, 1)), 3)))
+    assert not np.allclose(P.value_below(k), before)
+    check_value_below(P, k)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_add_index_subtracts_the_kept_product_from_the_given_values(kind):
+    # add_index stores values - S u for the values passed, whether or not
+    # they match those the kept product was first subtracted from
+    rng = np.random.default_rng(59)
+    P = random_valued(kind, capped_monotone(kind, 3, [5, 2, 7, 1]), rng)
+    k = tuple(P.indexset.reduced_margin()[-1])
+    below = P.value_below(k)
+    full = P.evaluate(fresh_coords(P, k))
+    v = rng.normal(size=below.shape)
+    P.add_index(k, values=v)
+    start, count = P.block_of(k)
+    got = P.surpluses()[start : start + count]
+    assert got.tobytes() == (v - below).tobytes()
+    scale = max(float(np.max(np.abs(v))), float(np.max(np.abs(full))))
+    assert np.max(np.abs(got - (v - full))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_level_basis_is_the_shared_basis_table(kind):
     # one read-only table per level, bitwise the basis_matrix at the
     # level's nodes, serves value_below and the residual's matrices
