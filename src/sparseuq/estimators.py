@@ -281,10 +281,9 @@ def residual_estimator(P, disc, k, spec):
 
 
 def fresh_solves(P, cache, k):
-    """The cached solves at the fresh points of k, rows in block order."""
-    newjs = P.new_point_indices(k)
-    coords = P.coords_of(np.asarray(newjs, dtype=np.int64))
-    return cache.solve_indexed(newjs, coords)
+    """Read-only cached solves at k's fresh points, rows in block order.  Keyed
+    by (node family, k): a node index names another point in each family."""
+    return cache.solve_indexed((P.family.kind, tuple(k)), P.coords_of(P.new_point_indices(k)))
 
 
 def surplus_indicator(P, disc, k, spec, cache):

@@ -13,6 +13,9 @@ cumulative sum, so a batch of parameter points is solved in closed form
 by a few array passes (see kernels.thomas_solve).  The element gradients
 are the fluxes divided by a, so gradients_at forms them without the
 nodal values, which is all an error in the H1_0 seminorm needs.
+
+SolveCache keeps the collocation solves as one read-only array per
+fresh block of a multi-index, solved in one batch.
 """
 
 from collections.abc import Mapping
@@ -183,13 +186,13 @@ def check_ellipticity(problem, disc):
 class SolveCache:
     """Insert-once cache of PDE solves.
 
-    Collocation solves are keyed by the grid point's node-index tuple
-    and counted.  solve_y memoizes solutions at a sampling point set
-    (monte_carlo_error) as one array per set, keyed by the set's shape
-    and bytes, and does not count them against the solve budget.
-    ``reference_rows`` holds the incremental state of
-    estimators.reference_error for this cache; the reference grid's
-    solutions are never formed, so they are not memoized here.
+    Collocation solves are one counted read-only array per block, keyed
+    by what fixes its points (estimators.fresh_solves).  solve_y memoizes
+    solutions at a sampling point set (monte_carlo_error) as one array
+    per set, keyed by the set's shape and bytes, and does not count them
+    against the solve budget.  ``reference_rows`` holds the incremental
+    state of estimators.reference_error for this cache; the reference
+    grid's solutions are never formed, so they are not memoized here.
     """
 
     def __init__(self, disc):
@@ -199,20 +202,15 @@ class SolveCache:
         self.n_solves = 0
         self.reference_rows = None
 
-    def solve_indexed(self, js, Y):
-        """Solutions at the grid points with node-index rows js and
-        coordinates Y (P, M), shape (P, n+1) in the order of js: the
-        points not solved before are solved in one batch and counted."""
-        keys = [tuple(int(v) for v in j) for j in js]
-        missing = {}
-        for r, key in enumerate(keys):
-            if key not in self._by_index:
-                missing.setdefault(key, r)
-        if missing:
-            U = self.disc.solve_at(np.asarray(Y, dtype=np.float64)[list(missing.values())])
-            self._by_index.update(zip(missing, U))
-            self.n_solves += len(missing)
-        return np.vstack([self._by_index[key] for key in keys])
+    def solve_indexed(self, key, Y):
+        """Solutions at the points Y (P, M) of the block named key, shape
+        (P, n+1): one counted batch on the first request for key, the
+        same read-only array afterwards, whatever Y is then."""
+        if key not in self._by_index:
+            U = self._by_index[key] = self.disc.solve_at(np.asarray(Y, dtype=np.float64))
+            U.flags.writeable = False
+            self.n_solves += len(U)
+        return self._by_index[key]
 
     def solve_y(self, Y):
         """Solutions at the point set Y, (P, M) or a single point (M,),
@@ -233,13 +231,18 @@ class SolveCache:
 
 def config_number(key, value, kind=float):
     """value converted by kind (int or float).  A value of the wrong type,
-    such as a JSON null or list, raises ValueError naming the dotted
-    config key, like any other bad config value, not a TypeError."""
+    such as a JSON null, list or boolean, or for int a value with a
+    fractional part, raises ValueError naming the dotted config key, like
+    any other bad config value, not a TypeError.  An integral float such
+    as 2.0 is an integer."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool) or (kind is int and out != value):
         what = "an integer" if kind is int else "a number"
-        raise ValueError("%s must be %s, got %r" % (key, what, value)) from None
+        raise ValueError("%s must be %s, got %r" % (key, what, value))
+    return out
 
 
 def config_mapping(key, value):

@@ -70,6 +70,14 @@ def _work(kind, i):
     return math.prod(_fresh_shape(kind, i))
 
 
+@functools.lru_cache(maxsize=None)
+def _fresh_points(kind, i):
+    fresh = np.unravel_index(np.arange(_work(kind, i), dtype=np.int64), _fresh_shape(kind, i))
+    out = np.stack(fresh, axis=1) + [r.start for r in fresh_ranges(kind, i)]
+    out.flags.writeable = False
+    return out
+
+
 def fresh_ranges(kind, i):
     """Per-dimension sequence-position ranges of the fresh points of i."""
     out = []
@@ -82,10 +90,7 @@ def fresh_ranges(kind, i):
 
 def grid_points(kind, indexset):
     """All grid node-index tuples of a monotone set, in block order."""
-    js = []
-    for i in indexset:
-        js.extend(itertools.product(*fresh_ranges(kind, i)))
-    return js
+    return [tuple(j) for i in indexset for j in _fresh_points(kind, tuple(i)).tolist()]
 
 
 def _tensor_weights(rows, pts):
@@ -132,8 +137,8 @@ class SparseInterpolant:
         return self._blocks[tuple(i)]
 
     def new_point_indices(self, i):
-        """The fresh node-index tuples index i would introduce (lex order)."""
-        return list(itertools.product(*fresh_ranges(self.family.kind, i)))
+        """Read-only (work(i), M) int64 node indices of i's fresh points, C order."""
+        return _fresh_points(self.family.kind, tuple(i))
 
     def coords_of(self, js):
         js = np.asarray(js, dtype=np.int64).reshape(-1, self.dim)
@@ -224,13 +229,10 @@ class SparseInterpolant:
         if kept is not None:
             return kept
         kind = self.family.kind
-        fresh = np.indices(fresh_shape(kind, k)).reshape(self.dim, -1)
         pts = self._pts[: self._n]
         box = (pts <= [growth(kind, km) for km in k]).all(axis=1)
-        rows = []
-        for m, (km, r) in enumerate(zip(k, fresh_ranges(kind, k))):
-            # basis functions by nodes, C-ordered: gather the fresh nodes' columns
-            rows.append(_level_basis(kind, km).T[:, fresh[m] + r.start])
+        # basis functions by nodes, C-ordered: gather the fresh nodes' columns
+        rows = [_level_basis(kind, km).T[:, js] for km, js in zip(k, self.new_point_indices(k).T)]
         out = _tensor_weights(rows, pts[box]) @ self._vals[: self._n][box]
         if self.indexset.is_admissible(k):
             out.flags.writeable = False
@@ -270,7 +272,7 @@ class SparseInterpolant:
                     "expected %d value rows, got %d" % (len(newjs), fvals.shape[0])
                 )
         elif f is not None:
-            coords = self.coords_of(np.asarray(newjs, dtype=np.int64))
+            coords = self.coords_of(newjs)
             fvals = np.vstack(
                 [np.atleast_1d(np.asarray(f(y), dtype=np.float64)) for y in coords]
             )
@@ -331,7 +333,7 @@ class SparseInterpolant:
         # blocks regroup by the unique index whose fresh range holds each
         # point, in new_point_indices order, which block_of readers rely on
         for i in obj.indexset:
-            rows = [row_of[j] for j in itertools.product(*fresh_ranges(kind, i))]
+            rows = [row_of[tuple(j)] for j in obj.new_point_indices(i).tolist()]
             if rows != list(range(rows[0], rows[0] + len(rows))):
                 raise ValueError(
                     "points of index %r are not contiguous in block order" % (tuple(i),)

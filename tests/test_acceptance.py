@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sparseuq.adaptive import AdaptiveConfig, run_strategy
-from sparseuq.estimators import NormSpec, residual_estimator
+from sparseuq.estimators import NormSpec, fresh_solves, residual_estimator
 from sparseuq.fem import SolveCache, SpatialDiscretization, build_problem
 from sparseuq.interp import (
     HierarchicalBlock,
@@ -280,9 +280,7 @@ def test_criterion_09_estimator_annihilation():
         for s in chain_sets:
             P = SparseInterpolant(kind, problem.dim)
             for i in s.members_sorted():
-                js = P.new_point_indices(i)
-                ys = P.coords_of(np.asarray(js))
-                P.add_index(i, values=cache.solve_indexed(js, ys))
+                P.add_index(i, values=fresh_solves(P, cache, i))
             degs = [
                 max(growth(kind, i[m]) for i in P.indexset) + 1
                 for m in range(P.dim)

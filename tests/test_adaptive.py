@@ -171,6 +171,37 @@ def test_gg_weights_each_candidate_once(monkeypatch):
         assert len(calls) == fresh, dorfler
 
 
+def test_gg_solves_each_point_once(monkeypatch):
+    # every block is solved in one counted batch when it is first
+    # estimated; inserting marked or augmented indices solves nothing
+    rows, inside = [], []
+    solve_at = SpatialDiscretization.solve_at
+    add_indices = adaptive._add_indices
+
+    def counted_solve(self, y):
+        U = solve_at(self, y)
+        rows.append(len(U))
+        return U
+
+    def counted_add(P, cache, marked):
+        before = len(rows)
+        add_indices(P, cache, marked)
+        inside.extend(rows[before:])
+
+    monkeypatch.setattr(SpatialDiscretization, "solve_at", counted_solve)
+    monkeypatch.setattr(adaptive, "_add_indices", counted_add)
+    p = cosine_problem(3)
+    disc = SpatialDiscretization(p, 64)
+    cfg = AdaptiveConfig(strategy="gg", nodes="clenshaw_curtis", tol=1e-5, reference_every=0)
+    trace = run_strategy(p, disc, cfg)
+    assert trace.stop_reason == "tol" and trace.augmented
+    # the augmentation absorbs every solved block, so each grid point
+    # was solved exactly once
+    assert sum(rows) == trace.cache.n_solves == trace.interpolant.n_points > 20
+    # only the root is solved where it is inserted
+    assert inside == [1]
+
+
 # -- marking ----------------------------------------------------------------
 
 

@@ -116,6 +116,10 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"reference": {"quad_order": [1]}}, "reference.quad_order must be an integer"),
         # so did sections of the wrong type and null problem numbers
         ({"problem": {"M": None}}, "problem.M must be an integer"),
+        # fractional integers were once truncated, and booleans taken as 0/1
+        ({"problem": {"M": 1.7}}, "problem.M must be an integer, got 1.7"),
+        ({"mesh_n": 32.9}, "mesh_n must be an integer, got 32.9"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
         # M = 0 once left a header-only trace file behind, then exited 3
         ({"problem": {"M": 0}}, "problem.M must be at least 1"),
         ({"problem": [1]}, "problem must be a mapping"),

@@ -65,9 +65,7 @@ def build_chain(disc, levels, kind="leja"):
     cache = SolveCache(disc)
     P = SparseInterpolant(kind, 1)
     for k in range(levels):
-        js = P.new_point_indices((k,))
-        ys = P.coords_of(np.asarray(js))
-        P.add_index((k,), values=cache.solve_indexed(js, ys))
+        P.add_index((k,), values=fresh_solves(P, cache, (k,)))
     return P, cache
 
 
@@ -502,9 +500,7 @@ def test_surplus_geometric_decay():
     vals = []
     for k in range(1, 7):
         vals.append(surplus_indicator(P, disc, (k,), spec, cache))
-        js = P.new_point_indices((k,))
-        ys = P.coords_of(np.asarray(js))
-        P.add_index((k,), values=cache.solve_indexed(js, ys))
+        P.add_index((k,), values=fresh_solves(P, cache, (k,)))
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     assert all(r < 1.0 for r in ratios)
     assert vals[-1] / vals[0] < 1e-2
@@ -522,10 +518,26 @@ def test_surplus_reuses_cache_for_add():
     P, cache = build_chain(disc, 1)
     surplus_indicator(P, disc, (1,), NormSpec(p=2), cache)
     n = cache.n_solves
-    js = P.new_point_indices((1,))
-    ys = P.coords_of(np.asarray(js))
-    P.add_index((1,), values=cache.solve_indexed(js, ys))
+    P.add_index((1,), values=fresh_solves(P, cache, (1,)))
     assert cache.n_solves == n
+
+
+def test_fresh_solves_keep_node_families_apart():
+    # a node index names another point in each family, so a cache shared
+    # by Leja and Clenshaw-Curtis interpolants once returned the Leja
+    # solve at y = (-1, -1) for the Clenshaw-Curtis root y = (0, 0)
+    problem = build_problem({"family": "cosine", "M": 2, "amps": [0.5, 0.3]})
+    disc = SpatialDiscretization(problem, 32)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", 2)
+    Q = SparseInterpolant("clenshaw_curtis", 2)
+    for k in [(0, 0), (1, 0)]:
+        P.add_index(k, values=fresh_solves(P, cache, k))
+    for k in [(0, 0), (1, 0)]:
+        got = fresh_solves(Q, cache, k)
+        assert np.array_equal(got, disc.solve_at(Q.coords_of(Q.new_point_indices(k)))), k
+        Q.add_index(k, values=got)
+    assert cache.n_solves == 2 + 3
 
 
 # -- profit -----------------------------------------------------------------
