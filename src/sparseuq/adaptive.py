@@ -96,8 +96,9 @@ class AdaptiveConfig:
             setattr(self, name, config_number(name, getattr(self, name), kind))
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.max_iter < 1 or self.max_solves < 1:
-            raise ValueError("budgets must be at least 1")
+        for name in ("max_iter", "max_solves"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
         if self.reference_quad < 1:
             raise ValueError("reference_quad must be at least 1")
         if not 0.0 <= self.dorfler <= 1.0:

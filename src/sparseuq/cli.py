@@ -56,7 +56,7 @@ DEFAULTS = {
     },
     "mesh_n": 256,
     "nodes": "leja",
-    "norm": {"p": 2, "sup_points_per_dim": 33, "sup_budget": 40000, "quad_order": 12},
+    "norm": {"p": 2, "sup_points_per_dim": 33, "sup_budget": 40000},
     "strategies": ["gn_envelope"],
     "tol": 1e-8,
     "max_iter": 200,

@@ -8,18 +8,18 @@ from the stored surplus blocks of the candidate's backward neighbours
 alone, the surplus detail from the new solves.  Either detail is a
 block of flat surplus rows on the candidate's fresh points, formed by
 interp.mode_product and measured by one function, _euclidean_lp_norm,
-in a parametric L^p norm over the box: exact tensor Gauss quadrature
-for p = 2 (uniform product measure, weights halved), a tensor
-sample-grid maximum for p = inf (a lower bound of the sup), and
-fixed-order Gauss quadrature otherwise.  For Leja and R-Leja every
-fresh block is one row c times prod_m h_{k_m}(y_m), so its norm
-factorises exactly into ||c||_2 times a product of memoized 1-D norms
-of the h_{k_m}, for every p: at p = inf the maximum of a product of
-nonnegative per-axis factors over a tensor grid is the product of the
-per-axis maxima.  Multi-point blocks (Clenshaw-Curtis) at p = 2 are
-measured through the memoized Gram matrices of the per-level fresh
-bases, one mode product per axis; at other p they are expanded on the
-tensor grid.
+in a parametric L^p norm over the box for p = 2 or p = inf: exact
+tensor Gauss quadrature for p = 2 (uniform product measure, weights
+halved), a tensor sample-grid maximum for p = inf (a lower bound of
+the sup).  A p = 2 value also bounds the L^p norm for every
+1 <= p <= 2 (Jensen).  For Leja and R-Leja every fresh block is one
+row c times prod_m h_{k_m}(y_m), so its norm factorises exactly into
+||c||_2 times a product of memoized 1-D norms of the h_{k_m}: at
+p = inf the maximum of a product of nonnegative per-axis factors over
+a tensor grid is the product of the per-axis maxima.  Multi-point
+blocks (Clenshaw-Curtis) at p = 2 are measured through the memoized
+Gram matrices of the per-level fresh bases, one mode product per axis;
+at p = inf they are expanded on the tensor sample grid.
 """
 
 import functools
@@ -44,37 +44,31 @@ def _parse_p(p):
     if isinstance(p, str) and p.strip().lower() in _INF_ALIASES:
         return math.inf
     p = config_number("norm.p", p)
-    if p != math.inf and not 1.0 <= p:
-        raise ValueError("p must lie in [1, inf], got %r" % p)
+    if p not in (2.0, math.inf):
+        raise ValueError("norm.p must be 2 or inf, got %r" % p)
     return p
 
 
 class NormSpec:
-    """How to measure parametric L^p norms over the box.
+    """How to measure parametric L^p norms over the box, for p = 2 or inf.
 
     sup_points_per_dim (>= 2) and sup_budget (>= 2) control the p = inf
     sample grid (per-dimension resolution, capped so the total grid stays
     within budget, but never below 2).  The p = inf value is the maximum
     over that grid, a lower bound of the sup, so total / a_min certifies
-    the error only on the grid.  quad_order (>= 1) is used only for p
-    outside {2, inf}; for p = 2 the order is derived from the integrand
-    degree so the quadrature is exact.
+    the error only on the grid.  For p = 2 the Gauss order is derived
+    from the integrand degree, so the quadrature is exact.
     """
 
-    def __init__(self, p=2, sup_points_per_dim=33, sup_budget=40000, quad_order=12):
+    def __init__(self, p=2, sup_points_per_dim=33, sup_budget=40000):
         self.p = _parse_p(p)
         self.sup_points_per_dim = config_number(
             "norm.sup_points_per_dim", sup_points_per_dim, int
         )
         self.sup_budget = config_number("norm.sup_budget", sup_budget, int)
-        self.quad_order = config_number("norm.quad_order", quad_order, int)
-        for key, value, low in (
-            ("sup_points_per_dim", self.sup_points_per_dim, 2),
-            ("sup_budget", self.sup_budget, 2),
-            ("quad_order", self.quad_order, 1),
-        ):
-            if value < low:
-                raise ValueError("need norm.%s >= %d, got %d" % (key, low, value))
+        for key in ("sup_points_per_dim", "sup_budget"):
+            if getattr(self, key) < 2:
+                raise ValueError("need norm.%s >= 2, got %d" % (key, getattr(self, key)))
 
     @classmethod
     def from_config(cls, spec):
@@ -93,7 +87,6 @@ class NormSpec:
             "p": "inf" if self.p == math.inf else self.p,
             "sup_points_per_dim": self.sup_points_per_dim,
             "sup_budget": self.sup_budget,
-            "quad_order": self.quad_order,
         }
 
 
@@ -105,71 +98,60 @@ def gauss_axis(order):
 
 
 def sup_points_per_dim(spec, dim):
+    # the float root can land just below an exact integer root
     per = int(spec.sup_budget ** (1.0 / dim))
+    while (per + 1) ** dim <= spec.sup_budget:
+        per += 1
     return max(2, min(spec.sup_points_per_dim, per))
 
 
-def _fixed_axis_size(spec, dim):
-    """Points per norm axis where they do not depend on the degree: the
-    sample count for p = inf, the quadrature order for p outside
-    {2, inf}.  None for p = 2, whose Gauss order is the degree plus one."""
-    if spec.p == math.inf:
-        return sup_points_per_dim(spec, dim)
-    if spec.p == 2.0:
-        return None
-    return spec.quad_order
-
-
-def _norm_axis(p, n):
-    """One n-point norm axis: equispaced samples with weights None for
-    p = inf, Gauss points and weights otherwise."""
-    if p == math.inf:
-        return np.linspace(-1.0, 1.0, n), None
-    return gauss_axis(n)
-
-
 def norm_axes(spec, degrees):
-    """Per-dimension (points, weights) pairs; weights None for p = inf."""
-    n = _fixed_axis_size(spec, len(degrees))
-    return [_norm_axis(spec.p, int(d) + 1 if n is None else n) for d in degrees]
+    """Per-dimension (points, weights) pairs: Gauss order degree + 1 for
+    p = 2, the sample grid with weights None for p = inf."""
+    if spec.p == 2.0:
+        return [gauss_axis(int(d) + 1) for d in degrees]
+    samples = np.linspace(-1.0, 1.0, sup_points_per_dim(spec, len(degrees)))
+    return [(samples, None)] * len(degrees)
 
 
 def combine_axes(norms, axes, p):
-    """Collapse per-grid-row spatial norms into one L^p value."""
+    """Collapse per-grid-row spatial norms into one L^p value: the
+    maximum for p = inf, else the p = 2 value under the tensor weights
+    of axes, with the rows in C order."""
     norms = np.asarray(norms, dtype=np.float64)
     if p == math.inf:
         return float(np.max(norms)) if norms.size else 0.0
     w = axes[0][1]
     for _, wm in axes[1:]:
         w = np.multiply.outer(w, wm)
-    w = w.ravel()
-    if p == 2.0:
-        return float(math.sqrt(float(w @ (norms * norms))))
-    return float((w @ norms**p) ** (1.0 / p))
+    return float(math.sqrt(float(w.ravel() @ (norms * norms))))
 
 
-def _level_axis(kind, level, p, n):
-    """Level's norm axis as norm_axes gives it: n points, or for n None
-    (p = 2) the Gauss order m(level) + 1."""
-    return _norm_axis(p, growth(kind, level) + 1 if n is None else n)
+def _level_axis(kind, level, n):
+    """Level's norm axis as norm_axes gives it: n samples, weights None
+    (p = inf), or for n None (p = 2) the Gauss order m(level) + 1."""
+    if n is None:
+        return gauss_axis(growth(kind, level) + 1)
+    return np.linspace(-1.0, 1.0, n), None
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_table(kind, level, p, n):
+def _axis_table(kind, level, n):
     """Fresh-basis columns of one level on its norm axis.  Norm axes
     repeat from call to call, so each table is built once.  Read-only:
     every caller shares it."""
-    table = _fresh_table(kind, level, _level_axis(kind, level, p, n)[0])
+    table = _fresh_table(kind, level, _level_axis(kind, level, n)[0])
     table.flags.writeable = False
     return table
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_norm(kind, level, p, n):
-    """L^p norm over [-1, 1] of the single fresh basis function of a
-    unit-growth level on its norm axis, as combine_axes measures it."""
-    h = np.abs(_axis_table(kind, level, p, n)[:, 0])
-    return combine_axes(h, [_level_axis(kind, level, p, n)], p)
+def _axis_norm(kind, level, n):
+    """Norm over [-1, 1] of the single fresh basis function of a
+    unit-growth level on its norm axis, as combine_axes measures it:
+    p = 2 for n None, p = inf otherwise."""
+    h = np.abs(_axis_table(kind, level, n)[:, 0])
+    return combine_axes(h, [_level_axis(kind, level, n)], 2.0 if n is None else math.inf)
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,17 +161,17 @@ def _axis_gram(kind, level):
     weights of its Gauss order m(level) + 1, which is exact for the
     products h_i h_j of degree at most 2 m(level).  Read-only: every
     caller shares it."""
-    B = _axis_table(kind, level, 2.0, None)
-    w = _level_axis(kind, level, 2.0, None)[1]
+    B = _axis_table(kind, level, None)
+    w = _level_axis(kind, level, None)[1]
     G = B.T @ (w[:, None] * B)
     G.flags.writeable = False
     return G
 
 
 def _euclidean_lp_norm(kind, index, rows, spec):
-    """L^p-over-box norm of the detail on the fresh block of index, given
-    as flat C-order surplus rows pre-transformed so the spatial norm is
-    the plain Euclidean row norm.
+    """L^p-over-box norm, p = 2 or inf, of the detail on the fresh block
+    of index, given as flat C-order surplus rows pre-transformed so the
+    spatial norm is the plain Euclidean row norm.
 
     One row c (Leja, R-Leja) is the detail c * prod_m h_{k_m}(y_m).  On
     the tensor grid of norm_axes its norm factorises exactly: ||c||_2
@@ -198,21 +180,20 @@ def _euclidean_lp_norm(kind, index, rows, spec):
     of the per-axis maxima.  More rows (Clenshaw-Curtis) at p = 2 give
     the squared norm sum_e c_e^T (G_1 x ... x G_M) c_e over the spatial
     columns c_e, with G_m = _axis_gram(kind, k_m): one mode product per
-    axis, no grid.  At other p they are expanded on the norm_axes grid:
-    the degree in dimension m is m(k_m).  The spatial axis is first
-    compressed with an SVD when that shrinks it: row norms depend on the
-    coefficient matrix only through its left singular factors, so this
-    is exact and cuts the cost of the grid expansion.  For p = inf the
-    sample order is irrelevant (plain max); otherwise the norms are
-    restored to canonical order before weighting.
+    axis, no grid.  At p = inf they are expanded on the norm_axes sample
+    grid and the value is the largest row norm there.  The spatial axis
+    is first compressed with an SVD when that shrinks it: row norms
+    depend on the coefficient matrix only through its left singular
+    factors, so this is exact and cuts the cost of the grid expansion.
     """
-    n = _fixed_axis_size(spec, len(index))
+    # the sample count per axis; None at p = 2, whose Gauss order is m(k_m) + 1
+    n = sup_points_per_dim(spec, len(index)) if spec.p == math.inf else None
     if rows.shape[0] == 1:
         value = math.sqrt(float(rows[0] @ rows[0]))
         for km in index:
-            value *= _axis_norm(kind, km, spec.p, n)
+            value *= _axis_norm(kind, km, n)
         return value
-    if spec.p == 2.0:
+    if n is None:
         shape = fresh_shape(kind, index)
         G_rows = rows
         for m, km in enumerate(index):
@@ -222,16 +203,10 @@ def _euclidean_lp_norm(kind, index, rows, spec):
         U, s, _ = np.linalg.svd(rows, full_matrices=False)
         rows = U * s
     T = rows.reshape(fresh_shape(kind, index) + (rows.shape[1],))
-    # each contraction puts its sample axis first: they end up reversed
     for m, km in enumerate(index):
-        T = np.tensordot(_axis_table(kind, km, spec.p, n), T, axes=(1, m))
+        T = np.tensordot(_axis_table(kind, km, n), T, axes=(1, m))
     flat = T.reshape(-1, T.shape[-1])
-    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    if spec.p == math.inf:
-        return float(np.max(norms)) if norms.size else 0.0
-    norms = np.ascontiguousarray(norms.reshape(T.shape[:-1]).transpose()).ravel()
-    axes = [_level_axis(kind, km, spec.p, n) for km in index]
-    return combine_axes(norms, axes, spec.p)
+    return float(np.max(np.sqrt(np.einsum("ij,ij->i", flat, flat))))
 
 
 def residual_estimator(P, disc, k, spec):

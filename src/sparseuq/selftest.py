@@ -83,6 +83,12 @@ def _check_norms():
     # fresh basis: its p = 2 norm is sqrt(1/5)
     got = _euclidean_lp_norm("clenshaw_curtis", (1,), np.ones((2, 1)), NormSpec(p=2))
     _require(abs(got - 1.0 / math.sqrt(5.0)) < 1e-14, got)
+    # at p = inf the sample grid holds the corners, where y^2 and, on (1, 1)
+    # with four unit rows, y0^2 y1^2 peak at 1
+    for index in [(1,), (1, 1)]:
+        rows = np.ones((2 ** len(index), 1))
+        got = _euclidean_lp_norm("clenshaw_curtis", index, rows, NormSpec(p="inf"))
+        _require(abs(got - 1.0) < 1e-14, index, got)
 
 
 def _check_fem():

@@ -98,7 +98,9 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
     cases = (
         ({"norm": {"P": "inf"}, "reference": {"evry": 1}}, "norm.P, reference.evry"),
         ({"problem": {"gama": 0.5}}, "problem.gama"),
-        ({"norm": {"p": 3, "quad_order": 0}}, "quad_order >= 1"),
+        ({"norm": {"p": 3}}, "norm.p must be 2 or inf, got 3.0"),
+        # a key removed from the config surface is unknown like any other
+        ({"norm": {"quad_order": 12}}, "unknown keys norm.quad_order"),
         ({"norm": {"p": "inf", "sup_points_per_dim": 1}}, "sup_points_per_dim >= 2"),
         # at M = 2 a negative budget once died in a complex int() with exit 1
         (
@@ -109,9 +111,10 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
             "norm.sup_budget >= 2",
         ),
         ({"reference": {"quad_order": 0}}, "reference_quad must be at least 1"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"max_solves": -5}, "max_solves must be at least 1, got -5"),
         ({"strategies": ["gn_envelope", "newton"]}, "unknown strategy"),
         # wrong-typed values once escaped as TypeError tracebacks with exit 1
-        ({"norm": {"quad_order": None}}, "norm.quad_order must be an integer"),
         ({"max_iter": None}, "max_iter must be an integer"),
         ({"reference": {"quad_order": [1]}}, "reference.quad_order must be an integer"),
         # so did sections of the wrong type and null problem numbers
