@@ -99,8 +99,10 @@ class AdaptiveConfig:
         for name in ("max_iter", "max_solves"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
+        if self.reference_every < 0:
+            raise ValueError("reference_every must be at least 0, got %d" % self.reference_every)
         if self.reference_quad < 1:
-            raise ValueError("reference_quad must be at least 1")
+            raise ValueError("reference_quad must be at least 1, got %d" % self.reference_quad)
         if not 0.0 <= self.dorfler <= 1.0:
             raise ValueError("dorfler fraction must lie in [0, 1]")
 

@@ -191,6 +191,8 @@ def _reference_cadence(cfg, dim, force):
             return 5
         return 0
     every = config_number("reference.every", every, int)
+    if every < 0:
+        raise ConfigError('reference.every must be at least 0 or "auto", got %d' % every)
     if every > 0 and dim > 4:
         raise ConfigError("reference errors are infeasible for M=%d" % dim)
     return every

@@ -34,9 +34,10 @@ from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
-# reference grid rows per block of reference_error's pass: at mesh 256 a
-# block of rows is 512 KB and stays in cache; on gn-ref-inf-m3 a sweep of
-# 64..2048 rows on a 2-core host was fastest at 128-256, 40% slower at 2048
+# most reference grid rows per block of reference_error's pass (_row_blocks):
+# at mesh 256 a block of rows is at most 512 KB and stays in cache; on
+# gn-ref-inf-m3 a sweep of 64..2048 rows on a 2-core host was fastest at
+# 128-256, 40% slower at 2048
 _ROW_BLOCK = 256
 
 
@@ -414,34 +415,54 @@ class _ReferenceRows:
     """Gradient rows of u_h - S u_h on one reference grid, for one
     interpolant, with the number of surplus rows already subtracted."""
 
-    def __init__(self, grid, P, n_elements):
-        self.key = (grid.shape, grid.tobytes())
+    def __init__(self, axes, P, n_elements):
+        self.key = tuple(y.tobytes() for y in axes)
         self.owner = weakref.ref(P)
         self.n_rows = 0
-        self.rows = np.empty((grid.shape[0], n_elements))
+        self.rows = np.empty((math.prod(len(y) for y in axes), n_elements))
 
-    def serves(self, grid, P):
-        return self.owner() is P and self.key == (grid.shape, grid.tobytes())
+    def serves(self, axes, P):
+        return self.owner() is P and self.key == tuple(y.tobytes() for y in axes)
+
+
+def _row_blocks(shape):
+    """reference_error's row blocks (start, stop) over the C-order grid
+    of the given shape: whole runs of the last axis, at most _ROW_BLOCK
+    rows, or _ROW_BLOCK-row parts of one run when the last axis is
+    longer than that."""
+    last, n_grid = shape[-1], math.prod(shape)
+    if last > _ROW_BLOCK:
+        for run in range(0, n_grid, last):
+            for a in range(run, run + last, _ROW_BLOCK):
+                yield a, min(a + _ROW_BLOCK, run + last)
+        return
+    step = _ROW_BLOCK // last * last
+    for a in range(0, n_grid, step):
+        yield a, min(a + step, n_grid)
 
 
 def reference_error(P, disc, spec, quad_order=20, cache=None):
     """Parametric norm of u_h - S u_h on a tensor reference grid.
 
-    The spatial H1_0 seminorm is the L2 norm of the element gradient, so
-    the reference solutions are never formed: disc.gradients_at gives the
-    gradient rows of u_h in closed form, uncounted and not memoized.
+    The grid is the tensor product of M 1-D axes: the estimators' sample
+    axis for p = inf, Gauss order quad_order for p = 2.  It is never
+    formed as an array of points.  The spatial H1_0 seminorm is the L2
+    norm of the element gradient, so the reference solutions are never
+    formed either: disc.grid_gradients gives the gradient rows of u_h in
+    closed form from the axes, uncounted and not memoized, and
+    P.grid_basis_weights gives the basis weights from per-axis tables.
     Hierarchical surpluses never change once inserted, so the cache (if
-    given) keeps the gradient rows of u_h - S u_h, keyed by the grid's
-    bytes, a weak reference to P and the count of surplus rows
-    subtracted; each call subtracts only the rows P gained since, and
-    another interpolant or grid starts afresh.  One pass over the grid,
-    in blocks of _ROW_BLOCK rows that stay in cache, forms the gradients
-    of fresh rows, subtracts the new surpluses' part and sums the
-    squared row norms.  So a call allocates nothing the size of the
+    given) keeps the gradient rows of u_h - S u_h, keyed by the axes, a
+    weak reference to P and the count of surplus rows subtracted; each
+    call subtracts only the rows P gained since, and another interpolant
+    or grid starts afresh.  One pass over the grid, in blocks of whole
+    runs of the last axis (_row_blocks) that stay in cache, forms the
+    gradients of fresh rows, subtracts the new surpluses' part and sums
+    the squared row norms.  So a call allocates nothing the size of the
     rows: its largest temporaries are one block and the basis weights of
     the new grid points at the reference points.  A fresh state is kept
     only once it is complete, so an EllipticityError (naming the first
-    non-elliptic reference point) leaves none behind.
+    non-elliptic reference point in C order) leaves none behind.
     Tensor grids are only feasible for a handful of dimensions, so more
     than 4 is rejected.
     """
@@ -455,18 +476,17 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
         axes = norm_axes(spec, [0] * dim)  # the estimators' sample grid
     else:
         axes = [gauss_axis(int(quad_order))] * dim
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    grid = np.stack([v.ravel() for v in mesh], axis=-1)
+    ys = [y for y, _ in axes]
     state = None if cache is None else cache.reference_rows
-    fresh = state is None or not state.serves(grid, P)
+    fresh = state is None or not state.serves(ys, P)
     if fresh:
         if cache is not None:
             # release the old rows before allocating the new ones
             cache.reference_rows = None
-        state = _ReferenceRows(grid, P, disc.n_elements)
+        state = _ReferenceRows(ys, P, disc.n_elements)
     W = dS = None
     if P.n_points > state.n_rows:
-        W = P.basis_weights(grid, start=state.n_rows)
+        W = P.grid_basis_weights(ys, start=state.n_rows)
         dS = disc.gradient_rows(P.surpluses(start=state.n_rows))
         if dS.shape[0] == 1:
             # np.matmul over an inner dimension of 1 took twice as long as
@@ -474,14 +494,13 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
             # zero term leaves every product exact
             W = np.hstack([W, np.zeros_like(W)])
             dS = np.vstack([dS, np.zeros_like(dS)])
-    n_grid = grid.shape[0]
+    n_grid = state.rows.shape[0]
     scratch = np.empty((min(_ROW_BLOCK, n_grid), disc.n_elements))
     sq = np.empty(n_grid)
-    for a in range(0, n_grid, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, n_grid)
+    for a, b in _row_blocks([len(y) for y in ys]):
         rows = state.rows[a:b]
         if fresh:
-            disc.gradients_at(grid[a:b], out=rows)
+            disc.grid_gradients(ys, a, b, out=rows)
         if W is not None:
             prod = np.matmul(W[a:b], dS, out=scratch[: b - a])
             rows -= prod

@@ -11,8 +11,12 @@ keeps a * u' exactly constant per element.  The stiffness is never
 assembled: in one dimension the element fluxes follow from the load by a
 cumulative sum, so a batch of parameter points is solved in closed form
 by a few array passes (see kernels.thomas_solve).  The element gradients
-are the fluxes divided by a, so gradients_at forms them without the
-nodal values, which is all an error in the H1_0 seminorm needs.
+are the fluxes divided by a, so grid_gradients forms them without the
+nodal values, which is all an error in the H1_0 seminorm needs.  It
+takes its parameter points from a tensor grid given by its 1-D axes,
+never formed as an array of points: the coefficient of a block of grid
+rows is summed from per-axis partial sums, bitwise as coefficient_at
+sums it point by point.
 
 SolveCache keeps the collocation solves as one read-only array per
 fresh block of a multi-index, solved in one batch.
@@ -111,13 +115,9 @@ class SpatialDiscretization:
         EllipticityError naming the first point whose coefficient is not
         positive on every element."""
         c = self.coefficient_at(Y)
-        low = np.min(c, axis=1)
-        bad = np.flatnonzero(low <= 0.0)
-        if bad.size:
-            p = int(bad[0])
-            raise EllipticityError(
-                "coefficient non-positive at y=%s (min %g)" % (Y[p].tolist(), low[p])
-            )
+        p = _first_non_elliptic(c)
+        if p is not None:
+            raise _non_elliptic(Y[p].tolist(), c[p])
         return c
 
     def solve_at(self, y):
@@ -132,16 +132,38 @@ class SpatialDiscretization:
         u = kernels.thomas_solve(c, self.load)
         return u if Y.ndim == 2 else u[0]
 
-    def gradients_at(self, Y, out=None):
-        """Element gradients of the P1 solutions at the points Y of shape
-        (P, M), shape (P, n), written into out when given: in closed form
-        (s0 - F) / a, equal to gradient_rows(solve_at(Y)) up to roundoff
-        but without the nodal values.  Raises EllipticityError like
-        solve_at."""
-        a = self._elliptic_coefficients(np.atleast_2d(np.asarray(Y, dtype=np.float64)))
-        if out is None:
-            out = np.empty_like(a)
-        return kernels.p1_slopes(a, self.cum_load, out)
+    def grid_gradients(self, axes, start, stop, out):
+        """Element gradients of the P1 solutions at the rows start:stop of
+        the C-order tensor grid of the 1-D parameter axes (M arrays),
+        written into out of shape (stop - start, n) and returned: in closed
+        form (s0 - F) / a, equal to gradient_rows(solve_at(y)) up to
+        roundoff but without the nodal values.  The grid is never formed
+        as an array of points.  The rows must be whole runs of the last
+        axis or lie within one run.  A run's coefficients are its prefix
+        (a_0 + y_0 a_0m) + ... over the leading axes, formed once per run,
+        plus y_last a_last,m, added in coefficient_at's order, so each row
+        is bitwise coefficient_at's at its grid point.  Raises
+        EllipticityError naming the first grid point, in C order, whose
+        coefficient is not positive on every element."""
+        shape = tuple(len(y) for y in axes)
+        last = shape[-1]
+        lo, hi = start // last, -(-stop // last)
+        if hi - lo > 1 and (start % last or stop % last):
+            raise ValueError("grid rows %d:%d split a run of the last axis" % (start, stop))
+        ys = axes[-1] if hi - lo > 1 else axes[-1][start - lo * last : stop - lo * last]
+        lead = np.unravel_index(np.arange(lo, hi), shape[:-1]) if len(shape) > 1 else ()
+        prefix = np.empty((hi - lo, self.n_elements))
+        prefix[:] = self.a0_mid
+        for m, idx in enumerate(lead):
+            prefix += np.multiply.outer(axes[m][idx], self.terms_mid[m])
+        # splitting the row axis makes a view, so the sum lands in out
+        runs = out.reshape(hi - lo, len(ys), self.n_elements)
+        np.add(prefix[:, None, :], np.multiply.outer(ys, self.terms_mid[-1]), out=runs)
+        p = _first_non_elliptic(out)
+        if p is not None:
+            at = np.unravel_index(start + p, shape)
+            raise _non_elliptic([float(y[i]) for y, i in zip(axes, at)], out[p])
+        return kernels.p1_slopes(out, self.cum_load, out)
 
     def gradient_rows(self, V):
         """Element-wise derivative of nodal rows, shape (P, n)."""
@@ -157,6 +179,17 @@ class SpatialDiscretization:
         """L2 norm of piecewise-constant element rows, shape (P, n)."""
         G = np.atleast_2d(np.asarray(G, dtype=np.float64))
         return np.sqrt(self.h * np.einsum("ij,ij->i", G, G))
+
+
+def _first_non_elliptic(c):
+    """Row number of the first coefficient row of c (P, n) that is not
+    positive on every element, or None."""
+    bad = np.flatnonzero(np.min(c, axis=1) <= 0.0)
+    return int(bad[0]) if bad.size else None
+
+
+def _non_elliptic(y, row):
+    return EllipticityError("coefficient non-positive at y=%s (min %g)" % (y, np.min(row)))
 
 
 def check_ellipticity(problem, disc):
@@ -191,8 +224,10 @@ class SolveCache:
     solutions at a sampling point set (monte_carlo_error) as one array
     per set, keyed by the set's shape and bytes, and does not count them
     against the solve budget.  ``reference_rows`` holds the incremental
-    state of estimators.reference_error for this cache; the reference
-    grid's solutions are never formed, so they are not memoized here.
+    state of estimators.reference_error for this cache: the gradient rows
+    of u_h - S u_h on one reference grid, keyed by the grid's 1-D axes and
+    the interpolant.  The reference grid's solutions and points are never
+    formed, so they are not memoized here.
     """
 
     def __init__(self, disc):

@@ -196,6 +196,30 @@ class SparseInterpolant:
         rows = [self.family.basis_matrix(Y[:, m], int(nmax[m])).T for m in range(self.dim)]
         return _tensor_weights(rows, pts)
 
+    def grid_basis_weights(self, axes, start=0):
+        """basis_weights at the C-order tensor grid of the 1-D axes (M
+        arrays), without forming the grid: each axis's basis table is
+        built at that axis's values only, its rows gathered at the grid
+        points' node indices, and the gathered factors multiplied by
+        broadcasting in the order m = 0, 1, ..., as weight_product
+        multiplies them, so the result is bitwise basis_weights(grid,
+        start).  A column-major (prod_m len(axes[m]), rows) view."""
+        if not self._n:
+            raise ValueError("cannot evaluate an empty interpolant")
+        if len(axes) != self.dim:
+            raise ValueError("expected %d axes, got %d" % (self.dim, len(axes)))
+        pts = self._pts[start : self._n]
+        nmax = pts.max(axis=0) + 1
+        W = None
+        for m, ys in enumerate(axes):
+            ys = np.asarray(ys, dtype=np.float64)
+            if np.any(np.abs(ys) > 1.0 + _DOMAIN_SLACK):
+                raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
+            # basis functions by samples, C-ordered, gathered per grid point
+            g = self.family.basis_matrix(ys, int(nmax[m])).T[pts[:, m]]
+            W = g if W is None else (W[:, :, None] * g[:, None, :]).reshape(len(pts), -1)
+        return W.T
+
     def value_below(self, k):
         """The interpolant's values at the fresh points of k, shape
         (work(k), K), rows in new_point_indices(k) order.

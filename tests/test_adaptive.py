@@ -362,9 +362,13 @@ def test_config_validation():
         AdaptiveConfig(dorfler=1.5)
     with pytest.raises(ValueError):
         AdaptiveConfig(max_iter=0)
-    with pytest.raises(ValueError, match="reference_quad"):
+    with pytest.raises(ValueError, match="reference_quad must be at least 1, got 0"):
         AdaptiveConfig(reference_quad=0)
     assert AdaptiveConfig(reference_quad=1).reference_quad == 1
+    # a negative cadence once turned the reference off silently
+    with pytest.raises(ValueError, match="reference_every must be at least 0, got -3"):
+        AdaptiveConfig(reference_every=-3)
+    assert AdaptiveConfig(reference_every=0).reference_every == 0
     cfg = AdaptiveConfig(norm={"p": "inf"}, nodes="CC")
     assert cfg.norm.p == float("inf")
     assert cfg.nodes == "clenshaw_curtis"

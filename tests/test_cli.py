@@ -110,7 +110,9 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
             },
             "norm.sup_budget >= 2",
         ),
-        ({"reference": {"quad_order": 0}}, "reference_quad must be at least 1"),
+        ({"reference": {"quad_order": 0}}, "reference_quad must be at least 1, got 0"),
+        # a negative cadence once ran with no reference and exited 0
+        ({"reference": {"every": -1}}, 'reference.every must be at least 0 or "auto", got -1'),
         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
         ({"max_solves": -5}, "max_solves must be at least 1, got -5"),
         ({"strategies": ["gn_envelope", "newton"]}, "unknown strategy"),

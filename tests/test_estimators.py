@@ -1,15 +1,17 @@
 """Estimator layer: parametric norms, residual and surplus indicators
 against closed forms, profit weighting, reference errors."""
 
+import functools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparseuq import estimators
-from sparseuq.adaptive import _forget_profits, _profit_argmax
+from sparseuq import estimators, kernels
+from sparseuq.adaptive import AdaptiveConfig, _forget_profits, _profit_argmax, run_strategy
 from sparseuq.estimators import (
     _ROW_BLOCK,
     EstimatorReport,
@@ -764,10 +766,14 @@ def test_reference_error_incremental_matches_scratch(p):
         assert abs(got - want) <= 1e-12 * want
 
 
+def point_grid(axes):
+    """The C-order tensor grid of the 1-D axes as an array of points."""
+    return np.stack([v.ravel() for v in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def reference_grid(dim, order):
     """The tensor Gauss grid reference_error uses for p = 2, in C order."""
-    mesh = np.meshgrid(*[gauss_axis(order)[0]] * dim, indexing="ij")
-    return np.stack([v.ravel() for v in mesh], axis=-1)
+    return point_grid([gauss_axis(order)[0]] * dim)
 
 
 @pytest.mark.parametrize("size", [1, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
@@ -802,6 +808,77 @@ def test_reference_error_names_first_non_elliptic_point():
     with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
         reference_error(P, disc, NormSpec(p=2), quad_order=40, cache=cache)
     # half-formed rows are not kept
+    assert cache.reference_rows is None
+
+
+@pytest.mark.parametrize("p", [2, "inf"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reference_error_first_value_matches_point_grid(p, dim):
+    # from scratch on the materialised grid: the point-wise gradient
+    # formula, basis_weights at every point, one product with the surplus
+    # gradients, and the same row norms; bitwise the first cached value
+    rng = np.random.default_rng(dim)
+    amps = rng.uniform(0.1, 0.5, size=dim).tolist()
+    problem = build_problem({"family": "cosine", "M": dim, "a0": 2.0, "amps": amps})
+    disc = SpatialDiscretization(problem, 32)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", dim)
+    for _ in range(3 * dim):
+        cand = [(0,) * dim] if P.n_points == 0 else P.indexset.reduced_margin()
+        k = tuple(cand[rng.integers(len(cand))])
+        P.add_index(k, values=fresh_solves(P, cache, k))
+    spec = NormSpec(p=p, sup_points_per_dim=17)
+    got = reference_error(P, disc, spec, quad_order=9, cache=cache)
+    axes = norm_axes(spec, [0] * dim) if p == "inf" else [gauss_axis(9)] * dim
+    grid = point_grid([y for y, _ in axes])
+    grads = kernels.p1_slopes(disc.coefficient_at(grid), disc.cum_load, np.empty((len(grid), 32)))
+    rows = grads - P.basis_weights(grid) @ disc.gradient_rows(P.surpluses())
+    want = combine_axes(disc.l2_element_rows(rows), axes, spec.p)
+    assert got == want
+
+
+def _forbidden_in_estimators(fn):
+    """fn, raising when called from the estimators module."""
+
+    @functools.wraps(fn)
+    def guard(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == estimators.__name__:
+            raise AssertionError("%s called from estimators" % fn.__name__)
+        return fn(*args, **kwargs)
+
+    return guard
+
+
+def test_reference_error_forms_no_point_grid(monkeypatch):
+    problem = build_problem({"family": "cosine", "M": 3})
+    disc = SpatialDiscretization(problem, 64)
+    config = AdaptiveConfig(
+        strategy="gn_envelope", norm=NormSpec(p="inf"), tol=3e-2, reference_every=1
+    )
+    guarded = _forbidden_in_estimators(SparseInterpolant.basis_weights)
+    monkeypatch.setattr(SparseInterpolant, "basis_weights", guarded)
+    monkeypatch.setattr(np, "meshgrid", _forbidden_in_estimators(np.meshgrid))
+    trace = run_strategy(problem, disc, config)
+    refs = [row.reference_error for row in trace.rows]
+    assert len(refs) > 3 and None not in refs
+
+
+def test_reference_error_names_first_non_elliptic_point_in_later_block():
+    # a = 1 - 0.6 y_0 - 0.6 y_1 turns non-positive only for y_0 + y_1 >= 5/3,
+    # which the C-order 33^3 sample grid first reaches in a later row block
+    problem = build_problem(
+        {"family": "constant", "M": 3, "a0": 1.0, "amps": [-0.6, -0.6, 0.0]}
+    )
+    disc = SpatialDiscretization(problem, 16)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", 3)
+    P.add_index((0, 0, 0), values=fresh_solves(P, cache, (0, 0, 0)))
+    spec = NormSpec(p="inf")
+    grid = point_grid([y for y, _ in norm_axes(spec, [0] * 3)])
+    first = int(np.flatnonzero(np.min(disc.coefficient_at(grid), axis=1) <= 0.0)[0])
+    assert first >= 2 * _ROW_BLOCK
+    with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
+        reference_error(P, disc, spec, cache=cache)
     assert cache.reference_rows is None
 
 

@@ -4,7 +4,8 @@ solver correctness against closed forms and dense assembly, norms."""
 import numpy as np
 import pytest
 
-from sparseuq.estimators import _ROW_BLOCK
+from sparseuq import kernels
+from sparseuq.estimators import _ROW_BLOCK, _row_blocks, gauss_axis
 from sparseuq.fem import (
     DiffusionProblem,
     EllipticityError,
@@ -218,29 +219,87 @@ def test_solve_cache_counts_and_reuse():
     assert len(cache._by_y) == 2 and cache.n_solves == 6
 
 
+def gradients_at(disc, Y):
+    """Point-wise oracle for grid_gradients: the element gradients (s0 - F) / a
+    at scattered points Y (P, M), from coefficient_at's point-by-point sum."""
+    out = np.empty((len(Y), disc.n_elements))
+    return kernels.p1_slopes(disc.coefficient_at(Y), disc.cum_load, out)
+
+
+def point_grid(axes):
+    """The C-order tensor grid of the 1-D axes as an array of points."""
+    return np.stack([v.ravel() for v in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def blocked_grid_gradients(disc, axes):
+    """grid_gradients over the row blocks reference_error passes."""
+    shape = [len(y) for y in axes]
+    out = np.full((int(np.prod(shape)), disc.n_elements), np.nan)
+    for a, b in _row_blocks(shape):
+        assert disc.grid_gradients(axes, a, b, out=out[a:b]) is not None
+    return out
+
+
+def cosine_disc(rng, dim, n):
+    # sum of |amps| below a0 keeps every coefficient positive
+    amps = rng.uniform(0.05, 0.6, size=dim).tolist()
+    return SpatialDiscretization(
+        build_problem({"family": "cosine", "M": dim, "a0": 2.0, "amps": amps}), n
+    )
+
+
 @pytest.mark.parametrize("size", [1, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
 def test_gradients_at_match_solved_gradients(size):
+    # grid_gradients on a grid whose last axis has `size` points
     rng = np.random.default_rng(size)
-    # sum of |amps| below a0 keeps every coefficient positive
-    amps = rng.uniform(0.05, 0.6, size=3).tolist()
-    problem = build_problem({"family": "cosine", "M": 3, "a0": 2.0, "amps": amps})
-    disc = SpatialDiscretization(problem, 64)
-    Y = rng.uniform(-1.0, 1.0, size=(size, 3))
+    disc = cosine_disc(rng, 3, 64)
+    axes = [np.sort(rng.uniform(-1.0, 1.0, size=n)) for n in (2, 3, size)]
+    Y = point_grid(axes)
     want = disc.gradient_rows(disc.solve_at(Y))
-    got = disc.gradients_at(Y)
-    assert got.shape == want.shape == (size, 64)
+    got = blocked_grid_gradients(disc, axes)
+    assert got.shape == want.shape == (6 * size, 64)
     scale = np.max(np.abs(want), axis=1)
     assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
-    out = np.full_like(want, np.nan)
-    assert disc.gradients_at(Y, out=out) is out
-    assert np.array_equal(out, got)
+    out = np.full((size, 64), np.nan)
+    assert disc.grid_gradients(axes, 5 * size, 6 * size, out=out) is out
+    assert np.array_equal(out, got[5 * size :])
 
 
 def test_gradients_at_names_first_non_elliptic_point():
     disc = SpatialDiscretization(two_plus_y(), 16)
-    Y = np.array([[0.5], [-2.5], [-3.0]])
+    axes = [np.array([0.5, -2.5, -3.0])]
     with pytest.raises(EllipticityError, match=r"y=\[-2\.5\]"):
-        disc.gradients_at(Y)
+        disc.grid_gradients(axes, 0, 3, out=np.empty((3, 16)))
+
+
+@pytest.mark.parametrize("last", [17, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, "inf"])
+def test_grid_gradients_bitwise_match_pointwise(p, dim, last):
+    # the per-axis partial sums add in coefficient_at's order, so every row
+    # is bitwise the point-wise formula's on the materialised grid
+    rng = np.random.default_rng(dim * 1000 + last)
+    disc = cosine_disc(rng, dim, 24)
+    sizes = [3, 2, 2][: dim - 1] + [last]
+    if p == 2:
+        axes = [gauss_axis(n)[0] for n in sizes]
+    else:
+        axes = [np.linspace(-1.0, 1.0, n) for n in sizes]
+    got = blocked_grid_gradients(disc, axes)
+    assert np.array_equal(got, gradients_at(disc, point_grid(axes)))
+
+
+def test_grid_gradients_rejects_rows_across_a_split_run():
+    disc = SpatialDiscretization(two_plus_y(), 8)
+    axes = [np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)]
+    with pytest.raises(ValueError, match="split a run"):
+        disc.grid_gradients(axes, 2, 6, out=np.empty((4, 8)))
+    # parts of one run and whole runs are fine
+    disc = cosine_disc(np.random.default_rng(3), 2, 8)
+    want = gradients_at(disc, point_grid(axes))
+    for a, b in [(5, 7), (4, 12), (0, 12)]:
+        out = np.empty((b - a, 8))
+        assert np.array_equal(disc.grid_gradients(axes, a, b, out=out), want[a:b])
 
 
 def test_solver_determinism_bitwise():

@@ -323,6 +323,26 @@ def test_basis_weights_match_per_dimension_columns():
     assert np.allclose(got, want @ P.surpluses(), rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_grid_basis_weights_match_point_grid(kind, dim):
+    # per-axis tables on the 1-D axes, multiplied by broadcasting in the
+    # order m = 0, 1, ..., are bitwise basis_weights on the point grid, in
+    # the same column-major layout
+    rng = np.random.default_rng(7 * dim)
+    s = random_monotone(rng, dim, 5 * dim)
+    P = build_interpolant(kind, s, lambda y: np.array([np.exp(0.3 * y.sum()), 1.0]))
+    axes = [np.linspace(-1.0, 1.0, 9), np.polynomial.legendre.leggauss(6)[0], np.array([0.3])]
+    axes = axes[:dim]
+    grid = np.stack([v.ravel() for v in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    for start in (0, P.n_points // 2):
+        want = P.basis_weights(grid, start)
+        got = P.grid_basis_weights(axes, start)
+        assert got.shape == want.shape == (len(grid), P.n_points - start)
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+        assert np.array_equal(got, want)
+
+
 def test_malformed_snapshot_rejected():
     # CC levels 0 and 1: point (0, 0), then the block of (1, 0) with (1, 0), (2, 0)
     s = MonotoneIndexSet(2, [(0, 0), (1, 0)])
