@@ -19,7 +19,8 @@ added indices and of their forward neighbours (margin_report and
 reduced_margin_report give the exactness arguments).  A trace row
 counts the values estimated for it and those reused from the memo, and
 splits its wall_ms into estimate_ms (the margin report) and
-reference_ms (the reference error, if one is due).
+reference_ms (the reference error, if one is due).  A run keeps one
+ReferenceRows state, so each reference error updates the last one's rows.
 
 gn_profit keeps its profits across iterations the same way: pis maps
 each margin candidate to its profit and users maps each index to the
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 
 from .estimators import (
     NormSpec,
+    ReferenceRows,
     drop_stale,
     fresh_solves,
     lex_argmax,
@@ -156,35 +158,36 @@ def _add_indices(P, cache, marked):
         P.add_index(k, values=fresh_solves(P, cache, k))
 
 
-def _maybe_reference(P, disc, config, cache, n):
-    every = config.reference_every
-    if every <= 0 or n % every != 0:
-        return None
-    return reference_error(P, disc, config.norm, config.reference_quad, cache)
-
-
-def _row(trace, n, P, cache, report, ref, a_min, times_ms):
-    """Append the trace row of iteration n; times_ms holds wall_ms,
-    estimate_ms and reference_ms."""
+def _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row):
+    """Append the trace row of iteration n and pass it to on_row, if
+    given.  The row's reference error, None unless due, updates the
+    run's one reference state, and its time is reference_ms;
+    estimate_ms + reference_ms is wall_ms.  counts holds the fresh and
+    reused estimates."""
+    P, config = trace.interpolant, trace.config
+    t0 = time.perf_counter()
+    ref = None
+    if due:
+        ref = reference_error(P, disc, config.norm, config.reference_quad, state)
+    reference_ms = (time.perf_counter() - t0) * 1000.0
     eff = None
     if ref is not None and ref > 0.0:
-        eff = (report.total / a_min) / ref
-    wall_ms, estimate_ms, reference_ms = times_ms
+        eff = (report.total / trace.a_min) / ref
     row = TraceRow(
         n=n,
         strategy=trace.strategy,
         n_indices=len(P.indexset),
         n_grid=P.n_points,
-        n_solves=cache.n_solves,
+        n_solves=trace.cache.n_solves,
         total_estimator=report.total,
         max_estimator=report.vmax,
         reference_error=ref,
         effectivity=eff,
-        wall_ms=wall_ms,
+        wall_ms=estimate_ms + reference_ms,
         estimate_ms=estimate_ms,
         reference_ms=reference_ms,
-        estimates_fresh=report.fresh,
-        estimates_reused=report.reused,
+        estimates_fresh=counts[0],
+        estimates_reused=counts[1],
         ratio_c=report.ratio_c,
     )
     trace.rows.append(row)
@@ -198,6 +201,8 @@ def _row(trace, n, P, cache, report, ref, a_min, times_ms):
         row.total_estimator,
         "-" if ref is None else "%.6e" % ref,
     )
+    if on_row is not None:
+        on_row(row)
     return row
 
 
@@ -246,8 +251,9 @@ def run_strategy(problem, disc, config, on_row=None):
     cache = SolveCache(disc)
     trace.interpolant = P
     trace.cache = cache
-    a_min = info["a_min"]
     is_gg = config.strategy == "gg"
+    every = config.reference_every
+    state = ReferenceRows()
     _add_indices(P, cache, [(0,) * problem.dim])
     memo, pis, users = {}, {}, {}
     n = 0
@@ -257,13 +263,10 @@ def run_strategy(problem, disc, config, on_row=None):
             report = reduced_margin_report(P, disc, config.norm, cache, memo)
         else:
             report = margin_report(P, disc, config.norm, memo)
-        t1 = time.perf_counter()
-        ref = _maybe_reference(P, disc, config, cache, n)
-        t2 = time.perf_counter()
-        times_ms = ((t2 - t0) * 1000.0, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
-        row = _row(trace, n, P, cache, report, ref, a_min, times_ms)
-        if on_row is not None:
-            on_row(row)
+        estimate_ms = (time.perf_counter() - t0) * 1000.0
+        due = every > 0 and n % every == 0
+        counts = (report.fresh, report.reused)
+        _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row)
         if report.total <= config.tol:
             trace.stop_reason = "tol"
             break
@@ -288,22 +291,22 @@ def run_strategy(problem, disc, config, on_row=None):
         _forget_profits(pis, users, drop_stale(memo, marked))
         n += 1
     if is_gg:
-        _augment_gg(trace, disc, config, P, cache, report)
+        _augment_gg(trace, disc, report, state, on_row)
     return trace
 
 
-def _augment_gg(trace, disc, config, P, cache, report):
+def _augment_gg(trace, disc, report, state, on_row):
     """Absorb the whole reduced margin after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
     the stopping iteration's estimator values, estimates nothing itself
     (zero fresh and reused counts and estimate_ms) and carries the
-    post-augmentation reference error and its reference_ms, which is
-    also its wall_ms.  The stopping row holds the pre-augmentation
-    error.
+    post-augmentation reference error, due whenever the run has a
+    reference cadence, and its reference_ms, which is also its wall_ms.
+    The stopping row holds the pre-augmentation error.
     """
-    last = trace.rows[-1]
+    P, cache, last = trace.interpolant, trace.cache, trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
     pending = [tuple(k) for k in P.indexset.reduced_margin()]
     if not pending:
@@ -313,12 +316,6 @@ def _augment_gg(trace, disc, config, P, cache, report):
     if cache.n_solves != before:
         raise RuntimeError("augmentation must reuse cached solves")
     trace.augmented = True
-    ref = None
-    t0 = time.perf_counter()
-    if config.reference_every > 0:
-        ref = reference_error(P, disc, config.norm, config.reference_quad, cache)
-    trace.post_augmentation_error = ref
-    ref_ms = (time.perf_counter() - t0) * 1000.0
-    times_ms = (ref_ms, 0.0, ref_ms)
-    row = _row(trace, last.n + 1, P, cache, report, ref, trace.a_min, times_ms)
-    row.estimates_fresh = row.estimates_reused = 0
+    due = trace.config.reference_every > 0
+    row = _row(trace, last.n + 1, disc, state, report, due, 0.0, (0, 0), on_row)
+    trace.post_augmentation_error = row.reference_error

@@ -4,7 +4,10 @@ Subcommands:
 
 * ``run config.json``: build the configured problem, run each requested
   strategy, and write per-strategy trace CSVs, final-set JSON snapshots
-  and a summary.json into the output directory.
+  and a summary.json into the output directory.  The config alone sets
+  the run, including the reference-error cadence (``reference.every``).
+  A trace's columns are the fields of adaptive.TraceRow, and each row is
+  written as the run appends it.
 * ``compare trace.csv ...``: align traces of the same problem on the
   cumulative solve count, emitting a plot-ready table with a reference
   error and an estimator column per trace.
@@ -17,6 +20,7 @@ the tolerance, 3 for usage, configuration or ellipticity errors.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,10 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adaptive import AdaptiveConfig, run_strategy
+from .adaptive import AdaptiveConfig, TraceRow, run_strategy
 from .estimators import NormSpec
 from .fem import (
-    EllipticityError,
     SpatialDiscretization,
     build_problem,
     check_ellipticity,
@@ -64,26 +67,9 @@ DEFAULTS = {
     "reference": {"quad_order": 20, "every": "auto"},
     "dorfler": 0.0,
     "outdir": "results",
-    "seed": 0,
 }
 
-TRACE_COLUMNS = (
-    "n",
-    "strategy",
-    "n_indices",
-    "n_grid",
-    "n_solves",
-    "total_estimator",
-    "max_estimator",
-    "reference_error",
-    "effectivity",
-    "wall_ms",
-    "estimate_ms",
-    "reference_ms",
-    "estimates_fresh",
-    "estimates_reused",
-    "ratio_c",
-)
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceRow))
 
 # per-trace columns of the compare table; errors and estimators never share one
 COMPARE_COLUMNS = ("reference_error", "total_estimator")
@@ -165,25 +151,17 @@ class TraceWriter:
         self.fh.write("# problem_hash=%s\n" % phash)
         self.fh.write(",".join(TRACE_COLUMNS) + "\n")
         self.fh.flush()
-        self.written = 0
 
     def write_row(self, row):
         self.fh.write(",".join(_fmt(getattr(row, c)) for c in TRACE_COLUMNS) + "\n")
         self.fh.flush()
-        self.written += 1
 
     def close(self):
         self.fh.close()
 
 
-def _reference_cadence(cfg, dim, force):
+def _reference_cadence(cfg, dim):
     every = config_mapping("reference", cfg["reference"])["every"]
-    if force:
-        if dim > 4:
-            raise ConfigError(
-                "--force-reference needs tensor quadrature, infeasible for M=%d" % dim
-            )
-        return 1
     if every == "auto":
         if dim <= 2:
             return 1
@@ -198,7 +176,7 @@ def _reference_cadence(cfg, dim, force):
     return every
 
 
-def run_experiment(config_path, outdir=None, force_reference=False):
+def run_experiment(config_path, outdir=None):
     """Run every configured strategy; returns the process exit code."""
     cfg = load_config(config_path)
     if outdir is not None:
@@ -207,7 +185,7 @@ def run_experiment(config_path, outdir=None, force_reference=False):
     disc = SpatialDiscretization(problem, config_number("mesh_n", cfg["mesh_n"], int))
     info = check_ellipticity(problem, disc)
     phash = problem_hash(cfg)
-    every = _reference_cadence(cfg, problem.dim, force_reference)
+    every = _reference_cadence(cfg, problem.dim)
     strategies = cfg["strategies"]
     if isinstance(strategies, str):
         strategies = [strategies]
@@ -256,8 +234,6 @@ def run_experiment(config_path, outdir=None, force_reference=False):
         writer = TraceWriter(out / ("%s-trace.csv" % strategy), phash)
         try:
             trace = run_strategy(problem, disc, acfg, on_row=writer.write_row)
-            for row in trace.rows[writer.written :]:
-                writer.write_row(row)
         finally:
             writer.close()
         snapshot = {
@@ -354,9 +330,7 @@ def _cmd_run(args):
     if args.config is None:
         print("error: a config file is required unless --print-defaults", file=sys.stderr)
         return 3
-    return run_experiment(
-        args.config, outdir=args.outdir, force_reference=args.force_reference
-    )
+    return run_experiment(args.config, outdir=args.outdir)
 
 
 def _cmd_compare(args):
@@ -408,11 +382,6 @@ def main(argv=None):
     p_run.add_argument("config", nargs="?", help="JSON experiment config")
     p_run.add_argument("--outdir", default=None, help="output directory override")
     p_run.add_argument(
-        "--force-reference",
-        action="store_true",
-        help="compute the reference error every iteration",
-    )
-    p_run.add_argument(
         "--print-defaults", action="store_true", help="print the default config and exit"
     )
     p_run.set_defaults(fn=_cmd_run)
@@ -435,9 +404,6 @@ def main(argv=None):
     )
     try:
         return args.fn(args)
-    except (ConfigError, EllipticityError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

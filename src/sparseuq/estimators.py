@@ -25,7 +25,6 @@ at p = inf they are expanded on the tensor sample grid.
 import functools
 import inspect
 import math
-import weakref
 
 import numpy as np
 
@@ -411,37 +410,31 @@ def drop_stale(memo, added):
     return keys
 
 
-class _ReferenceRows:
-    """Gradient rows of u_h - S u_h on one reference grid, for one
-    interpolant, with the number of surplus rows already subtracted."""
+class ReferenceRows:
+    """Incremental state of reference_error for one interpolant: the
+    gradient rows of u_h - S u_h on one reference grid and the number of
+    surplus rows already subtracted.  Empty until the first
+    call fills it, which also records that call's interpolant and grid
+    shape; a later call with another interpolant or grid raises
+    ValueError."""
 
-    def __init__(self, axes, P, n_elements):
-        self.key = tuple(y.tobytes() for y in axes)
-        self.owner = weakref.ref(P)
+    def __init__(self):
+        self.interpolant = None
+        self.shape = None
+        self.rows = None
         self.n_rows = 0
-        self.rows = np.empty((math.prod(len(y) for y in axes), n_elements))
-
-    def serves(self, axes, P):
-        return self.owner() is P and self.key == tuple(y.tobytes() for y in axes)
 
 
 def _row_blocks(shape):
-    """reference_error's row blocks (start, stop) over the C-order grid
-    of the given shape: whole runs of the last axis, at most _ROW_BLOCK
-    rows, or _ROW_BLOCK-row parts of one run when the last axis is
-    longer than that."""
+    """reference_error's row blocks [(start, stop), ...] over the C-order
+    grid of the given shape: whole runs of the last axis, as many as fit
+    in _ROW_BLOCK rows but at least one.  The first block is the largest."""
     last, n_grid = shape[-1], math.prod(shape)
-    if last > _ROW_BLOCK:
-        for run in range(0, n_grid, last):
-            for a in range(run, run + last, _ROW_BLOCK):
-                yield a, min(a + _ROW_BLOCK, run + last)
-        return
-    step = _ROW_BLOCK // last * last
-    for a in range(0, n_grid, step):
-        yield a, min(a + step, n_grid)
+    step = max(_ROW_BLOCK // last, 1) * last
+    return [(a, min(a + step, n_grid)) for a in range(0, n_grid, step)]
 
 
-def reference_error(P, disc, spec, quad_order=20, cache=None):
+def reference_error(P, disc, spec, quad_order=20, state=None):
     """Parametric norm of u_h - S u_h on a tensor reference grid.
 
     The grid is the tensor product of M 1-D axes: the estimators' sample
@@ -451,20 +444,21 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
     formed either: disc.grid_gradients gives the gradient rows of u_h in
     closed form from the axes, uncounted and not memoized, and
     P.grid_basis_weights gives the basis weights from per-axis tables.
-    Hierarchical surpluses never change once inserted, so the cache (if
-    given) keeps the gradient rows of u_h - S u_h, keyed by the axes, a
-    weak reference to P and the count of surplus rows subtracted; each
-    call subtracts only the rows P gained since, and another interpolant
-    or grid starts afresh.  One pass over the grid, in blocks of whole
-    runs of the last axis (_row_blocks) that stay in cache, forms the
-    gradients of fresh rows, subtracts the new surpluses' part and sums
-    the squared row norms.  So a call allocates nothing the size of the
-    rows: its largest temporaries are one block and the basis weights of
-    the new grid points at the reference points.  A fresh state is kept
-    only once it is complete, so an EllipticityError (naming the first
-    non-elliptic reference point in C order) leaves none behind.
-    Tensor grids are only feasible for a handful of dimensions, so more
-    than 4 is rejected.
+    Hierarchical surpluses never change once inserted, so a ReferenceRows
+    state (if given) keeps the gradient rows of u_h - S u_h between calls
+    for one interpolant and grid, and each call subtracts only the rows P
+    gained since; adaptive.run_strategy keeps one per run.  A state that
+    another interpolant or grid filled raises ValueError.  One pass over the
+    grid, in blocks of whole runs of the last axis (_row_blocks) that
+    stay in cache, forms the gradients of fresh rows, subtracts the new
+    surpluses' part and sums the squared row norms.  So a call that
+    updates a filled state allocates nothing the size of the rows: its
+    largest temporaries are one block and the basis weights of the new
+    grid points at the reference points.  An empty state is filled only
+    once its rows are complete, so an EllipticityError (naming the first
+    non-elliptic reference point in C order) leaves it empty.  Tensor
+    grids are only feasible for a handful of dimensions, so more than 4
+    is rejected.
     """
     dim = P.dim
     if dim > 4:
@@ -477,13 +471,12 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
     else:
         axes = [gauss_axis(int(quad_order))] * dim
     ys = [y for y, _ in axes]
-    state = None if cache is None else cache.reference_rows
-    fresh = state is None or not state.serves(ys, P)
-    if fresh:
-        if cache is not None:
-            # release the old rows before allocating the new ones
-            cache.reference_rows = None
-        state = _ReferenceRows(ys, P, disc.n_elements)
+    shape = tuple(len(y) for y in ys)
+    state = ReferenceRows() if state is None else state
+    fresh = state.rows is None
+    if not fresh and (state.interpolant is not P or state.shape != shape):
+        raise ValueError("this reference state belongs to another interpolant or grid")
+    rows = np.empty((math.prod(shape), disc.n_elements)) if fresh else state.rows
     W = dS = None
     if P.n_points > state.n_rows:
         W = P.grid_basis_weights(ys, start=state.n_rows)
@@ -494,31 +487,26 @@ def reference_error(P, disc, spec, quad_order=20, cache=None):
             # zero term leaves every product exact
             W = np.hstack([W, np.zeros_like(W)])
             dS = np.vstack([dS, np.zeros_like(dS)])
-    n_grid = state.rows.shape[0]
-    scratch = np.empty((min(_ROW_BLOCK, n_grid), disc.n_elements))
-    sq = np.empty(n_grid)
-    for a, b in _row_blocks([len(y) for y in ys]):
-        rows = state.rows[a:b]
+    blocks = _row_blocks(shape)
+    scratch = np.empty((blocks[0][1], disc.n_elements))
+    sq = np.empty(rows.shape[0])
+    for a, b in blocks:
+        block = rows[a:b]
         if fresh:
-            disc.grid_gradients(ys, a, b, out=rows)
+            disc.grid_gradients(ys, a, b, out=block)
         if W is not None:
-            prod = np.matmul(W[a:b], dS, out=scratch[: b - a])
-            rows -= prod
-        np.einsum("ij,ij->i", rows, rows, out=sq[a:b])
-    state.n_rows = P.n_points
-    if cache is not None:
-        cache.reference_rows = state
+            block -= np.matmul(W[a:b], dS, out=scratch[: b - a])
+        np.einsum("ij,ij->i", block, block, out=sq[a:b])
+    state.interpolant, state.shape, state.rows, state.n_rows = P, shape, rows, P.n_points
     # element-data L2 norms, as disc.l2_element_rows
     return combine_axes(np.sqrt(disc.h * sq), axes, spec.p)
 
 
-def monte_carlo_error(P, disc, spec, n_samples=2000, seed=0, cache=None):
+def monte_carlo_error(P, disc, spec, n_samples=2000, seed=0):
     """Sampling-based error for cross-checks and large M."""
     rng = np.random.default_rng(seed)
     Y = rng.uniform(-1.0, 1.0, size=(int(n_samples), P.dim))
-    if cache is None:
-        cache = SolveCache(disc)
-    norms = disc.h1_rows(cache.solve_y(Y) - P.evaluate(Y))
+    norms = disc.h1_rows(SolveCache(disc).solve_y(Y) - P.evaluate(Y))
     if spec.p == math.inf:
         return float(np.max(norms))
     return float(np.mean(norms**spec.p) ** (1.0 / spec.p))

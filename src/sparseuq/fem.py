@@ -14,12 +14,13 @@ by a few array passes (see kernels.thomas_solve).  The element gradients
 are the fluxes divided by a, so grid_gradients forms them without the
 nodal values, which is all an error in the H1_0 seminorm needs.  It
 takes its parameter points from a tensor grid given by its 1-D axes,
-never formed as an array of points: the coefficient of a block of grid
-rows is summed from per-axis partial sums, bitwise as coefficient_at
-sums it point by point.
+never formed as an array of points: the coefficient of a block of
+whole runs of the last axis is summed from per-axis partial sums,
+bitwise as coefficient_at sums it point by point.
 
 SolveCache keeps the collocation solves as one read-only array per
-fresh block of a multi-index, solved in one batch.
+fresh block of a multi-index, solved in one batch.  The reference error
+solves nothing and keeps its own state (estimators.ReferenceRows).
 """
 
 from collections.abc import Mapping
@@ -139,26 +140,25 @@ class SpatialDiscretization:
         form (s0 - F) / a, equal to gradient_rows(solve_at(y)) up to
         roundoff but without the nodal values.  The grid is never formed
         as an array of points.  The rows must be whole runs of the last
-        axis or lie within one run.  A run's coefficients are its prefix
-        (a_0 + y_0 a_0m) + ... over the leading axes, formed once per run,
-        plus y_last a_last,m, added in coefficient_at's order, so each row
-        is bitwise coefficient_at's at its grid point.  Raises
-        EllipticityError naming the first grid point, in C order, whose
-        coefficient is not positive on every element."""
+        axis.  A run's coefficients are its prefix (a_0 + y_0 a_0m) + ...
+        over the leading axes, formed once per run, plus y_last a_last,m,
+        added in coefficient_at's order, so each row is bitwise
+        coefficient_at's at its grid point.  Raises EllipticityError naming
+        the first grid point, in C order, whose coefficient is not positive
+        on every element."""
         shape = tuple(len(y) for y in axes)
         last = shape[-1]
-        lo, hi = start // last, -(-stop // last)
-        if hi - lo > 1 and (start % last or stop % last):
-            raise ValueError("grid rows %d:%d split a run of the last axis" % (start, stop))
-        ys = axes[-1] if hi - lo > 1 else axes[-1][start - lo * last : stop - lo * last]
+        if start % last or stop % last:
+            raise ValueError("grid rows %d:%d are not whole runs of the last axis" % (start, stop))
+        lo, hi = start // last, stop // last
         lead = np.unravel_index(np.arange(lo, hi), shape[:-1]) if len(shape) > 1 else ()
         prefix = np.empty((hi - lo, self.n_elements))
         prefix[:] = self.a0_mid
         for m, idx in enumerate(lead):
             prefix += np.multiply.outer(axes[m][idx], self.terms_mid[m])
         # splitting the row axis makes a view, so the sum lands in out
-        runs = out.reshape(hi - lo, len(ys), self.n_elements)
-        np.add(prefix[:, None, :], np.multiply.outer(ys, self.terms_mid[-1]), out=runs)
+        runs = out.reshape(hi - lo, last, self.n_elements)
+        np.add(prefix[:, None, :], np.multiply.outer(axes[-1], self.terms_mid[-1]), out=runs)
         p = _first_non_elliptic(out)
         if p is not None:
             at = np.unravel_index(start + p, shape)
@@ -220,22 +220,15 @@ class SolveCache:
     """Insert-once cache of PDE solves.
 
     Collocation solves are one counted read-only array per block, keyed
-    by what fixes its points (estimators.fresh_solves).  solve_y memoizes
-    solutions at a sampling point set (monte_carlo_error) as one array
-    per set, keyed by the set's shape and bytes, and does not count them
-    against the solve budget.  ``reference_rows`` holds the incremental
-    state of estimators.reference_error for this cache: the gradient rows
-    of u_h - S u_h on one reference grid, keyed by the grid's 1-D axes and
-    the interpolant.  The reference grid's solutions and points are never
-    formed, so they are not memoized here.
+    by what fixes its points (estimators.fresh_solves).  solve_y solves
+    a sampling point set (monte_carlo_error) in one batch that is not
+    counted against the solve budget and not kept.
     """
 
     def __init__(self, disc):
         self.disc = disc
         self._by_index = {}
-        self._by_y = {}
         self.n_solves = 0
-        self.reference_rows = None
 
     def solve_indexed(self, key, Y):
         """Solutions at the points Y (P, M) of the block named key, shape
@@ -248,16 +241,10 @@ class SolveCache:
         return self._by_index[key]
 
     def solve_y(self, Y):
-        """Solutions at the point set Y, (P, M) or a single point (M,),
-        shaped as solve_at returns them: one batched solve on first
-        request, the same array afterwards."""
-        Y = np.ascontiguousarray(Y, dtype=np.float64)
-        key = (Y.shape, Y.tobytes())
-        U = self._by_y.get(key)
-        if U is None:
-            U = self._by_y[key] = self.disc.solve_at(Y)
-            U.flags.writeable = False
-        return U
+        """Solutions at the sampling points Y, (P, M) or a single point
+        (M,), shaped as solve_at returns them: one uncounted batch, not
+        kept, since no caller solves the same sample twice."""
+        return self.disc.solve_at(Y)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ _ALIASES = {
 
 _LEJA_CANDIDATES = 100001
 _GOLDEN_ITERS = 90
+# deepest Clenshaw-Curtis level with finite basis tables: at level 12
+# (4,097 nodes) the running products of kernels.basis_table overflow
+_CC_MAX_LEVEL = 11
 
 
 def normalize_kind(kind):
@@ -288,8 +291,18 @@ class NodeFamily:
         self._mks_arr = np.asarray(self._mks, dtype=np.int64)
         self._denoms_arr = np.asarray(self._denoms)
 
+    def _check_table(self, n):
+        """Raise ValueError when a basis table on the first n sequence
+        positions would reach past _CC_MAX_LEVEL."""
+        if self.kind == CLENSHAW_CURTIS and n > growth(self.kind, _CC_MAX_LEVEL) + 1:
+            raise ValueError(
+                "Clenshaw-Curtis basis tables overflow at level %d; the limit is level %d"
+                % (self.growth_inverse(n - 1), _CC_MAX_LEVEL)
+            )
+
     def basis_matrix(self, ys, n):
         """Hierarchical basis table: column i is h_i(ys), i < n."""
+        self._check_table(n)
         self.ensure_basis(n)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         need = int(self._mks_arr[:n].max()) + 1 if n else 0
@@ -309,6 +322,7 @@ class NodeFamily:
     def lagrange_matrix(self, ys, k):
         """Full Lagrange basis table on the level-k set (sequence order)."""
         mk = self.growth(k)
+        self._check_table(mk + 1)
         denoms = self._level_denoms(k)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         mks = np.full(mk + 1, mk, dtype=np.int64)

@@ -386,13 +386,32 @@ def test_ellipticity_failure_propagates():
         run("gn_envelope", p, disc, tol=1e-3)
 
 
-def test_on_row_callback_streams_rows():
+def test_on_row_callback_streams_rows(monkeypatch):
+    # every row reaches on_row as it is appended, the gg augmentation row
+    # included, and a run passes its one reference state to every
+    # reference call
+    states = []
+    real = adaptive.reference_error
+
+    def spy(P, disc, spec, quad_order, state):
+        states.append(state)
+        return real(P, disc, spec, quad_order, state)
+
+    monkeypatch.setattr(adaptive, "reference_error", spy)
     p = affine_problem()
     disc = SpatialDiscretization(p, 64)
-    seen = []
-    cfg = AdaptiveConfig(strategy="gn_envelope", tol=1e-6)
-    trace = run_strategy(p, disc, cfg, on_row=seen.append)
-    assert seen == trace.rows
+    for strategy in ("gn_envelope", "gg"):
+        seen, states[:] = [], []
+        cfg = AdaptiveConfig(strategy=strategy, tol=1e-6, reference_every=1)
+        trace = run_strategy(p, disc, cfg, on_row=seen.append)
+        assert len(seen) == len(trace.rows) >= 2
+        assert all(a is b for a, b in zip(seen, trace.rows))
+        assert len(states) == len(trace.rows) and all(st is states[0] for st in states)
+        assert states[0].interpolant is trace.interpolant
+    # the augmentation row is built estimating nothing
+    assert trace.augmented
+    assert (seen[-1].estimates_fresh, seen[-1].estimates_reused) == (0, 0)
+    assert seen[-1].estimate_ms == 0.0
 
 
 def test_nodes_choice_respected():

@@ -4,6 +4,7 @@ compare joins, exit codes."""
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 
 from sparseuq.adaptive import AdaptiveConfig, TraceRow, run_strategy
 from sparseuq.cli import (
+    _KNOWN_KEYS,
     DEFAULTS,
     TRACE_COLUMNS,
     ConfigError,
@@ -184,7 +186,11 @@ def test_trace_format(tmp_path):
     assert run_experiment(cfg, outdir=out) == 0
     text = (out / "gn_envelope-trace.csv").read_text().splitlines()
     assert text[0].startswith("# problem_hash=")
-    assert text[1] == ",".join(TRACE_COLUMNS)
+    assert text[1] == ",".join(TRACE_COLUMNS) == (
+        "n,strategy,n_indices,n_grid,n_solves,total_estimator,max_estimator,"
+        "reference_error,effectivity,wall_ms,estimate_ms,reference_ms,"
+        "estimates_fresh,estimates_reused,ratio_c"
+    )
     _, rows = read_trace(out / "gn_envelope-trace.csv")
     for row in rows:
         # floats are written with 17 significant digits: the textual
@@ -273,22 +279,31 @@ def test_main_print_defaults(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["mesh_n"] == 256
     assert data["strategies"] == ["gn_envelope"]
+    assert "seed" not in data
 
 
-def test_force_reference_infeasible_dim(tmp_path):
+def test_reference_every_infeasible_dim(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "m5.json",
-        {"problem": {"family": "cosine", "M": 5}, "mesh_n": 32, "tol": 1e-1},
+        {
+            "problem": {"family": "cosine", "M": 5},
+            "mesh_n": 32,
+            "tol": 1e-1,
+            "reference": {"every": 1},
+        },
     )
-    code = main(["run", cfg, "--outdir", str(tmp_path / "o"), "--force-reference"])
+    code = main(["run", cfg, "--outdir", str(tmp_path / "o")])
     assert code == 3
+    assert "infeasible for M=5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_errors_exit_3(tmp_path, capsys):
     cfg = deterministic_cfg(tmp_path)
     usage_errors = (
         ["run", cfg, "--parallelism", "2"],
+        ["run", cfg, "--force-reference"],
         ["run", "--nope"],
         ["nodes", "leja", "x"],
     )
@@ -304,9 +319,52 @@ def test_usage_errors_exit_3(tmp_path, capsys):
 
 
 def test_removed_config_key_rejected(tmp_path, capsys):
-    cfg = deterministic_cfg(tmp_path, parallelism=2)
-    assert main(["run", cfg, "--outdir", str(tmp_path / "o")]) == 3
-    assert "unknown keys parallelism" in capsys.readouterr().err
+    for key in ("parallelism", "seed"):
+        cfg = deterministic_cfg(tmp_path, **{key: 2})
+        assert main(["run", cfg, "--outdir", str(tmp_path / "o")]) == 3
+        assert "unknown keys %s" % key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _dotted(keys, prefix=""):
+    for key, val in sorted(keys.items()):
+        if isinstance(val, dict):
+            yield from _dotted(val, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def test_settable_surface_is_pinned(capsys):
+    # every config key and run flag a user can set: adding or removing a
+    # knob changes this list
+    assert list(_dotted(_KNOWN_KEYS)) == [
+        "dorfler",
+        "max_iter",
+        "max_solves",
+        "mesh_n",
+        "nodes",
+        "norm.p",
+        "norm.sup_budget",
+        "norm.sup_points_per_dim",
+        "outdir",
+        "problem.M",
+        "problem.a0",
+        "problem.amps",
+        "problem.f",
+        "problem.family",
+        "problem.floor",
+        "problem.gamma",
+        "problem.sigma",
+        "reference.every",
+        "reference.quad_order",
+        "strategies",
+        "tol",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    flags = sorted(set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)))
+    assert flags == ["--help", "--outdir", "--print-defaults"]
 
 
 def test_trace_counts_fresh_and_reused_estimates(tmp_path):

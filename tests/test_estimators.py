@@ -16,6 +16,7 @@ from sparseuq.estimators import (
     _ROW_BLOCK,
     EstimatorReport,
     NormSpec,
+    ReferenceRows,
     _euclidean_lp_norm,
     combine_axes,
     drop_stale,
@@ -724,16 +725,18 @@ def test_reference_error_sup_exceeds_mean():
     assert einf >= 0.9 * e2
 
 
-def test_reference_error_uses_uncounted_cache():
+def test_reference_error_uses_uncounted_cache(monkeypatch):
     disc = SpatialDiscretization(affine_problem(), 32)
     P, cache = build_chain(disc, 1)
     before = cache.n_solves
-    reference_error(P, disc, NormSpec(p=2), quad_order=10, cache=cache)
+    # the reference solutions are never formed: nothing is solved or
+    # counted, and the state keeps only the gradient rows of u_h - S u_h
+    monkeypatch.setattr(SpatialDiscretization, "solve_at", None)
+    state = ReferenceRows()
+    reference_error(P, disc, NormSpec(p=2), quad_order=10, state=state)
     assert cache.n_solves == before
-    # the reference solutions are never formed, so nothing is memoized;
-    # the cache keeps only the gradient rows of u_h - S u_h
-    assert not cache._by_y
-    assert cache.reference_rows.rows.shape == (10, 32)
+    assert state.rows.shape == (10, 32)
+    assert state.interpolant is P and state.shape == (10,) and state.n_rows == 1
 
 
 @pytest.mark.parametrize("p", [2, "inf"])
@@ -744,26 +747,34 @@ def test_reference_error_incremental_matches_scratch(p):
     disc = SpatialDiscretization(problem, 32)
     cache = SolveCache(disc)
     P = SparseInterpolant("leja", 2)
-    states = []
+    state = ReferenceRows()
+    rows = []
     for _ in range(8):
         cand = [(0, 0)] if P.n_points == 0 else P.indexset.reduced_margin()
         k = tuple(cand[rng.integers(len(cand))])
         P.add_index(k, values=fresh_solves(P, cache, k))
-        got = reference_error(P, disc, spec, quad_order=8, cache=cache)
+        got = reference_error(P, disc, spec, quad_order=8, state=state)
         want = reference_error(P, disc, spec, quad_order=8)
         assert abs(got - want) <= 1e-12 * want, (k, got, want)
-        states.append(cache.reference_rows)
+        rows.append(state.rows)
     # every call after the first updated the same rows incrementally
-    assert all(state is states[0] for state in states)
-    # a second interpolant on the same cache gets its own value, and so
-    # does the first one afterwards
+    assert all(r is rows[0] for r in rows) and state.n_rows == P.n_points
+    # a second interpolant gets its own state; passing it P's raises and
+    # leaves P's state as it was
     Q = SparseInterpolant("clenshaw_curtis", 2)
     for k in [(0, 0), (1, 0), (0, 1)]:
         Q.add_index(k, values=fresh_solves(Q, cache, k))
-    for R in (Q, P):
-        got = reference_error(R, disc, spec, quad_order=8, cache=cache)
+    with pytest.raises(ValueError, match="another interpolant"):
+        reference_error(Q, disc, spec, quad_order=8, state=state)
+    assert state.interpolant is P and state.rows is rows[0]
+    other = ReferenceRows()
+    for R, kept in ((Q, other), (P, state)):
+        got = reference_error(R, disc, spec, quad_order=8, state=kept)
         want = reference_error(R, disc, spec, quad_order=8)
         assert abs(got - want) <= 1e-12 * want
+    # so does a grid of another shape
+    with pytest.raises(ValueError, match="another interpolant or grid"):
+        reference_error(P, disc, NormSpec(p=p, sup_points_per_dim=7), quad_order=9, state=state)
 
 
 def point_grid(axes):
@@ -782,13 +793,14 @@ def test_reference_rows_match_solved_gradients(size):
     a0, amp = rng.uniform(1.5, 3.0), rng.uniform(0.1, 1.4)
     problem = build_problem({"family": "cosine", "M": 1, "a0": a0, "amps": [amp]})
     disc = SpatialDiscretization(problem, 48)
-    P, cache = build_chain(disc, 3)
-    reference_error(P, disc, NormSpec(p=2), quad_order=size, cache=cache)
+    P, _ = build_chain(disc, 3)
+    state = ReferenceRows()
+    reference_error(P, disc, NormSpec(p=2), quad_order=size, state=state)
     grid = reference_grid(1, size)
     # the blocked closed-form rows against nodal solves on the whole grid
     grads = disc.gradient_rows(disc.solve_at(grid))
     want = grads - P.basis_weights(grid) @ disc.gradient_rows(P.surpluses())
-    got = cache.reference_rows.rows
+    got = state.rows
     scale = np.max(np.abs(grads), axis=1)
     assert got.shape == want.shape == (size, 48)
     assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
@@ -805,10 +817,11 @@ def test_reference_error_names_first_non_elliptic_point():
     grid = reference_grid(2, 40)
     first = int(np.flatnonzero(1.0 - 1.5 * grid[:, 0] <= 0.0)[0])
     assert first >= 2 * _ROW_BLOCK
+    state = ReferenceRows()
     with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
-        reference_error(P, disc, NormSpec(p=2), quad_order=40, cache=cache)
+        reference_error(P, disc, NormSpec(p=2), quad_order=40, state=state)
     # half-formed rows are not kept
-    assert cache.reference_rows is None
+    assert state.rows is None and state.interpolant is None and state.n_rows == 0
 
 
 @pytest.mark.parametrize("p", [2, "inf"])
@@ -828,7 +841,7 @@ def test_reference_error_first_value_matches_point_grid(p, dim):
         k = tuple(cand[rng.integers(len(cand))])
         P.add_index(k, values=fresh_solves(P, cache, k))
     spec = NormSpec(p=p, sup_points_per_dim=17)
-    got = reference_error(P, disc, spec, quad_order=9, cache=cache)
+    got = reference_error(P, disc, spec, quad_order=9, state=ReferenceRows())
     axes = norm_axes(spec, [0] * dim) if p == "inf" else [gauss_axis(9)] * dim
     grid = point_grid([y for y, _ in axes])
     grads = kernels.p1_slopes(disc.coefficient_at(grid), disc.cum_load, np.empty((len(grid), 32)))
@@ -877,9 +890,10 @@ def test_reference_error_names_first_non_elliptic_point_in_later_block():
     grid = point_grid([y for y, _ in norm_axes(spec, [0] * 3)])
     first = int(np.flatnonzero(np.min(disc.coefficient_at(grid), axis=1) <= 0.0)[0])
     assert first >= 2 * _ROW_BLOCK
+    state = ReferenceRows()
     with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
-        reference_error(P, disc, spec, cache=cache)
-    assert cache.reference_rows is None
+        reference_error(P, disc, spec, state=state)
+    assert state.rows is None and state.interpolant is None
 
 
 def test_reference_error_incremental_call_allocates_no_rows():
@@ -890,17 +904,18 @@ def test_reference_error_incremental_call_allocates_no_rows():
     for k in [(0, 0), (1, 0), (0, 1)]:
         P.add_index(k, values=fresh_solves(P, cache, k))
     spec = NormSpec(p=2)
-    reference_error(P, disc, spec, quad_order=64, cache=cache)
-    state = cache.reference_rows
-    assert state.rows.shape[0] >= 4 * _ROW_BLOCK
+    state = ReferenceRows()
+    reference_error(P, disc, spec, quad_order=64, state=state)
+    rows = state.rows
+    assert rows.shape[0] >= 4 * _ROW_BLOCK
     P.add_index((1, 1), values=fresh_solves(P, cache, (1, 1)))
     tracemalloc.start()
     try:
-        got = reference_error(P, disc, spec, quad_order=64, cache=cache)
+        got = reference_error(P, disc, spec, quad_order=64, state=state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cache.reference_rows is state and state.n_rows == P.n_points
+    assert state.rows is rows and state.n_rows == P.n_points
     # a temporary of the rows' size (or of a large share of them) is gone
     assert peak < state.rows.nbytes / 4, (peak, state.rows.nbytes)
     want = reference_error(P, disc, spec, quad_order=64)

@@ -207,16 +207,12 @@ def test_solve_cache_counts_and_reuse():
     # another key is another block, even at the same points
     assert cache.solve_indexed(("rleja", (2,)), Y) is not U
     assert cache.n_solves == 6
-    v1 = cache.solve_y([0.25])
-    v2 = cache.solve_y([0.25])
-    assert v1 is v2
-    assert cache.n_solves == 6
-    # a point set is one memo entry, solved in one batch
+    # a sampling point set is one uncounted batch, kept nowhere
     Y = np.array([[0.25], [-0.5], [0.75]])
     V = cache.solve_y(Y)
-    assert V.shape == (3, 33) and cache.solve_y(Y.copy()) is V
-    assert np.array_equal(V[0], v1)
-    assert len(cache._by_y) == 2 and cache.n_solves == 6
+    assert V.shape == (3, 33) and np.array_equal(V, disc.solve_at(Y))
+    assert np.array_equal(cache.solve_y([0.25]), V[0])
+    assert cache.n_solves == 6
 
 
 def gradients_at(disc, Y):
@@ -290,14 +286,16 @@ def test_grid_gradients_bitwise_match_pointwise(p, dim, last):
 
 
 def test_grid_gradients_rejects_rows_across_a_split_run():
-    disc = SpatialDiscretization(two_plus_y(), 8)
-    axes = [np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)]
-    with pytest.raises(ValueError, match="split a run"):
-        disc.grid_gradients(axes, 2, 6, out=np.empty((4, 8)))
-    # parts of one run and whole runs are fine
     disc = cosine_disc(np.random.default_rng(3), 2, 8)
+    axes = [np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)]
+    # rows that start or stop inside a run of the last axis, parts of
+    # one run included
+    for a, b in [(2, 6), (5, 7), (4, 6), (1, 4), (0, 3)]:
+        with pytest.raises(ValueError, match="not whole runs"):
+            disc.grid_gradients(axes, a, b, out=np.empty((b - a, 8)))
+    # whole runs are fine
     want = gradients_at(disc, point_grid(axes))
-    for a, b in [(5, 7), (4, 12), (0, 12)]:
+    for a, b in [(4, 8), (4, 12), (0, 12)]:
         out = np.empty((b - a, 8))
         assert np.array_equal(disc.grid_gradients(axes, a, b, out=out), want[a:b])
 

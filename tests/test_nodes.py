@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparseuq import kernels
+from sparseuq.interp import SparseInterpolant
 from sparseuq.nodes import (
     _LEJA_CANDIDATES,
     NodeFamily,
@@ -299,3 +300,26 @@ def test_leja_anchor_is_minus_one_and_deterministic():
     b = get_family("leja").nodes(20)
     assert a[0] == -1.0
     assert np.array_equal(a, b)
+
+
+def test_cc_basis_tables_stop_at_level_11():
+    # at level 12 (4,097 nodes) the running products of the basis table
+    # overflow to nan; levels up to 11 stay finite with maximum 1
+    fam = get_family("clenshaw_curtis")
+    ys = np.linspace(-1.0, 1.0, 9)
+    for n in (1025, 2049):
+        assert np.max(np.abs(fam.basis_matrix(ys, n))) == 1.0
+    with pytest.raises(ValueError, match="level 12; the limit is level 11"):
+        fam.basis_matrix(ys, 4097)
+    with pytest.raises(ValueError, match="level 12; the limit is level 11"):
+        fam.basis_matrix(ys, 2050)
+    with pytest.raises(ValueError, match="level 13; the limit is level 11"):
+        fam.lagrange_matrix(ys, 13)
+    # an interpolant refined to level 12 raises instead of turning nan
+    P = SparseInterpolant("clenshaw_curtis", 1)
+    for k in range(12):
+        P.add_index((k,), f=lambda y: np.sin(3.0 * y))
+    assert np.all(np.isfinite(P.evaluate(ys[:, None])))
+    with pytest.raises(ValueError, match="level 12; the limit is level 11"):
+        P.add_index((12,), f=lambda y: np.sin(3.0 * y))
+    assert len(P.indexset) == 12
