@@ -211,6 +211,11 @@ def run_experiment(config_path, outdir=None):
         )
         for strategy in strategies
     ]
+    # files and summary entries are named by the normalized strategy
+    names = [acfg.strategy for acfg in configs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError("strategy %r appears more than once in strategies" % name)
     if not isinstance(cfg["outdir"], str):
         raise ConfigError("outdir must be a path, got %r" % (cfg["outdir"],))
     out = Path(cfg["outdir"])
@@ -230,7 +235,8 @@ def run_experiment(config_path, outdir=None):
         "config": cfg,
         "strategies": {},
     }
-    for strategy, acfg in zip(strategies, configs):
+    for acfg in configs:
+        strategy = acfg.strategy
         writer = TraceWriter(out / ("%s-trace.csv" % strategy), phash)
         try:
             trace = run_strategy(problem, disc, acfg, on_row=writer.write_row)

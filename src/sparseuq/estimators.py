@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .fem import SolveCache, config_mapping, config_number
+from .fem import config_mapping, config_number
 from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
 from .nodes import growth
 
@@ -462,10 +462,7 @@ def reference_error(P, disc, spec, quad_order=20, state=None):
     """
     dim = P.dim
     if dim > 4:
-        raise ValueError(
-            "tensor reference grids are infeasible for M=%d; use Monte Carlo sampling instead"
-            % dim
-        )
+        raise ValueError("tensor reference grids are infeasible for M=%d (the limit is 4)" % dim)
     if spec.p == math.inf:
         axes = norm_axes(spec, [0] * dim)  # the estimators' sample grid
     else:
@@ -498,15 +495,5 @@ def reference_error(P, disc, spec, quad_order=20, state=None):
             block -= np.matmul(W[a:b], dS, out=scratch[: b - a])
         np.einsum("ij,ij->i", block, block, out=sq[a:b])
     state.interpolant, state.shape, state.rows, state.n_rows = P, shape, rows, P.n_points
-    # element-data L2 norms, as disc.l2_element_rows
+    # element-data L2 norms of the gradient rows
     return combine_axes(np.sqrt(disc.h * sq), axes, spec.p)
-
-
-def monte_carlo_error(P, disc, spec, n_samples=2000, seed=0):
-    """Sampling-based error for cross-checks and large M."""
-    rng = np.random.default_rng(seed)
-    Y = rng.uniform(-1.0, 1.0, size=(int(n_samples), P.dim))
-    norms = disc.h1_rows(SolveCache(disc).solve_y(Y) - P.evaluate(Y))
-    if spec.p == math.inf:
-        return float(np.max(norms))
-    return float(np.mean(norms**spec.p) ** (1.0 / spec.p))

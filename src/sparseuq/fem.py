@@ -53,15 +53,6 @@ class DiffusionProblem:
         self.meta = dict(meta or {})
 
 
-def coefficient_eval(problem, x, y):
-    """a(x, y) for scalar or vector x at one parameter point y."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.asarray(problem.a0(x), dtype=np.float64).copy()
-    for ym, am in zip(y, problem.terms):
-        out += float(ym) * np.asarray(am(x), dtype=np.float64)
-    return out if out.ndim else float(out)
-
-
 class SpatialDiscretization:
     """Uniform P1 mesh with precomputed midpoint coefficient samples."""
 
@@ -170,16 +161,6 @@ class SpatialDiscretization:
         V = np.atleast_2d(np.asarray(V, dtype=np.float64))
         return (V[:, 1:] - V[:, :-1]) / self.h
 
-    def h1_rows(self, V):
-        """H1_0 seminorm of each nodal row."""
-        dV = np.diff(np.atleast_2d(np.asarray(V, dtype=np.float64)), axis=1)
-        return np.sqrt(np.einsum("ij,ij->i", dV, dV) / self.h)
-
-    def l2_element_rows(self, G):
-        """L2 norm of piecewise-constant element rows, shape (P, n)."""
-        G = np.atleast_2d(np.asarray(G, dtype=np.float64))
-        return np.sqrt(self.h * np.einsum("ij,ij->i", G, G))
-
 
 def _first_non_elliptic(c):
     """Row number of the first coefficient row of c (P, n) that is not
@@ -221,8 +202,9 @@ class SolveCache:
 
     Collocation solves are one counted read-only array per block, keyed
     by what fixes its points (estimators.fresh_solves).  solve_y solves
-    a sampling point set (monte_carlo_error) in one batch that is not
-    counted against the solve budget and not kept.
+    a sampling point set in one batch that is not counted against the
+    solve budget and not kept; no run calls it, the test suite's Monte
+    Carlo oracle does, and the benchmark's tracer wraps it by name.
     """
 
     def __init__(self, disc):
@@ -278,6 +260,10 @@ def config_mapping(key, value):
 # ---------------------------------------------------------------------------
 # built-in problem library
 
+# NumPy arrays have at most 64 axes, and a fresh block is a tensor with
+# one axis per parameter
+_MAX_DIM = 64
+
 
 def _const(c):
     c = float(c)
@@ -314,6 +300,8 @@ def build_problem(spec):
     dim = config_number("problem.M", spec.get("M", 2), int)
     if dim < 1:
         raise ValueError("problem.M must be at least 1, got %d" % dim)
+    if dim > _MAX_DIM:
+        raise ValueError("problem.M must be at most %d, got %d" % (_MAX_DIM, dim))
     family = str(spec.get("family", "cosine")).lower()
     a0 = config_number("problem.a0", spec.get("a0", 2.0))
     amps = _amplitudes(dim, spec)

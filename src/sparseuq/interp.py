@@ -21,14 +21,14 @@ rows without leaving the flat form: _times_y_rows carries a block
 through "multiply by y_m, then take the next level's detail", which is
 how the residual estimator forms its detail from the stored blocks
 alone, and _fresh_inverse_rows takes level-grid values to surpluses.
-HierarchicalBlock wraps one such block as an evaluable detail
-polynomial, for selftest and the tests' oracles.
 
-TensorPoly and TensorDetail provide the combination-technique view: a
-detail operator applied to a function is a signed sum of full tensor
-interpolants on the level grids one step below the target index.  Both
-views represent the same polynomial; the combination technique is the
-tests' reference for the hierarchical form.
+TensorPoly and TensorDetail are the combination-technique view: a
+detail operator applied to grid values is a signed sum of full tensor
+interpolants on the level grids one step below the target index.  No
+run uses them; they stay here because the benchmark's tracer wraps
+TensorDetail.collapsed_values by name, and the test suite's oracles
+(tests/oracles.py) build on them as the reference for the hierarchical
+form.
 """
 
 import functools
@@ -147,9 +147,6 @@ class SparseInterpolant:
         self.family.ensure_nodes(int(js.max()) + 1)
         return self.family._nodes_arr[js]
 
-    def grid_coords(self):
-        return self.coords_of(self._pts[: self._n])
-
     def _append(self, js, rows):
         """Store the node-index rows js with their surplus rows."""
         n, count = self._n, len(rows)
@@ -267,9 +264,6 @@ class SparseInterpolant:
         """Evaluate at points Y of shape (P, M); returns shape (P, K)."""
         return self.basis_weights(Y) @ self.surpluses()
 
-    def evaluate_one(self, y):
-        return self.evaluate(np.asarray(y, dtype=np.float64).reshape(1, -1))[0]
-
     def add_index(self, i, f=None, values=None):
         """Extend the index set by i and store the new surpluses.
 
@@ -376,24 +370,6 @@ def tensor_grid_axes(kind, levels):
     return [fam.nodes(growth(kind, lev) + 1) for lev in levels]
 
 
-def tensor_grid_coords(kind, levels):
-    """Flattened coordinates (C order, first dimension slowest)."""
-    axes = tensor_grid_axes(kind, levels)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in mesh], axis=-1)
-
-
-def tensor_values(kind, levels, g_batch):
-    """Values of a batch evaluator on the level grid, shape (n_1..n_M, K)."""
-    axes = tensor_grid_axes(kind, levels)
-    coords = tensor_grid_coords(kind, levels)
-    rows = np.asarray(g_batch(coords), dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    shape = tuple(len(a) for a in axes) + (rows.shape[1],)
-    return rows.reshape(shape)
-
-
 class TensorPoly:
     """Full tensor-product Lagrange interpolant on one level grid."""
 
@@ -497,34 +473,6 @@ class TensorDetail(TensorPoly):
     def evaluate(self, Y):
         return self._collapse().evaluate(Y)
 
-    def evaluate_terms(self, Y):
-        """Direct signed-sum evaluation, kept as a cross-check path."""
-        Y = np.asarray(Y, dtype=np.float64).reshape(-1, self.dim)
-        out = None
-        for sign, levels in self.terms:
-            part = self._eval_scatter(levels, Y)
-            out = sign * part if out is None else out + sign * part
-        return out
-
-
-def _as_batch(g):
-    def batch(coords):
-        return np.vstack(
-            [np.atleast_1d(np.asarray(g(y), dtype=np.float64)) for y in coords]
-        )
-
-    return batch
-
-
-def tensor_interpolant(kind, levels, g):
-    """Full tensor interpolant of a per-point evaluator g."""
-    return TensorPoly(kind, levels, tensor_values(kind, levels, _as_batch(g)))
-
-
-def detail_apply_ct(kind, i, g):
-    """The detail operator applied to g, as an evaluable polynomial."""
-    return TensorDetail(kind, i, tensor_values(kind, i, _as_batch(g)))
-
 
 @functools.lru_cache(maxsize=None)
 def _level_basis(kind, level):
@@ -592,50 +540,3 @@ def _fresh_table(kind, level, ys):
     """Fresh-basis columns of one level at the samples ys."""
     r = fresh_ranges(kind, (level,))[0]
     return get_family(kind).basis_matrix(ys, r.stop)[:, r.start : r.stop]
-
-
-class HierarchicalBlock:
-    """The detail polynomial spanned by the fresh points of one index.
-
-    Given surpluses on the fresh (tensor) block of index i, evaluates
-    sum surplus_j * prod_m h_{j_m}.  This is the hierarchical view of the
-    same polynomial TensorDetail represents through signed tensor terms.
-    """
-
-    def __init__(self, family, i, surplus_rows):
-        self.family = get_family(family)
-        self.index = tuple(int(v) for v in i)
-        self.dim = len(self.index)
-        rows = np.asarray(surplus_rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows[:, None]
-        shape = fresh_shape(self.family.kind, self.index)
-        self.values = rows.reshape(shape + (rows.shape[1],))
-
-    @classmethod
-    def from_level_grid(cls, family, i, values_nd):
-        """The detail operator of index i applied to level-grid values.
-
-        values_nd has shape (n_1, ..., n_M, K) on the level-i tensor grid,
-        as for TensorDetail.  On the first n nodes the hierarchical basis
-        table B is unit lower triangular, so B^-1 maps nodal values to
-        surpluses; the rows of B^-1 at the fresh points of i, one mode
-        product per dimension, leave the detail's surpluses.
-        """
-        fam = get_family(family)
-        shape = fresh_shape(fam.kind, i)
-        values = np.asarray(values_nd, dtype=np.float64)
-        rows = values.reshape(-1, values.shape[-1])
-        for m, km in enumerate(i):
-            # axes before m already hold the fresh points of i
-            A = _fresh_inverse_rows(fam.kind, int(km))
-            rows = mode_product(A, rows, math.prod(shape[:m]))
-        return cls(fam, i, rows)
-
-    def evaluate(self, Y):
-        Y = np.asarray(Y, dtype=np.float64).reshape(-1, self.dim)
-        kind = self.family.kind
-        tables = [_fresh_table(kind, km, Y[:, m]) for m, km in enumerate(self.index)]
-        subs = ",".join("p" + _EINSUM_LETTERS[m] for m in range(self.dim))
-        expr = subs + "," + _EINSUM_LETTERS[: self.dim] + "z->pz"
-        return np.einsum(expr, *tables, self.values, optimize=True)

@@ -10,14 +10,10 @@ without breaking closedness).  The monotone envelope of a margin index k
 is the smallest margin subset whose union with Lambda is monotone and
 contains k.
 
-The module-level functions are direct transcriptions of the definitions
-and serve as cross-checking oracles.  MonotoneIndexSet maintains the
-margin and reduced margin incrementally and is what the adaptive loop
-uses; its caches are asserted against the definitional versions in the
-test suite.
+MonotoneIndexSet maintains the margin and reduced margin incrementally
+and is what the adaptive loop uses.  The test suite checks its caches
+against direct transcriptions of the definitions (tests/oracles.py).
 """
-
-import json
 
 
 def _check_dims(indices):
@@ -37,77 +33,6 @@ def _check_dims(indices):
                 "dimension mismatch: %r has length %d, expected %d" % (k, len(k), m)
             )
     return m
-
-
-def is_monotone(indices):
-    """True iff the set of index tuples is downward closed."""
-    members = set(indices)
-    if not members:
-        return True
-    _check_dims(members)
-    for k in members:
-        for m, km in enumerate(k):
-            if km > 0:
-                pred = k[:m] + (km - 1,) + k[m + 1 :]
-                if pred not in members:
-                    return False
-    return True
-
-
-def margin(indices):
-    """All indices outside the set with at least one backward neighbour inside."""
-    members = set(indices)
-    if not members:
-        raise ValueError("margin of an empty set is undefined")
-    dim = _check_dims(members)
-    out = set()
-    for k in members:
-        for m in range(dim):
-            nxt = k[:m] + (k[m] + 1,) + k[m + 1 :]
-            if nxt not in members:
-                out.add(nxt)
-    return out
-
-
-def reduced_margin(indices):
-    """Margin indices whose every backward neighbour lies inside the set."""
-    members = set(indices)
-    out = set()
-    for k in margin(members):
-        ok = True
-        for m, km in enumerate(k):
-            if km > 0:
-                pred = k[:m] + (km - 1,) + k[m + 1 :]
-                if pred not in members:
-                    ok = False
-                    break
-        if ok:
-            out.add(k)
-    return out
-
-
-def monotone_envelope(indices, k):
-    """Smallest margin subset containing k whose union with the set is monotone.
-
-    Equals the ancestors of k (componentwise <= k) that are missing from
-    the set; k must lie in the margin.
-    """
-    members = set(indices)
-    if k not in margin(members):
-        raise ValueError("index %r is not in the margin" % (k,))
-    out = set()
-    stack = [k]
-    while stack:
-        j = stack.pop()
-        if j in out:
-            continue
-        out.add(j)
-        for m, jm in enumerate(j):
-            if jm > 0:
-                pred = j[:m] + (jm - 1,) + j[m + 1 :]
-                if pred not in members and pred not in out:
-                    stack.append(pred)
-    return out
 
 
 class MonotoneIndexSet:
@@ -230,14 +155,6 @@ class MonotoneIndexSet:
         other._reduced = set(self._reduced)
         return other
 
-    def validate_caches(self):
-        """Recompute margin and reduced margin from scratch and compare."""
-        if not self.members:
-            return self._margin == set() and self._reduced == set()
-        return self._margin == margin(self.members) and self._reduced == reduced_margin(
-            self.members
-        )
-
     def max_level(self, m):
         """Largest value of component m over the members."""
         return max(k[m] for k in self.members)
@@ -251,10 +168,3 @@ class MonotoneIndexSet:
         if dim is None:
             dim = _check_dims(members)
         return cls(dim, members)
-
-    def to_json(self):
-        return json.dumps(self.to_jsonable())
-
-    @classmethod
-    def from_json(cls, text, dim=None):
-        return cls.from_jsonable(json.loads(text), dim=dim)

@@ -19,6 +19,12 @@ prefix of one fixed hierarchical sequence y_(0), y_(1), ...:
 The growth function m(k) gives the largest sequence position in level k,
 so level sets have m(k) + 1 points.  Node values are computed once and
 cached, which makes nestedness exact in floating point.
+
+NodeFamily.basis_matrix gives the hierarchical basis tables every run
+evaluates.  lagrange_matrix, the full Lagrange table of one level, serves
+only the combination-technique view (interp.TensorPoly) and the test
+suite's Lebesgue-constant oracles (tests/oracles.py); it stays here
+because the benchmark's tracer wraps it by name.
 """
 
 import functools
@@ -148,12 +154,6 @@ class NodeFamily:
             cls._registry[kind] = fam
         return fam
 
-    def growth(self, k):
-        return growth(self.kind, k)
-
-    def growth_inverse(self, i):
-        return growth_inverse(self.kind, i)
-
     # -- sequence generation ------------------------------------------------
 
     def _extend_leja(self, n):
@@ -265,7 +265,7 @@ class NodeFamily:
 
     def level_nodes(self, k):
         """The level-k set, in hierarchical sequence order."""
-        return self.nodes(self.growth(k) + 1)
+        return self.nodes(growth(self.kind, k) + 1)
 
     # -- basis data ---------------------------------------------------------
 
@@ -284,7 +284,7 @@ class NodeFamily:
             return
         while len(self._mks) < n:
             i = len(self._mks)
-            mk = self.growth(self.growth_inverse(i))
+            mk = growth(self.kind, growth_inverse(self.kind, i))
             self.ensure_nodes(mk + 1)
             self._mks.append(mk)
             self._denoms.append(self._denom(i, mk))
@@ -297,7 +297,7 @@ class NodeFamily:
         if self.kind == CLENSHAW_CURTIS and n > growth(self.kind, _CC_MAX_LEVEL) + 1:
             raise ValueError(
                 "Clenshaw-Curtis basis tables overflow at level %d; the limit is level %d"
-                % (self.growth_inverse(n - 1), _CC_MAX_LEVEL)
+                % (growth_inverse(self.kind, n - 1), _CC_MAX_LEVEL)
             )
 
     def basis_matrix(self, ys, n):
@@ -313,7 +313,7 @@ class NodeFamily:
     def _level_denoms(self, k):
         denoms = self._level_denom_cache.get(k)
         if denoms is None:
-            mk = self.growth(k)
+            mk = growth(self.kind, k)
             self.ensure_nodes(mk + 1)
             denoms = np.array([self._denom(i, mk) for i in range(mk + 1)])
             self._level_denom_cache[k] = denoms
@@ -321,27 +321,18 @@ class NodeFamily:
 
     def lagrange_matrix(self, ys, k):
         """Full Lagrange basis table on the level-k set (sequence order)."""
-        mk = self.growth(k)
+        mk = growth(self.kind, k)
         self._check_table(mk + 1)
         denoms = self._level_denoms(k)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         mks = np.full(mk + 1, mk, dtype=np.int64)
         return kernels.basis_table(ys, self._nodes_arr[: mk + 1], mks, denoms)
 
-    def hierarchical_basis_eval(self, i, y):
-        """Value of the single hierarchical basis function h_i at y."""
-        return float(self.basis_matrix(np.atleast_1d(float(y)), i + 1)[0, i])
-
 
 def get_family(kind_or_family):
     if isinstance(kind_or_family, NodeFamily):
         return kind_or_family
     return NodeFamily.get(kind_or_family)
-
-
-def hierarchical_basis_eval(kind, i, y):
-    """Value of the hierarchical basis function of node i at scalar y."""
-    return get_family(kind).hierarchical_basis_eval(int(i), y)
 
 
 def leja_nodes(n):
@@ -357,70 +348,3 @@ def rleja_nodes(n):
 def clenshaw_curtis_nodes(k):
     """The level-k Clenshaw-Curtis set in hierarchical sequence order."""
     return get_family(CLENSHAW_CURTIS).level_nodes(k)
-
-
-def rleja_circle_fractions(n):
-    """First n circle angles as exact multiples of pi (diagnostic helper).
-
-    These are the angles of the greedy sequence on the full unit circle
-    whose projection gives the rleja family.
-    """
-    qs = get_family(RLEJA)._rleja_qs
-    _grow_circle_fractions(qs, n)
-    return list(qs[:n])
-
-
-def lebesgue_constant(kind, k, samples=2001):
-    """Max of the level-k Lebesgue function over an equispaced grid."""
-    if samples < 2:
-        raise ValueError("need at least two sample points")
-    fam = get_family(kind)
-    ys = np.linspace(-1.0, 1.0, samples)
-    table = fam.lagrange_matrix(ys, k)
-    return float(np.abs(table).sum(axis=1).max())
-
-
-def detail_operator_values(kind, k, ys):
-    """Pointwise sum of absolute detail coefficient functions at level k.
-
-    The detail operator at level k sends f to the difference of its
-    level-k and level-(k-1) interpolants; the returned vector holds, for
-    each sample, the l1 norm of the coefficient functions, whose max
-    estimates the sup operator norm.
-    """
-    fam = get_family(kind)
-    ys = np.asarray(ys, dtype=np.float64)
-    if k == 0:
-        return np.ones(ys.shape[0])
-    cur = fam.lagrange_matrix(ys, k)
-    prev = fam.lagrange_matrix(ys, k - 1)
-    diff = cur.copy()
-    diff[:, : prev.shape[1]] -= prev
-    return np.abs(diff).sum(axis=1)
-
-
-def detail_sup_norm(kind, k, samples=2001):
-    """Sample-grid estimate of the sup operator norm of the level-k detail."""
-    ys = np.linspace(-1.0, 1.0, samples)
-    return float(detail_operator_values(kind, k, ys).max())
-
-
-def lebesgue_report(kind, kmax, samples=2001):
-    """Per-level interpolation and detail norm estimates plus a growth fit.
-
-    The fit returns the smallest theta such that every detail norm up to
-    kmax is bounded by (1 + k)^theta, reported with c fixed to 1.
-    """
-    interp = [lebesgue_constant(kind, k, samples) for k in range(kmax + 1)]
-    detail = [detail_sup_norm(kind, k, samples) for k in range(kmax + 1)]
-    theta = 0.0
-    for k in range(1, kmax + 1):
-        if detail[k] > 1.0:
-            theta = max(theta, math.log(detail[k]) / math.log(1.0 + k))
-    return {
-        "kind": normalize_kind(kind),
-        "interp_norms": interp,
-        "detail_norms": detail,
-        "c": 1.0,
-        "theta": theta,
-    }

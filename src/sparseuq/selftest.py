@@ -12,8 +12,8 @@ import numpy as np
 from .adaptive import AdaptiveConfig, run_strategy
 from .estimators import NormSpec, _euclidean_lp_norm
 from .fem import DiffusionProblem, SpatialDiscretization, build_problem, check_ellipticity
-from .interp import HierarchicalBlock, SparseInterpolant, detail_apply_ct
-from .multiindex import MonotoneIndexSet, is_monotone, margin, reduced_margin
+from .interp import SparseInterpolant
+from .multiindex import MonotoneIndexSet
 from .nodes import clenshaw_curtis_nodes, leja_nodes, rleja_nodes
 
 
@@ -34,12 +34,14 @@ def _check_nodes():
 
 
 def _check_multiindex():
+    # the 2x2 square: its margin is the four indices one step outside it,
+    # and only the two on the axes have every backward neighbour inside
     s = MonotoneIndexSet(2)
     for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         s.add(k)
-    _require(is_monotone(s.members_sorted()))
-    _require(set(s.margin()) == margin(s.members_sorted()))
-    _require(set(s.reduced_margin()) == reduced_margin(s.members_sorted()))
+    _require(s.margin() == [(0, 2), (1, 2), (2, 0), (2, 1)], s.margin())
+    _require(s.reduced_margin() == [(0, 2), (2, 0)], s.reduced_margin())
+    _require(s.monotone_envelope((2, 1)) == [(2, 0), (2, 1)])
 
 
 def _check_interpolation():
@@ -58,15 +60,21 @@ def _check_interpolation():
     k = (2, 0)
     full = P.evaluate(P.coords_of(P.new_point_indices(k)))
     _require(np.max(np.abs(P.value_below(k) - full)) <= 1e-14 * np.max(np.abs(full)))
-    # detail of y0*y1 at the top of the 2x2 rectangle: one surplus of 4
-    # at node (1, 1) times the two hat values 0.7 and 0.8
-    d = detail_apply_ct("leja", (1, 1), lambda y: np.array([y[0] * y[1]]))
-    _require(abs(d.evaluate(np.array([[0.4, 0.6]]))[0, 0] - 2.24) < 1e-12)
-    # the estimators' hierarchical detail agrees with the combination technique
-    g = lambda y: np.array([math.exp(y[0]) * math.cos(y[1])])
-    ct = detail_apply_ct("clenshaw_curtis", (2, 1), g)
-    blk = HierarchicalBlock.from_level_grid("clenshaw_curtis", (2, 1), ct.values)
-    _require(np.allclose(blk.evaluate(Y), ct.evaluate(Y), atol=1e-12))
+    # the detail at the top of the 2x2 square, from that block's rows
+    # alone: for Leja, y0*y1 has one surplus of 4 at node (1, 1) times the
+    # hats (y + 1) / 2; for Clenshaw-Curtis, y0^2 y1^2 vanishes on the
+    # axes through the level-0 node 0, so the detail is the function itself
+    cases = [
+        ("leja", lambda y: y[0] * y[1], (Y[:, 0] + 1) * (Y[:, 1] + 1)),
+        ("clenshaw_curtis", lambda y: (y[0] * y[1]) ** 2, (Y[:, 0] * Y[:, 1]) ** 2),
+    ]
+    for kind, g, want in cases:
+        P = SparseInterpolant(kind, 2)
+        for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            P.add_index(k, lambda y: np.array([g(y)]))
+        start, _ = P.block_of((1, 1))
+        got = P.basis_weights(Y, start=start) @ P.surpluses(start)
+        _require(np.allclose(got[:, 0], want, rtol=0, atol=1e-12), kind, got)
 
 
 def _check_norms():

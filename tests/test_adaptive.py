@@ -22,6 +22,8 @@ from sparseuq.fem import (
 )
 from sparseuq.interp import SparseInterpolant
 
+from oracles import validate_caches
+
 
 def const(c):
     return lambda x: np.full_like(np.asarray(x, dtype=np.float64), float(c))
@@ -84,7 +86,7 @@ def test_affine_chain_reaches_tolerance(strategy):
     # 1-D monotone sets are chains 0..k
     members = trace.interpolant.indexset.members_sorted()
     assert members == [(k,) for k in range(len(members))]
-    trace.interpolant.indexset.validate_caches()
+    assert validate_caches(trace.interpolant.indexset)
 
 
 # -- solve accounting -------------------------------------------------------
@@ -232,7 +234,7 @@ def test_gn_marks_whole_envelope():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
     trace = run("gn_envelope", p, disc, tol=1e-5)
-    trace.interpolant.indexset.validate_caches()
+    assert validate_caches(trace.interpolant.indexset)
     assert trace.rows[-1].n_indices == len(trace.interpolant.indexset)
 
 

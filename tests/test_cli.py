@@ -129,6 +129,11 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"max_iter": True}, "max_iter must be an integer, got True"),
         # M = 0 once left a header-only trace file behind, then exited 3
         ({"problem": {"M": 0}}, "problem.M must be at least 1"),
+        # M = 65 once died in numpy's 64-axis limit after writing a trace
+        ({"problem": {"M": 65}}, "problem.M must be at most 64, got 65"),
+        # one strategy under two spellings once wrote two sets of files
+        ({"strategies": ["gg", "GG"]}, "strategy 'gg' appears more than once"),
+        ({"strategies": ["gg", "gg"]}, "strategy 'gg' appears more than once"),
         ({"problem": [1]}, "problem must be a mapping"),
         ({"norm": [2]}, "norm must be a mapping"),
         ({"reference": 5}, "reference must be a mapping"),
@@ -247,6 +252,16 @@ def test_run_multiple_strategies(tmp_path):
     gg = summary["strategies"]["gg"]
     assert gg["post_augmentation_error"] is not None
     assert gg["n_grid"] == gg["n_solves"]
+
+
+def test_run_names_outputs_by_normalized_strategy(tmp_path):
+    cfg = deterministic_cfg(tmp_path, strategies=["GG"])
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["gg-final-set.json", "gg-trace.csv", "summary.json"]
+    assert json.loads((out / "gg-final-set.json").read_text())["strategy"] == "gg"
+    assert list(json.loads((out / "summary.json").read_text())["strategies"]) == ["gg"]
 
 
 def test_gg_trace_includes_augmentation_row(tmp_path):

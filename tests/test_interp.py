@@ -11,25 +11,31 @@ from hypothesis import strategies as st
 
 from sparseuq.estimators import profit
 from sparseuq.interp import (
-    HierarchicalBlock,
     SparseInterpolant,
     _fresh_inverse_rows,
     _level_basis,
     _times_y_rows,
-    TensorDetail,
-    TensorPoly,
-    detail_apply_ct,
     fresh_ranges,
     grid_points,
     mode_product,
     tensor_grid_axes,
-    tensor_grid_coords,
-    tensor_interpolant,
-    tensor_values,
     work,
 )
 from sparseuq.multiindex import MonotoneIndexSet
-from sparseuq.nodes import get_family, growth, growth_inverse
+from sparseuq.nodes import get_family, growth
+
+from oracles import (
+    HierarchicalBlock,
+    detail_apply_ct,
+    detail_terms,
+    evaluate_one,
+    grid_coords,
+    point_grid,
+    random_monotone,
+    tensor_grid_coords,
+    tensor_interpolant,
+    tensor_values,
+)
 
 
 def tensor_interp_oracle(nodes_list, V, y):
@@ -44,15 +50,6 @@ def tensor_interp_oracle(nodes_list, V, y):
         )
         V = np.tensordot(w, V, axes=(0, 0))
     return V
-
-
-def random_monotone(rng, dim, n_add):
-    s = MonotoneIndexSet(dim)
-    s.add((0,) * dim)
-    for _ in range(n_add):
-        cand = s.reduced_margin()
-        s.add(cand[rng.integers(len(cand))])
-    return s
 
 
 def build_interpolant(kind, indexset, f):
@@ -174,7 +171,7 @@ def test_grid_coordinates_bitwise_from_cache():
     s = random_monotone(rng, 2, 8)
     P = build_interpolant("leja", s, lambda y: np.array([y[0]]))
     fam = get_family("leja")
-    for j, y in zip(P.point_indices(), P.grid_coords()):
+    for j, y in zip(P.point_indices(), grid_coords(P)):
         assert y[0] == fam.point(j[0]) and y[1] == fam.point(j[1])
 
 
@@ -190,7 +187,7 @@ def test_interpolatory_at_grid_points(kind):
     for trial in range(3):
         s = random_monotone(rng, 2, 12)
         P = build_interpolant(kind, s, f)
-        Y = P.grid_coords()
+        Y = grid_coords(P)
         want = np.vstack([f(y) for y in Y])
         got = P.evaluate(Y)
         scale = np.max(np.abs(want))
@@ -204,7 +201,7 @@ def test_clenshaw_curtis_level_ten_interpolates():
     P = SparseInterpolant("clenshaw_curtis", 1)
     for k in range(11):
         P.add_index((k,), f)
-    Y = P.grid_coords()
+    Y = grid_coords(P)
     got = P.evaluate(Y)[:, 0]
     assert Y.shape[0] == 1025
     assert np.all(np.isfinite(got))
@@ -242,7 +239,7 @@ def test_telescoping_equals_tensor_interpolant(kind):
         Y = rng.uniform(-1, 1, size=(100, 2))
         for y in Y:
             want = tensor_interp_oracle(axes, V, y)
-            got = P.evaluate_one(y)
+            got = evaluate_one(P, y)
             assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -334,7 +331,7 @@ def test_grid_basis_weights_match_point_grid(kind, dim):
     P = build_interpolant(kind, s, lambda y: np.array([np.exp(0.3 * y.sum()), 1.0]))
     axes = [np.linspace(-1.0, 1.0, 9), np.polynomial.legendre.leggauss(6)[0], np.array([0.3])]
     axes = axes[:dim]
-    grid = np.stack([v.ravel() for v in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    grid = point_grid(axes)
     for start in (0, P.n_points // 2):
         want = P.basis_weights(grid, start)
         got = P.grid_basis_weights(axes, start)
@@ -422,7 +419,7 @@ def test_detail_terms_and_collapse_agree():
     f = lambda y: np.array([np.sin(y[0] + 0.3) * y[1] ** 3, y[0] * y[1]])
     det = detail_apply_ct("clenshaw_curtis", (2, 1), f)
     Y = np.random.default_rng(12).uniform(-1, 1, size=(40, 2))
-    assert np.allclose(det.evaluate(Y), det.evaluate_terms(Y), atol=1e-12)
+    assert np.allclose(det.evaluate(Y), detail_terms(det, Y), atol=1e-12)
 
 
 def test_hierarchical_block_matches_ct_detail():
@@ -503,7 +500,7 @@ def test_evaluate_grid_matches_scattered():
     ax0 = np.linspace(-1, 1, 4)
     ax1 = np.linspace(-1, 1, 5)
     rows = poly.evaluate_grid([ax0, ax1])
-    mesh = np.stack([a.ravel() for a in np.meshgrid(ax0, ax1, indexing="ij")], axis=-1)
+    mesh = point_grid([ax0, ax1])
     assert np.allclose(rows, poly.evaluate(mesh), atol=1e-13)
     det = detail_apply_ct("leja", (2, 3), f)
     assert np.allclose(det.evaluate_grid([ax0, ax1]), det.evaluate(mesh), atol=1e-13)

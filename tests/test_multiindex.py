@@ -1,44 +1,24 @@
 """Monotone index sets: frozen examples plus brute-force property checks."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparseuq.multiindex import (
-    MonotoneIndexSet,
+from sparseuq.multiindex import MonotoneIndexSet
+
+from oracles import (
     is_monotone,
     margin,
     monotone_envelope,
+    random_monotone,
     reduced_margin,
+    validate_caches,
 )
 
-# -- independent brute-force oracles ----------------------------------------
-
-
-def brute_margin(members):
-    members = set(members)
-    out = set()
-    for k in members:
-        for m in range(len(k)):
-            nxt = k[:m] + (k[m] + 1,) + k[m + 1 :]
-            if nxt not in members:
-                out.add(nxt)
-    return out
-
-
-def brute_reduced(members):
-    members = set(members)
-    out = set()
-    for k in brute_margin(members):
-        ok = True
-        for m, km in enumerate(k):
-            if km >= 1 and k[:m] + (km - 1,) + k[m + 1 :] not in members:
-                ok = False
-        if ok:
-            out.add(k)
-    return out
+# -- an independent envelope oracle -----------------------------------------
 
 
 def brute_envelope(members, k):
@@ -132,7 +112,7 @@ def test_constructor_accepts_monotone_rejects_other():
 
 def test_json_round_trip():
     s = MonotoneIndexSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    t = MonotoneIndexSet.from_json(s.to_json())
+    t = MonotoneIndexSet.from_jsonable(json.loads(json.dumps(s.to_jsonable())))
     assert t.members_sorted() == s.members_sorted()
     assert t.margin() == s.margin()
 
@@ -142,35 +122,26 @@ def test_copy_is_independent():
     t = s.copy()
     t.add((1, 0))
     assert len(s) == 1 and len(t) == 2
-    assert s.validate_caches() and t.validate_caches()
-
-
-def _random_monotone(rng, dim, n_add):
-    s = MonotoneIndexSet(dim)
-    s.add((0,) * dim)
-    for _ in range(n_add):
-        cand = s.reduced_margin()
-        s.add(cand[rng.integers(len(cand))])
-    return s
+    assert validate_caches(s) and validate_caches(t)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_incremental_caches_match_brute_force(dim):
     rng = np.random.default_rng(10 + dim)
     for trial in range(12):
-        s = _random_monotone(rng, dim, int(rng.integers(0, 50)))
+        s = random_monotone(rng, dim, int(rng.integers(0, 50)))
         members = s.members_sorted()
         assert is_monotone(members)
-        assert set(s.margin()) == brute_margin(members)
-        assert set(s.reduced_margin()) == brute_reduced(members)
-        assert s.validate_caches()
+        assert set(s.margin()) == margin(members)
+        assert set(s.reduced_margin()) == reduced_margin(members)
+        assert validate_caches(s)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_envelope_properties(dim):
     rng = np.random.default_rng(20 + dim)
     for trial in range(10):
-        s = _random_monotone(rng, dim, int(rng.integers(0, 25)))
+        s = random_monotone(rng, dim, int(rng.integers(0, 25)))
         members = set(s.members_sorted())
         for k in s.margin():
             env = s.monotone_envelope(k)
@@ -187,7 +158,7 @@ def test_envelope_properties(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_reduced_margin_is_exactly_the_safe_set(dim):
     rng = np.random.default_rng(30 + dim)
-    s = _random_monotone(rng, dim, 15)
+    s = random_monotone(rng, dim, 15)
     members = s.members_sorted()
     reduced = set(s.reduced_margin())
     for k in s.margin():
@@ -208,8 +179,8 @@ def test_random_insertion_sequences(data):
         assert s.is_admissible(k)
         s.add(k)
     members = s.members_sorted()
-    assert set(s.margin()) == brute_margin(members)
-    assert set(s.reduced_margin()) == brute_reduced(members)
+    assert set(s.margin()) == margin(members)
+    assert set(s.reduced_margin()) == reduced_margin(members)
 
 
 def test_max_level():

