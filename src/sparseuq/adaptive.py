@@ -9,8 +9,10 @@ chosen by AdaptiveConfig.strategy:
 * ``gn_profit``: same candidates, but the maximizer of the
   envelope-averaged profit (estimator sum over work sum) is marked.
 * ``gg``: surplus indicators on the reduced margin (these do solve the
-  PDE at candidate points, all cached), single-index marking, and a
-  final augmentation by the whole reduced margin reusing cached solves.
+  PDE at candidate points, all cached), marking of the largest
+  candidates until they reach the fraction dorfler of the total (at the
+  default 0 the single largest), and a final augmentation by the whole
+  reduced margin reusing cached solves.
 
 Each candidate is estimated once: a run keeps its estimator values
 from one iteration to the next in a memo, and after adding the marked
@@ -26,14 +28,8 @@ gn_profit keeps its profits across iterations the same way: pis maps
 each margin candidate to its profit and users maps each index to the
 candidates whose monotone envelope contains it.  Only candidates missing
 from pis get a profit, and after an extension the candidates in
-users[j] leave pis for every key j that drop_stale returned.  The
-envelope of k is every ancestor of k missing from the set, since a walk
-down from k through missing indices reaches each of them; adding
-indices outside it leaves it unchanged, and a member's estimate
-changes only when drop_stale forgets it.  So a candidate whose envelope
-meets no returned key keeps its envelope, numerator and denominator
-bit for bit, and its kept profit is exactly the one a fresh computation
-would give.
+users[j] leave pis for every key j that drop_stale returned;
+estimators.profit says why every kept profit is exact.
 
 Every run starts from the singleton zero index, estimates candidates in
 lexicographic order and breaks ties lexicographically, so reruns are
@@ -97,7 +93,7 @@ class AdaptiveConfig:
         ):
             setattr(self, name, config_number(name, getattr(self, name), kind))
         if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError("tol must be positive, got %r" % self.tol)
         for name in ("max_iter", "max_solves"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
@@ -106,7 +102,7 @@ class AdaptiveConfig:
         if self.reference_quad < 1:
             raise ValueError("reference_quad must be at least 1, got %d" % self.reference_quad)
         if not 0.0 <= self.dorfler <= 1.0:
-            raise ValueError("dorfler fraction must lie in [0, 1]")
+            raise ValueError("dorfler must lie in [0, 1], got %r" % self.dorfler)
 
 
 @dataclass
@@ -283,10 +279,7 @@ def run_strategy(problem, disc, config, on_row=None):
             kstar = lex_argmax(report.values)
             marked = P.indexset.monotone_envelope(kstar)
         else:
-            if config.dorfler > 0.0:
-                marked = _dorfler_mark(report, config.dorfler)
-            else:
-                marked = [lex_argmax(report.values)]
+            marked = _dorfler_mark(report, config.dorfler)
         _add_indices(P, cache, marked)
         _forget_profits(pis, users, drop_stale(memo, marked))
         n += 1

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import AdaptiveConfig, TraceRow, run_strategy
-from .estimators import NormSpec
+from .estimators import MAX_REFERENCE_DIM, NormSpec, check_reference_dim
 from .fem import (
     SpatialDiscretization,
     build_problem,
@@ -165,14 +165,14 @@ def _reference_cadence(cfg, dim):
     if every == "auto":
         if dim <= 2:
             return 1
-        if dim <= 4:
+        if dim <= MAX_REFERENCE_DIM:
             return 5
         return 0
     every = config_number("reference.every", every, int)
     if every < 0:
         raise ConfigError('reference.every must be at least 0 or "auto", got %d' % every)
-    if every > 0 and dim > 4:
-        raise ConfigError("reference errors are infeasible for M=%d" % dim)
+    if every > 0:
+        check_reference_dim(dim)
     return every
 
 

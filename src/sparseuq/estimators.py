@@ -17,9 +17,10 @@ row c times prod_m h_{k_m}(y_m), so its norm factorises exactly into
 ||c||_2 times a product of memoized 1-D norms of the h_{k_m}: at
 p = inf the maximum of a product of nonnegative per-axis factors over
 a tensor grid is the product of the per-axis maxima.  Multi-point
-blocks (Clenshaw-Curtis) at p = 2 are measured through the memoized
-Gram matrices of the per-level fresh bases, one mode product per axis;
-at p = inf they are expanded on the tensor sample grid.
+blocks (Clenshaw-Curtis) are measured by one loop of mode products, one
+per axis, whose matrices are memoized per level: the Gram matrices of
+the level's fresh basis at p = 2, its fresh basis table on the sample
+axis at p = inf.
 """
 
 import functools
@@ -33,6 +34,9 @@ from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
+# most parameters of reference_error's tensor grid: at Gauss order 20 its rows
+# at M = 4 hold 160,000 points (330 MB at mesh 256), 20 times more per extra one
+MAX_REFERENCE_DIM = 4
 # most reference grid rows per block of reference_error's pass (_row_blocks):
 # at mesh 256 a block of rows is at most 512 KB and stays in cache; on
 # gn-ref-inf-m3 a sweep of 64..2048 rows on a 2-core host was fastest at
@@ -105,15 +109,6 @@ def sup_points_per_dim(spec, dim):
     return max(2, min(spec.sup_points_per_dim, per))
 
 
-def norm_axes(spec, degrees):
-    """Per-dimension (points, weights) pairs: Gauss order degree + 1 for
-    p = 2, the sample grid with weights None for p = inf."""
-    if spec.p == 2.0:
-        return [gauss_axis(int(d) + 1) for d in degrees]
-    samples = np.linspace(-1.0, 1.0, sup_points_per_dim(spec, len(degrees)))
-    return [(samples, None)] * len(degrees)
-
-
 def combine_axes(norms, axes, p):
     """Collapse per-grid-row spatial norms into one L^p value: the
     maximum for p = inf, else the p = 2 value under the tensor weights
@@ -128,8 +123,8 @@ def combine_axes(norms, axes, p):
 
 
 def _level_axis(kind, level, n):
-    """Level's norm axis as norm_axes gives it: n samples, weights None
-    (p = inf), or for n None (p = 2) the Gauss order m(level) + 1."""
+    """Level's norm axis: n samples, weights None (p = inf), or for n
+    None (p = 2) Gauss order m(level) + 1, exact for the block's degree."""
     if n is None:
         return gauss_axis(growth(kind, level) + 1)
     return np.linspace(-1.0, 1.0, n), None
@@ -174,17 +169,17 @@ def _euclidean_lp_norm(kind, index, rows, spec):
     spatial norm is the plain Euclidean row norm.
 
     One row c (Leja, R-Leja) is the detail c * prod_m h_{k_m}(y_m).  On
-    the tensor grid of norm_axes its norm factorises exactly: ||c||_2
-    times the product over m of _axis_norm.  For p = inf the maximum over
-    the grid of a product of nonnegative per-axis factors is the product
-    of the per-axis maxima.  More rows (Clenshaw-Curtis) at p = 2 give
-    the squared norm sum_e c_e^T (G_1 x ... x G_M) c_e over the spatial
-    columns c_e, with G_m = _axis_gram(kind, k_m): one mode product per
-    axis, no grid.  At p = inf they are expanded on the norm_axes sample
-    grid and the value is the largest row norm there.  The spatial axis
-    is first compressed with an SVD when that shrinks it: row norms
-    depend on the coefficient matrix only through its left singular
-    factors, so this is exact and cuts the cost of the grid expansion.
+    the tensor grid of the _level_axis axes its norm factorises exactly:
+    ||c||_2 times the product over m of _axis_norm.  For p = inf the
+    maximum over the grid of a product of nonnegative per-axis factors
+    is the product of the per-axis maxima.  More rows (Clenshaw-Curtis)
+    go through one interp.mode_product per axis, with a matrix A_m of
+    level k_m.  At p = 2 A_m = _axis_gram(kind, k_m), and the squared
+    norm is sum_e c_e^T (A_1 x ... x A_M) c_e over the spatial columns
+    c_e.  At p = inf A_m = _axis_table(kind, k_m, n) expands the block on
+    the sample grid, and the value is its largest row norm; the spatial
+    axis is first compressed with an SVD when that shrinks it, which is
+    exact since row norms depend only on the left singular factors.
     """
     # the sample count per axis; None at p = 2, whose Gauss order is m(k_m) + 1
     n = sup_points_per_dim(spec, len(index)) if spec.p == math.inf else None
@@ -193,20 +188,17 @@ def _euclidean_lp_norm(kind, index, rows, spec):
         for km in index:
             value *= _axis_norm(kind, km, n)
         return value
-    if n is None:
-        shape = fresh_shape(kind, index)
-        G_rows = rows
-        for m, km in enumerate(index):
-            G_rows = mode_product(_axis_gram(kind, km), G_rows, math.prod(shape[:m]))
-        return math.sqrt(float(np.vdot(rows, G_rows)))
-    if rows.shape[0] < rows.shape[1]:
+    if n is not None and rows.shape[0] < rows.shape[1]:
         U, s, _ = np.linalg.svd(rows, full_matrices=False)
         rows = U * s
-    T = rows.reshape(fresh_shape(kind, index) + (rows.shape[1],))
-    for m, km in enumerate(index):
-        T = np.tensordot(_axis_table(kind, km, n), T, axes=(1, m))
-    flat = T.reshape(-1, T.shape[-1])
-    return float(np.max(np.sqrt(np.einsum("ij,ij->i", flat, flat))))
+    T, pre = rows, 1
+    for km in index:
+        A = _axis_gram(kind, km) if n is None else _axis_table(kind, km, n)
+        T = mode_product(A, T, pre)
+        pre *= A.shape[0]
+    if n is None:
+        return math.sqrt(float(np.vdot(rows, T)))
+    return float(np.max(np.sqrt(np.einsum("ij,ij->i", T, T))))
 
 
 def residual_estimator(P, disc, k, spec):
@@ -434,6 +426,13 @@ def _row_blocks(shape):
     return [(a, min(a + step, n_grid)) for a in range(0, n_grid, step)]
 
 
+def check_reference_dim(dim):
+    """Raise ValueError when dim exceeds MAX_REFERENCE_DIM."""
+    if dim > MAX_REFERENCE_DIM:
+        msg = "tensor reference grids are infeasible for M=%d (the limit is %d)"
+        raise ValueError(msg % (dim, MAX_REFERENCE_DIM))
+
+
 def reference_error(P, disc, spec, quad_order=20, state=None):
     """Parametric norm of u_h - S u_h on a tensor reference grid.
 
@@ -457,14 +456,14 @@ def reference_error(P, disc, spec, quad_order=20, state=None):
     grid points at the reference points.  An empty state is filled only
     once its rows are complete, so an EllipticityError (naming the first
     non-elliptic reference point in C order) leaves it empty.  Tensor
-    grids are only feasible for a handful of dimensions, so more than 4
-    is rejected.
+    grids are only feasible for a handful of dimensions, so more than
+    MAX_REFERENCE_DIM is rejected.
     """
     dim = P.dim
-    if dim > 4:
-        raise ValueError("tensor reference grids are infeasible for M=%d (the limit is 4)" % dim)
+    check_reference_dim(dim)
     if spec.p == math.inf:
-        axes = norm_axes(spec, [0] * dim)  # the estimators' sample grid
+        # the estimators' sample grid
+        axes = [(np.linspace(-1.0, 1.0, sup_points_per_dim(spec, dim)), None)] * dim
     else:
         axes = [gauss_axis(int(quad_order))] * dim
     ys = [y for y, _ in axes]

@@ -28,6 +28,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import kernels
+from .interp import MAX_DIM
 
 
 class EllipticityError(ValueError):
@@ -260,10 +261,6 @@ def config_mapping(key, value):
 # ---------------------------------------------------------------------------
 # built-in problem library
 
-# NumPy arrays have at most 64 axes, and a fresh block is a tensor with
-# one axis per parameter
-_MAX_DIM = 64
-
 
 def _const(c):
     c = float(c)
@@ -300,8 +297,8 @@ def build_problem(spec):
     dim = config_number("problem.M", spec.get("M", 2), int)
     if dim < 1:
         raise ValueError("problem.M must be at least 1, got %d" % dim)
-    if dim > _MAX_DIM:
-        raise ValueError("problem.M must be at most %d, got %d" % (_MAX_DIM, dim))
+    if dim > MAX_DIM:
+        raise ValueError("problem.M must be at most %d, got %d" % (MAX_DIM, dim))
     family = str(spec.get("family", "cosine")).lower()
     a0 = config_number("problem.a0", spec.get("a0", 2.0))
     amps = _amplitudes(dim, spec)

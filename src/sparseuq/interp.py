@@ -15,6 +15,11 @@ there.  For an addable index that sum cannot change until the index
 itself is added, so the interpolant keeps it, read-only, and add_index
 takes it back out: a candidate's values are formed once.
 
+add_index(i, values) is the one way in: values are taken at i's fresh
+points, coords_of(new_point_indices(i)).  A fresh block is a tensor
+with one axis per parameter, so the dimension is at most MAX_DIM = 64,
+NumPy's limit on array axes.
+
 The surpluses of one index's fresh block are flat rows in C order over
 its fresh_shape.  mode_product applies a matrix along one axis of such
 rows without leaving the flat form: _times_y_rows carries a block
@@ -43,6 +48,9 @@ from .nodes import get_family, growth
 
 _EINSUM_LETTERS = "abcdefghij"
 _DOMAIN_SLACK = 1e-12
+# NumPy arrays have at most 64 axes, and _fresh_points unravels a fresh
+# block as a tensor with one axis per parameter
+MAX_DIM = 64
 
 
 def fresh_shape(kind, i):
@@ -111,9 +119,10 @@ class SparseInterpolant:
     def __init__(self, family, dim):
         self.family = get_family(family)
         self.dim = int(dim)
+        if self.dim > MAX_DIM:
+            raise ValueError("dimension must be at most %d, got %d" % (MAX_DIM, self.dim))
         self.indexset = MonotoneIndexSet(self.dim)
         self._blocks = {}
-        self._K = None
         # value_below of addable indices, until add_index takes them
         self._below = {}
         # rows in insertion order, appended into capacity-doubling buffers
@@ -124,13 +133,6 @@ class SparseInterpolant:
     @property
     def n_points(self):
         return self._n
-
-    @property
-    def n_outputs(self):
-        return self._K
-
-    def point_indices(self):
-        return [tuple(j) for j in self._pts[: self._n].tolist()]
 
     def block_of(self, i):
         """(start, count) slice of the points introduced by index i."""
@@ -162,7 +164,6 @@ class SparseInterpolant:
         self._pts[n : n + count] = js
         self._vals[n : n + count] = rows
         self._n = n + count
-        self._K = rows.shape[1]
 
     def surpluses(self, start=0):
         """Surplus rows from row start on (insertion order), shape (rows, K).
@@ -264,15 +265,15 @@ class SparseInterpolant:
         """Evaluate at points Y of shape (P, M); returns shape (P, K)."""
         return self.basis_weights(Y) @ self.surpluses()
 
-    def add_index(self, i, f=None, values=None):
+    def add_index(self, i, values):
         """Extend the index set by i and store the new surpluses.
 
-        i must keep the set downward closed.  The new function values come
-        either from the per-point evaluator f or from a precomputed array
-        ``values`` of shape (count, K) ordered like new_point_indices(i).
-        Surpluses are value minus current-interpolant value, computed
-        before insertion from the blocks below i (see value_below, whose
-        kept values for i are used and then dropped).
+        i must keep the set downward closed.  values holds the function
+        values at i's fresh points, shape (count, K) (or (count,) for
+        K = 1), rows ordered like new_point_indices(i).  Surpluses are
+        value minus current-interpolant value, computed before insertion
+        from the blocks below i (see value_below, whose kept values for i
+        are used and then dropped).
         Returns the number of fresh points.
         """
         i = tuple(int(v) for v in i)
@@ -281,34 +282,20 @@ class SparseInterpolant:
                 "index %r is not addable (must be the root or reduced-margin)" % (i,)
             )
         newjs = self.new_point_indices(i)
-        if values is not None:
-            fvals = np.asarray(values, dtype=np.float64)
-            if fvals.ndim == 1:
-                fvals = fvals[:, None]
-            if fvals.shape[0] != len(newjs):
-                raise ValueError(
-                    "expected %d value rows, got %d" % (len(newjs), fvals.shape[0])
-                )
-        elif f is not None:
-            coords = self.coords_of(newjs)
-            fvals = np.vstack(
-                [np.atleast_1d(np.asarray(f(y), dtype=np.float64)) for y in coords]
-            )
-        else:
-            raise ValueError("either f or values must be given")
-        if self._K is None:
-            surplus = fvals.copy()
-        else:
-            if fvals.shape[1] != self._K:
-                raise ValueError(
-                    "value length %d does not match stored %d"
-                    % (fvals.shape[1], self._K)
-                )
-            surplus = fvals - self.value_below(i)
+        fvals = np.asarray(values, dtype=np.float64)
+        if fvals.ndim == 1:
+            fvals = fvals[:, None]
+        if fvals.shape[0] != len(newjs):
+            raise ValueError("expected %d value rows, got %d" % (len(newjs), fvals.shape[0]))
+        if self._vals is not None:
+            K = self._vals.shape[1]
+            if fvals.shape[1] != K:
+                raise ValueError("value length %d does not match stored %d" % (fvals.shape[1], K))
+            fvals = fvals - self.value_below(i)
             del self._below[i]
         self.indexset.add(i)
         self._blocks[i] = (self._n, len(newjs))
-        self._append(newjs, surplus)
+        self._append(newjs, fvals)
         return len(newjs)
 
     # -- serialization ------------------------------------------------------
@@ -531,8 +518,13 @@ def mode_product(A, rows, pre):
     are viewed as a (pre, A.shape[1], post) tensor of row vectors and
     one np.matmul maps the middle axis.  Returns flat rows again, in C
     order over the block's shape with that axis now A.shape[0] long.
+    For post = 1 np.matmul would run a matrix-vector kernel per slice,
+    which sums in another order; (pre, A.shape[1]) times A^T is one
+    matrix product, summed as a whole-tensor contraction sums it.
     """
     T = rows.reshape(pre, A.shape[1], -1)
+    if T.shape[2] == 1:
+        return np.matmul(T[:, :, 0], A.T).reshape(-1, 1)
     return np.matmul(A, T).reshape(-1, rows.shape[-1])
 
 

@@ -74,13 +74,16 @@ def weight_product(table, cols):
 # ---------------------------------------------------------------------------
 # greedy node placement objective
 #
-# out[p] = sum_i log |ys[p] - nodes[i]|, with -inf at exact collisions.
+# out[p] = sum_i log |ys[p] - nodes[i]|, with -inf at exact collisions,
+# formed _LOG_CHUNK samples at a time to bound the table of differences.
+
+_LOG_CHUNK = 1 << 18
 
 
-def log_product(ys, nodes, chunk=1 << 18):
+def log_product(ys, nodes):
     out = np.empty(ys.shape[0])
-    for a in range(0, ys.shape[0], chunk):
-        b = min(a + chunk, ys.shape[0])
+    for a in range(0, ys.shape[0], _LOG_CHUNK):
+        b = min(a + _LOG_CHUNK, ys.shape[0])
         d = np.abs(ys[a:b, None] - nodes[None, :])
         with np.errstate(divide="ignore"):
             out[a:b] = np.sum(np.log(d), axis=1)

@@ -11,28 +11,12 @@ is the smallest margin subset whose union with Lambda is monotone and
 contains k.
 
 MonotoneIndexSet maintains the margin and reduced margin incrementally
-and is what the adaptive loop uses.  The test suite checks its caches
-against direct transcriptions of the definitions (tests/oracles.py).
+and is what the adaptive loop uses.  Iterating over it is the one way
+to list its members, in lexicographic order; to_jsonable and
+from_jsonable (which takes the dimension) save and load it.  The test
+suite checks its caches against direct transcriptions of the
+definitions (tests/oracles.py).
 """
-
-
-def _check_dims(indices):
-    """Return the common length of the given index tuples.
-
-    Raises ValueError on an empty collection or mixed lengths.
-    """
-    it = iter(indices)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("empty index collection has no dimension")
-    m = len(first)
-    for k in it:
-        if len(k) != m:
-            raise ValueError(
-                "dimension mismatch: %r has length %d, expected %d" % (k, len(k), m)
-            )
-    return m
 
 
 class MonotoneIndexSet:
@@ -40,8 +24,8 @@ class MonotoneIndexSet:
 
     Mutation happens only through add(), which requires the new index to
     keep the set downward closed, and updates both caches in O(M^2) time.
-    All enumeration methods return lexicographically sorted lists so that
-    iteration order is deterministic.
+    Iteration and all enumeration methods give lexicographically sorted
+    indices, so every order is deterministic.
     """
 
     def __init__(self, dim, members=()):
@@ -62,9 +46,6 @@ class MonotoneIndexSet:
 
     def __iter__(self):
         return iter(sorted(self.members))
-
-    def members_sorted(self):
-        return sorted(self.members)
 
     def _forward(self, k, m):
         return k[:m] + (k[m] + 1,) + k[m + 1 :]
@@ -148,23 +129,9 @@ class MonotoneIndexSet:
                         stack.append(pred)
         return sorted(out)
 
-    def copy(self):
-        other = MonotoneIndexSet(self.dim)
-        other.members = set(self.members)
-        other._margin = set(self._margin)
-        other._reduced = set(self._reduced)
-        return other
-
-    def max_level(self, m):
-        """Largest value of component m over the members."""
-        return max(k[m] for k in self.members)
-
     def to_jsonable(self):
         return [list(k) for k in sorted(self.members)]
 
     @classmethod
-    def from_jsonable(cls, data, dim=None):
-        members = [tuple(int(v) for v in row) for row in data]
-        if dim is None:
-            dim = _check_dims(members)
-        return cls(dim, members)
+    def from_jsonable(cls, data, dim):
+        return cls(dim, [tuple(int(v) for v in row) for row in data])

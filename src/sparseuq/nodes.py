@@ -18,7 +18,9 @@ prefix of one fixed hierarchical sequence y_(0), y_(1), ...:
 
 The growth function m(k) gives the largest sequence position in level k,
 so level sets have m(k) + 1 points.  Node values are computed once and
-cached, which makes nestedness exact in floating point.
+cached, which makes nestedness exact in floating point.  get_family is
+the one lookup: it hands out one shared NodeFamily per kind, whose
+nodes(n) gives the first n entries of the sequence.
 
 NodeFamily.basis_matrix gives the hierarchical basis tables every run
 evaluates.  lagrange_matrix, the full Lagrange table of one level, serves
@@ -126,8 +128,6 @@ def _grow_circle_fractions(qs, n):
 class NodeFamily:
     """One nested node family with cached sequence and basis data."""
 
-    _registry = {}
-
     def __init__(self, kind):
         self.kind = normalize_kind(kind)
         self._nodes = []
@@ -143,16 +143,6 @@ class NodeFamily:
             self._rleja_next = 0
         if self.kind == CLENSHAW_CURTIS:
             self._cc_next = (1, 0)
-
-    @classmethod
-    def get(cls, kind):
-        """Shared per-kind instance so caches are reused across callers."""
-        kind = normalize_kind(kind)
-        fam = cls._registry.get(kind)
-        if fam is None:
-            fam = cls(kind)
-            cls._registry[kind] = fam
-        return fam
 
     # -- sequence generation ------------------------------------------------
 
@@ -256,13 +246,6 @@ class NodeFamily:
         self.ensure_nodes(n)
         return self._nodes_arr[:n].copy()
 
-    def point(self, i):
-        """Entry i >= 0 of the hierarchical sequence."""
-        if i < 0:
-            raise ValueError("node index must be non-negative, got %d" % i)
-        self.ensure_nodes(i + 1)
-        return self._nodes[i]
-
     def level_nodes(self, k):
         """The level-k set, in hierarchical sequence order."""
         return self.nodes(growth(self.kind, k) + 1)
@@ -330,9 +313,16 @@ class NodeFamily:
 
 
 def get_family(kind_or_family):
+    """The one shared NodeFamily of a kind, so its caches serve every
+    caller; a NodeFamily passed in is returned as it is."""
     if isinstance(kind_or_family, NodeFamily):
         return kind_or_family
-    return NodeFamily.get(kind_or_family)
+    return _family(normalize_kind(kind_or_family))
+
+
+@functools.lru_cache(maxsize=None)
+def _family(kind):
+    return NodeFamily(kind)
 
 
 def leja_nodes(n):

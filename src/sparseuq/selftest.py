@@ -44,11 +44,16 @@ def _check_multiindex():
     _require(s.monotone_envelope((2, 1)) == [(2, 0), (2, 1)])
 
 
+def _add(P, k, f):
+    """Add index k to P with f's values at k's fresh points."""
+    P.add_index(k, values=[f(y) for y in P.coords_of(P.new_point_indices(k))])
+
+
 def _check_interpolation():
     P = SparseInterpolant("leja", 2)
     f = lambda y: np.array([1.0 + y[0] + 0.5 * y[0] * y[1]])
     for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        P.add_index(k, f)
+        _add(P, k, f)
     Y = np.array([[0.3, -0.7], [-0.2, 0.9], [0.0, 0.0]])
     want = np.array([[f(y)[0]] for y in Y])
     _require(np.allclose(P.evaluate(Y), want, atol=1e-12))
@@ -56,7 +61,7 @@ def _check_interpolation():
     # give the full evaluation: the rows of (0, 1) and (1, 1) weigh zero
     P = SparseInterpolant("clenshaw_curtis", 2)
     for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        P.add_index(k, f)
+        _add(P, k, f)
     k = (2, 0)
     full = P.evaluate(P.coords_of(P.new_point_indices(k)))
     _require(np.max(np.abs(P.value_below(k) - full)) <= 1e-14 * np.max(np.abs(full)))
@@ -71,7 +76,7 @@ def _check_interpolation():
     for kind, g, want in cases:
         P = SparseInterpolant(kind, 2)
         for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            P.add_index(k, lambda y: np.array([g(y)]))
+            _add(P, k, lambda y: np.array([g(y)]))
         start, _ = P.block_of((1, 1))
         got = P.basis_weights(Y, start=start) @ P.surpluses(start)
         _require(np.allclose(got[:, 0], want, rtol=0, atol=1e-12), kind, got)

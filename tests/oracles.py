@@ -28,7 +28,7 @@ from sparseuq.interp import (
     mode_product,
     tensor_grid_axes,
 )
-from sparseuq.multiindex import MonotoneIndexSet, _check_dims
+from sparseuq.multiindex import MonotoneIndexSet
 from sparseuq.nodes import RLEJA, _grow_circle_fractions, get_family
 
 # ---------------------------------------------------------------------------
@@ -138,9 +138,20 @@ def evaluate_one(P, y):
     return P.evaluate(np.asarray(y, dtype=np.float64).reshape(1, -1))[0]
 
 
+def add_evaluated(P, i, f):
+    """P.add_index(i) with the values of the per-point evaluator f at i's
+    fresh points; returns the number of fresh points."""
+    return P.add_index(i, values=[f(y) for y in P.coords_of(P.new_point_indices(i))])
+
+
+def point_indices(P):
+    """Node-index tuples of P's grid points, in insertion order."""
+    return [tuple(rec["j"]) for rec in P.to_jsonable()["points"]]
+
+
 def grid_coords(P):
     """Coordinates of P's grid points, rows in insertion order."""
-    return P.coords_of(P.point_indices())
+    return P.coords_of(point_indices(P))
 
 
 def basis_value(kind, i, y):
@@ -200,6 +211,25 @@ def detail_sup_norm(kind, k, samples=2001):
 
 # ---------------------------------------------------------------------------
 # index sets, by their definitions
+
+
+def _check_dims(indices):
+    """Return the common length of the given index tuples.
+
+    Raises ValueError on an empty collection or mixed lengths.
+    """
+    it = iter(indices)
+    try:
+        first = next(it)
+    except StopIteration:
+        raise ValueError("empty index collection has no dimension")
+    m = len(first)
+    for k in it:
+        if len(k) != m:
+            raise ValueError(
+                "dimension mismatch: %r has length %d, expected %d" % (k, len(k), m)
+            )
+    return m
 
 
 def is_monotone(indices):

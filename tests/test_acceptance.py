@@ -22,6 +22,7 @@ from sparseuq.nodes import growth, leja_nodes
 
 from oracles import (
     HierarchicalBlock,
+    add_evaluated,
     detail_apply_ct,
     detail_sup_norm,
     grid_coords,
@@ -125,8 +126,8 @@ def test_criterion_03_interpolatory_and_monomial_exact():
         smooth = lambda y: math.exp(0.3 * float(np.sum(y)))
         f = lambda y: np.append(np.prod(np.asarray(y) ** expts, axis=1), smooth(y))
         P = SparseInterpolant(kind, dim)
-        for i in s.members_sorted():
-            P.add_index(i, f)
+        for i in s:
+            add_evaluated(P, i, f)
         grid = grid_coords(P)
         want = np.vstack([f(y) for y in grid])
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -150,8 +151,8 @@ def test_criterion_04_telescoping_and_detail_equivalence():
     for kind in ("leja", "clenshaw_curtis"):
         box = MonotoneIndexSet(2, list(itertools.product(range(5), range(5))))
         P = SparseInterpolant(kind, 2)
-        for i in box.members_sorted():
-            P.add_index(i, f)
+        for i in box:
+            add_evaluated(P, i, f)
         T = tensor_interpolant(kind, (4, 4), f)
         assert np.max(np.abs(P.evaluate(Y) - T.evaluate(Y))) <= 1e-10
         for i in box:
@@ -282,7 +283,7 @@ def test_criterion_09_estimator_annihilation():
         cache = SolveCache(disc)
         for s in chain_sets:
             P = SparseInterpolant(kind, problem.dim)
-            for i in s.members_sorted():
+            for i in s:
                 P.add_index(i, values=fresh_solves(P, cache, i))
             degs = [
                 max(growth(kind, i[m]) for i in P.indexset) + 1

@@ -117,6 +117,8 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"reference": {"every": -1}}, 'reference.every must be at least 0 or "auto", got -1'),
         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
         ({"max_solves": -5}, "max_solves must be at least 1, got -5"),
+        ({"tol": -1}, "tol must be positive, got -1.0"),
+        ({"dorfler": 1.5}, "dorfler must lie in [0, 1], got 1.5"),
         ({"strategies": ["gn_envelope", "newton"]}, "unknown strategy"),
         # wrong-typed values once escaped as TypeError tracebacks with exit 1
         ({"max_iter": None}, "max_iter must be an integer"),

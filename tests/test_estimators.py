@@ -24,7 +24,6 @@ from sparseuq.estimators import (
     gauss_axis,
     lex_argmax,
     margin_report,
-    norm_axes,
     profit,
     reduced_margin_report,
     reference_error,
@@ -127,8 +126,13 @@ def test_sup_grid_budget():
         assert sup_points_per_dim(NormSpec(p="inf", sup_budget=budget), dim) == per
 
 
+def sample_axes(spec, dim):
+    """The estimators' p = inf sample grid: dim equal axes, weights None."""
+    return [(np.linspace(-1.0, 1.0, sup_points_per_dim(spec, dim)), None)] * dim
+
+
 def test_combine_axes_values():
-    axes = norm_axes(NormSpec(p=2), [2, 2])
+    axes = [gauss_axis(3)] * 2
     n0 = len(axes[0][0])
     norms = np.ones(n0 * n0)
     assert combine_axes(norms, axes, 2.0) == pytest.approx(1.0, abs=1e-14)
@@ -168,17 +172,20 @@ def test_parametric_norm_spatial_dispatch():
 
 def grid_lp_norm(kind, index, rows, spec):
     """Grid-expansion oracle: the detail given by the flat surplus rows of
-    index's fresh block, on the tensor grid of norm_axes, row norms, then
-    combine_axes.  The tables come from _fresh_table on the norm_axes
-    points, so no memo is shared with the code under test.  The spatial
-    axis is first compressed by an SVD when that shrinks it, exactly as
-    the grid path does, so the two agree bitwise on the blocks that take
-    it."""
+    index's fresh block, on the tensor grid of the norm axes (Gauss order
+    m(k_m) + 1 at p = 2, the sample grid at p = inf), row norms, then
+    combine_axes.  The tables come from _fresh_table on the axes' points,
+    so no memo is shared with the code under test.  The spatial axis is
+    first compressed by an SVD when that shrinks it, as _euclidean_lp_norm
+    does at p = inf."""
     if rows.shape[0] < rows.shape[1]:
         U, s, _ = np.linalg.svd(rows, full_matrices=False)
         rows = U * s
     ranges = fresh_ranges(kind, index)
-    axes = norm_axes(spec, [r.stop - 1 for r in ranges])
+    if spec.p == 2.0:
+        axes = [gauss_axis(r.stop) for r in ranges]
+    else:
+        axes = sample_axes(spec, len(ranges))
     T = rows.reshape(tuple(len(r) for r in ranges) + (rows.shape[1],))
     for m, km in enumerate(index):
         T = np.tensordot(_fresh_table(kind, km, axes[m][0]), T, axes=(1, m))
@@ -358,7 +365,10 @@ def ct_residual(P, disc, k, spec):
     C = TensorDetail(kind, k, flux).collapsed_values() * math.sqrt(disc.h)
     base = [max(growth(kind, i[m]) for i in P.indexset) for m in range(P.dim)]
     degrees = [max(growth(kind, km), base[m] + 1) for m, km in enumerate(k)]
-    axes = norm_axes(spec, degrees)
+    if spec.p == 2.0:
+        axes = [gauss_axis(d + 1) for d in degrees]
+    else:
+        axes = sample_axes(spec, len(degrees))
     rows = TensorPoly(kind, k, C).evaluate_grid([a[0] for a in axes])
     return combine_axes(np.sqrt(np.einsum("ij,ij->i", rows, rows)), axes, spec.p)
 
@@ -587,7 +597,7 @@ def test_kept_profits_equal_fresh_profits(kind):
         disc = SpatialDiscretization(build_problem({"family": "cosine", "M": dim}), 8)
         P = SparseInterpolant(kind, dim)
         random_monotone_growth(P, SolveCache(disc), rng, 1 + dim)
-        s = P.indexset.copy()
+        s = MonotoneIndexSet(dim, P.indexset)
         eta = {k: rng.random() for k in s.margin()}
         pis, users = {}, {}
         for step in range(10):
@@ -843,7 +853,7 @@ def test_reference_error_first_value_matches_point_grid(p, dim):
         P.add_index(k, values=fresh_solves(P, cache, k))
     spec = NormSpec(p=p, sup_points_per_dim=17)
     got = reference_error(P, disc, spec, quad_order=9, state=ReferenceRows())
-    axes = norm_axes(spec, [0] * dim) if p == "inf" else [gauss_axis(9)] * dim
+    axes = sample_axes(spec, dim) if p == "inf" else [gauss_axis(9)] * dim
     grid = point_grid([y for y, _ in axes])
     grads = kernels.p1_slopes(disc.coefficient_at(grid), disc.cum_load, np.empty((len(grid), 32)))
     rows = grads - P.basis_weights(grid) @ disc.gradient_rows(P.surpluses())
@@ -888,7 +898,7 @@ def test_reference_error_names_first_non_elliptic_point_in_later_block():
     P = SparseInterpolant("leja", 3)
     P.add_index((0, 0, 0), values=fresh_solves(P, cache, (0, 0, 0)))
     spec = NormSpec(p="inf")
-    grid = point_grid([y for y, _ in norm_axes(spec, [0] * 3)])
+    grid = point_grid([y for y, _ in sample_axes(spec, 3)])
     first = int(np.flatnonzero(np.min(disc.coefficient_at(grid), axis=1) <= 0.0)[0])
     assert first >= 2 * _ROW_BLOCK
     state = ReferenceRows()

@@ -98,7 +98,7 @@ def test_margin_methods_empty_set():
 
 def test_lexicographic_output_order():
     s = MonotoneIndexSet(2, [(0, 0), (1, 0), (0, 1)])
-    assert s.members_sorted() == sorted(s.members_sorted())
+    assert list(s) == sorted(s)
     assert s.margin() == sorted(s.margin())
     assert s.reduced_margin() == sorted(s.reduced_margin())
 
@@ -112,17 +112,9 @@ def test_constructor_accepts_monotone_rejects_other():
 
 def test_json_round_trip():
     s = MonotoneIndexSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    t = MonotoneIndexSet.from_jsonable(json.loads(json.dumps(s.to_jsonable())))
-    assert t.members_sorted() == s.members_sorted()
+    t = MonotoneIndexSet.from_jsonable(json.loads(json.dumps(s.to_jsonable())), 3)
+    assert list(t) == list(s)
     assert t.margin() == s.margin()
-
-
-def test_copy_is_independent():
-    s = MonotoneIndexSet(2, [(0, 0)])
-    t = s.copy()
-    t.add((1, 0))
-    assert len(s) == 1 and len(t) == 2
-    assert validate_caches(s) and validate_caches(t)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -130,7 +122,7 @@ def test_incremental_caches_match_brute_force(dim):
     rng = np.random.default_rng(10 + dim)
     for trial in range(12):
         s = random_monotone(rng, dim, int(rng.integers(0, 50)))
-        members = s.members_sorted()
+        members = list(s)
         assert is_monotone(members)
         assert set(s.margin()) == margin(members)
         assert set(s.reduced_margin()) == reduced_margin(members)
@@ -142,7 +134,7 @@ def test_envelope_properties(dim):
     rng = np.random.default_rng(20 + dim)
     for trial in range(10):
         s = random_monotone(rng, dim, int(rng.integers(0, 25)))
-        members = set(s.members_sorted())
+        members = set(s)
         for k in s.margin():
             env = s.monotone_envelope(k)
             assert set(env) == brute_envelope(members, k)
@@ -159,7 +151,7 @@ def test_envelope_properties(dim):
 def test_reduced_margin_is_exactly_the_safe_set(dim):
     rng = np.random.default_rng(30 + dim)
     s = random_monotone(rng, dim, 15)
-    members = s.members_sorted()
+    members = list(s)
     reduced = set(s.reduced_margin())
     for k in s.margin():
         extended = sorted(set(members) | {tuple(k)})
@@ -178,12 +170,6 @@ def test_random_insertion_sequences(data):
         k = data.draw(st.sampled_from(cand))
         assert s.is_admissible(k)
         s.add(k)
-    members = s.members_sorted()
+    members = list(s)
     assert set(s.margin()) == margin(members)
     assert set(s.reduced_margin()) == reduced_margin(members)
-
-
-def test_max_level():
-    s = MonotoneIndexSet(2, [(0, 0), (1, 0), (2, 0), (0, 1)])
-    assert s.max_level(0) == 2
-    assert s.max_level(1) == 1

@@ -21,7 +21,13 @@ from sparseuq.nodes import (
     rleja_nodes,
 )
 
-from oracles import basis_value, detail_sup_norm, lebesgue_constant, rleja_circle_fractions
+from oracles import (
+    add_evaluated,
+    basis_value,
+    detail_sup_norm,
+    lebesgue_constant,
+    rleja_circle_fractions,
+)
 
 S2 = math.sqrt(2.0) / 2.0
 
@@ -85,10 +91,6 @@ def test_node_count_non_negative(kind):
     # a negative count once sliced the cached sequence from the end
     with pytest.raises(ValueError, match="non-negative"):
         fam.nodes(-2)
-    # point(-1) returned the last cached node the same way
-    assert fam.point(4) == fam.nodes(5)[4]
-    with pytest.raises(ValueError, match="non-negative"):
-        fam.point(-1)
 
 
 def test_leja_distinct_and_in_interval():
@@ -308,8 +310,8 @@ def test_cc_basis_tables_stop_at_level_11():
     # an interpolant refined to level 12 raises instead of turning nan
     P = SparseInterpolant("clenshaw_curtis", 1)
     for k in range(12):
-        P.add_index((k,), f=lambda y: np.sin(3.0 * y))
+        add_evaluated(P, (k,), lambda y: np.sin(3.0 * y))
     assert np.all(np.isfinite(P.evaluate(ys[:, None])))
     with pytest.raises(ValueError, match="level 12; the limit is level 11"):
-        P.add_index((12,), f=lambda y: np.sin(3.0 * y))
+        add_evaluated(P, (12,), lambda y: np.sin(3.0 * y))
     assert len(P.indexset) == 12

@@ -17,6 +17,9 @@ import sparseuq
 from sparseuq import kernels
 from sparseuq.interp import SparseInterpolant
 from sparseuq.multiindex import MonotoneIndexSet
+from sparseuq.nodes import NodeFamily
+
+from oracles import add_evaluated
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -83,6 +86,46 @@ def test_public_names_are_pinned():
     ]
 
 
+def public_methods(cls):
+    return sorted(name for name in dir(cls) if not name.startswith("_"))
+
+
+def test_public_methods_are_pinned():
+    # a method or property added to or removed from these classes changes
+    # its list, so one that only tests call shows up in the test diff
+    assert public_methods(SparseInterpolant) == [
+        "add_index",
+        "basis_weights",
+        "block_of",
+        "coords_of",
+        "evaluate",
+        "from_jsonable",
+        "grid_basis_weights",
+        "n_points",
+        "new_point_indices",
+        "surpluses",
+        "to_jsonable",
+        "value_below",
+    ]
+    assert public_methods(MonotoneIndexSet) == [
+        "add",
+        "from_jsonable",
+        "is_admissible",
+        "margin",
+        "monotone_envelope",
+        "reduced_margin",
+        "to_jsonable",
+    ]
+    assert public_methods(NodeFamily) == [
+        "basis_matrix",
+        "ensure_basis",
+        "ensure_nodes",
+        "lagrange_matrix",
+        "level_nodes",
+        "nodes",
+    ]
+
+
 def test_weight_product_counters_see_real_shapes(tracer, monkeypatch):
     # the tracer counts flops from the (P, T) table and (N, M) ids that
     # basis_weights passes, whatever memory layout the table has
@@ -91,8 +134,8 @@ def test_weight_product_counters_see_real_shapes(tracer, monkeypatch):
     monkeypatch.setattr(kernels, "weight_product", t.wrap(name, kernels.weight_product))
     P = SparseInterpolant("clenshaw_curtis", 3)
     s = MonotoneIndexSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1)])
-    for i in s.members_sorted():
-        P.add_index(i, lambda y: np.array([y.sum()]))
+    for i in s:
+        add_evaluated(P, i, lambda y: np.array([y.sum()]))
     t.counters.clear()
     Y = np.random.default_rng(0).uniform(-1, 1, size=(11, 3))
     W = P.basis_weights(Y)
