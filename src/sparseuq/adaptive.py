@@ -37,7 +37,6 @@ bitwise identical.
 """
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 

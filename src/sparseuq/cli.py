@@ -25,12 +25,9 @@ import hashlib
 import itertools
 import json
 import logging
-import math
 import statistics
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .adaptive import AdaptiveConfig, TraceRow, run_strategy

@@ -13,7 +13,7 @@ from sparseuq.adaptive import (
     _dorfler_mark,
     run_strategy,
 )
-from sparseuq.estimators import EstimatorReport, NormSpec, profit
+from sparseuq.estimators import EstimatorReport, profit
 from sparseuq.fem import (
     DiffusionProblem,
     EllipticityError,
