@@ -76,6 +76,8 @@ def weight_product(table, cols):
 #
 # out[p] = sum_i log |ys[p] - nodes[i]|, with -inf at exact collisions,
 # formed _LOG_CHUNK samples at a time to bound the table of differences.
+# Only the Leja search past the tabulated points (nodes._LEJA_TABLE, the
+# first 64) calls it, so a run that stays within level 63 never does.
 
 _LOG_CHUNK = 1 << 18
 

@@ -5,7 +5,19 @@ prefix of one fixed hierarchical sequence y_(0), y_(1), ...:
 
 * ``leja``: greedy points maximizing the product of distances to the
   points already placed, anchored at y_(0) = -1.  Unit growth, the level
-  k set holds the first k+1 points.
+  k set holds the first k+1 points.  The sequence is fixed, so its first
+  64 points are a committed table (_LEJA_TABLE) and a run reads them
+  without a search.  The table is the greedy search of
+  tests/oracles.py, greedy_leja(64), bitwise; to regenerate it, run from
+  the repository root
+
+      PYTHONPATH=src:tests python3 -c "from oracles import greedy_leja; [print(repr(y) + ',') for y in greedy_leja(64).tolist()]"
+
+  and paste the lines into the table.  Past the table the same search
+  continues: it scores the candidates against the tabulated points one
+  point at a time, in sequence order, which is bitwise the running score
+  a search from -1 would hold, so points 65 and up are those of the
+  untabulated search too.
 * ``rleja``: projection of the analogous greedy sequence on the complex
   unit circle anchored at 1.  The circle sequence has the closed form
   angle recursion theta_0 = 0, theta_1 = pi, theta_{2m} = theta_m / 2,
@@ -31,6 +43,7 @@ because the benchmark's tracer wraps it by name.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +66,31 @@ _ALIASES = {
 
 _LEJA_CANDIDATES = 100001
 _GOLDEN_ITERS = 90
+# the first 64 Leja points; see the module docstring
+_LEJA_TABLE = (
+    -1.0, 1.0, 0.0,
+    -0.5773502714271155, 0.6587065960954399, -0.8392541763345909,
+    0.8700071493794364, 0.30561332550085785, -0.32170761555165417,
+    -0.9429791837372103, 0.9526732709346948, 0.4794123269640942,
+    -0.7126386449340765, -0.15595936949446637, 0.7748723423019181,
+    -0.979477619687815, 0.16116526249502983, 0.9833263091942224,
+    -0.4613706109260729, -0.8918928236206514, 0.5718970827504644,
+    0.9125597431835704, -0.6492535297862323, 0.07981796950714815,
+    -0.24230654400678503, 0.7222943871027476, -0.9926686244882736,
+    0.3907895092116481, -0.7821306920857041, 0.9940567477268509,
+    -0.39757689956158193, 0.8263846775992569, -0.9200483843061844,
+    0.2351575066011128, -0.08118871660625279, 0.9681486516494786,
+    -0.9641961532932959, -0.5244303524363065, 0.5283584626607802,
+    -0.7494214744665497, 0.8923292244349121, 0.6195694853915015,
+    -0.8652926806394343, -0.1989051692969533, 0.34861340295275334,
+    -0.9974579006096507, 0.9353782347539779, -0.6137311265053087,
+    0.11931037170397643, 0.8001102077322817, -0.3601848544607119,
+    0.9979342957391224, -0.8121070142469777, 0.43706350452984066,
+    -0.9862130878813815, -0.04020208231520338, 0.6938311858784858,
+    -0.6815696065434289, 0.9764749371505086, -0.49159164931087707,
+    0.20170042048655473, -0.953577833976492, 0.8487786904362051,
+    -0.2803215922648118,
+)
 # deepest Clenshaw-Curtis level with finite basis tables: at level 12
 # (4,097 nodes) the running products of kernels.basis_table overflow
 _CC_MAX_LEVEL = 11
@@ -65,13 +103,22 @@ def normalize_kind(kind):
         raise ValueError("unknown node family %r" % (kind,))
 
 
+def _as_int(value, what):
+    """value as a plain int: Python and NumPy integers pass, anything
+    else (a float, even an integral one) raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (what, value)) from None
+
+
 def growth(kind, k):
     """Largest sequence position of level k: identity, or doubling for CC.
 
     A plain int for any integer k (NumPy ones too), memoized per
     (kind, level) so the kind is resolved only once per level.
     """
-    return _growth(kind, int(k))
+    return _growth(kind, _as_int(k, "level"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,7 +131,9 @@ def _growth(kind, k):
 
 
 def growth_inverse(kind, i):
-    """Smallest level whose node set contains sequence position i."""
+    """Smallest level whose node set contains sequence position i, a
+    plain int for any integer i (NumPy ones too)."""
+    i = _as_int(i, "node index")
     if i < 0:
         raise ValueError("node index must be non-negative")
     if normalize_kind(kind) == CLENSHAW_CURTIS:
@@ -137,6 +186,8 @@ class NodeFamily:
         self._denoms = []
         self._denoms_arr = np.empty(0)
         self._level_denom_cache = {}
+        if self.kind == LEJA:
+            self._leja_score = None
         if self.kind == RLEJA:
             self._rleja_qs = [Fraction(0), Fraction(1)]
             self._rleja_seen = set()
@@ -148,13 +199,19 @@ class NodeFamily:
 
     def _extend_leja(self, n):
         nodes = self._nodes
-        if not nodes:
-            nodes.append(-1.0)
+        nodes.extend(_LEJA_TABLE[len(nodes) : n])
+        if len(nodes) == n:
+            return
+        if self._leja_score is None:
             t = np.linspace(0.0, 1.0, _LEJA_CANDIDATES)
             self._leja_cand = -np.cos(np.pi * t)
             # running sum over the placed nodes of log|cand - y_i|, one
-            # column added per node, kept across calls
-            self._leja_score = kernels.log_product(self._leja_cand, np.asarray(nodes))
+            # column added per node in sequence order and kept across
+            # calls; summed this way over the tabulated nodes too, it is
+            # bitwise the score a search from -1 holds at this point
+            self._leja_score = np.zeros(_LEJA_CANDIDATES)
+            for y in nodes:
+                self._leja_score += kernels.log_product(self._leja_cand, np.asarray([y]))
         cand = self._leja_cand
         vals = self._leja_score
         while len(nodes) < n:

@@ -8,6 +8,7 @@ any of it:
   from its fresh-point surpluses;
 * brute-force transcriptions of the index-set definitions, which
   MonotoneIndexSet's incremental caches are checked against;
+* the greedy Leja search that the tabulated Leja points come from;
 * Lebesgue constants and detail norms on equispaced samples;
 * pointwise coefficients, H1_0 and element L2 row norms, and a Monte
   Carlo reference error.
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 
+from sparseuq import kernels
 from sparseuq.fem import SolveCache
 from sparseuq.interp import (
     _EINSUM_LETTERS,
@@ -29,7 +31,13 @@ from sparseuq.interp import (
     tensor_grid_axes,
 )
 from sparseuq.multiindex import MonotoneIndexSet
-from sparseuq.nodes import RLEJA, _grow_circle_fractions, get_family
+from sparseuq.nodes import (
+    _LEJA_CANDIDATES,
+    RLEJA,
+    _golden_max,
+    _grow_circle_fractions,
+    get_family,
+)
 
 # ---------------------------------------------------------------------------
 # interpolation
@@ -172,6 +180,45 @@ def rleja_circle_fractions(n):
     qs = get_family(RLEJA)._rleja_qs
     _grow_circle_fractions(qs, n)
     return list(qs[:n])
+
+
+def greedy_leja(n):
+    """First n Leja points by the greedy search from -1 that the package
+    ran for every node before it tabulated them: scan the candidates'
+    running log-distance sums, polish the best one by golden section
+    between its neighbours, snap to an endpoint or 0 when those win.
+    The oracle of nodes._LEJA_TABLE and of the search past its end."""
+    nodes = [-1.0]
+    t = np.linspace(0.0, 1.0, _LEJA_CANDIDATES)
+    cand = -np.cos(np.pi * t)
+    vals = kernels.log_product(cand, np.asarray(nodes))
+    while len(nodes) < n:
+        arr = np.asarray(nodes)
+
+        def objective(y):
+            d = np.abs(y - arr)
+            if np.any(d == 0.0):
+                return -np.inf
+            return float(np.sum(np.log(d)))
+
+        best = float(np.max(vals))
+        pos = int(np.argmax(vals >= best - 1e-9))
+        y0 = float(cand[pos])
+        srt = np.sort(arr)
+        below = srt[srt < y0]
+        above = srt[srt > y0]
+        lo = float(below[-1]) if below.size else -1.0
+        hi = float(above[0]) if above.size else 1.0
+        y = _golden_max(objective, lo, hi)
+        for endpoint in (lo, hi):
+            if endpoint in (-1.0, 1.0) and objective(endpoint) >= objective(y) - 1e-12:
+                y = endpoint
+                break
+        if lo < 0.0 < hi and objective(0.0) >= objective(y) - 1e-12:
+            y = 0.0
+        nodes.append(float(y))
+        vals += kernels.log_product(cand, np.asarray(nodes[-1:]))
+    return np.asarray(nodes[:n])
 
 
 def lebesgue_constant(kind, k, samples=2001):

@@ -10,6 +10,7 @@ from sparseuq import kernels
 from sparseuq.interp import SparseInterpolant
 from sparseuq.nodes import (
     _LEJA_CANDIDATES,
+    _LEJA_TABLE,
     NodeFamily,
     _golden_max,
     clenshaw_curtis_nodes,
@@ -25,6 +26,7 @@ from oracles import (
     add_evaluated,
     basis_value,
     detail_sup_norm,
+    greedy_leja,
     lebesgue_constant,
     rleja_circle_fractions,
 )
@@ -60,6 +62,20 @@ def test_growth_plain_int_and_negative_level():
             growth("clenshaw_curtis", k)
         with pytest.raises(ValueError):
             growth("leja", k)
+
+
+@pytest.mark.parametrize("kind", ["leja", "clenshaw_curtis"])
+def test_growth_functions_take_integers_only(kind):
+    for i in (5, np.int64(5), np.int32(5)):
+        for got in (growth(kind, i), growth_inverse(kind, i)):
+            assert type(got) is int
+        assert growth_inverse(kind, i) == (3 if kind == "clenshaw_curtis" else 5)
+    # a fractional level once truncated silently: growth("cc", 2.5) gave 4
+    for bad in (2.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            growth(kind, bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            growth_inverse(kind, bad)
 
 
 def test_growth_inverse_values():
@@ -150,13 +166,49 @@ def rescored_leja(n):
 
 def test_leja_running_scan_bitwise_matches_rescoring():
     fam = NodeFamily("leja")
-    # the running sum must carry over between calls
     for n in (1, 2, 8, 9, 40):
         fam.ensure_nodes(n)
     want = rescored_leja(40)
     got = fam.nodes(40)
     assert np.array_equal(got, want), np.flatnonzero(got != want)
     assert np.array_equal(leja_nodes(40), want)
+    scan = greedy_leja(40)
+    assert np.array_equal(scan, want), np.flatnonzero(scan != want)
+
+
+REGENERATE_LEJA_TABLE = (
+    "PYTHONPATH=src:tests python3 -c \"from oracles import greedy_leja; "
+    "[print(repr(y) + ',') for y in greedy_leja(64).tolist()]\""
+)
+
+
+def test_leja_table_and_continuation_bitwise_match_greedy_search():
+    want = greedy_leja(73)
+    table = np.asarray(_LEJA_TABLE)
+    assert table.shape == (64,)
+    assert np.array_equal(table, want[:64]), (
+        "nodes._LEJA_TABLE differs from the greedy search at positions %s; "
+        "regenerate it with\n%s"
+        % (np.flatnonzero(table != want[:64]).tolist(), REGENERATE_LEJA_TABLE)
+    )
+    # past the table the search carries on from the tabulated nodes, its
+    # running score carried over between calls
+    fam = NodeFamily("leja")
+    for n in (3, 65, 73):
+        fam.ensure_nodes(n)
+    got = fam.nodes(73)
+    assert np.array_equal(got, want), np.flatnonzero(got != want)
+
+
+def test_leja_table_serves_without_search(monkeypatch):
+    def no_search(ys, nodes):
+        raise RuntimeError("greedy Leja search ran")
+
+    monkeypatch.setattr(kernels, "log_product", no_search)
+    fam = NodeFamily("leja")
+    assert np.array_equal(fam.nodes(64), np.asarray(_LEJA_TABLE))
+    with pytest.raises(RuntimeError, match="greedy Leja search ran"):
+        fam.nodes(65)
 
 
 def test_rleja_first_points():
