@@ -31,7 +31,7 @@ from .fem import (
 )
 from .interp import SparseInterpolant, grid_points, work
 from .multiindex import MonotoneIndexSet
-from .nodes import clenshaw_curtis_nodes, growth, growth_inverse, leja_nodes, rleja_nodes
+from .nodes import get_family, growth, growth_inverse
 
 __all__ = [
     "AdaptiveConfig",
@@ -45,15 +45,13 @@ __all__ = [
     "SpatialDiscretization",
     "build_problem",
     "check_ellipticity",
-    "clenshaw_curtis_nodes",
+    "get_family",
     "grid_points",
     "growth",
     "growth_inverse",
-    "leja_nodes",
     "profit",
     "reference_error",
     "residual_estimator",
-    "rleja_nodes",
     "surplus_indicator",
     "work",
 ]

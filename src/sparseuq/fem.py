@@ -54,6 +54,15 @@ class DiffusionProblem:
         self.meta = dict(meta or {})
 
 
+def _at_midpoints(fn, midpoints):
+    """fn sampled at the element midpoints; a fn that does not give one
+    value per point (a constant, say) is broadcast from fn(0.5)."""
+    vals = np.asarray(fn(midpoints), dtype=np.float64)
+    if vals.shape != midpoints.shape:
+        vals = np.full(midpoints.shape, float(fn(0.5)))
+    return vals
+
+
 class SpatialDiscretization:
     """Uniform P1 mesh with precomputed midpoint coefficient samples."""
 
@@ -66,21 +75,13 @@ class SpatialDiscretization:
         self.h = 1.0 / n
         self.nodes = np.linspace(0.0, 1.0, n + 1)
         self.midpoints = (self.nodes[:-1] + self.nodes[1:]) / 2.0
-        self.a0_mid = np.asarray(problem.a0(self.midpoints), dtype=np.float64)
-        if self.a0_mid.shape != self.midpoints.shape:
-            self.a0_mid = np.full(n, float(problem.a0(0.5)))
+        self.a0_mid = _at_midpoints(problem.a0, self.midpoints)
         self.terms_mid = np.empty((problem.dim, n))
         for m, am in enumerate(problem.terms):
-            vals = np.asarray(am(self.midpoints), dtype=np.float64)
-            self.terms_mid[m] = vals if vals.shape == self.midpoints.shape else float(
-                am(0.5)
-            )
-        f_mid = np.asarray(problem.f(self.midpoints), dtype=np.float64)
-        if f_mid.shape != self.midpoints.shape:
-            f_mid = np.full(n, float(problem.f(0.5)))
-        self.f_mid = f_mid
+            self.terms_mid[m] = _at_midpoints(am, self.midpoints)
+        self.f_mid = _at_midpoints(problem.f, self.midpoints)
         # midpoint-rule load on interior hat functions
-        self.load = (self.h / 2.0) * (f_mid[:-1] + f_mid[1:])
+        self.load = (self.h / 2.0) * (self.f_mid[:-1] + self.f_mid[1:])
         # F = [0, cumsum(load)]: the fluxes are s0 - F (kernels.thomas_solve)
         self.cum_load = np.zeros(n)
         np.cumsum(self.load, out=self.cum_load[1:])

@@ -146,8 +146,7 @@ class SparseInterpolant:
         js = np.asarray(js, dtype=np.int64).reshape(-1, self.dim)
         if js.size == 0:
             return np.empty((0, self.dim))
-        self.family.ensure_nodes(int(js.max()) + 1)
-        return self.family._nodes_arr[js]
+        return self.family.nodes(int(js.max()) + 1)[js]
 
     def _append(self, js, rows):
         """Store the node-index rows js with their surplus rows."""

@@ -28,11 +28,15 @@ prefix of one fixed hierarchical sequence y_(0), y_(1), ...:
   -cos(pi i / 2^k).  The hierarchical order is level-major with odd
   numerators increasing inside each level.
 
+Each family is one module-level generator of its sequence (_SEQUENCES).
 The growth function m(k) gives the largest sequence position in level k,
-so level sets have m(k) + 1 points.  Node values are computed once and
-cached, which makes nestedness exact in floating point.  get_family is
-the one lookup: it hands out one shared NodeFamily per kind, whose
-nodes(n) gives the first n entries of the sequence.
+so level sets have m(k) + 1 points.  get_family is the one lookup: it
+hands out one shared NodeFamily per kind, and its nodes(n) is the one
+way to ask for nodes, the first n entries of the sequence (the level-k
+set is nodes(growth(kind, k) + 1)).  A family draws its nodes from the
+generator and caches them, which makes nestedness exact in floating
+point; a cache grows only by a completed extension, so an exception part
+way leaves the family as it was.
 
 NodeFamily.basis_matrix gives the hierarchical basis tables every run
 evaluates.  lagrange_matrix, the full Lagrange table of one level, serves
@@ -42,6 +46,7 @@ because the benchmark's tracer wraps it by name.
 """
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -164,14 +169,82 @@ def _golden_max(f, a, b, iters=_GOLDEN_ITERS):
     return 0.5 * (a + b)
 
 
-def _grow_circle_fractions(qs, n):
-    """Extend the circle-Leja angles qs (multiples of pi, starting 0, 1)
-    to at least n entries.  Each step halves the angle halfway along the
-    list and appends it and its antipode, q/2 and q/2 + 1."""
-    while len(qs) < n:
-        q = qs[len(qs) // 2] / 2
-        qs.append(q)
-        qs.append(q + 1)
+def _leja_sequence():
+    """The Leja points: the table, then the greedy search past it."""
+    yield from _LEJA_TABLE
+    nodes = list(_LEJA_TABLE)
+    cand = -np.cos(np.pi * np.linspace(0.0, 1.0, _LEJA_CANDIDATES))
+    # running sum over the placed nodes of log|cand - y_i|, one column
+    # added per node in sequence order; summed this way over the
+    # tabulated nodes too, it is bitwise the score a search from -1 holds
+    vals = np.zeros(_LEJA_CANDIDATES)
+    for y in nodes:
+        vals += kernels.log_product(cand, np.asarray([y]))
+    while True:
+        arr = np.asarray(nodes)
+
+        def objective(y):
+            d = np.abs(y - arr)
+            if np.any(d == 0.0):
+                return -np.inf
+            return float(np.sum(np.log(d)))
+
+        best = float(np.max(vals))
+        # leftmost candidate within tolerance of the best value, so a
+        # symmetric tie resolves to the smaller point
+        pos = int(np.argmax(vals >= best - 1e-9))
+        y0 = float(cand[pos])
+        srt = np.sort(arr)
+        below = srt[srt < y0]
+        above = srt[srt > y0]
+        lo = float(below[-1]) if below.size else -1.0
+        hi = float(above[0]) if above.size else 1.0
+        y = _golden_max(objective, lo, hi)
+        # a domain endpoint attaining the max is the real argsup; the
+        # polish can only approach it from inside, so snap to it
+        for endpoint in (lo, hi):
+            if endpoint in (-1.0, 1.0) and objective(endpoint) >= objective(y) - 1e-12:
+                y = endpoint
+                break
+        # symmetric configurations put the true argmax exactly at 0;
+        # the polish stalls within ~1e-10 there, so snap when 0 wins
+        if lo < 0.0 < hi and objective(0.0) >= objective(y) - 1e-12:
+            y = 0.0
+        y = float(y)
+        nodes.append(y)
+        vals += kernels.log_product(cand, np.asarray([y]))
+        yield y
+
+
+def _rleja_sequence():
+    """The circle angles q_j pi (q_0 = 0, q_1 = 1, q_2m = q_m / 2,
+    q_2m+1 = q_2m + 1) projected with cos, repeated values dropped."""
+    qs = [Fraction(0), Fraction(1)]
+    seen = set()
+    half = Fraction(1, 2)
+    for j in itertools.count():
+        if j == len(qs):
+            q = qs[j // 2] / 2
+            qs += (q, q + 1)
+        r = qs[j] if qs[j] <= 1 else 2 - qs[j]
+        if r not in seen:
+            seen.add(r)
+            # cos(pi r) written as sin(pi (1/2 - r)); the argument is an
+            # exact dyadic float, so symmetric pairs project to exactly
+            # opposite values and the centre projects to exactly 0.0
+            yield math.sin(math.pi * float(half - r))
+
+
+def _cc_sequence():
+    """0, then level by level -cos(pi i / 2^k) for the new numerators i:
+    0 and 2 at level 1, the odd ones in increasing order above."""
+    yield 0.0
+    for k in itertools.count(1):
+        for i in (0, 2) if k == 1 else range(1, 2 ** k, 2):
+            yield math.sin(math.pi * (i / float(2 ** k) - 0.5))
+
+
+_SEQUENCES = {LEJA: _leja_sequence, RLEJA: _rleja_sequence, CLENSHAW_CURTIS: _cc_sequence}
 
 
 class NodeFamily:
@@ -179,122 +252,27 @@ class NodeFamily:
 
     def __init__(self, kind):
         self.kind = normalize_kind(kind)
+        self._sequence = _SEQUENCES[self.kind]()
         self._nodes = []
         self._nodes_arr = np.empty(0)
-        self._mks = []
         self._mks_arr = np.empty(0, dtype=np.int64)
-        self._denoms = []
         self._denoms_arr = np.empty(0)
         self._level_denom_cache = {}
-        if self.kind == LEJA:
-            self._leja_score = None
-        if self.kind == RLEJA:
-            self._rleja_qs = [Fraction(0), Fraction(1)]
-            self._rleja_seen = set()
-            self._rleja_next = 0
-        if self.kind == CLENSHAW_CURTIS:
-            self._cc_next = (1, 0)
 
     # -- sequence generation ------------------------------------------------
 
-    def _extend_leja(self, n):
-        nodes = self._nodes
-        nodes.extend(_LEJA_TABLE[len(nodes) : n])
-        if len(nodes) == n:
-            return
-        if self._leja_score is None:
-            t = np.linspace(0.0, 1.0, _LEJA_CANDIDATES)
-            self._leja_cand = -np.cos(np.pi * t)
-            # running sum over the placed nodes of log|cand - y_i|, one
-            # column added per node in sequence order and kept across
-            # calls; summed this way over the tabulated nodes too, it is
-            # bitwise the score a search from -1 holds at this point
-            self._leja_score = np.zeros(_LEJA_CANDIDATES)
-            for y in nodes:
-                self._leja_score += kernels.log_product(self._leja_cand, np.asarray([y]))
-        cand = self._leja_cand
-        vals = self._leja_score
-        while len(nodes) < n:
-            arr = np.asarray(nodes)
-
-            def objective(y):
-                d = np.abs(y - arr)
-                if np.any(d == 0.0):
-                    return -np.inf
-                return float(np.sum(np.log(d)))
-
-            best = float(np.max(vals))
-            # leftmost candidate within tolerance of the best value, so a
-            # symmetric tie resolves to the smaller point
-            pos = int(np.argmax(vals >= best - 1e-9))
-            y0 = float(cand[pos])
-            srt = np.sort(arr)
-            below = srt[srt < y0]
-            above = srt[srt > y0]
-            lo = float(below[-1]) if below.size else -1.0
-            hi = float(above[0]) if above.size else 1.0
-            y = _golden_max(objective, lo, hi)
-            # a domain endpoint attaining the max is the real argsup; the
-            # polish can only approach it from inside, so snap to it
-            for endpoint in (lo, hi):
-                if endpoint in (-1.0, 1.0) and objective(endpoint) >= objective(y) - 1e-12:
-                    y = endpoint
-                    break
-            # symmetric configurations put the true argmax exactly at 0;
-            # the polish stalls within ~1e-10 there, so snap when 0 wins
-            if lo < 0.0 < hi and objective(0.0) >= objective(y) - 1e-12:
-                y = 0.0
-            nodes.append(float(y))
-            vals += kernels.log_product(cand, np.asarray(nodes[-1:]))
-
-    def _extend_rleja(self, n):
-        nodes = self._nodes
-        qs = self._rleja_qs
-        seen = self._rleja_seen
-        idx = self._rleja_next
-        half = Fraction(1, 2)
-        while len(nodes) < n:
-            _grow_circle_fractions(qs, idx + 1)
-            q = qs[idx]
-            idx += 1
-            r = q if q <= 1 else 2 - q
-            if r in seen:
-                continue
-            seen.add(r)
-            # cos(pi r) written as sin(pi (1/2 - r)); the argument is an
-            # exact dyadic float, so symmetric pairs project to exactly
-            # opposite values and the centre projects to exactly 0.0
-            nodes.append(math.sin(math.pi * float(half - r)))
-        self._rleja_next = idx
-
-    def _extend_cc(self, n):
-        nodes = self._nodes
-        if not nodes:
-            nodes.append(0.0)
-        k, i = self._cc_next
-        while len(nodes) < n:
-            nodes.append(math.sin(math.pi * (i / float(2 ** k) - 0.5)))
-            if k == 1:
-                if i == 0:
-                    i = 2
-                else:
-                    k, i = 2, 1
-            else:
-                i += 2
-                if i > 2 ** k - 1:
-                    k, i = k + 1, 1
-        self._cc_next = (k, i)
-
     def ensure_nodes(self, n):
-        if len(self._nodes) >= n:
+        have = len(self._nodes)
+        if have >= n:
             return
-        if self.kind == LEJA:
-            self._extend_leja(n)
-        elif self.kind == RLEJA:
-            self._extend_rleja(n)
-        else:
-            self._extend_cc(n)
-        self._nodes_arr = np.asarray(self._nodes)
+        try:
+            nodes = self._nodes + list(itertools.islice(self._sequence, n - have))
+        except BaseException:
+            # a generator that raised is finished, and nothing of this call
+            # is kept: start the sequence over past the published nodes
+            self._sequence = itertools.islice(_SEQUENCES[self.kind](), have, None)
+            raise
+        self._nodes, self._nodes_arr = nodes, np.asarray(nodes)
 
     def nodes(self, n):
         """First n entries of the hierarchical sequence, n >= 0."""
@@ -302,10 +280,6 @@ class NodeFamily:
             raise ValueError("node count must be non-negative, got %d" % n)
         self.ensure_nodes(n)
         return self._nodes_arr[:n].copy()
-
-    def level_nodes(self, k):
-        """The level-k set, in hierarchical sequence order."""
-        return self.nodes(growth(self.kind, k) + 1)
 
     # -- basis data ---------------------------------------------------------
 
@@ -318,18 +292,18 @@ class NodeFamily:
                 d *= 2.0 * (self._nodes[i] - self._nodes[j])
         return d
 
-    def ensure_basis(self, n):
+    def _ensure_basis(self, n):
         """Precompute level sizes and denominators for sequence positions < n."""
-        if len(self._mks) >= n:
+        have = len(self._mks_arr)
+        if have >= n:
             return
-        while len(self._mks) < n:
-            i = len(self._mks)
-            mk = growth(self.kind, growth_inverse(self.kind, i))
-            self.ensure_nodes(mk + 1)
-            self._mks.append(mk)
-            self._denoms.append(self._denom(i, mk))
-        self._mks_arr = np.asarray(self._mks, dtype=np.int64)
-        self._denoms_arr = np.asarray(self._denoms)
+        mks = [growth(self.kind, growth_inverse(self.kind, i)) for i in range(have, n)]
+        self.ensure_nodes(mks[-1] + 1)
+        denoms = [self._denom(i, mk) for i, mk in enumerate(mks, have)]
+        self._mks_arr, self._denoms_arr = (
+            np.concatenate([self._mks_arr, mks]),
+            np.concatenate([self._denoms_arr, denoms]),
+        )
 
     def _check_table(self, n):
         """Raise ValueError when a basis table on the first n sequence
@@ -343,7 +317,7 @@ class NodeFamily:
     def basis_matrix(self, ys, n):
         """Hierarchical basis table: column i is h_i(ys), i < n."""
         self._check_table(n)
-        self.ensure_basis(n)
+        self._ensure_basis(n)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         need = int(self._mks_arr[:n].max()) + 1 if n else 0
         return kernels.basis_table(
@@ -381,17 +355,3 @@ def get_family(kind_or_family):
 def _family(kind):
     return NodeFamily(kind)
 
-
-def leja_nodes(n):
-    """First n Leja points on [-1, 1], starting at -1."""
-    return get_family(LEJA).nodes(n)
-
-
-def rleja_nodes(n):
-    """First n projected circle-Leja points, starting at 1, -1, 0."""
-    return get_family(RLEJA).nodes(n)
-
-
-def clenshaw_curtis_nodes(k):
-    """The level-k Clenshaw-Curtis set in hierarchical sequence order."""
-    return get_family(CLENSHAW_CURTIS).level_nodes(k)

@@ -15,6 +15,7 @@ any of it:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,9 +34,7 @@ from sparseuq.interp import (
 from sparseuq.multiindex import MonotoneIndexSet
 from sparseuq.nodes import (
     _LEJA_CANDIDATES,
-    RLEJA,
     _golden_max,
-    _grow_circle_fractions,
     get_family,
 )
 
@@ -177,9 +176,12 @@ def rleja_circle_fractions(n):
     These are the angles of the greedy sequence on the full unit circle
     whose projection gives the rleja family.
     """
-    qs = get_family(RLEJA)._rleja_qs
-    _grow_circle_fractions(qs, n)
-    return list(qs[:n])
+    # theta_0 = 0, theta_1 = pi, theta_2m = theta_m / 2,
+    # theta_2m+1 = theta_2m + pi, in units of pi
+    qs = [Fraction(0), Fraction(1)]
+    for j in range(2, n):
+        qs.append(qs[j // 2] / 2 if j % 2 == 0 else qs[j - 1] + 1)
+    return qs[:n]
 
 
 def greedy_leja(n):

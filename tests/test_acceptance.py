@@ -18,7 +18,7 @@ from sparseuq.estimators import NormSpec, fresh_solves, residual_estimator
 from sparseuq.fem import SolveCache, SpatialDiscretization, build_problem
 from sparseuq.interp import SparseInterpolant, TensorDetail
 from sparseuq.multiindex import MonotoneIndexSet
-from sparseuq.nodes import growth, leja_nodes
+from sparseuq.nodes import get_family, growth
 
 from oracles import (
     HierarchicalBlock,
@@ -55,7 +55,7 @@ def gn_m2(m2_setup):
 
 def test_criterion_01_leja_first_points_and_greedy_scan():
     t0 = time.perf_counter()
-    pts = leja_nodes(13)
+    pts = get_family("leja").nodes(13)
     want = [-1.0, 1.0, 0.0, -0.57735, 0.65871]
     assert np.allclose(pts[:5], want, atol=1e-4)
     # brute-force scan: each next point must maximize the product of

@@ -1,6 +1,7 @@
 """Node families: frozen values, nestedness, growth bookkeeping,
 variational oracles for the greedy constructions, Lebesgue diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,13 +14,10 @@ from sparseuq.nodes import (
     _LEJA_TABLE,
     NodeFamily,
     _golden_max,
-    clenshaw_curtis_nodes,
     get_family,
     growth,
     growth_inverse,
-    leja_nodes,
     normalize_kind,
-    rleja_nodes,
 )
 
 from oracles import (
@@ -93,7 +91,7 @@ def test_growth_inverse_values():
 
 
 def test_leja_first_points():
-    got = leja_nodes(5)
+    got = get_family("leja").nodes(5)
     assert np.allclose(got[:3], [-1.0, 1.0, 0.0], atol=1e-12)
     assert got[3] == pytest.approx(-0.57735, abs=1e-4)
     assert got[4] == pytest.approx(0.65871, abs=1e-4)
@@ -110,7 +108,7 @@ def test_node_count_non_negative(kind):
 
 
 def test_leja_distinct_and_in_interval():
-    pts = leja_nodes(40)
+    pts = get_family("leja").nodes(40)
     assert np.all(np.abs(pts) <= 1.0)
     assert len(np.unique(pts)) == 40
 
@@ -122,7 +120,7 @@ def test_leja_greedy_oracle():
     stored point must reach the scanned maximum to 1e-10 relative.
     """
     cand = -np.cos(np.pi * np.linspace(0.0, 1.0, 1_000_001))
-    pts = leja_nodes(13)
+    pts = get_family("leja").nodes(13)
     for k in range(1, 13):
         prev = pts[:k]
         best = float(np.max(kernels.log_product(cand, prev)))
@@ -171,7 +169,7 @@ def test_leja_running_scan_bitwise_matches_rescoring():
     want = rescored_leja(40)
     got = fam.nodes(40)
     assert np.array_equal(got, want), np.flatnonzero(got != want)
-    assert np.array_equal(leja_nodes(40), want)
+    assert np.array_equal(get_family("leja").nodes(40), want)
     scan = greedy_leja(40)
     assert np.array_equal(scan, want), np.flatnonzero(scan != want)
 
@@ -211,15 +209,65 @@ def test_leja_table_serves_without_search(monkeypatch):
         fam.nodes(65)
 
 
+@pytest.mark.parametrize("via", ["nodes", "basis_matrix"])
+@pytest.mark.parametrize("fail_at", [1, 30, 64, 65, 66, 70])
+def test_interrupted_extension_leaves_family_whole(monkeypatch, via, fail_at):
+    # an exception part way through an extension (a KeyboardInterrupt,
+    # say) once left a half-extended family: a stale running score, a
+    # node array behind its list, basis arrays behind their lists
+    real = kernels.log_product
+    calls = []
+
+    def interrupted(ys, nodes):
+        calls.append(len(nodes))
+        if len(calls) == fail_at:
+            raise KeyboardInterrupt
+        return real(ys, nodes)
+
+    ys = np.linspace(-1.0, 1.0, 5)
+    fam = NodeFamily("leja")
+    monkeypatch.setattr(kernels, "log_product", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        if via == "nodes":
+            fam.nodes(80)
+        else:
+            fam.basis_matrix(ys, 80)
+    monkeypatch.undo()
+    fresh = NodeFamily("leja")
+    for n in (65, 66, 70):
+        assert fam.nodes(n).tobytes() == fresh.nodes(n).tobytes(), n
+        assert fam.basis_matrix(ys, n).tobytes() == fresh.basis_matrix(ys, n).tobytes(), n
+
+
+# sha256 prefixes of each sequence's bytes, the Leja one past the table:
+# a one-ulp change anywhere (np.sin for math.sin, say) fails here
+SEQUENCE_SHA256 = {
+    "leja": (200, "2a563c463045f212"),
+    "rleja": (300, "7299bc6588b82b90"),
+    "clenshaw_curtis": (2049, "706bad3ad7231e31"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEQUENCE_SHA256))
+def test_sequences_pinned_bitwise(kind):
+    n, want = SEQUENCE_SHA256[kind]
+    got = get_family(kind).nodes(n).tobytes()
+    assert hashlib.sha256(got).hexdigest()[:16] == want
+    fam = NodeFamily(kind)
+    for m in (3, 64, 65, n):
+        fam.ensure_nodes(m)
+    assert fam.nodes(n).tobytes() == got
+
+
 def test_rleja_first_points():
-    got = rleja_nodes(9)
+    got = get_family("rleja").nodes(9)
     c8, s8 = math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)
     want = [1.0, -1.0, 0.0, S2, -S2, c8, -c8, -s8, s8]
     assert np.allclose(got, want, atol=1e-15)
 
 
 def test_rleja_exact_symmetry():
-    pts = rleja_nodes(40)
+    pts = get_family("rleja").nodes(40)
     assert pts[2] == 0.0
     # the projection construction makes plus/minus pairs exactly equal
     assert pts[3] == -pts[4]
@@ -252,13 +300,18 @@ def test_rleja_circle_greedy_oracle():
         assert ours >= best - 1e-10
 
 
+def cc_level(k):
+    """The level-k Clenshaw-Curtis set in hierarchical sequence order."""
+    return get_family("clenshaw_curtis").nodes(growth("clenshaw_curtis", k) + 1)
+
+
 def test_cc_level_sets():
-    assert clenshaw_curtis_nodes(0).tolist() == [0.0]
-    assert sorted(clenshaw_curtis_nodes(1).tolist()) == [-1.0, 0.0, 1.0]
-    lvl2 = sorted(clenshaw_curtis_nodes(2).tolist())
+    assert cc_level(0).tolist() == [0.0]
+    assert sorted(cc_level(1).tolist()) == [-1.0, 0.0, 1.0]
+    lvl2 = sorted(cc_level(2).tolist())
     assert np.allclose(lvl2, [-1.0, -S2, 0.0, S2, 1.0], atol=1e-16)
     for k in range(5):
-        got = sorted(clenshaw_curtis_nodes(k).tolist())
+        got = sorted(cc_level(k).tolist())
         n = growth("clenshaw_curtis", k)
         want = sorted(-math.cos(math.pi * i / n) if n else 0.0 for i in range(n + 1))
         assert np.allclose(got, want, atol=1e-15)
@@ -287,8 +340,8 @@ def test_cc_exact_symmetry():
 def test_nestedness_bitwise(kind):
     fam = get_family(kind)
     for k in range(4):
-        a = fam.level_nodes(k)
-        b = fam.level_nodes(k + 1)
+        a = fam.nodes(growth(kind, k) + 1)
+        b = fam.nodes(growth(kind, k + 1) + 1)
         assert set(a.tolist()) <= set(b.tolist())
     first = fam.nodes(10).copy()
     again = fam.nodes(10)
@@ -340,7 +393,7 @@ def test_detail_norm_triangle_bound():
 
 
 def test_leja_anchor_is_minus_one_and_deterministic():
-    a = leja_nodes(20)
+    a = NodeFamily("leja").nodes(20)
     b = get_family("leja").nodes(20)
     assert a[0] == -1.0
     assert np.array_equal(a, b)
