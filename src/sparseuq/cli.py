@@ -179,7 +179,7 @@ def run_experiment(config_path, outdir=None):
     if outdir is not None:
         cfg["outdir"] = str(outdir)
     problem = build_problem(cfg["problem"])
-    disc = SpatialDiscretization(problem, config_number("mesh_n", cfg["mesh_n"], int))
+    disc = SpatialDiscretization(problem, cfg["mesh_n"])
     info = check_ellipticity(problem, disc)
     phash = problem_hash(cfg)
     every = _reference_cadence(cfg, problem.dim)

@@ -180,19 +180,24 @@ def _euclidean_lp_norm(kind, index, rows, spec):
     the sample grid, and the value is its largest row norm; the spatial
     axis is first compressed with an SVD when that shrinks it, which is
     exact since row norms depend only on the left singular factors.
+    Axes with k_m = 0 are skipped, exactly, since h_0 = 1: their
+    _axis_norm is 1.0, their Gram matrix [[1.0]] and their sample table
+    a column of ones.
     """
     # the sample count per axis; None at p = 2, whose Gauss order is m(k_m) + 1
     n = sup_points_per_dim(spec, len(index)) if spec.p == math.inf else None
+    # at p = inf expanding a level-0 axis would copy the block n times
+    levels = [km for km in index if km]
     if rows.shape[0] == 1:
         value = math.sqrt(float(rows[0] @ rows[0]))
-        for km in index:
+        for km in levels:
             value *= _axis_norm(kind, km, n)
         return value
     if n is not None and rows.shape[0] < rows.shape[1]:
         U, s, _ = np.linalg.svd(rows, full_matrices=False)
         rows = U * s
     T, pre = rows, 1
-    for km in index:
+    for km in levels:
         A = _axis_gram(kind, km) if n is None else _axis_table(kind, km, n)
         T = mode_product(A, T, pre)
         pre *= A.shape[0]

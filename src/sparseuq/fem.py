@@ -9,14 +9,15 @@ same mesh, so spatial accuracy is deliberately out of scope.
 Stiffness assembly samples the coefficient at element midpoints, which
 keeps a * u' exactly constant per element.  The stiffness is never
 assembled: in one dimension the element fluxes follow from the load by a
-cumulative sum, so a batch of parameter points is solved in closed form
-by a few array passes (see kernels.thomas_solve).  The element gradients
-are the fluxes divided by a, so grid_gradients forms them without the
-nodal values, which is all an error in the H1_0 seminorm needs.  It
-takes its parameter points from a tensor grid given by its 1-D axes,
-never formed as an array of points: the coefficient of a block of
-whole runs of the last axis is summed from per-axis partial sums,
-bitwise as coefficient_at sums it point by point.
+cumulative sum, formed once per mesh (cum_load), so a batch of parameter
+points is solved in closed form by a few array passes (see
+kernels.thomas_solve, which reads the cumulative load).  The element
+gradients are the fluxes divided by a, so grid_gradients forms them
+without the nodal values, which is all an error in the H1_0 seminorm
+needs.  It takes its parameter points from a tensor grid given by its
+1-D axes, never formed as an array of points: the coefficient of a
+block of whole runs of the last axis is summed from per-axis partial
+sums, bitwise as coefficient_at sums it point by point.
 
 SolveCache keeps the collocation solves as one read-only array per
 fresh block of a multi-index, solved in one batch.  The reference error
@@ -64,10 +65,13 @@ def _at_midpoints(fn, midpoints):
 
 
 class SpatialDiscretization:
-    """Uniform P1 mesh with precomputed midpoint coefficient samples."""
+    """Uniform P1 mesh with precomputed midpoint coefficient samples.
+
+    n_elements is checked like the config key mesh_n it comes from: an
+    integer (an integral float too) of at least 2."""
 
     def __init__(self, problem, n_elements=256):
-        n = int(n_elements)
+        n = config_number("mesh_n", n_elements, int)
         if n < 2:
             raise ValueError("need at least 2 elements, got %d" % n)
         self.problem = problem
@@ -82,7 +86,7 @@ class SpatialDiscretization:
         self.f_mid = _at_midpoints(problem.f, self.midpoints)
         # midpoint-rule load on interior hat functions
         self.load = (self.h / 2.0) * (self.f_mid[:-1] + self.f_mid[1:])
-        # F = [0, cumsum(load)]: the fluxes are s0 - F (kernels.thomas_solve)
+        # F = [0, cumsum(load)]: the fluxes are s0 - F (kernels.p1_slopes)
         self.cum_load = np.zeros(n)
         np.cumsum(self.load, out=self.cum_load[1:])
 
@@ -123,7 +127,7 @@ class SpatialDiscretization:
         Y = np.asarray(y, dtype=np.float64)
         c = self._elliptic_coefficients(np.atleast_2d(Y))
         c /= self.h
-        u = kernels.thomas_solve(c, self.load)
+        u = kernels.thomas_solve(c, self.cum_load)
         return u if Y.ndim == 2 else u[0]
 
     def grid_gradients(self, axes, start, stop, out):
@@ -291,8 +295,9 @@ def build_problem(spec):
     with a_m(x) = amp_m; "inclusion" with amp_m on the m-th of M equal
     subintervals.  Amplitudes come from an explicit "amps" list or the
     decay amp_m = gamma * m**(-sigma).  The load is constant or
-    amp * sin(pi x).  A section or number of the wrong type raises
-    ValueError naming its dotted key.
+    amp * sin(pi x).  A section or number of the wrong type, or a load
+    key other than family, value and amp, raises ValueError naming its
+    dotted key.
     """
     spec = dict(config_mapping("problem", spec))
     dim = config_number("problem.M", spec.get("M", 2), int)
@@ -322,6 +327,10 @@ def build_problem(spec):
     fspec = spec.get("f", 1.0)
     if not isinstance(fspec, Mapping):
         fspec = {"family": "constant", "value": config_number("problem.f", fspec)}
+    # a load key no family reads would be echoed in the run summary unused
+    unknown = sorted("problem.f.%s" % key for key in set(fspec) - {"family", "value", "amp"})
+    if unknown:
+        raise ValueError("unknown keys %s" % ", ".join(unknown))
     ffam = str(fspec.get("family", "constant")).lower()
     if ffam == "constant":
         f = _const(config_number("problem.f.value", fspec.get("value", 1.0)))

@@ -7,13 +7,18 @@ product of univariate hierarchical basis functions.  For nested node
 families and monotone index sets this sum is interpolatory and equal to
 the telescoping sum of tensorized detail operators over the index set.
 
-At a new index's fresh points only the stored blocks below it carry
-nonzero basis weights, so SparseInterpolant.value_below sums those
-alone, with weights gathered from memoized per-level basis tables; it
-gives both add_index and the surplus indicator the interpolant's values
-there.  For an addable index that sum cannot change until the index
-itself is added, so the interpolant keeps it, read-only, and add_index
-takes it back out: a candidate's values are formed once.
+Basis weights on a tensor grid of samples, given per axis, are one
+routine (_grid_weights): each axis's table is gathered at the stored
+rows and the factors multiplied by broadcasting.  The reference error's
+grid is one such grid, and so are a new index's fresh points.  There
+only the stored blocks below the index carry nonzero basis weights, so
+SparseInterpolant.value_below sums those alone, with per-axis tables
+taken from memoized per-level basis tables; it gives both add_index and
+the surplus indicator the interpolant's values there.  For an addable
+index that sum cannot change until the index itself is added, so the
+interpolant keeps it, read-only, and add_index takes it back out: a
+candidate's values are formed once.  Scattered points (the queries)
+go through kernels.weight_product.
 
 add_index(i, values) is the one way in: values are taken at i's fresh
 points, coords_of(new_point_indices(i)).  A fresh block is a tensor
@@ -101,16 +106,19 @@ def grid_points(kind, indexset):
     return [tuple(j) for i in indexset for j in _fresh_points(kind, tuple(i)).tolist()]
 
 
-def _tensor_weights(rows, pts):
-    """Tensor weights W[p, r] = prod_m rows[m][pts[r, m], p], given per
-    dimension the basis rows (basis function by sample, C-ordered) and
-    the grid points' node indices: the rows are stacked and
-    kernels.weight_product gathers them at the points' stacked ids.  A
-    column-major (P, len(pts)) view."""
-    offsets = list(itertools.accumulate((r.shape[0] for r in rows[:-1]), initial=0))
-    table = np.concatenate(rows, axis=0).T
-    cols = np.ascontiguousarray(pts + np.array(offsets, dtype=np.int64))
-    return kernels.weight_product(table, cols)
+def _grid_weights(tables, pts):
+    """Tensor weights on the C-order grid of per-axis samples: given per
+    dimension a basis table (sample by basis function) and the stored
+    rows' node indices pts, W[s, r] = prod_m tables[m][s_m, pts[r, m]].
+    Each table's columns are gathered at the rows as whole contiguous
+    rows of its transpose, and the factors multiplied by broadcasting in
+    the order m = 0, 1, ..., as kernels.weight_product multiplies them.
+    A column-major (prod_m len(tables[m]), len(pts)) view."""
+    W = None
+    for m, t in enumerate(tables):
+        g = t.T[pts[:, m]]
+        W = g if W is None else (W[:, :, None] * g[:, None, :]).reshape(len(pts), -1)
+    return W.T
 
 
 class SparseInterpolant:
@@ -118,10 +126,11 @@ class SparseInterpolant:
 
     def __init__(self, family, dim):
         self.family = get_family(family)
-        self.dim = int(dim)
+        # the index set checks that dim is an integer of at least 1
+        self.indexset = MonotoneIndexSet(dim)
+        self.dim = self.indexset.dim
         if self.dim > MAX_DIM:
             raise ValueError("dimension must be at most %d, got %d" % (MAX_DIM, self.dim))
-        self.indexset = MonotoneIndexSet(self.dim)
         self._blocks = {}
         # value_below of addable indices, until add_index takes them
         self._below = {}
@@ -173,17 +182,19 @@ class SparseInterpolant:
         out.flags.writeable = False
         return out
 
-    def basis_weights(self, Y, start=0):
+    def basis_weights(self, Y):
         """Tensor hierarchical basis values at points Y of shape (P, M) for
-        the grid points from row start on, shape (P, rows): the
-        interpolant's part from those rows is basis_weights @ surpluses.
-        The result is a column-major view (its transpose is C-ordered)."""
+        every stored grid point, shape (P, rows): the interpolant is
+        basis_weights @ surpluses.  The per-dimension basis tables are
+        stacked and kernels.weight_product gathers them at the points'
+        stacked ids.  The result is a column-major view (its transpose is
+        C-ordered)."""
         if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
         Y = np.asarray(Y, dtype=np.float64)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
             raise ValueError("expected points of shape (P, %d)" % self.dim)
-        pts = self._pts[start : self._n]
+        pts = self._pts[: self._n]
         if Y.shape[0] == 0:
             return np.empty((0, pts.shape[0]))
         if np.any(np.abs(Y) > 1.0 + _DOMAIN_SLACK):
@@ -191,31 +202,27 @@ class SparseInterpolant:
         nmax = pts.max(axis=0) + 1
         # basis_matrix is a transposed view of a row-major (n, P) array
         rows = [self.family.basis_matrix(Y[:, m], int(nmax[m])).T for m in range(self.dim)]
-        return _tensor_weights(rows, pts)
+        # each point's column ids in the stacked table: past the tables before
+        cols = pts + (np.cumsum(nmax) - nmax)
+        return kernels.weight_product(np.concatenate(rows, axis=0).T, cols)
 
     def grid_basis_weights(self, axes, start=0):
         """basis_weights at the C-order tensor grid of the 1-D axes (M
-        arrays), without forming the grid: each axis's basis table is
-        built at that axis's values only, its rows gathered at the grid
-        points' node indices, and the gathered factors multiplied by
-        broadcasting in the order m = 0, 1, ..., as weight_product
-        multiplies them, so the result is bitwise basis_weights(grid,
-        start).  A column-major (prod_m len(axes[m]), rows) view."""
+        arrays) for the grid points from row start on, without forming the
+        grid: each axis's basis table is built at that axis's values only
+        and _grid_weights multiplies them, so the result is bitwise
+        basis_weights(grid)[:, start:].  A column-major
+        (prod_m len(axes[m]), rows) view."""
         if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
         if len(axes) != self.dim:
             raise ValueError("expected %d axes, got %d" % (self.dim, len(axes)))
         pts = self._pts[start : self._n]
         nmax = pts.max(axis=0) + 1
-        W = None
-        for m, ys in enumerate(axes):
-            ys = np.asarray(ys, dtype=np.float64)
-            if np.any(np.abs(ys) > 1.0 + _DOMAIN_SLACK):
-                raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
-            # basis functions by samples, C-ordered, gathered per grid point
-            g = self.family.basis_matrix(ys, int(nmax[m])).T[pts[:, m]]
-            W = g if W is None else (W[:, :, None] * g[:, None, :]).reshape(len(pts), -1)
-        return W.T
+        if any(np.any(np.abs(ys) > 1.0 + _DOMAIN_SLACK) for ys in axes):
+            raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
+        tables = [self.family.basis_matrix(ys, int(n)) for ys, n in zip(axes, nmax)]
+        return _grid_weights(tables, pts)
 
     def value_below(self, k):
         """The interpolant's values at the fresh points of k, shape
@@ -227,10 +234,11 @@ class SparseInterpolant:
         m, whose node set holds all of level k_m's nodes, so h_{j_m} has
         a factor (y - y_l) for each of them and vanishes at the coordinate
         y_m of every fresh point of k.  In a downward closed set the box
-        rows are the blocks i <= k in it.  Every coordinate is a level-k_m
-        node, so the weights are gathered from the memoized table
-        _level_basis(kind, k_m) at the fresh positions and no basis table
-        is built.  The box weights equal evaluate's bit for bit; the
+        rows are the blocks i <= k in it.  The fresh points of k are the
+        C-order grid of its fresh positions per axis, each a level-k_m
+        node, so _grid_weights takes the rows of the memoized table
+        _level_basis(kind, k_m) at those positions and no basis table is
+        built.  The box weights equal evaluate's bit for bit; the
         product with the surpluses sums fewer terms, so the values agree
         with evaluate at the same coordinates to roundoff.  k need not lie
         in the set or be addable.
@@ -251,10 +259,10 @@ class SparseInterpolant:
             return kept
         kind = self.family.kind
         pts = self._pts[: self._n]
-        box = (pts <= [growth(kind, km) for km in k]).all(axis=1)
-        # basis functions by nodes, C-ordered: gather the fresh nodes' columns
-        rows = [_level_basis(kind, km).T[:, js] for km, js in zip(k, self.new_point_indices(k).T)]
-        out = _tensor_weights(rows, pts[box]) @ self._vals[: self._n][box]
+        ranges = fresh_ranges(kind, k)
+        box = (pts < [r.stop for r in ranges]).all(axis=1)
+        tables = [_level_basis(kind, km)[r.start : r.stop] for km, r in zip(k, ranges)]
+        out = _grid_weights(tables, pts[box]) @ self._vals[: self._n][box]
         if self.indexset.is_admissible(k):
             out.flags.writeable = False
             self._below[k] = out

@@ -1,8 +1,8 @@
 """Low-level numerical kernels in NumPy.
 
 The hot loops of the package: hierarchical basis tables, tensor-product
-weights, the greedy node objective and the closed-form P1 stiffness
-solve with its element slopes.
+weights at scattered points, the greedy node objective and the
+closed-form P1 stiffness solve with its element slopes.
 """
 
 import numpy as np
@@ -50,10 +50,13 @@ def basis_table(ys, nodes, mks, denoms):
 
 
 # ---------------------------------------------------------------------------
-# tensor-product weights
+# tensor-product weights at scattered points
 #
 # W[p, r] = prod_m table[p, cols[r, m]] where table stacks the per-dimension
 # basis tables column-wise and cols holds absolute column ids per grid point.
+# It serves scattered points (SparseInterpolant.basis_weights, the queries);
+# points that form a tensor grid are weighed axis by axis instead
+# (interp._grid_weights).
 # The product runs on the transpose: row t of table.T holds basis function t
 # at every sample, so each factor is a gather of whole contiguous rows, not
 # of P scattered columns.  For the column-major (P, T) view that
@@ -104,9 +107,10 @@ def log_product(ys, nodes):
 # scaled, so the slopes for c = a are the element gradients
 # (s0 - F) / a, and u = [0, cumsum(slopes for c = a/h)].  Each row of c
 # is solved independently and by the same sequence of operations, so a
-# row's solution does not depend on the batch it came in.  The name
-# thomas_solve stays because the benchmark's per-layer trace wraps the
-# kernel by name.
+# row's solution does not depend on the batch it came in.  F depends on
+# the mesh alone, so SpatialDiscretization forms it once (cum_load) and
+# every solve batch reads it.  The name thomas_solve stays because the
+# benchmark's per-layer trace wraps the kernel by name.
 
 
 def p1_slopes(c, F, out):
@@ -121,13 +125,11 @@ def p1_slopes(c, F, out):
     return out
 
 
-def thomas_solve(c, rhs):
+def thomas_solve(c, F):
     """Nodal solutions, shape (P, n+1) with zero end values, for the
-    conductance rows c of shape (P, n) and the interior load rhs (n-1,)."""
-    n = c.shape[1]
-    F = np.zeros(n)
-    np.cumsum(rhs, out=F[1:])
-    u = np.empty((c.shape[0], n + 1))
+    conductance rows c of shape (P, n) and the cumulative load
+    F = [0, cumsum(load)] (n,) of the interior load (n-1,)."""
+    u = np.empty((c.shape[0], c.shape[1] + 1))
     slope = p1_slopes(c, F, u[:, 1:])
     np.cumsum(slope, axis=1, out=slope)
     u[:, 0] = 0.0

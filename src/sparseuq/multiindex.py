@@ -29,9 +29,11 @@ class MonotoneIndexSet:
     """
 
     def __init__(self, dim, members=()):
+        if int(dim) != dim:
+            raise ValueError("dim must be an integer, got %r" % (dim,))
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self.dim = dim
+        self.dim = int(dim)
         self.members = set()
         self._margin = set()
         self._reduced = set()
@@ -59,34 +61,31 @@ class MonotoneIndexSet:
                 return False
         return True
 
+    def _refusal(self, k):
+        """Why add(k) would fail, as a message, or None; k a tuple of ints."""
+        if len(k) != self.dim:
+            return "dimension mismatch: %r has length %d, expected %d" % (k, len(k), self.dim)
+        if any(v < 0 for v in k):
+            return "negative entry in %r" % (k,)
+        if k in self.members:
+            return "index %r already present" % (k,)
+        if not self.members:
+            if any(k):
+                return "first index must be the zero index, got %r" % (k,)
+        elif k not in self._reduced:
+            return "adding %r would break downward closedness" % (k,)
+        return None
+
     def is_admissible(self, k):
         """True iff add(k) would succeed."""
-        k = tuple(int(v) for v in k)
-        if len(k) != self.dim or any(v < 0 for v in k) or k in self.members:
-            return False
-        if not self.members:
-            return not any(k)
-        return k in self._reduced
+        return self._refusal(tuple(int(v) for v in k)) is None
 
     def add(self, k):
         """Insert k; it must be the root (on an empty set) or reduced-margin."""
         k = tuple(int(v) for v in k)
-        if len(k) != self.dim:
-            raise ValueError(
-                "dimension mismatch: %r has length %d, expected %d"
-                % (k, len(k), self.dim)
-            )
-        if any(v < 0 for v in k):
-            raise ValueError("negative entry in %r" % (k,))
-        if k in self.members:
-            raise ValueError("index %r already present" % (k,))
-        if not self.members:
-            if any(k):
-                raise ValueError("first index must be the zero index, got %r" % (k,))
-        elif k not in self._reduced:
-            raise ValueError(
-                "adding %r would break downward closedness" % (k,)
-            )
+        refusal = self._refusal(k)
+        if refusal is not None:
+            raise ValueError(refusal)
         self.members.add(k)
         self._margin.discard(k)
         self._reduced.discard(k)

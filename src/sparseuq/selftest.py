@@ -78,7 +78,7 @@ def _check_interpolation():
         for k in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             _add(P, k, lambda y: np.array([g(y)]))
         start, _ = P.block_of((1, 1))
-        got = P.basis_weights(Y, start=start) @ P.surpluses(start)
+        got = P.basis_weights(Y)[:, start:] @ P.surpluses(start)
         _require(np.allclose(got[:, 0], want, rtol=0, atol=1e-12), kind, got)
 
 

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sparseuq import adaptive, kernels
+from sparseuq import adaptive, interp
 from sparseuq.adaptive import (
     AdaptiveConfig,
     STRATEGIES,
@@ -152,13 +152,13 @@ def test_gg_weights_each_candidate_once(monkeypatch):
     # S u at a candidate's fresh points is formed once, by its surplus
     # indicator; add_index and the augmentation take the kept product
     calls = []
-    weight_product = kernels.weight_product
+    grid_weights = interp._grid_weights
 
-    def counted(table, cols):
-        calls.append(cols.shape)
-        return weight_product(table, cols)
+    def counted(tables, pts):
+        calls.append(pts.shape)
+        return grid_weights(tables, pts)
 
-    monkeypatch.setattr(kernels, "weight_product", counted)
+    monkeypatch.setattr(interp, "_grid_weights", counted)
     p = cosine_problem(3)
     disc = SpatialDiscretization(p, 64)
     for dorfler in (0.0, 0.5):

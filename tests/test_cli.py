@@ -128,6 +128,12 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         # fractional integers were once truncated, and booleans taken as 0/1
         ({"problem": {"M": 1.7}}, "problem.M must be an integer, got 1.7"),
         ({"mesh_n": 32.9}, "mesh_n must be an integer, got 32.9"),
+        # a load key no family reads once ran with the default and was
+        # echoed in summary.json as if it had been used
+        (
+            {"problem": {"M": 1, "f": {"family": "sine", "amplitude": 5.0}}},
+            "unknown keys problem.f.amplitude",
+        ),
         ({"max_iter": True}, "max_iter must be an integer, got True"),
         # M = 0 once left a header-only trace file behind, then exited 3
         ({"problem": {"M": 0}}, "problem.M must be at least 1"),

@@ -234,6 +234,31 @@ def test_multi_point_blocks_keep_grid_path(p):
     assert seen >= 20
 
 
+@pytest.mark.parametrize("p", [2, "inf"])
+def test_level_zero_axes_take_no_mode_product(p, monkeypatch):
+    # a level-0 factor is an exact identity (h_0 = 1), so only the axes
+    # with k_m > 0 are multiplied; at p = inf each level-0 axis once
+    # copied the block onto its samples, so the rows grew like 2^M
+    shapes = []
+    mode_product = estimators.mode_product
+
+    def counted(A, rows, pre):
+        shapes.append(A.shape)
+        return mode_product(A, rows, pre)
+
+    monkeypatch.setattr(estimators, "mode_product", counted)
+    spec = NormSpec(p=p)
+    index = (1,) + (0,) * 11
+    block = np.random.default_rng(97).normal(size=(work("clenshaw_curtis", index), 3))
+    got = _euclidean_lp_norm("clenshaw_curtis", index, block, spec)
+    assert len(shapes) == 1
+    want = grid_lp_norm("clenshaw_curtis", index, block, spec)
+    if spec.p == math.inf:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * want
+
+
 def test_multi_point_p2_norm_matches_grid_expansion():
     # at p = 2 Clenshaw-Curtis blocks with more than one fresh point are
     # measured through the per-level Gram matrices; the grid expansion is

@@ -26,6 +26,14 @@ def two_plus_y():
     return DiffusionProblem(1, const(2.0), [const(1.0)], const(1.0))
 
 
+def test_fractional_element_count_is_rejected():
+    # 2.9 elements once ran on 2
+    with pytest.raises(ValueError, match="mesh_n must be an integer, got 2.9"):
+        SpatialDiscretization(two_plus_y(), 2.9)
+    for n in (2, 2.0, np.int64(2)):
+        assert SpatialDiscretization(two_plus_y(), n).n_elements == 2
+
+
 def dense_solve_oracle(disc, y):
     """Element-loop stiffness assembly plus a dense solve."""
     n = disc.n_elements

@@ -165,6 +165,14 @@ def test_dimension_above_64_is_rejected():
     assert P.add_index((0,) * 64, values=np.array([[1.0, 2.0]])) == 1
 
 
+def test_fractional_dimension_is_rejected():
+    # a dimension of 2.5 was once truncated to 2
+    with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+        SparseInterpolant("leja", 2.5)
+    for dim in (2, 2.0, np.int64(2)):
+        assert SparseInterpolant("leja", dim).dim == 2
+
+
 def test_evaluate_domain_and_empty_errors():
     P = SparseInterpolant("leja", 1)
     with pytest.raises(ValueError):
@@ -288,7 +296,7 @@ def test_serialization_round_trip():
 
 def test_surplus_rows_append_only():
     # rows outlive the buffer growth that add_index triggers, and the
-    # incremental parts basis_weights(Y, start) @ surpluses(start) add up
+    # incremental parts basis_weights(Y)[:, start:] @ surpluses(start) add up
     rng = np.random.default_rng(9)
     f = lambda y: np.array([np.sin(y[0] + 2.0 * y[1]), y[0] * y[1]])
     Y = rng.uniform(-1, 1, size=(20, 2))
@@ -300,7 +308,7 @@ def test_surplus_rows_append_only():
         kept.append(P.surpluses().copy())
         cand = P.indexset.reduced_margin()
         add_evaluated(P, cand[rng.integers(len(cand))], f)
-        parts.append(P.basis_weights(Y, start) @ P.surpluses(start))
+        parts.append(P.basis_weights(Y)[:, start:] @ P.surpluses(start))
         assert not P.surpluses().flags.writeable
     for rows in kept:
         assert np.array_equal(P.surpluses()[: len(rows)], rows)
@@ -343,7 +351,7 @@ def test_grid_basis_weights_match_point_grid(kind, dim):
     axes = axes[:dim]
     grid = point_grid(axes)
     for start in (0, P.n_points // 2):
-        want = P.basis_weights(grid, start)
+        want = P.basis_weights(grid)[:, start:]
         got = P.grid_basis_weights(axes, start)
         assert got.shape == want.shape == (len(grid), P.n_points - start)
         assert got.flags.f_contiguous and want.flags.f_contiguous

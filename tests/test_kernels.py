@@ -147,7 +147,7 @@ def test_thomas_matches_dense_solve():
         for batch in (1, 50):
             c = rng.uniform(0.05, 20.0, size=(batch, n))
             rhs = rng.standard_normal(n - 1)
-            got = kernels.thomas_solve(c, rhs)
+            got = kernels.thomas_solve(c, np.concatenate(([0.0], np.cumsum(rhs))))
             assert got.shape == (batch, n + 1)
             assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 0.0)
             for row, cp in zip(got, c):

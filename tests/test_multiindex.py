@@ -42,6 +42,15 @@ def test_is_monotone_dimension_mismatch():
         is_monotone([(0, 0), (1,)])
 
 
+def test_fractional_dimension_is_rejected():
+    # MonotoneIndexSet(2.5) once failed only at its first add, with
+    # "(0, 0) has length 2, expected 2"
+    with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
+        MonotoneIndexSet(2.5)
+    s = MonotoneIndexSet(np.int64(2), [(0, 0)])
+    assert s.dim == 2 and s.reduced_margin() == [(0, 1), (1, 0)]
+
+
 def test_margin_examples():
     assert margin([(0, 0)]) == {(1, 0), (0, 1)}
     assert margin([(0, 0), (1, 0)]) == {(2, 0), (1, 1), (0, 1)}
