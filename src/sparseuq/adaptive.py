@@ -82,24 +82,21 @@ class AdaptiveConfig:
         self.nodes = normalize_kind(self.nodes)
         if not isinstance(self.norm, NormSpec):
             self.norm = NormSpec.from_config(self.norm)
-        for name, kind in (
-            ("tol", float),
-            ("max_iter", int),
-            ("max_solves", int),
-            ("reference_every", int),
-            ("reference_quad", int),
-            ("dorfler", float),
+        # each number with its type and, for counts, its least value
+        for name, kind, least in (
+            ("tol", float, None),
+            ("max_iter", int, 1),
+            ("max_solves", int, 1),
+            ("reference_every", int, 0),
+            ("reference_quad", int, 1),
+            ("dorfler", float, None),
         ):
-            setattr(self, name, config_number(name, getattr(self, name), kind))
+            value = config_number(name, getattr(self, name), kind)
+            if least is not None and value < least:
+                raise ValueError("%s must be at least %d, got %d" % (name, least, value))
+            setattr(self, name, value)
         if not self.tol > 0.0:
             raise ValueError("tol must be positive, got %r" % self.tol)
-        for name in ("max_iter", "max_solves"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
-        if self.reference_every < 0:
-            raise ValueError("reference_every must be at least 0, got %d" % self.reference_every)
-        if self.reference_quad < 1:
-            raise ValueError("reference_quad must be at least 1, got %d" % self.reference_quad)
         if not 0.0 <= self.dorfler <= 1.0:
             raise ValueError("dorfler must lie in [0, 1], got %r" % self.dorfler)
 

@@ -33,9 +33,13 @@ from . import __version__
 from .adaptive import AdaptiveConfig, TraceRow, run_strategy
 from .estimators import MAX_REFERENCE_DIM, NormSpec, check_reference_dim
 from .fem import (
+    MESH_N,
+    PROBLEM_DEFAULTS,
+    PROBLEM_KEYS,
     SpatialDiscretization,
     build_problem,
     check_ellipticity,
+    check_keys,
     config_mapping,
     config_number,
 )
@@ -44,27 +48,31 @@ from .nodes import get_family, growth_inverse, normalize_kind
 
 log = logging.getLogger("sparseuq.cli")
 
+
+def _field_defaults(owner):
+    return {f.name: f.default for f in dataclasses.fields(owner)}
+
+
+_RUN_DEFAULTS = _field_defaults(AdaptiveConfig)
+# each section's defaults come from its owner: build_problem's
+# PROBLEM_DEFAULTS, SpatialDiscretization's MESH_N, NormSpec's and
+# AdaptiveConfig's fields; the CLI adds only the strategies list, the
+# "auto" reference cadence and outdir
 DEFAULTS = {
-    "problem": {
-        "family": "cosine",
-        "M": 2,
-        "a0": 2.0,
-        "gamma": 0.9,
-        "sigma": 2.0,
-        "f": 1.0,
-        "floor": 0.0,
-    },
-    "mesh_n": 256,
-    "nodes": "leja",
-    "norm": {"p": 2, "sup_points_per_dim": 33, "sup_budget": 40000},
-    "strategies": ["gn_envelope"],
-    "tol": 1e-8,
-    "max_iter": 200,
-    "max_solves": 100000,
-    "reference": {"quad_order": 20, "every": "auto"},
-    "dorfler": 0.0,
+    "problem": dict(PROBLEM_DEFAULTS),
+    "mesh_n": MESH_N,
+    "nodes": _RUN_DEFAULTS["nodes"],
+    "norm": _field_defaults(NormSpec),
+    "strategies": [_RUN_DEFAULTS["strategy"]],
+    "tol": _RUN_DEFAULTS["tol"],
+    "max_iter": _RUN_DEFAULTS["max_iter"],
+    "max_solves": _RUN_DEFAULTS["max_solves"],
+    "reference": {"quad_order": _RUN_DEFAULTS["reference_quad"], "every": "auto"},
+    "dorfler": _RUN_DEFAULTS["dorfler"],
     "outdir": "results",
 }
+# every key a config may set: the defaults, plus explicit problem amplitudes
+_KNOWN_KEYS = dict(DEFAULTS, problem=PROBLEM_KEYS)
 
 TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceRow))
 
@@ -74,20 +82,6 @@ COMPARE_COLUMNS = ("reference_error", "total_estimator")
 
 class ConfigError(ValueError):
     pass
-
-
-def _deep_merge(base, update):
-    out = dict(base)
-    for key, val in update.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
-# every key a config may set: the defaults, plus explicit problem amplitudes
-_KNOWN_KEYS = _deep_merge(DEFAULTS, {"problem": {"amps": None}})
 
 
 def load_config(path):
@@ -103,20 +97,16 @@ def load_config(path):
         )
     if not isinstance(data, dict):
         raise ConfigError("config %s: top level must be a JSON object" % path)
-    unknown = _unknown_keys(data, _KNOWN_KEYS)
-    if unknown:
-        raise ConfigError("config %s: unknown keys %s" % (path, ", ".join(unknown)))
-    return _deep_merge(DEFAULTS, data)
-
-
-def _unknown_keys(data, known, prefix=""):
-    """Dotted names of the keys of data, and of its sections that are
-    mappings in known too, that known does not have."""
-    out = sorted(prefix + key for key in set(data) - set(known))
-    for key, val in sorted(data.items()):
-        if isinstance(val, dict) and isinstance(known.get(key), dict):
-            out += _unknown_keys(val, known[key], prefix + key + ".")
-    return out
+    try:
+        check_keys(data, _KNOWN_KEYS)
+    except ValueError as exc:
+        raise ConfigError("config %s: %s" % (path, exc)) from None
+    # DEFAULTS updated section by section, each section a new dict
+    cfg = {}
+    for key, val in DEFAULTS.items():
+        given = data.get(key, val)
+        cfg[key] = {**val, **given} if isinstance(val, dict) and isinstance(given, dict) else given
+    return cfg
 
 
 def problem_hash(cfg):
@@ -190,22 +180,12 @@ def run_experiment(config_path, outdir=None):
         raise ConfigError("strategies must be a name or a list, got %r" % (strategies,))
     if not strategies:
         raise ConfigError("strategies list is empty")
-    norm = NormSpec.from_config(cfg["norm"])
-    # every strategy's settings are checked before any file is written
+    quad = config_number("reference.quad_order", cfg["reference"]["quad_order"], int)
+    # the run settings the config names as AdaptiveConfig does (nodes,
+    # norm, tol, ...); every strategy's are checked before any file is written
+    run = {key: cfg[key] for key in _RUN_DEFAULTS.keys() & cfg.keys()}
     configs = [
-        AdaptiveConfig(
-            strategy=strategy,
-            nodes=cfg["nodes"],
-            norm=norm,
-            tol=cfg["tol"],
-            max_iter=cfg["max_iter"],
-            max_solves=cfg["max_solves"],
-            reference_every=every,
-            reference_quad=config_number(
-                "reference.quad_order", cfg["reference"]["quad_order"], int
-            ),
-            dorfler=cfg["dorfler"],
-        )
+        AdaptiveConfig(strategy=strategy, reference_every=every, reference_quad=quad, **run)
         for strategy in strategies
     ]
     # files and summary entries are named by the normalized strategy

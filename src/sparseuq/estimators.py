@@ -24,12 +24,12 @@ axis at p = inf.
 """
 
 import functools
-import inspect
 import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .fem import config_mapping, config_number
+from .fem import check_keys, config_mapping, config_number
 from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
 from .nodes import growth
 
@@ -45,53 +45,54 @@ _ROW_BLOCK = 256
 
 
 def _parse_p(p):
-    if isinstance(p, str) and p.strip().lower() in _INF_ALIASES:
+    # inf by name, or as a float (math.inf, JSON Infinity), which
+    # config_number would refuse as not finite
+    if (isinstance(p, str) and p.strip().lower() in _INF_ALIASES) or p == math.inf:
         return math.inf
     p = config_number("norm.p", p)
-    if p not in (2.0, math.inf):
+    if p != 2.0:
         raise ValueError("norm.p must be 2 or inf, got %r" % p)
     return p
 
 
+@dataclass(eq=False)
 class NormSpec:
     """How to measure parametric L^p norms over the box, for p = 2 or inf.
 
-    sup_points_per_dim (>= 2) and sup_budget (>= 2) control the p = inf
-    sample grid (per-dimension resolution, capped so the total grid stays
-    within budget, but never below 2).  The p = inf value is the maximum
-    over that grid, a lower bound of the sup, so total / a_min certifies
-    the error only on the grid.  For p = 2 the Gauss order is derived
-    from the integrand degree, so the quadrature is exact.
+    The norm section of a config: its keys are the fields, and their
+    defaults are the section's.  sup_points_per_dim (>= 2) and
+    sup_budget (>= 2) control the p = inf sample grid (per-dimension
+    resolution, capped so the total grid stays within budget, but never
+    below 2).  The p = inf value is the maximum over that grid, a lower
+    bound of the sup, so total / a_min certifies the error only on the
+    grid.  For p = 2 the Gauss order is derived from the integrand
+    degree, so the quadrature is exact.
     """
 
-    def __init__(self, p=2, sup_points_per_dim=33, sup_budget=40000):
-        self.p = _parse_p(p)
-        self.sup_points_per_dim = config_number(
-            "norm.sup_points_per_dim", sup_points_per_dim, int
-        )
-        self.sup_budget = config_number("norm.sup_budget", sup_budget, int)
+    p: float = 2
+    sup_points_per_dim: int = 33
+    sup_budget: int = 40000
+
+    def __post_init__(self):
+        self.p = _parse_p(self.p)
         for key in ("sup_points_per_dim", "sup_budget"):
-            if getattr(self, key) < 2:
-                raise ValueError("need norm.%s >= 2, got %d" % (key, getattr(self, key)))
+            value = config_number("norm." + key, getattr(self, key), int)
+            if value < 2:
+                raise ValueError("need norm.%s >= 2, got %d" % (key, value))
+            setattr(self, key, value)
 
     @classmethod
     def from_config(cls, spec):
-        """A NormSpec from a bare p or a mapping of constructor keywords;
-        raises ValueError naming any key the constructor does not take."""
+        """A NormSpec from a bare p or a mapping of fields; a key that is
+        not a field raises ValueError as the CLI does (fem.check_keys)."""
         if isinstance(spec, (int, float, str)):
             return cls(p=spec)
-        spec = dict(config_mapping("norm", {} if spec is None else spec))
-        unknown = sorted(set(spec) - set(inspect.signature(cls).parameters))
-        if unknown:
-            raise ValueError("unknown norm keys: %s" % ", ".join(unknown))
-        return cls(**spec)
+        spec = config_mapping("norm", {} if spec is None else spec)
+        return cls(**check_keys(spec, {f.name: f.default for f in fields(cls)}, "norm."))
 
     def describe(self):
-        return {
-            "p": "inf" if self.p == math.inf else self.p,
-            "sup_points_per_dim": self.sup_points_per_dim,
-            "sup_budget": self.sup_budget,
-        }
+        """The fields as a norm section, with p = inf spelled "inf"."""
+        return dict(asdict(self), p="inf" if self.p == math.inf else self.p)
 
 
 @functools.lru_cache(maxsize=None)

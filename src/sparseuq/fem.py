@@ -24,6 +24,7 @@ fresh block of a multi-index, solved in one batch.  The reference error
 solves nothing and keeps its own state (estimators.ReferenceRows).
 """
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -64,13 +65,17 @@ def _at_midpoints(fn, midpoints):
     return vals
 
 
+# the config key mesh_n and its default: the elements of the uniform mesh
+MESH_N = 256
+
+
 class SpatialDiscretization:
     """Uniform P1 mesh with precomputed midpoint coefficient samples.
 
     n_elements is checked like the config key mesh_n it comes from: an
     integer (an integral float too) of at least 2."""
 
-    def __init__(self, problem, n_elements=256):
+    def __init__(self, problem, n_elements=MESH_N):
         n = config_number("mesh_n", n_elements, int)
         if n < 2:
             raise ValueError("need at least 2 elements, got %d" % n)
@@ -170,8 +175,8 @@ class SpatialDiscretization:
 
 def _first_non_elliptic(c):
     """Row number of the first coefficient row of c (P, n) that is not
-    positive on every element, or None."""
-    bad = np.flatnonzero(np.min(c, axis=1) <= 0.0)
+    positive on every element (a NaN is not positive), or None."""
+    bad = np.flatnonzero(~(np.min(c, axis=1) > 0.0))
     return int(bad[0]) if bad.size else None
 
 
@@ -186,19 +191,23 @@ def check_ellipticity(problem, disc):
     vertex whose signs oppose each a_m, so the pointwise minimum is
     a_0(x) - sum_m |a_m(x)|.  Returns a_min, a_max, the contrast value
     alpha = 1 - a_min / inf a_0, and the effective floor; raises
-    EllipticityError when positivity (or the declared floor) fails.
+    EllipticityError when positivity (or the declared floor) fails, a
+    NaN included, or when the coefficient is not bounded.
     """
     absum = np.sum(np.abs(disc.terms_mid), axis=0) if problem.dim else 0.0
     low = disc.a0_mid - absum
     high = disc.a0_mid + absum
     a_min = float(np.min(low))
     a_max = float(np.max(high))
-    if a_min <= 0.0 or a_min < problem.floor - 1e-12:
+    if not a_min > 0.0 or a_min < problem.floor - 1e-12:
         x_bad = float(disc.midpoints[int(np.argmin(low))])
         raise EllipticityError(
             "ellipticity violated: min_x min_y a(x,y) = %g at x = %g (floor %g)"
             % (a_min, x_bad, problem.floor)
         )
+    if not a_max < math.inf:
+        x_bad = float(disc.midpoints[int(np.argmax(high))])
+        raise EllipticityError("coefficient not bounded: max_y a(x,y) = inf at x = %g" % x_bad)
     alpha = 1.0 - a_min / float(np.min(disc.a0_mid))
     return {"a_min": a_min, "a_max": a_max, "alpha": alpha, "r_effective": a_min}
 
@@ -241,10 +250,11 @@ class SolveCache:
 
 def config_number(key, value, kind=float):
     """value converted by kind (int or float).  A value of the wrong type,
-    such as a JSON null, list or boolean, or for int a value with a
-    fractional part, raises ValueError naming the dotted config key, like
-    any other bad config value, not a TypeError.  An integral float such
-    as 2.0 is an integer."""
+    such as a JSON null, list or boolean, for int a value with a
+    fractional part, and for float a NaN or an infinity (JSON NaN and
+    Infinity), raises ValueError naming the dotted config key, like any
+    other bad config value, not a TypeError.  An integral float such as
+    2.0 is an integer."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -252,6 +262,8 @@ def config_number(key, value, kind=float):
     if out is None or isinstance(value, bool) or (kind is int and out != value):
         what = "an integer" if kind is int else "a number"
         raise ValueError("%s must be %s, got %r" % (key, what, value))
+    if kind is float and not math.isfinite(out):
+        raise ValueError("%s must be finite, got %r" % (key, value))
     return out
 
 
@@ -263,6 +275,26 @@ def config_mapping(key, value):
     return value
 
 
+def check_keys(data, known, prefix=""):
+    """data itself when every key of it is a key of known, and so on into
+    each section that is a mapping in both; otherwise a ValueError
+    "unknown keys a.b, a.c" naming the others as dotted keys under
+    prefix.  The one unknown-key rule: the CLI applies it to a whole
+    config, each section's owner to its section."""
+    unknown = _unknown_keys(data, known, prefix)
+    if unknown:
+        raise ValueError("unknown keys %s" % ", ".join(unknown))
+    return data
+
+
+def _unknown_keys(data, known, prefix):
+    out = sorted("%s%s" % (prefix, key) for key in set(data) - set(known))
+    for key, val in sorted(data.items()):
+        if isinstance(val, Mapping) and isinstance(known.get(key), Mapping):
+            out += _unknown_keys(val, known[key], "%s%s." % (prefix, key))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # built-in problem library
 
@@ -272,41 +304,78 @@ def _const(c):
     return lambda x: np.full_like(np.asarray(x, dtype=np.float64), c)
 
 
+# the problem section: each key build_problem reads, with its default
+PROBLEM_DEFAULTS = {
+    "family": "cosine",
+    "M": 2,
+    "a0": 2.0,
+    "gamma": 0.9,
+    "sigma": 2.0,
+    "f": 1.0,
+    "floor": 0.0,
+}
+# every key the section may set: an "amps" list, which has no default,
+# replaces the decay of gamma and sigma
+PROBLEM_KEYS = dict(PROBLEM_DEFAULTS, amps=None)
+# each load family with the keys it reads and their defaults; a load that
+# names no family is constant, and so is a bare number f, of value f
+LOAD_DEFAULTS = {
+    "constant": {"family": "constant", "value": 1.0},
+    "sine": {"family": "sine", "amp": 1.0},
+}
+
+
 def _amplitudes(dim, spec):
     if "amps" in spec:
         try:
             amps = list(spec["amps"])
         except TypeError:
-            what = spec["amps"]
-            raise ValueError("problem.amps must be a list, got %r" % (what,)) from None
+            raise ValueError("problem.amps must be a list, got %r" % (spec["amps"],)) from None
         amps = [config_number("problem.amps[%d]" % m, v) for m, v in enumerate(amps)]
         if len(amps) != dim:
             raise ValueError("amps must have %d entries" % dim)
         return amps
-    gamma = config_number("problem.gamma", spec.get("gamma", 0.9))
-    sigma = config_number("problem.sigma", spec.get("sigma", 2.0))
+    gamma = config_number("problem.gamma", spec["gamma"])
+    sigma = config_number("problem.sigma", spec["sigma"])
     return [gamma * (m + 1) ** (-sigma) for m in range(dim)]
 
 
+def _load(fspec):
+    """The load function and its section, defaults filled in."""
+    if not isinstance(fspec, Mapping):
+        fspec = {"value": config_number("problem.f", fspec)}
+    family = str(fspec.get("family", "constant")).lower()
+    if family not in LOAD_DEFAULTS:
+        raise ValueError("unknown load family %r" % family)
+    # a key the family does not read would be echoed in the run summary unused
+    load = {**LOAD_DEFAULTS[family], **check_keys(fspec, LOAD_DEFAULTS[family], "problem.f.")}
+    if family == "constant":
+        return _const(config_number("problem.f.value", load["value"])), load
+    amp = config_number("problem.f.amp", load["amp"])
+    return (lambda x: amp * np.sin(np.pi * np.asarray(x, dtype=np.float64))), load
+
+
 def build_problem(spec):
-    """Construct a DiffusionProblem from a plain config mapping.
+    """Construct a DiffusionProblem from a plain config mapping, the
+    problem section: PROBLEM_DEFAULTS fills in the keys it leaves out.
 
     Families: "cosine" with a_m(x) = amp_m * cos(m pi x); "constant"
     with a_m(x) = amp_m; "inclusion" with amp_m on the m-th of M equal
     subintervals.  Amplitudes come from an explicit "amps" list or the
-    decay amp_m = gamma * m**(-sigma).  The load is constant or
-    amp * sin(pi x).  A section or number of the wrong type, or a load
-    key other than family, value and amp, raises ValueError naming its
-    dotted key.
+    decay amp_m = gamma * m**(-sigma).  The load is constant (key value)
+    or amp * sin(pi x) (key amp).  A key outside PROBLEM_KEYS, a load key
+    its family does not read, or a section or number of the wrong type
+    raises ValueError naming its dotted key, as the CLI does.
     """
-    spec = dict(config_mapping("problem", spec))
-    dim = config_number("problem.M", spec.get("M", 2), int)
+    spec = check_keys(config_mapping("problem", spec), PROBLEM_KEYS, "problem.")
+    spec = {**PROBLEM_DEFAULTS, **spec}
+    dim = config_number("problem.M", spec["M"], int)
     if dim < 1:
         raise ValueError("problem.M must be at least 1, got %d" % dim)
     if dim > MAX_DIM:
         raise ValueError("problem.M must be at most %d, got %d" % (MAX_DIM, dim))
-    family = str(spec.get("family", "cosine")).lower()
-    a0 = config_number("problem.a0", spec.get("a0", 2.0))
+    family = str(spec["family"]).lower()
+    a0 = config_number("problem.a0", spec["a0"])
     amps = _amplitudes(dim, spec)
     if family == "cosine":
         def mk(m, amp):
@@ -324,27 +393,13 @@ def build_problem(spec):
         terms = [mk(m, amps[m]) for m in range(dim)]
     else:
         raise ValueError("unknown coefficient family %r" % family)
-    fspec = spec.get("f", 1.0)
-    if not isinstance(fspec, Mapping):
-        fspec = {"family": "constant", "value": config_number("problem.f", fspec)}
-    # a load key no family reads would be echoed in the run summary unused
-    unknown = sorted("problem.f.%s" % key for key in set(fspec) - {"family", "value", "amp"})
-    if unknown:
-        raise ValueError("unknown keys %s" % ", ".join(unknown))
-    ffam = str(fspec.get("family", "constant")).lower()
-    if ffam == "constant":
-        f = _const(config_number("problem.f.value", fspec.get("value", 1.0)))
-    elif ffam == "sine":
-        amp = config_number("problem.f.amp", fspec.get("amp", 1.0))
-        f = lambda x: amp * np.sin(np.pi * np.asarray(x, dtype=np.float64))
-    else:
-        raise ValueError("unknown load family %r" % ffam)
+    f, load = _load(spec["f"])
     meta = {
         "family": family,
         "M": dim,
         "a0": a0,
         "amps": amps,
-        "f": fspec,
+        "f": load,
     }
-    floor = config_number("problem.floor", spec.get("floor", 0.0))
+    floor = config_number("problem.floor", spec["floor"])
     return DiffusionProblem(dim, _const(a0), terms, f, floor=floor, meta=meta)

@@ -2,6 +2,7 @@
 compare joins, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from sparseuq.cli import (
     run_experiment,
 )
 from sparseuq.estimators import NormSpec
-from sparseuq.fem import SpatialDiscretization, build_problem
+from sparseuq.fem import MESH_N, PROBLEM_DEFAULTS, SpatialDiscretization, build_problem
 
 
 def write_config(tmp_path, name, data):
@@ -134,7 +135,22 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
             {"problem": {"M": 1, "f": {"family": "sine", "amplitude": 5.0}}},
             "unknown keys problem.f.amplitude",
         ),
+        # each load family reads its own keys: these once ran with the
+        # key ignored and exited 0
+        (
+            {"problem": {"M": 1, "f": {"family": "constant", "amp": 5.0}}},
+            "unknown keys problem.f.amp",
+        ),
+        (
+            {"problem": {"M": 1, "f": {"family": "sine", "value": 5.0}}},
+            "unknown keys problem.f.value",
+        ),
         ({"max_iter": True}, "max_iter must be an integer, got True"),
+        # JSON NaN and Infinity once passed the ellipticity check (a_min nan
+        # or inf) and ran to max_iter with total=nan, exit 2
+        ({"problem": {"M": 1, "amps": [math.nan]}}, "problem.amps[0] must be finite, got nan"),
+        ({"problem": {"M": 1, "a0": math.inf}}, "problem.a0 must be finite, got inf"),
+        ({"problem": {"M": 1, "f": math.nan}}, "problem.f must be finite, got nan"),
         # M = 0 once left a header-only trace file behind, then exited 3
         ({"problem": {"M": 0}}, "problem.M must be at least 1"),
         # M = 65 once died in numpy's 64-axis limit after writing a trace
@@ -157,6 +173,57 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
     cfg = deterministic_cfg(tmp_path, outdir=5)
     assert main(["run", cfg]) == 3
     assert "outdir must be a path" in capsys.readouterr().err
+
+
+def test_norm_p_takes_infinity_in_every_spelling(tmp_path):
+    # numbers must be finite, but json writes math.inf as Infinity, which
+    # is one more way to name p = inf
+    for i, p in enumerate(("inf", "Infinity", "sup", math.inf)):
+        out = tmp_path / ("o%d" % i)
+        assert main(["run", deterministic_cfg(tmp_path, norm={"p": p}, outdir=str(out))]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["norm"]["p"] == p
+
+
+# each case is rejected with the same message by the section's owner in
+# the Python API and by the CLI, before any file is written
+PARITY_CASES = (
+    ("problem", {"gama": 0.5}, "unknown keys problem.gama"),
+    (
+        "problem",
+        {"M": 2, "gama": 0.5, "familly": "constant"},
+        "unknown keys problem.familly, problem.gama",
+    ),
+    ("problem", {"M": 1, "f": {"family": "constant", "amp": 5.0}}, "unknown keys problem.f.amp"),
+    ("problem", {"M": 1, "f": {"value": 2.0, "amp": 5.0}}, "unknown keys problem.f.amp"),
+    ("problem", {"M": 1, "f": {"family": "sine", "value": 5.0}}, "unknown keys problem.f.value"),
+    ("problem", {"M": 1, "a0": math.inf}, "problem.a0 must be finite, got inf"),
+    ("norm", {"quad_order": 12}, "unknown keys norm.quad_order"),
+    ("norm", {"P": "inf", "p": 2}, "unknown keys norm.P"),
+    ("norm", {"p": math.nan}, "norm.p must be finite, got nan"),
+)
+OWNERS = {"problem": build_problem, "norm": NormSpec.from_config}
+
+
+def test_api_rejects_what_the_cli_rejects(tmp_path, capsys):
+    for i, (section, spec, message) in enumerate(PARITY_CASES):
+        with pytest.raises(ValueError) as exc:
+            OWNERS[section](spec)
+        assert str(exc.value) == message
+        path = write_config(tmp_path, "c%d.json" % i, {section: spec})
+        # load_config names the config file before the message, and what
+        # it loads its owner rejects
+        try:
+            cfg = load_config(path)
+        except ConfigError as exc:
+            assert str(exc) == "config %s: %s" % (path, message)
+        else:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                OWNERS[section](cfg[section])
+        out = tmp_path / ("o%d" % i)
+        assert main(["run", path, "--outdir", str(out)]) == 3
+        assert capsys.readouterr().err.rstrip().endswith(": " + message)
+        assert not out.exists()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -299,10 +366,33 @@ def test_main_run_error_codes(tmp_path, capsys):
 
 def test_main_print_defaults(capsys):
     assert main(["run", "--print-defaults"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    data = json.loads(text)
     assert data["mesh_n"] == 256
     assert data["strategies"] == ["gn_envelope"]
     assert "seed" not in data
+    # the printed defaults are byte-identical to those the CLI once
+    # spelled out itself, before it read them from the section owners
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fae8cac308413857fb9128960d262a601b3b607470939fef1d4fe85210338726"
+
+
+def test_defaults_come_from_the_section_owners(tmp_path):
+    run = AdaptiveConfig()
+    assert DEFAULTS["problem"] == PROBLEM_DEFAULTS
+    assert DEFAULTS["mesh_n"] == MESH_N
+    assert DEFAULTS["norm"] == {"p": 2, "sup_points_per_dim": 33, "sup_budget": 40000}
+    assert NormSpec.from_config(DEFAULTS["norm"]).describe() == NormSpec().describe()
+    assert DEFAULTS["strategies"] == [run.strategy]
+    assert DEFAULTS["reference"]["quad_order"] == run.reference_quad
+    for key in ("nodes", "tol", "max_iter", "max_solves", "dorfler"):
+        assert DEFAULTS[key] == getattr(run, key), key
+    # a loaded config shares no dict with DEFAULTS, nor DEFAULTS with an owner
+    cfg = load_config(write_config(tmp_path, "c.json", {"problem": {"M": 3}}))
+    cfg["problem"]["a0"] = cfg["norm"]["p"] = cfg["reference"]["every"] = 0
+    assert DEFAULTS["problem"]["a0"] == 2.0 and DEFAULTS["norm"]["p"] == 2
+    assert DEFAULTS["reference"]["every"] == "auto"
+    assert DEFAULTS["problem"] is not PROBLEM_DEFAULTS
 
 
 def test_reference_every_infeasible_dim(tmp_path, capsys):

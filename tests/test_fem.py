@@ -80,6 +80,26 @@ def test_check_ellipticity_violation():
         check_ellipticity(p, disc)
 
 
+def test_non_finite_coefficient_fails_the_check():
+    # a NaN a_m once gave a_min = nan, and an infinite a_0 a_min = inf;
+    # both passed the checks, and a run went on with total = nan
+    p = DiffusionProblem(1, const(np.inf), [const(0.5)], const(1.0))
+    with pytest.raises(EllipticityError, match="not bounded"):
+        check_ellipticity(p, SpatialDiscretization(p, 16))
+    p = DiffusionProblem(1, const(2.0), [const(np.nan)], const(1.0))
+    disc = SpatialDiscretization(p, 16)
+    with pytest.raises(EllipticityError, match="= nan"):
+        check_ellipticity(p, disc)
+    with pytest.raises(EllipticityError, match="min nan"):
+        disc.solve_at(np.array([0.5]))
+    with pytest.raises(EllipticityError, match="min nan"):
+        disc.grid_gradients([np.array([0.5])], 0, 1, out=np.empty((1, 16)))
+    # one NaN element is enough
+    half = DiffusionProblem(1, const(2.0), [lambda x: np.where(x < 0.5, 0.5, np.nan)], const(1.0))
+    with pytest.raises(EllipticityError):
+        check_ellipticity(half, SpatialDiscretization(half, 16))
+
+
 def test_check_ellipticity_floor():
     p = DiffusionProblem(1, const(2.0), [const(1.0)], const(1.0), floor=1.5)
     disc = SpatialDiscretization(p, 16)
@@ -340,6 +360,9 @@ def test_build_problem_constant_and_sine_load():
     x = np.array([0.5])
     assert p.terms[0](x)[0] == 0.5
     assert p.f(x)[0] == pytest.approx(2.0, abs=1e-15)
+    # a load that names no family is constant; omitted keys take defaults
+    assert build_problem({"M": 1, "f": {"value": 3.0}}).f(x)[0] == 3.0
+    assert build_problem({"M": 1, "f": {"family": "sine"}}).meta["f"] == {"family": "sine", "amp": 1.0}
 
 
 def test_build_problem_rejects_unknown():
