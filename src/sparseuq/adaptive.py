@@ -15,21 +15,24 @@ chosen by AdaptiveConfig.strategy:
   reduced margin reusing cached solves.
 
 Each candidate is estimated once: a run keeps its estimator values
-from one iteration to the next in a memo, and after adding the marked
-indices drops only the values the additions can change, those of the
-added indices and of their forward neighbours (margin_report and
+from one iteration to the next, and after adding the marked indices
+drops only the values the additions can change, those of the added
+indices and of their forward neighbours (drop_stale; margin_report and
 reduced_margin_report give the exactness arguments).  A trace row
-counts the values estimated for it and those reused from the memo, and
-splits its wall_ms into estimate_ms (the margin report) and
-reference_ms (the reference error, if one is due).  A run keeps one
-ReferenceRows state, so each reference error updates the last one's rows.
+counts the values estimated for it and those reused, and splits its
+wall_ms into estimate_ms (the margin report) and reference_ms (the
+reference error, if one is due).  A run keeps one ReferenceRows state,
+so each reference error updates the last one's rows.
 
-gn_profit keeps its profits across iterations the same way: pis maps
-each margin candidate to its profit and users maps each index to the
-candidates whose monotone envelope contains it.  Only candidates missing
-from pis get a profit, and after an extension the candidates in
-users[j] leave pis for every key j that drop_stale returned;
-estimators.profit says why every kept profit is exact.
+The gn strategies keep their margin in one estimators.MarginState, which
+follows each extension in time proportional to what it changed: the
+margin in order, its estimates, and for gn_profit each candidate's
+monotone envelope and profit.  A round marks the envelope of the
+state's best candidate, whose search pops stale entries off a heap
+instead of scanning the margin; a profit is computed again only when
+its envelope or one of its members' estimates changed, and
+estimators.profit says why every kept profit is exact.  gg keeps its
+surplus indicators in a plain mapping.
 
 Every run starts from the singleton zero index, estimates candidates in
 lexicographic order and breaks ties lexicographically, so reruns are
@@ -41,13 +44,12 @@ import time
 from dataclasses import dataclass, field
 
 from .estimators import (
+    MarginState,
     NormSpec,
     ReferenceRows,
     drop_stale,
     fresh_solves,
-    lex_argmax,
     margin_report,
-    profit,
     reduced_margin_report,
     reference_error,
 )
@@ -212,28 +214,6 @@ def _dorfler_mark(report, theta):
     return marked
 
 
-def _profit_argmax(indexset, kind, eta, pis, users):
-    """The margin candidate of largest profit, ties broken
-    lexicographically.  eta holds the margin's estimates; profits are
-    computed, in eta's order, only for candidates missing from pis, and
-    users records the envelope members of each one computed."""
-    for k in eta:
-        if k not in pis:
-            env = indexset.monotone_envelope(k)
-            pis[k] = profit(kind, env, eta)
-            for j in env:
-                users.setdefault(j, set()).add(k)
-    return lex_argmax(pis)
-
-
-def _forget_profits(pis, users, keys):
-    """Drop the profit of every candidate whose envelope contains one of
-    the keys drop_stale returned."""
-    for j in keys:
-        for k in users.pop(j, ()):
-            pis.pop(k, None)
-
-
 def run_strategy(problem, disc, config, on_row=None):
     """Run config.strategy from the singleton zero index to a stop;
     on_row, if given, receives each trace row as it is appended."""
@@ -247,14 +227,18 @@ def run_strategy(problem, disc, config, on_row=None):
     every = config.reference_every
     state = ReferenceRows()
     _add_indices(P, cache, [(0,) * problem.dim])
-    memo, pis, users = {}, {}, {}
+    if is_gg:
+        surpluses = {}
+    else:
+        profit_kind = config.nodes if config.strategy == "gn_profit" else None
+        margin = MarginState(P.indexset, profit_kind)
     n = 0
     while True:
         t0 = time.perf_counter()
         if is_gg:
-            report = reduced_margin_report(P, disc, config.norm, cache, memo)
+            report = reduced_margin_report(P, disc, config.norm, cache, surpluses)
         else:
-            report = margin_report(P, disc, config.norm, memo)
+            report = margin_report(P, disc, config.norm, margin)
         estimate_ms = (time.perf_counter() - t0) * 1000.0
         due = every > 0 and n % every == 0
         counts = (report.fresh, report.reused)
@@ -268,16 +252,15 @@ def run_strategy(problem, disc, config, on_row=None):
         if cache.n_solves >= config.max_solves:
             trace.stop_reason = "max_solves"
             break
-        if config.strategy == "gn_profit":
-            kstar = _profit_argmax(P.indexset, config.nodes, report.values, pis, users)
-            marked = P.indexset.monotone_envelope(kstar)
-        elif config.strategy == "gn_envelope":
-            kstar = lex_argmax(report.values)
-            marked = P.indexset.monotone_envelope(kstar)
-        else:
+        if is_gg:
             marked = _dorfler_mark(report, config.dorfler)
+        else:
+            marked = P.indexset.monotone_envelope(margin.best())
         _add_indices(P, cache, marked)
-        _forget_profits(pis, users, drop_stale(memo, marked))
+        if is_gg:
+            drop_stale(surpluses, marked)
+        else:
+            margin.absorb(marked)
         n += 1
     if is_gg:
         _augment_gg(trace, disc, report, state, on_row)

@@ -23,14 +23,18 @@ the level's fresh basis at p = 2, its fresh basis table on the sample
 axis at p = inf.
 """
 
+import bisect
 import functools
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .fem import check_keys, config_mapping, config_number
 from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
+from .multiindex import backward, forward
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -95,10 +99,47 @@ class NormSpec:
         return dict(asdict(self), p="inf" if self.p == math.inf else self.p)
 
 
+def _legendre_series(x, c):
+    """sum_k c[k] L_k(x) by Clenshaw's recurrence, in the order of
+    operations of numpy.polynomial.legendre.legval."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for ck in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ck - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=None)
 def gauss_axis(order):
-    """Gauss-Legendre nodes and uniform-measure weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(order))
+    """Gauss-Legendre nodes and uniform-measure weights on [-1, 1].
+
+    The steps of numpy.polynomial.legendre.leggauss, which gives the same
+    bits, from NumPy's core alone: importing numpy.polynomial costs more
+    than a small run's whole build.  The nodes are the eigenvalues of the
+    symmetric tridiagonal companion matrix of L_n, refined by one Newton
+    step with L_n' = sum of (2k + 1) L_k over k = n - 1, n - 3, ...; the
+    weights are 1 / (L_{n-1} L_n') at the nodes, each factor scaled by its
+    largest magnitude, symmetrised and normalised to sum to 2, then halved.
+    """
+    n = int(order)
+    if n < 1:
+        raise ValueError("Gauss order must be at least 1, got %d" % n)
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    c = [0.0] * n + [1.0]
+    dc = [2.0 * k + 1.0 if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
+    df = _legendre_series(x, dc)
+    x -= _legendre_series(x, c) / df
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return x, w / 2.0
 
 
@@ -238,7 +279,7 @@ def residual_estimator(P, disc, k, spec):
     shape = fresh_shape(kind, k)
     detail = None
     for m, km in enumerate(k):
-        back = k[:m] + (km - 1,) + k[m + 1 :]
+        back = backward(k, m)
         if km == 0 or back not in P.indexset:
             continue
         start, count = P.block_of(back)
@@ -291,7 +332,7 @@ def profit(kind, env, eta):
     therefore leaves it unchanged, and a member's value changes only
     when drop_stale forgets it.  So a profit whose envelope meets none
     of the keys drop_stale returned is the same, bit for bit, after the
-    extension, and adaptive.run_strategy recomputes only the others.
+    extension, and MarginState computes again only the others.
     """
     num = sum(eta[j] for j in env)
     den = sum(work(kind, j) for j in env)
@@ -301,52 +342,169 @@ def profit(kind, env, eta):
 class EstimatorReport:
     """Per-candidate estimator values for one adaptive iteration.
 
-    `reused` counts the values taken from an earlier iteration's memo,
-    `fresh` those estimated for this report.
+    values maps each candidate to its value.  total is the builtin sum
+    of the values in lexicographic order of the candidates, so the bits
+    depend on the Python version alone; vmax is their maximum and rmax
+    the largest value of a reduced-margin candidate (0.0 without one),
+    from which ratio_c follows.  `reused` counts the values taken from
+    an earlier iteration, `fresh` those estimated for this report.
     """
 
-    def __init__(self, values, reduced_members, reused=0):
-        self.values = dict(values)
-        self.total = float(sum(self.values.values()))
-        self.vmax = float(max(self.values.values())) if self.values else 0.0
-        self.reused = int(reused)
-        self.fresh = len(self.values) - self.reused
-        reduced = [self.values[k] for k in self.values if k in reduced_members]
-        rmax = max(reduced) if reduced else 0.0
+    def __init__(self, values, total, vmax, rmax, reused):
+        self.values = values
+        self.total = total
+        self.vmax = vmax
+        self.reused = reused
+        self.fresh = len(values) - reused
         # sanity diagnostic: how much larger the full-margin maximum is
         if rmax > 0.0:
-            self.ratio_c = self.vmax / rmax
+            self.ratio_c = vmax / rmax
         else:
-            self.ratio_c = math.inf if self.vmax > 0.0 else 1.0
+            self.ratio_c = math.inf if vmax > 0.0 else 1.0
 
 
-def lex_argmax(values):
-    """The lexicographically smallest key of largest value."""
-    return min(values, key=lambda k: (-values[k], k))
+class _LazyHeap:
+    """Entries (-value, k) with at most one live entry per k, so the top
+    is the largest value, ties going to the lexicographically smallest
+    k.  A replaced or discarded entry stays in the heap until it reaches
+    the top, where top() drops it."""
+
+    def __init__(self):
+        self.heap, self.live = [], {}
+
+    def push(self, k, value):
+        entry = self.live[k] = (-value, k)
+        heapq.heappush(self.heap, entry)
+
+    def discard(self, k):
+        self.live.pop(k, None)
+
+    def top(self):
+        """The live entry of largest value."""
+        heap = self.heap
+        while self.live.get(heap[0][1]) is not heap[0]:
+            heapq.heappop(heap)
+        return heap[0]
 
 
-def _memo_report(cands, reduced, memo, estimate):
-    """Report over cands, estimating in order only the candidates missing
-    from memo (a throwaway one when None) and storing what it estimates."""
-    memo = {} if memo is None else memo
-    values, reused = {}, 0
-    for k in map(tuple, cands):
-        if k in memo:
-            reused += 1
-        else:
-            memo[k] = estimate(k)
-        values[k] = memo[k]
-    return EstimatorReport(values, reduced, reused)
+class MarginState:
+    """The margin of a gn run between its rounds, with every candidate's
+    estimate kept until an extension can change it.
+
+    keys is the margin in lexicographic order and values their
+    estimates in that order, for the report's total; extensions insert
+    and delete by bisection, so no round sorts the margin.  memo maps
+    each candidate to its estimate.  by_value holds the estimates and
+    by_reduced those of the reduced-margin candidates, for the report's
+    vmax and rmax.
+
+    A state with a profit_kind (gn_profit) also keeps each candidate's
+    monotone envelope, sorted as profit takes it, and users maps each
+    index to the candidates whose envelope holds it.  An added index leaves every envelope that held
+    it.  A new candidate's envelope is itself plus the envelopes of its
+    missing backward neighbours, all of them margin members (for
+    k = i + e_n with i in Lambda, k - e_m = (i - e_m) + e_n).  by_profit
+    holds the profits; stale names the new candidates and those whose
+    envelope lost an added index, and only those get a profit again (see
+    profit).  The envelope of k holds every missing ancestor of k, so a
+    member whose estimate was dropped, a forward neighbour of an added
+    index, sits in an envelope that lost that index.
+    """
+
+    def __init__(self, indexset, profit_kind=None):
+        self.indexset = indexset
+        self.profit_kind = profit_kind
+        self.memo = {}
+        self.keys, self.values = [], []
+        self.by_value, self.by_reduced, self.by_profit = _LazyHeap(), _LazyHeap(), _LazyHeap()
+        self.envelopes, self.users, self.stale = {}, defaultdict(set), set()
+        # to estimate at the next report, in lexicographic order
+        self.pending = indexset.margin()
+        if profit_kind is not None:
+            for k in self.pending:
+                self._enter(k)
+
+    def _enter(self, k):
+        members = self.indexset.members
+        env = {k}
+        for m, km in enumerate(k):
+            if km:
+                back = backward(k, m)
+                if back not in members:
+                    env.update(self.envelopes[back])
+        self.envelopes[k] = sorted(env)
+        for j in env:
+            self.users[j].add(k)
+        self.stale.add(k)
+
+    def report(self, estimate):
+        """Estimate the pending candidates with estimate(k), in
+        lexicographic order, and report the whole margin."""
+        for k in self.pending:
+            value = self.memo[k] = estimate(k)
+            i = bisect.bisect_left(self.keys, k)
+            self.keys.insert(i, k)
+            self.values.insert(i, value)
+            self.by_value.push(k, value)
+            if k in self.indexset._reduced:
+                self.by_reduced.push(k, value)
+        fresh, self.pending = len(self.pending), []
+        # a nonempty set has a nonempty reduced margin
+        return EstimatorReport(
+            self.memo,
+            float(sum(self.values)),
+            -self.by_value.top()[0],
+            -self.by_reduced.top()[0],
+            len(self.memo) - fresh,
+        )
+
+    def best(self):
+        """The candidate of largest estimate, or of largest profit with a
+        profit_kind, ties broken lexicographically; after a report."""
+        if self.profit_kind is None:
+            return self.by_value.top()[1]
+        for k in self.stale:
+            if k in self.memo:
+                self.by_profit.push(k, profit(self.profit_kind, self.envelopes[k], self.memo))
+        self.stale.clear()
+        return self.by_profit.top()[1]
+
+    def absorb(self, added):
+        """Follow the index set through the addition of `added`, which it
+        already holds: forget what drop_stale names, and make the new
+        candidates and the forgotten ones still in the margin pending."""
+        keys = drop_stale(self.memo, added)
+        members = self.indexset.members
+        for k in keys:
+            i = bisect.bisect_left(self.keys, k)
+            if i < len(self.keys) and self.keys[i] == k:
+                del self.keys[i], self.values[i]
+            for heap in (self.by_value, self.by_reduced, self.by_profit):
+                heap.discard(k)
+        self.pending = sorted(k for k in keys if k not in members)
+        if self.profit_kind is None:
+            return
+        for j in map(tuple, added):
+            self.envelopes.pop(j, None)
+            for k in self.users.pop(j, ()):
+                # k's envelope holds every missing ancestor of k, so also
+                # the added backward neighbour of each member it dropped
+                if k in self.envelopes:
+                    self.envelopes[k].remove(j)
+                    self.stale.add(k)
+        for k in self.pending:
+            if k not in self.envelopes:
+                self._enter(k)
 
 
-def margin_report(P, disc, spec, memo=None):
+def margin_report(P, disc, spec, state=None):
     """Residual estimators for every full-margin candidate.
 
-    memo maps candidates to their values from earlier iterations of the
-    same run (a throwaway one when None).  Only the candidates missing
-    from it are estimated, in lexicographic order, and their values are
-    stored in it.  A kept value is exact in exact arithmetic until
-    drop_stale removes it.  Write a = a_0 + sum_m y_m a_m and
+    state is the run's MarginState over P's index set (a throwaway one
+    when None).  Only its pending candidates are estimated, in
+    lexicographic order; it keeps every other value from earlier rounds.
+    A kept value is exact in exact arithmetic until drop_stale removes
+    it.  Write a = a_0 + sum_m y_m a_m and
     u_Lambda = sum_{i in Lambda} Delta_i u; Delta_k acts dimension by
     dimension.  In dimension n, Delta_{k_n} keeps a basis function of
     level i_n if i_n = k_n and cancels it otherwise.  Times y_n it
@@ -357,20 +515,24 @@ def margin_report(P, disc, spec, memo=None):
     neighbours k - e_m (k itself is outside Lambda), for Leja, R-Leja
     and Clenshaw-Curtis alike; residual_estimator forms the value from
     exactly these blocks, with a quadrature that depends on k alone.
-    k's value changes only when some k - e_m is added.
+    k's value changes only when some k - e_m is added.  The report's
+    values are the state's memo, current until the state absorbs the
+    next extension.
     """
-    return _memo_report(
-        P.indexset.margin(),
-        set(map(tuple, P.indexset.reduced_margin())),
-        memo,
-        lambda k: residual_estimator(P, disc, k, spec),
-    )
+    if state is None:
+        state = MarginState(P.indexset)
+    elif state.indexset is not P.indexset:
+        raise ValueError("this margin state belongs to another index set")
+    return state.report(lambda k: residual_estimator(P, disc, k, spec))
 
 
 def reduced_margin_report(P, disc, spec, cache, memo=None):
     """Surplus indicators for every reduced-margin candidate.
 
-    memo works as for margin_report.  A reduced-margin candidate k has
+    memo maps candidates to their values from earlier iterations of the
+    same run (a throwaway one when None); only the candidates missing
+    from it are estimated, in lexicographic order, and stored in it.  A
+    reduced-margin candidate k has
     all its backward neighbours, and so every index i < k, in Lambda.
     At k's fresh points S_Lambda u involves only the blocks of indices
     i < k: the basis functions of a block with some i_m > k_m vanish
@@ -378,13 +540,17 @@ def reduced_margin_report(P, disc, spec, cache, memo=None):
     the argument and sums only those blocks).  So k's surplus, and its
     indicator, never change until k itself is added.
     """
-    cands = [tuple(k) for k in P.indexset.reduced_margin()]
-    return _memo_report(
-        cands,
-        set(cands),
-        memo,
-        lambda k: surplus_indicator(P, disc, k, spec, cache),
-    )
+    memo = {} if memo is None else memo
+    values, reused = {}, 0
+    for k in map(tuple, P.indexset.reduced_margin()):
+        if k in memo:
+            reused += 1
+        else:
+            memo[k] = surplus_indicator(P, disc, k, spec, cache)
+        values[k] = memo[k]
+    vmax = float(max(values.values())) if values else 0.0
+    # every candidate is in the reduced margin
+    return EstimatorReport(values, float(sum(values.values())), vmax, vmax, reused)
 
 
 def drop_stale(memo, added):
@@ -396,13 +562,13 @@ def drop_stale(memo, added):
     candidate's monotone envelope loses exactly the added indices it
     held and gains none, and the only values forgotten are these keys',
     so a value read off an envelope and its members' estimates, like
-    profit, can be stale only when its envelope meets one of them.
+    profit, can be stale only when its envelope meets one of them;
+    MarginState.absorb recomputes exactly those.
     """
     keys = set()
     for j in map(tuple, added):
         keys.add(j)
-        for m in range(len(j)):
-            keys.add(j[:m] + (j[m] + 1,) + j[m + 1 :])
+        keys.update(forward(j, m) for m in range(len(j)))
     for j in keys:
         memo.pop(j, None)
     return keys

@@ -11,12 +11,25 @@ is the smallest margin subset whose union with Lambda is monotone and
 contains k.
 
 MonotoneIndexSet maintains the margin and reduced margin incrementally
-and is what the adaptive loop uses.  Iterating over it is the one way
-to list its members, in lexicographic order; to_jsonable and
-from_jsonable (which takes the dimension) save and load it.  The test
-suite checks its caches against direct transcriptions of the
-definitions (tests/oracles.py).
+as sets and is what the adaptive loop uses.  Iterating over it is the
+one way to list its members, in lexicographic order; to_jsonable and
+from_jsonable (which takes the dimension) save and load it.  margin()
+and reduced_margin() sort their set on every call, so a caller that
+reads the margin every round keeps its own copy in order, as
+estimators.MarginState does.  forward and backward step one component
+of an index.  The test suite checks the caches against direct
+transcriptions of the definitions (tests/oracles.py).
 """
+
+
+def forward(k, m):
+    """k with one more unit in component m."""
+    return k[:m] + (k[m] + 1,) + k[m + 1 :]
+
+
+def backward(k, m):
+    """k with one unit less in component m."""
+    return k[:m] + (k[m] - 1,) + k[m + 1 :]
 
 
 class MonotoneIndexSet:
@@ -49,15 +62,9 @@ class MonotoneIndexSet:
     def __iter__(self):
         return iter(sorted(self.members))
 
-    def _forward(self, k, m):
-        return k[:m] + (k[m] + 1,) + k[m + 1 :]
-
-    def _backward(self, k, m):
-        return k[:m] + (k[m] - 1,) + k[m + 1 :]
-
     def _is_reduced(self, k):
         for m, km in enumerate(k):
-            if km > 0 and self._backward(k, m) not in self.members:
+            if km > 0 and backward(k, m) not in self.members:
                 return False
         return True
 
@@ -90,7 +97,7 @@ class MonotoneIndexSet:
         self._margin.discard(k)
         self._reduced.discard(k)
         for m in range(self.dim):
-            nxt = self._forward(k, m)
+            nxt = forward(k, m)
             if nxt not in self.members:
                 self._margin.add(nxt)
                 # k was possibly the last missing backward neighbour
@@ -123,7 +130,7 @@ class MonotoneIndexSet:
             out.add(j)
             for m, jm in enumerate(j):
                 if jm > 0:
-                    pred = self._backward(j, m)
+                    pred = backward(j, m)
                     if pred not in self.members and pred not in out:
                         stack.append(pred)
         return sorted(out)

@@ -9,6 +9,8 @@ any of it:
 * brute-force transcriptions of the index-set definitions, which
   MonotoneIndexSet's incremental caches are checked against;
 * the greedy Leja search that the tabulated Leja points come from;
+* the gn loop's rounds recomputed from the whole margin each round,
+  which estimators.MarginState's incremental rounds are checked against;
 * Lebesgue constants and detail norms on equispaced samples;
 * pointwise coefficients, H1_0 and element L2 row norms, and a Monte
   Carlo reference error.
@@ -20,9 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from sparseuq import kernels
+from sparseuq.estimators import drop_stale, fresh_solves, profit, residual_estimator
 from sparseuq.fem import SolveCache
 from sparseuq.interp import (
     _EINSUM_LETTERS,
+    SparseInterpolant,
     TensorDetail,
     TensorPoly,
     _fresh_inverse_rows,
@@ -367,6 +371,65 @@ def validate_caches(s):
     if not s.members:
         return s._margin == set() and s._reduced == set()
     return s._margin == margin(s.members) and s._reduced == reduced_margin(s.members)
+
+
+# ---------------------------------------------------------------------------
+# the gn loop, round by round from the whole margin
+
+
+def lex_argmax(values):
+    """The lexicographically smallest key of largest value."""
+    return min(values, key=lambda k: (-values[k], k))
+
+
+def memo_report(P, disc, spec, memo):
+    """The residual estimators of the sorted full margin as a dict, with
+    the row statistics a trace row takes from them: only candidates
+    missing from memo are estimated, and stored in it."""
+    reduced = set(P.indexset.reduced_margin())
+    values, reused = {}, 0
+    for k in P.indexset.margin():
+        if k in memo:
+            reused += 1
+        else:
+            memo[k] = residual_estimator(P, disc, k, spec)
+        values[k] = memo[k]
+    total = float(sum(values.values()))
+    vmax = float(max(values.values())) if values else 0.0
+    rvals = [values[k] for k in values if k in reduced]
+    rmax = max(rvals) if rvals else 0.0
+    if rmax > 0.0:
+        ratio_c = vmax / rmax
+    else:
+        ratio_c = math.inf if vmax > 0.0 else 1.0
+    return values, (total, vmax, ratio_c, len(values) - reused, reused)
+
+
+def gn_rounds(problem, disc, config):
+    """The rounds of adaptive.run_strategy for a gn strategy, each as
+    (marked, (total, vmax, ratio_c, fresh, reused)), with every profit
+    computed again from a fresh monotone envelope in every round; the
+    stopping round marks nothing."""
+    P = SparseInterpolant(config.nodes, problem.dim)
+    cache = SolveCache(disc)
+    root = (0,) * problem.dim
+    P.add_index(root, values=fresh_solves(P, cache, root))
+    memo, rounds = {}, []
+    for n in range(config.max_iter + 1):
+        values, stats = memo_report(P, disc, config.norm, memo)
+        if stats[0] <= config.tol or n + 1 > config.max_iter or cache.n_solves >= config.max_solves:
+            rounds.append(([], stats))
+            return rounds
+        s = P.indexset
+        if config.strategy == "gn_profit":
+            pis = {k: profit(config.nodes, s.monotone_envelope(k), values) for k in values}
+            marked = s.monotone_envelope(lex_argmax(pis))
+        else:
+            marked = s.monotone_envelope(lex_argmax(values))
+        rounds.append((marked, stats))
+        for k in marked:
+            P.add_index(k, values=fresh_solves(P, cache, k))
+        drop_stale(memo, marked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The adaptive loop: stopping, solve accounting, marking rules,
 budgets, rerun determinism and config validation."""
 
+import builtins
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from sparseuq import adaptive, interp
+from sparseuq import adaptive, estimators, interp, multiindex
 from sparseuq.adaptive import (
     AdaptiveConfig,
     STRATEGIES,
@@ -21,8 +22,9 @@ from sparseuq.fem import (
     build_problem,
 )
 from sparseuq.interp import SparseInterpolant
+from sparseuq.multiindex import MonotoneIndexSet
 
-from oracles import point_indices, validate_caches
+from oracles import gn_rounds, point_indices, validate_caches
 
 
 def const(c):
@@ -207,15 +209,21 @@ def test_gg_solves_each_point_once(monkeypatch):
 # -- marking ----------------------------------------------------------------
 
 
+def report_of(values):
+    # every candidate in the reduced margin, as gg reports
+    vmax = max(values.values())
+    return EstimatorReport(values, sum(values.values()), vmax, vmax, 0)
+
+
 def test_dorfler_mark_prefix():
-    rep = EstimatorReport({(0,): 0.5, (1,): 0.3, (2,): 0.2}, {(0,)})
+    rep = report_of({(0,): 0.5, (1,): 0.3, (2,): 0.2})
     assert _dorfler_mark(rep, 0.5) == [(0,)]
     assert _dorfler_mark(rep, 0.8) == [(0,), (1,)]
     assert _dorfler_mark(rep, 0.9) == [(0,), (1,), (2,)]
 
 
 def test_dorfler_tie_break_lexicographic():
-    rep = EstimatorReport({(1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.2}, set())
+    rep = report_of({(1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.2})
     assert _dorfler_mark(rep, 0.3) == [(0, 1)]
 
 
@@ -238,6 +246,17 @@ def test_gn_marks_whole_envelope():
     assert trace.rows[-1].n_indices == len(trace.interpolant.indexset)
 
 
+def row_stats(row):
+    """What a trace row reads off its report."""
+    return (
+        row.total_estimator,
+        row.max_estimator,
+        row.ratio_c,
+        row.estimates_fresh,
+        row.estimates_reused,
+    )
+
+
 def test_gn_profit_recomputes_only_stale_profits(monkeypatch):
     # profits are kept across iterations, so far fewer are computed than
     # one per margin candidate and row, and the run equals one whose
@@ -250,24 +269,79 @@ def test_gn_profit_recomputes_only_stale_profits(monkeypatch):
         calls.append(args)
         return profit(*args)
 
-    def counted_run():
-        calls.clear()
-        trace = run("gn_profit", p, disc, tol=1e-3)
-        return trace, len(calls)
-
-    monkeypatch.setattr(adaptive, "profit", counted)
-    kept, n_kept = counted_run()
-    monkeypatch.setattr(
-        adaptive, "_forget_profits", lambda pis, users, keys: (pis.clear(), users.clear())
-    )
-    fresh, n_fresh = counted_run()
+    monkeypatch.setattr(estimators, "profit", counted)
+    config = AdaptiveConfig(strategy="gn_profit", tol=1e-3)
+    kept = run_strategy(p, disc, config)
+    fresh = gn_rounds(p, disc, config)
     assert len(kept.rows) >= 30
     margins = sum(r.estimates_fresh + r.estimates_reused for r in kept.rows[:-1])
-    assert n_fresh == margins
-    assert n_kept < margins / 4
-    assert list(kept.interpolant.indexset) == list(fresh.interpolant.indexset)
+    assert len(calls) < margins / 4
+    assert [row_stats(r) for r in kept.rows] == [stats for _, stats in fresh]
+    marked = [k for ks, _ in fresh for k in ks]
+    assert list(kept.interpolant.indexset) == sorted([(0,) * 4] + marked)
 
-    assert [columns(r) for r in kept.rows] == [columns(r) for r in fresh.rows]
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("p", [2, "inf"])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+@pytest.mark.parametrize("strategy", ["gn_envelope", "gn_profit"])
+def test_gn_rounds_match_whole_margin_oracle(strategy, kind, p, symmetric, monkeypatch):
+    # in every round the margin state marks what a rescan of the whole
+    # margin marks, and its row reads the same report, bit for bit; three
+    # parameters with one coefficient tie estimates and profits exactly,
+    # and the ties go to the lexicographically smallest candidate
+    if symmetric:
+        problem = DiffusionProblem(3, const(2.0), [const(0.3)] * 3, const(1.0))
+    else:
+        problem = cosine_problem(3)
+    disc = SpatialDiscretization(problem, 32)
+    config = AdaptiveConfig(
+        strategy=strategy,
+        nodes=kind,
+        norm={"p": p, "sup_points_per_dim": 9},
+        tol=1e-5,
+        max_iter=40,
+    )
+    marked = []
+    add = adaptive._add_indices
+    monkeypatch.setattr(
+        adaptive, "_add_indices", lambda P, cache, ks: marked.append(list(ks)) or add(P, cache, ks)
+    )
+    trace = run_strategy(problem, disc, config)
+    want = gn_rounds(problem, disc, config)
+    assert len(trace.rows) == len(want) > 10
+    if symmetric:
+        assert marked[1] == [(0, 0, 1)]
+    assert marked[1:] == [ks for ks, _ in want[:-1]]
+    assert [row_stats(r) for r in trace.rows] == [stats for _, stats in want]
+
+
+def test_gn_profit_rounds_are_incremental(monkeypatch):
+    # a round costs what the last extension changed: one monotone
+    # envelope, for the mark, and no sort of the whole margin
+    problem = build_problem({"family": "cosine", "M": 6})
+    disc = SpatialDiscretization(problem, 32)
+    envelopes, sorts = [], []
+    envelope = MonotoneIndexSet.monotone_envelope
+
+    def counted_envelope(self, k):
+        envelopes.append(k)
+        return envelope(self, k)
+
+    def counted_sorted(items, **kwargs):
+        out = builtins.sorted(items, **kwargs)
+        sorts.append(len(out))
+        return out
+
+    monkeypatch.setattr(MonotoneIndexSet, "monotone_envelope", counted_envelope)
+    for mod in (adaptive, estimators, interp, multiindex):
+        monkeypatch.setattr(mod, "sorted", counted_sorted, raising=False)
+    config = AdaptiveConfig(strategy="gn_profit", tol=1e-12, max_iter=160)
+    trace = run_strategy(problem, disc, config)
+    assert trace.stop_reason == "max_iter" and len(trace.rows) == 161
+    assert len(envelopes) <= len(trace.rows) - 1
+    last = trace.rows[-1]
+    assert max(sorts) * 10 < last.estimates_fresh + last.estimates_reused
 
 
 # -- reference and effectivity ----------------------------------------------

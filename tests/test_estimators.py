@@ -3,18 +3,24 @@ against closed forms, profit weighting, reference errors."""
 
 import functools
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparseuq import estimators, kernels
-from sparseuq.adaptive import AdaptiveConfig, _forget_profits, _profit_argmax, run_strategy
+from sparseuq.adaptive import AdaptiveConfig, run_strategy
 from sparseuq.estimators import (
     _ROW_BLOCK,
     EstimatorReport,
+    MarginState,
     NormSpec,
     ReferenceRows,
     _euclidean_lp_norm,
@@ -22,7 +28,6 @@ from sparseuq.estimators import (
     drop_stale,
     fresh_solves,
     gauss_axis,
-    lex_argmax,
     margin_report,
     profit,
     reduced_margin_report,
@@ -53,6 +58,7 @@ from oracles import (
     HierarchicalBlock,
     h1_rows,
     l2_element_rows,
+    lex_argmax,
     monte_carlo_error,
     point_grid,
     tensor_values,
@@ -113,6 +119,42 @@ def test_gauss_axis_uniform_measure():
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     assert (w @ x**2) == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert (w @ x**4) == pytest.approx(1.0 / 5.0, abs=1e-14)
+
+
+def test_gauss_axis_matches_leggauss():
+    # leggauss's own steps, so the same bits with this NumPy; 2 ulp leaves
+    # room for another NumPy's eigensolver
+    for order in list(range(1, 301)) + [1025]:
+        x, w = gauss_axis(order)
+        x0, w0 = np.polynomial.legendre.leggauss(order)
+        assert x.shape == w.shape == (order,)
+        assert np.all(np.abs(x - x0) <= 2 * np.spacing(np.abs(x0))), order
+        assert np.all(np.abs(w - w0 / 2.0) <= 2 * np.spacing(w0 / 2.0)), order
+    with pytest.raises(ValueError, match="at least 1"):
+        gauss_axis(0)
+
+
+def test_p2_run_leaves_numpy_polynomial_unloaded():
+    # a p = 2 run with a reference error loads no numpy.polynomial module
+    # that importing the package did not
+    code = (
+        "import sys\n"
+        "from sparseuq import adaptive, fem\n"
+        "before = set(sys.modules)\n"
+        "p = fem.build_problem({'family': 'cosine', 'M': 2})\n"
+        "cfg = adaptive.AdaptiveConfig(strategy='gn_profit', tol=1e-3, reference_every=1)\n"
+        "adaptive.run_strategy(p, fem.SpatialDiscretization(p, 16), cfg)\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(estimators.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_sup_grid_budget():
@@ -613,9 +655,10 @@ def test_drop_stale_returns_forgotten_keys():
 
 @pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
 def test_kept_profits_equal_fresh_profits(kind):
-    # the gn_profit loop's profits, kept across envelope extensions and
-    # dropped through drop_stale's keys, equal fresh ones bit for bit,
-    # with estimates refreshed only for the keys drop_stale returns
+    # the profits a MarginState keeps across envelope extensions, and
+    # computes again only for the candidates absorb names, equal fresh
+    # ones bit for bit, with estimates refreshed only for the keys
+    # drop_stale returns
     rng = np.random.default_rng(71)
     kept = 0
     for dim in (2, 3, 4):
@@ -623,36 +666,69 @@ def test_kept_profits_equal_fresh_profits(kind):
         P = SparseInterpolant(kind, dim)
         random_monotone_growth(P, SolveCache(disc), rng, 1 + dim)
         s = MonotoneIndexSet(dim, P.indexset)
-        eta = {k: rng.random() for k in s.margin()}
-        pis, users = {}, {}
+        state = MarginState(s, kind)
         for step in range(10):
-            before = dict(pis)
-            _profit_argmax(s, kind, eta, pis, users)
-            assert set(pis) == set(eta) == set(s.margin())
-            for k, v in pis.items():
-                assert v == profit(kind, s.monotone_envelope(k), eta), (dim, step, k)
-            kept += sum(1 for k in before if k in pis)
+            before = dict(state.by_profit.live)
+            pending = list(state.pending)
+            estimated = []
+            state.report(lambda k: estimated.append(k) or rng.random())
+            assert estimated == pending
+            state.best()
+            live = state.by_profit.live
+            assert set(live) == set(state.memo) == set(s.margin())
+            for k, entry in live.items():
+                assert -entry[0] == profit(kind, s.monotone_envelope(k), state.memo), (dim, step, k)
+            kept += sum(1 for k, entry in before.items() if live.get(k) is entry)
             cand = s.margin()
             marked = s.monotone_envelope(cand[rng.integers(len(cand))])
             for j in marked:
                 s.add(j)
-            keys = drop_stale(eta, marked)
-            eta.update((j, rng.random()) for j in sorted(keys) if j not in s)
-            _forget_profits(pis, users, keys)
+            state.absorb(marked)
+            assert set(state.pending) == {j for j in drop_stale({}, marked) if j not in s}
     assert kept > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=25),
+)
+def test_margin_state_follows_the_index_set(dim, steps):
+    # after admissible additions, one reduced-margin index or a whole
+    # monotone envelope at a time, the state's ordered margin, values and
+    # envelopes equal what the index set gives from scratch
+    s = MonotoneIndexSet(dim, [(0,) * dim])
+    state = MarginState(s, "leja")
+    for step in range(len(steps) + 1):
+        state.report(lambda k: float(sum(k)) / (1 + k[0]))
+        assert state.keys == sorted(s._margin)
+        assert state.values == [state.memo[k] for k in state.keys]
+        assert set(state.envelopes) == s._margin
+        for k, env in state.envelopes.items():
+            assert env == s.monotone_envelope(k), k
+        if step == len(steps):
+            break
+        whole, pick = steps[step]
+        cand = s.margin() if whole else s.reduced_margin()
+        k = cand[pick % len(cand)]
+        added = s.monotone_envelope(k) if whole else [k]
+        for j in added:
+            s.add(j)
+        state.absorb(added)
 
 
 # -- reports ----------------------------------------------------------------
 
 
 def test_estimator_report_stats():
-    rep = EstimatorReport({(0, 1): 0.2, (1, 0): 0.5, (2, 0): 0.5}, {(0, 1), (1, 0)})
-    assert rep.total == pytest.approx(1.2, abs=1e-15)
-    assert rep.vmax == 0.5
+    values = {(0, 1): 0.2, (1, 0): 0.5, (2, 0): 0.5}
+    rep = EstimatorReport(values, 1.2, 0.5, 0.5, 1)
+    assert (rep.fresh, rep.reused) == (2, 1)
     assert lex_argmax(rep.values) == (1, 0)
     assert rep.ratio_c == 1.0
-    rep2 = EstimatorReport({(0, 1): 0.2, (2, 0): 0.5}, {(0, 1)})
-    assert rep2.ratio_c == pytest.approx(2.5, abs=1e-15)
+    assert EstimatorReport(values, 1.2, 0.5, 0.2, 0).ratio_c == pytest.approx(2.5, abs=1e-15)
+    assert EstimatorReport(values, 1.2, 0.5, 0.0, 0).ratio_c == math.inf
+    assert EstimatorReport({}, 0.0, 0.0, 0.0, 0).ratio_c == 1.0
 
 
 def test_margin_report_matches_direct():
@@ -663,6 +739,8 @@ def test_margin_report_matches_direct():
     assert set(rep.values) == set(map(tuple, P.indexset.margin()))
     for k, v in rep.values.items():
         assert v == residual_estimator(P, disc, k, spec)
+    with pytest.raises(ValueError, match="another index set"):
+        margin_report(P, disc, spec, MarginState(MonotoneIndexSet(1, [(0,)])))
 
 
 def test_reduced_margin_report_counts_solves():
@@ -687,16 +765,21 @@ def test_report_memo_matches_fresh(kind, strategy, p):
     cache = SolveCache(disc)
     tol = 1e-12 * float(h1_rows(disc, cache.solve_y(np.zeros((1, dim))))[0])
 
-    def report(memo=None):
+    def report(kept=None):
         if strategy == "gg":
-            return reduced_margin_report(P, disc, spec, cache, memo)
-        return margin_report(P, disc, spec, memo)
+            return reduced_margin_report(P, disc, spec, cache, kept)
+        return margin_report(P, disc, spec, kept)
 
     P = SparseInterpolant(kind, dim)
     P.add_index((0,) * dim, values=fresh_solves(P, cache, (0,) * dim))
-    memo, dropped, moved = {}, {}, 0
+    if strategy == "gg":
+        kept = memo = {}
+    else:
+        kept = MarginState(P.indexset)
+        memo = kept.memo
+    dropped, moved = {}, 0
     for step in range(7):
-        got, want = report(memo), report()
+        got, want = report(kept), report()
         assert set(got.values) == set(want.values) == set(memo)
         assert got.fresh == len(got.values) - got.reused
         for k, v in want.values.items():
@@ -715,7 +798,10 @@ def test_report_memo_matches_fresh(kind, strategy, p):
         before = dict(memo)
         for k in marked:
             P.add_index(k, values=fresh_solves(P, cache, k))
-        drop_stale(memo, marked)
+        if strategy == "gg":
+            drop_stale(memo, marked)
+        else:
+            kept.absorb(marked)
         dropped = {k: v for k, v in before.items() if k not in memo and k not in marked}
     # forward neighbours of added indices really change for gn, so the
     # comparison above would catch a memo that kept them
