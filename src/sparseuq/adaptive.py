@@ -24,15 +24,16 @@ wall_ms into estimate_ms (the margin report) and reference_ms (the
 reference error, if one is due).  A run keeps one ReferenceRows state,
 so each reference error updates the last one's rows.
 
-The gn strategies keep their margin in one estimators.MarginState, which
-follows each extension in time proportional to what it changed: the
-margin in order, its estimates, and for gn_profit each candidate's
-monotone envelope and profit.  A round marks the envelope of the
-state's best candidate, whose search pops stale entries off a heap
-instead of scanning the margin; a profit is computed again only when
-its envelope or one of its members' estimates changed, and
-estimators.profit says why every kept profit is exact.  gg keeps its
-surplus indicators in a plain mapping.
+Every run keeps its candidates, the margin or for gg the reduced
+margin, in one estimators.MarginState, which follows each extension in
+time proportional to what it changed: the candidates in order, their
+estimates, and for gn_profit each candidate's monotone envelope and
+profit.  The strategy picks the report and the marking rule once,
+before the loop.  gn marks the envelope of the state's best candidate,
+whose search pops stale entries off a heap instead of scanning the
+margin; a profit is computed again only when its envelope or one of
+its members' estimates changed, and estimators.profit says why every
+kept profit is exact.  gg's Dorfler prefix walks the same value heap.
 
 Every run starts from the singleton zero index, estimates candidates in
 lexicographic order and breaks ties lexicographically, so reruns are
@@ -47,7 +48,6 @@ from .estimators import (
     MarginState,
     NormSpec,
     ReferenceRows,
-    drop_stale,
     fresh_solves,
     margin_report,
     reduced_margin_report,
@@ -200,15 +200,15 @@ def _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row):
     return row
 
 
-def _dorfler_mark(report, theta):
-    """Smallest prefix of candidates (by decreasing value) reaching
-    theta times the total; candidates tie-broken lexicographically."""
-    order = sorted(report.values, key=lambda k: (-report.values[k], k))
-    target = theta * report.total
+def _dorfler_mark(state, theta):
+    """Smallest prefix of the state's candidates, by decreasing estimate
+    with ties broken lexicographically, whose estimates reach theta
+    times their total (at theta 0 the heap top); no sort."""
+    target = theta * state.total
     marked, acc = [], 0.0
-    for k in order:
+    for negative, k in state.by_value.ordered():
         marked.append(k)
-        acc += report.values[k]
+        acc -= negative
         if acc >= target:
             break
     return marked
@@ -227,18 +227,18 @@ def run_strategy(problem, disc, config, on_row=None):
     every = config.reference_every
     state = ReferenceRows()
     _add_indices(P, cache, [(0,) * problem.dim])
+    profit_kind = config.nodes if config.strategy == "gn_profit" else None
+    margin = MarginState(P.indexset, profit_kind, reduced=is_gg)
     if is_gg:
-        surpluses = {}
+        estimate = lambda: reduced_margin_report(P, disc, config.norm, cache, margin)
+        mark = lambda: _dorfler_mark(margin, config.dorfler)
     else:
-        profit_kind = config.nodes if config.strategy == "gn_profit" else None
-        margin = MarginState(P.indexset, profit_kind)
+        estimate = lambda: margin_report(P, disc, config.norm, margin)
+        mark = lambda: P.indexset.monotone_envelope(margin.best())
     n = 0
     while True:
         t0 = time.perf_counter()
-        if is_gg:
-            report = reduced_margin_report(P, disc, config.norm, cache, surpluses)
-        else:
-            report = margin_report(P, disc, config.norm, margin)
+        report = estimate()
         estimate_ms = (time.perf_counter() - t0) * 1000.0
         due = every > 0 and n % every == 0
         counts = (report.fresh, report.reused)
@@ -252,23 +252,17 @@ def run_strategy(problem, disc, config, on_row=None):
         if cache.n_solves >= config.max_solves:
             trace.stop_reason = "max_solves"
             break
-        if is_gg:
-            marked = _dorfler_mark(report, config.dorfler)
-        else:
-            marked = P.indexset.monotone_envelope(margin.best())
+        marked = mark()
         _add_indices(P, cache, marked)
-        if is_gg:
-            drop_stale(surpluses, marked)
-        else:
-            margin.absorb(marked)
+        margin.absorb(marked)
         n += 1
     if is_gg:
-        _augment_gg(trace, disc, report, state, on_row)
+        _augment_gg(trace, disc, report, margin.keys, state, on_row)
     return trace
 
 
-def _augment_gg(trace, disc, report, state, on_row):
-    """Absorb the whole reduced margin after the loop.
+def _augment_gg(trace, disc, report, pending, state, on_row):
+    """Absorb the whole reduced margin, pending, after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
@@ -280,9 +274,6 @@ def _augment_gg(trace, disc, report, state, on_row):
     """
     P, cache, last = trace.interpolant, trace.cache, trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
-    pending = [tuple(k) for k in P.indexset.reduced_margin()]
-    if not pending:
-        return
     before = cache.n_solves
     _add_indices(P, cache, pending)
     if cache.n_solves != before:

@@ -379,6 +379,14 @@ class _LazyHeap:
     def discard(self, k):
         self.live.pop(k, None)
 
+    def ordered(self):
+        """The live entries from largest value down, popped off a copy."""
+        heap = list(self.heap)
+        while heap:
+            entry = heapq.heappop(heap)
+            if self.live.get(entry[1]) is entry:
+                yield entry
+
     def top(self):
         """The live entry of largest value."""
         heap = self.heap
@@ -388,38 +396,45 @@ class _LazyHeap:
 
 
 class MarginState:
-    """The margin of a gn run between its rounds, with every candidate's
-    estimate kept until an extension can change it.
+    """The candidates of an adaptive run between its rounds, with every
+    candidate's estimate kept until an extension can change it.
 
-    keys is the margin in lexicographic order and values their
-    estimates in that order, for the report's total; extensions insert
-    and delete by bisection, so no round sorts the margin.  memo maps
-    each candidate to its estimate.  by_value holds the estimates and
-    by_reduced those of the reduced-margin candidates, for the report's
-    vmax and rmax.
+    The candidates are the margin, or with reduced (gg) the reduced
+    margin.  keys holds them in lexicographic order and values their
+    estimates in that order, whose sum is the report's total, kept as
+    total; extensions insert and delete by bisection, so no round sorts
+    the candidates.  memo maps each candidate to its estimate.  by_value
+    holds the estimates and by_reduced those of the reduced-margin
+    candidates, for the report's vmax and rmax.  An index enters the
+    margin, or the reduced margin, only when a backward neighbour is
+    added, so the candidates drop_stale names are all absorb must
+    estimate again.
 
     A state with a profit_kind (gn_profit) also keeps each candidate's
     monotone envelope, sorted as profit takes it, and users maps each
-    index to the candidates whose envelope holds it.  An added index leaves every envelope that held
-    it.  A new candidate's envelope is itself plus the envelopes of its
-    missing backward neighbours, all of them margin members (for
-    k = i + e_n with i in Lambda, k - e_m = (i - e_m) + e_n).  by_profit
-    holds the profits; stale names the new candidates and those whose
-    envelope lost an added index, and only those get a profit again (see
-    profit).  The envelope of k holds every missing ancestor of k, so a
-    member whose estimate was dropped, a forward neighbour of an added
-    index, sits in an envelope that lost that index.
+    index to the candidates whose envelope holds it.  An added index
+    leaves every envelope that held it.  A new candidate's envelope is
+    itself plus the envelopes of its missing backward neighbours, all of
+    them margin members (for k = i + e_n with i in Lambda,
+    k - e_m = (i - e_m) + e_n).  by_profit holds the profits; stale
+    names the new candidates and those whose envelope lost an added
+    index, and only those get a profit again (see profit).  The envelope
+    of k holds every missing ancestor of k, so a member whose estimate
+    was dropped, a forward neighbour of an added index, sits in an
+    envelope that lost that index.
     """
 
-    def __init__(self, indexset, profit_kind=None):
+    def __init__(self, indexset, profit_kind=None, reduced=False):
         self.indexset = indexset
         self.profit_kind = profit_kind
+        # the index set's own candidate set, kept current by its add
+        self.candidates = indexset._reduced if reduced else indexset._margin
         self.memo = {}
-        self.keys, self.values = [], []
+        self.keys, self.values, self.total = [], [], 0.0
         self.by_value, self.by_reduced, self.by_profit = _LazyHeap(), _LazyHeap(), _LazyHeap()
         self.envelopes, self.users, self.stale = {}, defaultdict(set), set()
         # to estimate at the next report, in lexicographic order
-        self.pending = indexset.margin()
+        self.pending = indexset.reduced_margin() if reduced else indexset.margin()
         if profit_kind is not None:
             for k in self.pending:
                 self._enter(k)
@@ -439,7 +454,7 @@ class MarginState:
 
     def report(self, estimate):
         """Estimate the pending candidates with estimate(k), in
-        lexicographic order, and report the whole margin."""
+        lexicographic order, and report every candidate."""
         for k in self.pending:
             value = self.memo[k] = estimate(k)
             i = bisect.bisect_left(self.keys, k)
@@ -449,10 +464,11 @@ class MarginState:
             if k in self.indexset._reduced:
                 self.by_reduced.push(k, value)
         fresh, self.pending = len(self.pending), []
+        self.total = float(sum(self.values))
         # a nonempty set has a nonempty reduced margin
         return EstimatorReport(
             self.memo,
-            float(sum(self.values)),
+            self.total,
             -self.by_value.top()[0],
             -self.by_reduced.top()[0],
             len(self.memo) - fresh,
@@ -471,17 +487,16 @@ class MarginState:
 
     def absorb(self, added):
         """Follow the index set through the addition of `added`, which it
-        already holds: forget what drop_stale names, and make the new
-        candidates and the forgotten ones still in the margin pending."""
+        already holds: forget what drop_stale names, and make those of
+        them that are now candidates pending."""
         keys = drop_stale(self.memo, added)
-        members = self.indexset.members
         for k in keys:
             i = bisect.bisect_left(self.keys, k)
             if i < len(self.keys) and self.keys[i] == k:
                 del self.keys[i], self.values[i]
             for heap in (self.by_value, self.by_reduced, self.by_profit):
                 heap.discard(k)
-        self.pending = sorted(k for k in keys if k not in members)
+        self.pending = sorted(k for k in keys if k in self.candidates)
         if self.profit_kind is None:
             return
         for j in map(tuple, added):
@@ -521,36 +536,30 @@ def margin_report(P, disc, spec, state=None):
     """
     if state is None:
         state = MarginState(P.indexset)
-    elif state.indexset is not P.indexset:
-        raise ValueError("this margin state belongs to another index set")
+    elif state.candidates is not P.indexset._margin:
+        raise ValueError("this margin state belongs to another index set or candidate rule")
     return state.report(lambda k: residual_estimator(P, disc, k, spec))
 
 
-def reduced_margin_report(P, disc, spec, cache, memo=None):
+def reduced_margin_report(P, disc, spec, cache, state=None):
     """Surplus indicators for every reduced-margin candidate.
 
-    memo maps candidates to their values from earlier iterations of the
-    same run (a throwaway one when None); only the candidates missing
-    from it are estimated, in lexicographic order, and stored in it.  A
-    reduced-margin candidate k has
+    state is the run's MarginState over P's index set, made with
+    reduced (a throwaway one when None); only its pending candidates are
+    estimated, in lexicographic order.  A reduced-margin candidate k has
     all its backward neighbours, and so every index i < k, in Lambda.
     At k's fresh points S_Lambda u involves only the blocks of indices
     i < k: the basis functions of a block with some i_m > k_m vanish
     exactly on level k_m's nodes (SparseInterpolant.value_below states
     the argument and sums only those blocks).  So k's surplus, and its
-    indicator, never change until k itself is added.
+    indicator, never change until k itself is added, and drop_stale
+    forgets it only then.
     """
-    memo = {} if memo is None else memo
-    values, reused = {}, 0
-    for k in map(tuple, P.indexset.reduced_margin()):
-        if k in memo:
-            reused += 1
-        else:
-            memo[k] = surplus_indicator(P, disc, k, spec, cache)
-        values[k] = memo[k]
-    vmax = float(max(values.values())) if values else 0.0
-    # every candidate is in the reduced margin
-    return EstimatorReport(values, float(sum(values.values())), vmax, vmax, reused)
+    if state is None:
+        state = MarginState(P.indexset, reduced=True)
+    elif state.candidates is not P.indexset._reduced:
+        raise ValueError("this margin state belongs to another index set or candidate rule")
+    return state.report(lambda k: surplus_indicator(P, disc, k, spec, cache))
 
 
 def drop_stale(memo, added):

@@ -14,10 +14,10 @@ MonotoneIndexSet maintains the margin and reduced margin incrementally
 as sets and is what the adaptive loop uses.  Iterating over it is the
 one way to list its members, in lexicographic order; to_jsonable and
 from_jsonable (which takes the dimension) save and load it.  margin()
-and reduced_margin() sort their set on every call, so a caller that
-reads the margin every round keeps its own copy in order, as
-estimators.MarginState does.  forward and backward step one component
-of an index.  The test suite checks the caches against direct
+and reduced_margin() sort their set on every call, so an adaptive run,
+which reads its candidates every round, keeps its own copy of either in
+order, in one estimators.MarginState.  forward and backward step one
+component of an index.  The test suite checks the caches against direct
 transcriptions of the definitions (tests/oracles.py).
 """
 

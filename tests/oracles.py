@@ -9,8 +9,9 @@ any of it:
 * brute-force transcriptions of the index-set definitions, which
   MonotoneIndexSet's incremental caches are checked against;
 * the greedy Leja search that the tabulated Leja points come from;
-* the gn loop's rounds recomputed from the whole margin each round,
-  which estimators.MarginState's incremental rounds are checked against;
+* the gn loop's rounds recomputed from the whole margin each round, and
+  the gg loop's from the whole reduced margin, which
+  estimators.MarginState's incremental rounds are checked against;
 * Lebesgue constants and detail norms on equispaced samples;
 * pointwise coefficients, H1_0 and element L2 row norms, and a Monte
   Carlo reference error.
@@ -22,7 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from sparseuq import kernels
-from sparseuq.estimators import drop_stale, fresh_solves, profit, residual_estimator
+from sparseuq.estimators import (
+    drop_stale,
+    fresh_solves,
+    profit,
+    residual_estimator,
+    surplus_indicator,
+)
 from sparseuq.fem import SolveCache
 from sparseuq.interp import (
     _EINSUM_LETTERS,
@@ -426,6 +433,42 @@ def gn_rounds(problem, disc, config):
             marked = s.monotone_envelope(lex_argmax(pis))
         else:
             marked = s.monotone_envelope(lex_argmax(values))
+        rounds.append((marked, stats))
+        for k in marked:
+            P.add_index(k, values=fresh_solves(P, cache, k))
+        drop_stale(memo, marked)
+
+
+def gg_rounds(problem, disc, config):
+    """The rounds of adaptive.run_strategy for gg, each as
+    (marked, (total, vmax, ratio_c, fresh, reused)), with the reduced
+    margin read from the index set into a dict memo every round and the
+    Dorfler prefix taken from all its values sorted; the stopping round
+    marks the reduced margin that augments the set."""
+    P = SparseInterpolant(config.nodes, problem.dim)
+    cache = SolveCache(disc)
+    root = (0,) * problem.dim
+    P.add_index(root, values=fresh_solves(P, cache, root))
+    memo, rounds = {}, []
+    for n in range(config.max_iter + 1):
+        values, reused = {}, 0
+        for k in map(tuple, P.indexset.reduced_margin()):
+            if k in memo:
+                reused += 1
+            else:
+                memo[k] = surplus_indicator(P, disc, k, config.norm, cache)
+            values[k] = memo[k]
+        total, vmax = float(sum(values.values())), float(max(values.values()))
+        stats = (total, vmax, 1.0, len(values) - reused, reused)
+        if total <= config.tol or n + 1 > config.max_iter or cache.n_solves >= config.max_solves:
+            rounds.append((sorted(values), stats))
+            return rounds
+        marked, acc = [], 0.0
+        for k in sorted(values, key=lambda k: (-values[k], k)):
+            marked.append(k)
+            acc += values[k]
+            if acc >= config.dorfler * total:
+                break
         rounds.append((marked, stats))
         for k in marked:
             P.add_index(k, values=fresh_solves(P, cache, k))

@@ -14,7 +14,7 @@ from sparseuq.adaptive import (
     _dorfler_mark,
     run_strategy,
 )
-from sparseuq.estimators import EstimatorReport, profit
+from sparseuq.estimators import MarginState, profit
 from sparseuq.fem import (
     DiffusionProblem,
     EllipticityError,
@@ -24,7 +24,7 @@ from sparseuq.fem import (
 from sparseuq.interp import SparseInterpolant
 from sparseuq.multiindex import MonotoneIndexSet
 
-from oracles import gn_rounds, point_indices, validate_caches
+from oracles import gg_rounds, gn_rounds, point_indices, validate_caches
 
 
 def const(c):
@@ -209,22 +209,38 @@ def test_gg_solves_each_point_once(monkeypatch):
 # -- marking ----------------------------------------------------------------
 
 
-def report_of(values):
-    # every candidate in the reduced margin, as gg reports
-    vmax = max(values.values())
-    return EstimatorReport(values, sum(values.values()), vmax, vmax, 0)
+def state_of(values):
+    # a gg state holding the estimates of values and their total
+    state = MarginState(MonotoneIndexSet(1, [(0,)]), reduced=True)
+    for k, v in values.items():
+        state.by_value.push(k, v)
+    state.total = sum(values.values())
+    return state
 
 
 def test_dorfler_mark_prefix():
-    rep = report_of({(0,): 0.5, (1,): 0.3, (2,): 0.2})
-    assert _dorfler_mark(rep, 0.5) == [(0,)]
-    assert _dorfler_mark(rep, 0.8) == [(0,), (1,)]
-    assert _dorfler_mark(rep, 0.9) == [(0,), (1,), (2,)]
+    state = state_of({(0,): 0.5, (1,): 0.3, (2,): 0.2})
+    assert _dorfler_mark(state, 0.5) == [(0,)]
+    assert _dorfler_mark(state, 0.8) == [(0,), (1,)]
+    assert _dorfler_mark(state, 0.9) == [(0,), (1,), (2,)]
 
 
 def test_dorfler_tie_break_lexicographic():
-    rep = report_of({(1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.2})
-    assert _dorfler_mark(rep, 0.3) == [(0, 1)]
+    state = state_of({(1, 0): 0.4, (0, 1): 0.4, (0, 0): 0.2})
+    assert _dorfler_mark(state, 0.3) == [(0, 1)]
+
+
+def test_dorfler_mark_skips_stale_entries():
+    # a discarded or replaced estimate stays in the heap; the walk skips
+    # it and leaves the state's heap as it was
+    state = state_of({(0,): 0.5, (1,): 0.3, (2,): 0.2})
+    state.by_value.discard((0,))
+    state.by_value.push((1,), 0.05)
+    state.total = 0.25
+    heap = list(state.by_value.heap)
+    assert _dorfler_mark(state, 0.0) == [(2,)]
+    assert _dorfler_mark(state, 0.9) == [(2,), (1,)]
+    assert state.by_value.heap == heap
 
 
 def test_gg_dorfler_smoke():
@@ -342,6 +358,70 @@ def test_gn_profit_rounds_are_incremental(monkeypatch):
     assert len(envelopes) <= len(trace.rows) - 1
     last = trace.rows[-1]
     assert max(sorts) * 10 < last.estimates_fresh + last.estimates_reused
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("p", [2, "inf"])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_gg_rounds_match_reduced_margin_oracle(kind, p, theta, monkeypatch):
+    # in every round the margin state marks the Dorfler prefix that a
+    # sort of the whole reduced margin marks, its row reads the same
+    # report, bit for bit, and the augmentation adds the same indices
+    problem = cosine_problem(3)
+    disc = SpatialDiscretization(problem, 32)
+    config = AdaptiveConfig(
+        strategy="gg",
+        nodes=kind,
+        norm={"p": p, "sup_points_per_dim": 9},
+        tol=1e-5,
+        max_iter=40,
+        dorfler=theta,
+    )
+    marked = []
+    add = adaptive._add_indices
+    monkeypatch.setattr(
+        adaptive, "_add_indices", lambda P, cache, ks: marked.append(list(ks)) or add(P, cache, ks)
+    )
+    trace = run_strategy(problem, disc, config)
+    want = gg_rounds(problem, disc, config)
+    assert trace.augmented and len(trace.rows) == len(want) + 1 > 10
+    assert marked[1:] == [ks for ks, _ in want]
+    assert [row_stats(r) for r in trace.rows[:-1]] == [stats for _, stats in want]
+    assert row_stats(trace.rows[-1]) == want[-1][1][:3] + (0, 0)
+
+
+@pytest.mark.parametrize("theta, rounds", [(0.0, 160), (0.5, 30)])
+def test_gg_rounds_are_incremental(theta, rounds, monkeypatch):
+    # a round costs what the last extension changed: no sort longer than
+    # one round's fresh estimates and no rescan of the reduced margin.  A
+    # Dorfler round at 0.5 marks and estimates afresh a large share of
+    # the reduced margin, whose growth keeps that run short
+    problem = build_problem({"family": "cosine", "M": 6})
+    disc = SpatialDiscretization(problem, 32)
+    rescans, sorts = [], []
+    reduced_margin = MonotoneIndexSet.reduced_margin
+
+    def counted_reduced_margin(self):
+        rescans.append(len(self))
+        return reduced_margin(self)
+
+    def counted_sorted(items, **kwargs):
+        out = builtins.sorted(items, **kwargs)
+        sorts.append(len(out))
+        return out
+
+    monkeypatch.setattr(MonotoneIndexSet, "reduced_margin", counted_reduced_margin)
+    for mod in (adaptive, estimators, interp, multiindex):
+        monkeypatch.setattr(mod, "sorted", counted_sorted, raising=False)
+    config = AdaptiveConfig(strategy="gg", tol=1e-12, max_iter=rounds, dorfler=theta)
+    trace = run_strategy(problem, disc, config)
+    assert trace.stop_reason == "max_iter" and len(trace.rows) == rounds + 2
+    # the state reads the reduced margin of the root alone
+    assert rescans == [1]
+    assert max(sorts) <= max(r.estimates_fresh for r in trace.rows)
+    last = trace.rows[-2]
+    if theta == 0.0:
+        assert max(sorts) * 10 < last.estimates_fresh + last.estimates_reused
 
 
 # -- reference and effectivity ----------------------------------------------

@@ -688,22 +688,24 @@ def test_kept_profits_equal_fresh_profits(kind):
     assert kept > 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
+    st.booleans(),
     st.integers(1, 4),
     st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=25),
 )
-def test_margin_state_follows_the_index_set(dim, steps):
+def test_margin_state_follows_the_index_set(reduced, dim, steps):
     # after admissible additions, one reduced-margin index or a whole
-    # monotone envelope at a time, the state's ordered margin, values and
-    # envelopes equal what the index set gives from scratch
+    # monotone envelope at a time, the state's ordered candidates (the
+    # margin, or the reduced margin), values and envelopes equal what the
+    # index set gives from scratch
     s = MonotoneIndexSet(dim, [(0,) * dim])
-    state = MarginState(s, "leja")
+    state = MarginState(s, None if reduced else "leja", reduced=reduced)
     for step in range(len(steps) + 1):
         state.report(lambda k: float(sum(k)) / (1 + k[0]))
-        assert state.keys == sorted(s._margin)
+        assert state.keys == sorted(s._reduced if reduced else s._margin)
         assert state.values == [state.memo[k] for k in state.keys]
-        assert set(state.envelopes) == s._margin
+        assert set(state.envelopes) == (set() if reduced else s._margin)
         for k, env in state.envelopes.items():
             assert env == s.monotone_envelope(k), k
         if step == len(steps):
@@ -741,6 +743,8 @@ def test_margin_report_matches_direct():
         assert v == residual_estimator(P, disc, k, spec)
     with pytest.raises(ValueError, match="another index set"):
         margin_report(P, disc, spec, MarginState(MonotoneIndexSet(1, [(0,)])))
+    with pytest.raises(ValueError, match="candidate rule"):
+        margin_report(P, disc, spec, MarginState(P.indexset, reduced=True))
 
 
 def test_reduced_margin_report_counts_solves():
@@ -750,13 +754,15 @@ def test_reduced_margin_report_counts_solves():
     assert set(rep.values) == {(2,)}
     assert cache.n_solves == 3
     assert rep.ratio_c == 1.0
+    with pytest.raises(ValueError, match="candidate rule"):
+        reduced_margin_report(P, disc, NormSpec(p=2), cache, MarginState(P.indexset))
 
 
 @pytest.mark.parametrize("strategy, p", [("gn", 2), ("gn", "inf"), ("gg", 2)])
 @pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
 def test_report_memo_matches_fresh(kind, strategy, p):
-    # a memo kept across steps and pruned by drop_stale gives the values
-    # and candidates of a from-scratch report after every step
+    # a margin state kept across steps, which drop_stale prunes, gives the
+    # values and candidates of a from-scratch report after every step
     rng = np.random.default_rng(53)
     dim = 3
     spec = NormSpec(p=p, sup_points_per_dim=9)
@@ -772,11 +778,8 @@ def test_report_memo_matches_fresh(kind, strategy, p):
 
     P = SparseInterpolant(kind, dim)
     P.add_index((0,) * dim, values=fresh_solves(P, cache, (0,) * dim))
-    if strategy == "gg":
-        kept = memo = {}
-    else:
-        kept = MarginState(P.indexset)
-        memo = kept.memo
+    kept = MarginState(P.indexset, reduced=strategy == "gg")
+    memo = kept.memo
     dropped, moved = {}, 0
     for step in range(7):
         got, want = report(kept), report()
@@ -798,10 +801,7 @@ def test_report_memo_matches_fresh(kind, strategy, p):
         before = dict(memo)
         for k in marked:
             P.add_index(k, values=fresh_solves(P, cache, k))
-        if strategy == "gg":
-            drop_stale(memo, marked)
-        else:
-            kept.absorb(marked)
+        kept.absorb(marked)
         dropped = {k: v for k, v in before.items() if k not in memo and k not in marked}
     # forward neighbours of added indices really change for gn, so the
     # comparison above would catch a memo that kept them
