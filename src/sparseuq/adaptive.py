@@ -17,19 +17,20 @@ chosen by AdaptiveConfig.strategy:
 Each candidate is estimated once: a run keeps its estimator values
 from one iteration to the next, and after adding the marked indices
 drops only the values the additions can change, those of the added
-indices and of their forward neighbours (drop_stale; margin_report and
-reduced_margin_report give the exactness arguments).  A trace row
-counts the values estimated for it and those reused, and splits its
-wall_ms into estimate_ms (the margin report) and reference_ms (the
-reference error, if one is due).  A run keeps one ReferenceRows state,
-so each reference error updates the last one's rows.
+indices and of their forward neighbours (MarginState.absorb; the
+reports give the exactness arguments).  A trace row counts the values
+estimated for it and those reused, and splits its wall_ms into
+estimate_ms (the margin report) and reference_ms (the reference error,
+if one is due).  A run keeps one ReferenceRows state, so each
+reference error updates the last one's rows.
 
 Every run keeps its candidates, the margin or for gg the reduced
-margin, in one estimators.MarginState, which follows each extension in
-time proportional to what it changed: the candidates in order, their
-estimates, and for gn_profit each candidate's monotone envelope and
-profit.  The strategy picks the report and the marking rule once,
-before the loop.  gn marks the envelope of the state's best candidate,
+margin, in one estimators.MarginState, which is also each round's
+report; the index set keeps only its members.  The state follows each
+extension in time proportional to what it changed: the candidates in
+order, their estimates, and for gn_profit each candidate's monotone
+envelope and profit.  The strategy picks the report and the marking
+rule once, before the loop.  gn marks the envelope of the state's best candidate,
 whose search pops stale entries off a heap instead of scanning the
 margin; a profit is computed again only when its envelope or one of
 its members' estimates changed, and estimators.profit says why every
@@ -134,7 +135,6 @@ class AdaptiveTrace:
         self.interpolant = None
         self.cache = None
         self.stop_reason = None
-        self.augmented = False
         self.pre_augmentation_error = None
         self.post_augmentation_error = None
 
@@ -257,12 +257,12 @@ def run_strategy(problem, disc, config, on_row=None):
         margin.absorb(marked)
         n += 1
     if is_gg:
-        _augment_gg(trace, disc, report, margin.keys, state, on_row)
+        _augment_gg(trace, disc, margin, state, on_row)
     return trace
 
 
-def _augment_gg(trace, disc, report, pending, state, on_row):
-    """Absorb the whole reduced margin, pending, after the loop.
+def _augment_gg(trace, disc, report, state, on_row):
+    """Absorb the whole reduced margin, report.keys, after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
@@ -275,10 +275,9 @@ def _augment_gg(trace, disc, report, pending, state, on_row):
     P, cache, last = trace.interpolant, trace.cache, trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
     before = cache.n_solves
-    _add_indices(P, cache, pending)
+    _add_indices(P, cache, report.keys)
     if cache.n_solves != before:
         raise RuntimeError("augmentation must reuse cached solves")
-    trace.augmented = True
     due = trace.config.reference_every > 0
     row = _row(trace, last.n + 1, disc, state, report, due, 0.0, (0, 0), on_row)
     trace.post_augmentation_error = row.reference_error

@@ -196,7 +196,10 @@ def run_experiment(config_path, outdir=None):
     if not isinstance(cfg["outdir"], str):
         raise ConfigError("outdir must be a path, got %r" % (cfg["outdir"],))
     out = Path(cfg["outdir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create outdir %s: %s" % (out, exc))
     log.info(
         "problem %s: M=%d a_min=%.6g a_max=%.6g alpha=%.6g",
         phash,
@@ -259,7 +262,11 @@ def load_interpolant(path):
 
 def read_trace(path):
     path = Path(path)
-    with path.open() as fh:
+    try:
+        fh = path.open()
+    except OSError as exc:
+        raise ConfigError("cannot read trace %s: %s" % (path, exc))
+    with fh:
         first = fh.readline()
         if not first.startswith("# problem_hash="):
             raise ConfigError("%s: missing problem_hash header" % path)

@@ -330,37 +330,14 @@ def profit(kind, env, eta):
     Lambda: Lambda is downward closed, so a walk down from k through
     missing indices reaches each of them.  Adding indices outside it
     therefore leaves it unchanged, and a member's value changes only
-    when drop_stale forgets it.  So a profit whose envelope meets none
-    of the keys drop_stale returned is the same, bit for bit, after the
-    extension, and MarginState computes again only the others.
+    when MarginState.absorb forgets it, as an added index or a forward
+    neighbour of one.  So a profit whose envelope meets none of these
+    keys is the same, bit for bit, after the extension, and MarginState
+    computes again only the others.
     """
     num = sum(eta[j] for j in env)
     den = sum(work(kind, j) for j in env)
     return num / den
-
-
-class EstimatorReport:
-    """Per-candidate estimator values for one adaptive iteration.
-
-    values maps each candidate to its value.  total is the builtin sum
-    of the values in lexicographic order of the candidates, so the bits
-    depend on the Python version alone; vmax is their maximum and rmax
-    the largest value of a reduced-margin candidate (0.0 without one),
-    from which ratio_c follows.  `reused` counts the values taken from
-    an earlier iteration, `fresh` those estimated for this report.
-    """
-
-    def __init__(self, values, total, vmax, rmax, reused):
-        self.values = values
-        self.total = total
-        self.vmax = vmax
-        self.reused = reused
-        self.fresh = len(values) - reused
-        # sanity diagnostic: how much larger the full-margin maximum is
-        if rmax > 0.0:
-            self.ratio_c = vmax / rmax
-        else:
-            self.ratio_c = math.inf if vmax > 0.0 else 1.0
 
 
 class _LazyHeap:
@@ -396,19 +373,19 @@ class _LazyHeap:
 
 
 class MarginState:
-    """The candidates of an adaptive run between its rounds, with every
-    candidate's estimate kept until an extension can change it.
+    """The candidates of an adaptive run and its round's report, with
+    every candidate's estimate kept until an extension can change it.
 
     The candidates are the margin, or with reduced (gg) the reduced
-    margin.  keys holds them in lexicographic order and values their
-    estimates in that order, whose sum is the report's total, kept as
-    total; extensions insert and delete by bisection, so no round sorts
-    the candidates.  memo maps each candidate to its estimate.  by_value
-    holds the estimates and by_reduced those of the reduced-margin
-    candidates, for the report's vmax and rmax.  An index enters the
-    margin, or the reduced margin, only when a backward neighbour is
-    added, so the candidates drop_stale names are all absorb must
-    estimate again.
+    margin, read off the index set once; absorb follows each extension.
+    keys holds them in lexicographic order and values their estimates
+    in that order; extensions insert and delete by bisection, so no
+    round sorts the candidates.  memo maps each candidate to its
+    estimate.  by_value holds the estimates and by_reduced those of the
+    reduced-margin candidates.  report() sets total, the builtin sum of
+    values (its bits depend on the Python version alone), vmax, ratio_c
+    (vmax over the largest reduced-margin estimate) and the counts of
+    fresh and reused estimates.
 
     A state with a profit_kind (gn_profit) also keeps each candidate's
     monotone envelope, sorted as profit takes it, and users maps each
@@ -427,10 +404,10 @@ class MarginState:
     def __init__(self, indexset, profit_kind=None, reduced=False):
         self.indexset = indexset
         self.profit_kind = profit_kind
-        # the index set's own candidate set, kept current by its add
-        self.candidates = indexset._reduced if reduced else indexset._margin
+        self.reduced = reduced
         self.memo = {}
-        self.keys, self.values, self.total = [], [], 0.0
+        self.keys, self.values = [], []
+        self.total, self.vmax, self.ratio_c, self.fresh, self.reused = 0.0, 0.0, 1.0, 0, 0
         self.by_value, self.by_reduced, self.by_profit = _LazyHeap(), _LazyHeap(), _LazyHeap()
         self.envelopes, self.users, self.stale = {}, defaultdict(set), set()
         # to estimate at the next report, in lexicographic order
@@ -454,25 +431,25 @@ class MarginState:
 
     def report(self, estimate):
         """Estimate the pending candidates with estimate(k), in
-        lexicographic order, and report every candidate."""
+        lexicographic order, set the round's numbers and return self."""
         for k in self.pending:
             value = self.memo[k] = estimate(k)
             i = bisect.bisect_left(self.keys, k)
             self.keys.insert(i, k)
             self.values.insert(i, value)
             self.by_value.push(k, value)
-            if k in self.indexset._reduced:
+            if self.indexset._is_reduced(k):
                 self.by_reduced.push(k, value)
-        fresh, self.pending = len(self.pending), []
+        self.fresh, self.pending = len(self.pending), []
+        self.reused = len(self.memo) - self.fresh
         self.total = float(sum(self.values))
         # a nonempty set has a nonempty reduced margin
-        return EstimatorReport(
-            self.memo,
-            self.total,
-            -self.by_value.top()[0],
-            -self.by_reduced.top()[0],
-            len(self.memo) - fresh,
-        )
+        self.vmax, rmax = -self.by_value.top()[0], -self.by_reduced.top()[0]
+        if rmax > 0.0:
+            self.ratio_c = self.vmax / rmax
+        else:
+            self.ratio_c = math.inf if self.vmax > 0.0 else 1.0
+        return self
 
     def best(self):
         """The candidate of largest estimate, or of largest profit with a
@@ -487,19 +464,23 @@ class MarginState:
 
     def absorb(self, added):
         """Follow the index set through the addition of `added`, which it
-        already holds: forget what drop_stale names, and make those of
-        them that are now candidates pending."""
-        keys = drop_stale(self.memo, added)
+        already holds.  An index enters the margin, or the reduced margin,
+        only when a backward neighbour is added, so forget the added
+        indices and their forward neighbours, and make pending those of
+        them outside the set (and with reduced also reduced)."""
+        added = [tuple(j) for j in added]
+        keys = {forward(j, m) for j in added for m in range(len(j))}.union(added)
         for k in keys:
-            i = bisect.bisect_left(self.keys, k)
-            if i < len(self.keys) and self.keys[i] == k:
+            if self.memo.pop(k, None) is not None:
+                i = bisect.bisect_left(self.keys, k)
                 del self.keys[i], self.values[i]
-            for heap in (self.by_value, self.by_reduced, self.by_profit):
-                heap.discard(k)
-        self.pending = sorted(k for k in keys if k in self.candidates)
+                for heap in (self.by_value, self.by_reduced, self.by_profit):
+                    heap.discard(k)
+        outside = [k for k in keys if k not in self.indexset.members]
+        self.pending = sorted(filter(self.indexset._is_reduced, outside) if self.reduced else outside)
         if self.profit_kind is None:
             return
-        for j in map(tuple, added):
+        for j in added:
             self.envelopes.pop(j, None)
             for k in self.users.pop(j, ()):
                 # k's envelope holds every missing ancestor of k, so also
@@ -516,10 +497,10 @@ def margin_report(P, disc, spec, state=None):
     """Residual estimators for every full-margin candidate.
 
     state is the run's MarginState over P's index set (a throwaway one
-    when None).  Only its pending candidates are estimated, in
-    lexicographic order; it keeps every other value from earlier rounds.
-    A kept value is exact in exact arithmetic until drop_stale removes
-    it.  Write a = a_0 + sum_m y_m a_m and
+    when None), returned as the report.  Only its pending candidates are
+    estimated, in lexicographic order; it keeps every other value from
+    earlier rounds.  A kept value is exact in exact arithmetic until
+    absorb forgets it.  Write a = a_0 + sum_m y_m a_m and
     u_Lambda = sum_{i in Lambda} Delta_i u; Delta_k acts dimension by
     dimension.  In dimension n, Delta_{k_n} keeps a basis function of
     level i_n if i_n = k_n and cancels it otherwise.  Times y_n it
@@ -530,13 +511,12 @@ def margin_report(P, disc, spec, state=None):
     neighbours k - e_m (k itself is outside Lambda), for Leja, R-Leja
     and Clenshaw-Curtis alike; residual_estimator forms the value from
     exactly these blocks, with a quadrature that depends on k alone.
-    k's value changes only when some k - e_m is added.  The report's
-    values are the state's memo, current until the state absorbs the
-    next extension.
+    k's value changes only when some k - e_m is added, and absorb
+    forgets it then.
     """
     if state is None:
         state = MarginState(P.indexset)
-    elif state.candidates is not P.indexset._margin:
+    elif state.indexset is not P.indexset or state.reduced:
         raise ValueError("this margin state belongs to another index set or candidate rule")
     return state.report(lambda k: residual_estimator(P, disc, k, spec))
 
@@ -545,42 +525,22 @@ def reduced_margin_report(P, disc, spec, cache, state=None):
     """Surplus indicators for every reduced-margin candidate.
 
     state is the run's MarginState over P's index set, made with
-    reduced (a throwaway one when None); only its pending candidates are
-    estimated, in lexicographic order.  A reduced-margin candidate k has
-    all its backward neighbours, and so every index i < k, in Lambda.
+    reduced (a throwaway one when None), returned as the report; only
+    its pending candidates are estimated, in lexicographic order.  A
+    reduced-margin candidate k has all its backward neighbours, and so
+    every index i < k, in Lambda.
     At k's fresh points S_Lambda u involves only the blocks of indices
     i < k: the basis functions of a block with some i_m > k_m vanish
     exactly on level k_m's nodes (SparseInterpolant.value_below states
     the argument and sums only those blocks).  So k's surplus, and its
-    indicator, never change until k itself is added, and drop_stale
+    indicator, never change until k itself is added, and absorb
     forgets it only then.
     """
     if state is None:
         state = MarginState(P.indexset, reduced=True)
-    elif state.candidates is not P.indexset._reduced:
+    elif state.indexset is not P.indexset or not state.reduced:
         raise ValueError("this margin state belongs to another index set or candidate rule")
     return state.report(lambda k: surplus_indicator(P, disc, k, spec, cache))
-
-
-def drop_stale(memo, added):
-    """Forget the memoized values that adding the indices `added` may
-    change: each added index and each of its forward neighbours, the
-    only candidates that gain a backward neighbour.
-
-    Returns the set of these keys, whether or not memo held them.  A
-    candidate's monotone envelope loses exactly the added indices it
-    held and gains none, and the only values forgotten are these keys',
-    so a value read off an envelope and its members' estimates, like
-    profit, can be stale only when its envelope meets one of them;
-    MarginState.absorb recomputes exactly those.
-    """
-    keys = set()
-    for j in map(tuple, added):
-        keys.add(j)
-        keys.update(forward(j, m) for m in range(len(j)))
-    for j in keys:
-        memo.pop(j, None)
-    return keys
 
 
 class ReferenceRows:

@@ -10,14 +10,14 @@ without breaking closedness).  The monotone envelope of a margin index k
 is the smallest margin subset whose union with Lambda is monotone and
 contains k.
 
-MonotoneIndexSet maintains the margin and reduced margin incrementally
-as sets and is what the adaptive loop uses.  Iterating over it is the
-one way to list its members, in lexicographic order; to_jsonable and
-from_jsonable (which takes the dimension) save and load it.  margin()
-and reduced_margin() sort their set on every call, so an adaptive run,
-which reads its candidates every round, keeps its own copy of either in
-order, in one estimators.MarginState.  forward and backward step one
-component of an index.  The test suite checks the caches against direct
+MonotoneIndexSet keeps only its members and is what the adaptive loop
+uses.  Iterating over it is the one way to list its members, in
+lexicographic order; to_jsonable and from_jsonable (which takes the
+dimension) save and load it.  margin() and reduced_margin() compute
+their indices from the members, in order, on every call, so an adaptive
+run reads them once, at the root, and follows its candidates from round
+to round in one estimators.MarginState.  forward and backward step one
+component of an index.  The test suite checks the set against direct
 transcriptions of the definitions (tests/oracles.py).
 """
 
@@ -33,10 +33,10 @@ def backward(k, m):
 
 
 class MonotoneIndexSet:
-    """A downward-closed index set with cached margin and reduced margin.
+    """A downward-closed index set of members.
 
     Mutation happens only through add(), which requires the new index to
-    keep the set downward closed, and updates both caches in O(M^2) time.
+    keep the set downward closed, a test of its M backward neighbours.
     Iteration and all enumeration methods give lexicographically sorted
     indices, so every order is deterministic.
     """
@@ -48,8 +48,6 @@ class MonotoneIndexSet:
             raise ValueError("dimension must be at least 1")
         self.dim = int(dim)
         self.members = set()
-        self._margin = set()
-        self._reduced = set()
         for k in sorted(members):
             self.add(tuple(k))
 
@@ -63,10 +61,18 @@ class MonotoneIndexSet:
         return iter(sorted(self.members))
 
     def _is_reduced(self, k):
+        """True iff every backward neighbour of k lies in the set."""
         for m, km in enumerate(k):
             if km > 0 and backward(k, m) not in self.members:
                 return False
         return True
+
+    def _outside(self):
+        """The margin as a set: the members' forward neighbours outside."""
+        members = self.members
+        if not members:
+            raise ValueError("margin of an empty set is undefined")
+        return {forward(k, m) for k in members for m in range(self.dim)} - members
 
     def _refusal(self, k):
         """Why add(k) would fail, as a message, or None; k a tuple of ints."""
@@ -79,7 +85,8 @@ class MonotoneIndexSet:
         if not self.members:
             if any(k):
                 return "first index must be the zero index, got %r" % (k,)
-        elif k not in self._reduced:
+        elif not self._is_reduced(k):
+            # k is neither a member nor the root: this tests reduced-margin membership
             return "adding %r would break downward closedness" % (k,)
         return None
 
@@ -94,32 +101,18 @@ class MonotoneIndexSet:
         if refusal is not None:
             raise ValueError(refusal)
         self.members.add(k)
-        self._margin.discard(k)
-        self._reduced.discard(k)
-        for m in range(self.dim):
-            nxt = forward(k, m)
-            if nxt not in self.members:
-                self._margin.add(nxt)
-                # k was possibly the last missing backward neighbour
-                if self._is_reduced(nxt):
-                    self._reduced.add(nxt)
-                else:
-                    self._reduced.discard(nxt)
 
     def margin(self):
-        if not self.members:
-            raise ValueError("margin of an empty set is undefined")
-        return sorted(self._margin)
+        return sorted(self._outside())
 
     def reduced_margin(self):
-        if not self.members:
-            raise ValueError("reduced margin of an empty set is undefined")
-        return sorted(self._reduced)
+        return sorted(k for k in self._outside() if self._is_reduced(k))
 
     def monotone_envelope(self, k):
         """Ancestors of k missing from the set, sorted; k must be in the margin."""
-        k = tuple(k)
-        if k not in self._margin:
+        k, members = tuple(k), self.members
+        # no tuple of another length or with a negative entry has a backward neighbour inside
+        if k in members or not any(km and backward(k, m) in members for m, km in enumerate(k)):
             raise ValueError("index %r is not in the margin" % (k,))
         out = set()
         stack = [k]
@@ -131,7 +124,7 @@ class MonotoneIndexSet:
             for m, jm in enumerate(j):
                 if jm > 0:
                     pred = backward(j, m)
-                    if pred not in self.members and pred not in out:
+                    if pred not in members and pred not in out:
                         stack.append(pred)
         return sorted(out)
 

@@ -7,11 +7,12 @@ any of it:
   per-point evaluator, and HierarchicalBlock, the same detail evaluated
   from its fresh-point surpluses;
 * brute-force transcriptions of the index-set definitions, which
-  MonotoneIndexSet's incremental caches are checked against;
+  MonotoneIndexSet's margins and envelopes are checked against;
 * the greedy Leja search that the tabulated Leja points come from;
 * the gn loop's rounds recomputed from the whole margin each round, and
-  the gg loop's from the whole reduced margin, which
-  estimators.MarginState's incremental rounds are checked against;
+  the gg loop's from the whole reduced margin, with a dict memo pruned
+  by drop_stale, which estimators.MarginState's incremental rounds are
+  checked against;
 * Lebesgue constants and detail norms on equispaced samples;
 * pointwise coefficients, H1_0 and element L2 row norms, and a Monte
   Carlo reference error.
@@ -23,13 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from sparseuq import kernels
-from sparseuq.estimators import (
-    drop_stale,
-    fresh_solves,
-    profit,
-    residual_estimator,
-    surplus_indicator,
-)
+from sparseuq.estimators import fresh_solves, profit, residual_estimator, surplus_indicator
 from sparseuq.fem import SolveCache
 from sparseuq.interp import (
     _EINSUM_LETTERS,
@@ -372,16 +367,35 @@ def random_monotone(rng, dim, n_add):
     return s
 
 
-def validate_caches(s):
-    """Recompute the margin and reduced margin of the MonotoneIndexSet s
-    from scratch and compare them with its caches."""
-    if not s.members:
-        return s._margin == set() and s._reduced == set()
-    return s._margin == margin(s.members) and s._reduced == reduced_margin(s.members)
+def matches_definitions(s):
+    """Whether the MonotoneIndexSet s holds only its dimension and a
+    monotone set of members, and its margin and reduced margin are those
+    recomputed from scratch."""
+    members = sorted(s.members)
+    return (
+        set(vars(s)) == {"dim", "members"}
+        and is_monotone(members)
+        and set(s.margin()) == margin(members)
+        and set(s.reduced_margin()) == reduced_margin(members)
+    )
 
 
 # ---------------------------------------------------------------------------
 # the gn loop, round by round from the whole margin
+
+
+def drop_stale(memo, added):
+    """Forget the memoized values that adding the indices `added` may
+    change: each added index and each of its forward neighbours, the
+    only candidates that gain a backward neighbour.  Returns the set of
+    these keys, whether or not memo held them."""
+    keys = set()
+    for j in map(tuple, added):
+        keys.add(j)
+        keys.update(j[:m] + (j[m] + 1,) + j[m + 1 :] for m in range(len(j)))
+    for j in keys:
+        memo.pop(j, None)
+    return keys
 
 
 def lex_argmax(values):

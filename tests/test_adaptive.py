@@ -24,7 +24,7 @@ from sparseuq.fem import (
 from sparseuq.interp import SparseInterpolant
 from sparseuq.multiindex import MonotoneIndexSet
 
-from oracles import gg_rounds, gn_rounds, point_indices, validate_caches
+from oracles import gg_rounds, gn_rounds, matches_definitions, point_indices
 
 
 def const(c):
@@ -52,6 +52,18 @@ def columns(row):
     return {k: v for k, v in asdict(row).items() if not k.endswith("_ms")}
 
 
+def assert_gg_augmented(trace):
+    """The last row of a gg run is its augmentation's: it estimates
+    nothing, keeps the stopping round's values, and its set gained as
+    many indices as the stopping round had candidates, the reduced
+    margin."""
+    stop, last = trace.rows[-2], trace.rows[-1]
+    assert (last.estimates_fresh, last.estimates_reused, last.estimate_ms) == (0, 0, 0.0)
+    assert last.total_estimator == stop.total_estimator
+    assert last.n_indices - stop.n_indices == stop.estimates_fresh + stop.estimates_reused > 0
+    assert last.n_indices == len(trace.interpolant.indexset)
+
+
 # -- stopping ---------------------------------------------------------------
 
 
@@ -70,7 +82,7 @@ def test_deterministic_problem_stops_immediately(strategy):
         # estimating the reduced margin already solved its point, so
         # the final augmentation is free and the grid absorbs it
         assert trace.rows[0].n_solves == 2
-        assert trace.augmented
+        assert_gg_augmented(trace)
         assert len(trace.rows) == 2
         assert trace.rows[1].n_grid == trace.rows[1].n_solves == 2
     else:
@@ -88,7 +100,7 @@ def test_affine_chain_reaches_tolerance(strategy):
     # 1-D monotone sets are chains 0..k
     members = list(trace.interpolant.indexset)
     assert members == [(k,) for k in range(len(members))]
-    assert validate_caches(trace.interpolant.indexset)
+    assert matches_definitions(trace.interpolant.indexset)
 
 
 # -- solve accounting -------------------------------------------------------
@@ -115,7 +127,7 @@ def test_gg_augmentation_absorbs_cached_solves():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
     trace = run("gg", p, disc, tol=1e-5)
-    assert trace.augmented
+    assert_gg_augmented(trace)
     stop_row, aug_row = trace.rows[-2], trace.rows[-1]
     assert aug_row.n_solves == stop_row.n_solves
     assert aug_row.n_grid == aug_row.n_solves
@@ -169,7 +181,8 @@ def test_gg_weights_each_candidate_once(monkeypatch):
             strategy="gg", nodes="clenshaw_curtis", tol=1e-5, reference_every=0, dorfler=dorfler
         )
         trace = run_strategy(p, disc, cfg)
-        assert trace.stop_reason == "tol" and trace.augmented
+        assert trace.stop_reason == "tol"
+        assert_gg_augmented(trace)
         fresh = sum(row.estimates_fresh for row in trace.rows)
         assert fresh > 20
         assert len(calls) == fresh, dorfler
@@ -198,7 +211,8 @@ def test_gg_solves_each_point_once(monkeypatch):
     disc = SpatialDiscretization(p, 64)
     cfg = AdaptiveConfig(strategy="gg", nodes="clenshaw_curtis", tol=1e-5, reference_every=0)
     trace = run_strategy(p, disc, cfg)
-    assert trace.stop_reason == "tol" and trace.augmented
+    assert trace.stop_reason == "tol"
+    assert_gg_augmented(trace)
     # the augmentation absorbs every solved block, so each grid point
     # was solved exactly once
     assert sum(rows) == trace.cache.n_solves == trace.interpolant.n_points > 20
@@ -258,7 +272,7 @@ def test_gn_marks_whole_envelope():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)
     trace = run("gn_envelope", p, disc, tol=1e-5)
-    assert validate_caches(trace.interpolant.indexset)
+    assert matches_definitions(trace.interpolant.indexset)
     assert trace.rows[-1].n_indices == len(trace.interpolant.indexset)
 
 
@@ -384,7 +398,8 @@ def test_gg_rounds_match_reduced_margin_oracle(kind, p, theta, monkeypatch):
     )
     trace = run_strategy(problem, disc, config)
     want = gg_rounds(problem, disc, config)
-    assert trace.augmented and len(trace.rows) == len(want) + 1 > 10
+    assert_gg_augmented(trace)
+    assert len(trace.rows) == len(want) + 1 > 10
     assert marked[1:] == [ks for ks, _ in want]
     assert [row_stats(r) for r in trace.rows[:-1]] == [stats for _, stats in want]
     assert row_stats(trace.rows[-1]) == want[-1][1][:3] + (0, 0)
@@ -481,7 +496,7 @@ def test_gg_budget_still_augments():
     disc = SpatialDiscretization(p, 64)
     trace = run("gg", p, disc, tol=1e-14, max_iter=4)
     assert trace.budget_exhausted
-    assert trace.augmented
+    assert_gg_augmented(trace)
     assert trace.rows[-1].n_grid == trace.rows[-1].n_solves
 
 
@@ -560,9 +575,7 @@ def test_on_row_callback_streams_rows(monkeypatch):
         assert len(states) == len(trace.rows) and all(st is states[0] for st in states)
         assert states[0].interpolant is trace.interpolant
     # the augmentation row is built estimating nothing
-    assert trace.augmented
-    assert (seen[-1].estimates_fresh, seen[-1].estimates_reused) == (0, 0)
-    assert seen[-1].estimate_ms == 0.0
+    assert_gg_augmented(trace)
 
 
 def test_nodes_choice_respected():

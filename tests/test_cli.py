@@ -175,6 +175,18 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
     assert "outdir must be a path" in capsys.readouterr().err
 
 
+def test_run_rejects_outdir_that_is_a_file(tmp_path, capsys):
+    # an existing file, or a path under one, once ended in a
+    # FileExistsError or NotADirectoryError traceback with exit 1
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n")
+    cfg = deterministic_cfg(tmp_path)
+    for out in (blocker, blocker / "sub"):
+        assert main(["run", cfg, "--outdir", str(out)]) == 3
+        assert "cannot create outdir %s" % out in capsys.readouterr().err
+        assert blocker.read_text() == "keep me\n"
+
+
 def test_norm_p_takes_infinity_in_every_spelling(tmp_path):
     # numbers must be finite, but json writes math.inf as Infinity, which
     # is one more way to name p = inf
@@ -631,6 +643,15 @@ def test_compare_rejects_mismatched_problems(tmp_path):
         compare_report(
             [str(out1 / "gn_envelope-trace.csv"), str(out2 / "gn_envelope-trace.csv")]
         )
+
+
+def test_compare_missing_trace_exits_3(tmp_path, capsys):
+    # a missing trace once ended in a FileNotFoundError traceback, exit 1
+    missing = tmp_path / "missing.csv"
+    assert main(["compare", str(missing)]) == 3
+    assert "cannot read trace %s" % missing in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="cannot read trace"):
+        read_trace(missing)
 
 
 def test_read_trace_requires_header(tmp_path):

@@ -19,13 +19,11 @@ from sparseuq import estimators, kernels
 from sparseuq.adaptive import AdaptiveConfig, run_strategy
 from sparseuq.estimators import (
     _ROW_BLOCK,
-    EstimatorReport,
     MarginState,
     NormSpec,
     ReferenceRows,
     _euclidean_lp_norm,
     combine_axes,
-    drop_stale,
     fresh_solves,
     gauss_axis,
     margin_report,
@@ -56,9 +54,9 @@ from sparseuq.nodes import growth
 
 from oracles import (
     HierarchicalBlock,
+    drop_stale,
     h1_rows,
     l2_element_rows,
-    lex_argmax,
     monte_carlo_error,
     point_grid,
     tensor_values,
@@ -503,9 +501,9 @@ def test_rank_one_residuals_skip_the_grid_path(kind, monkeypatch):
     monkeypatch.setattr(estimators.np, "tensordot", refuse)
     monkeypatch.setattr(estimators.np.linalg, "svd", refuse)
     report = margin_report(P, disc, spec)
-    assert set(report.values) == set(want)
+    assert set(report.memo) == set(want)
     assert report.vmax > 0.0
-    for k, got in report.values.items():
+    for k, got in report.memo.items():
         assert abs(got - want[k]) <= 1e-12 * scale, (k, got, want[k])
 
 
@@ -537,14 +535,14 @@ def test_clenshaw_curtis_p2_reports_skip_the_grid_path(monkeypatch):
     monkeypatch.setattr(estimators.np, "tensordot", refuse)
     monkeypatch.setattr(estimators.np.linalg, "svd", refuse)
     report = margin_report(P, disc, spec)
-    assert set(report.values) == set(want_res)
+    assert set(report.memo) == set(want_res)
     assert report.vmax > 0.0
-    for k, got in report.values.items():
+    for k, got in report.memo.items():
         assert abs(got - want_res[k]) <= 1e-12 * res_scale, (k, got, want_res[k])
     report = reduced_margin_report(P, disc, spec, cache)
-    assert set(report.values) == set(want_sur)
+    assert set(report.memo) == set(want_sur)
     assert report.vmax > 0.0
-    for k, got in report.values.items():
+    for k, got in report.memo.items():
         assert abs(got - want_sur[k]) <= 1e-12 * sur_scale, (k, got, want_sur[k])
 
 
@@ -642,7 +640,8 @@ def test_profit_envelope_average():
 
 
 def test_drop_stale_returns_forgotten_keys():
-    # each added index and each forward neighbour, held in memo or not
+    # the oracles' memo rule: each added index and each forward
+    # neighbour, held in memo or not
     memo = {(1, 0): 0.1, (0, 1): 0.2, (2, 0): 0.3, (1, 1): 0.4, (0, 2): 0.5}
     keys = drop_stale(memo, [(1, 0), (0, 1)])
     assert keys == {(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
@@ -657,8 +656,8 @@ def test_drop_stale_returns_forgotten_keys():
 def test_kept_profits_equal_fresh_profits(kind):
     # the profits a MarginState keeps across envelope extensions, and
     # computes again only for the candidates absorb names, equal fresh
-    # ones bit for bit, with estimates refreshed only for the keys
-    # drop_stale returns
+    # ones bit for bit, with estimates refreshed only for the keys the
+    # oracles' drop_stale returns
     rng = np.random.default_rng(71)
     kept = 0
     for dim in (2, 3, 4):
@@ -703,9 +702,9 @@ def test_margin_state_follows_the_index_set(reduced, dim, steps):
     state = MarginState(s, None if reduced else "leja", reduced=reduced)
     for step in range(len(steps) + 1):
         state.report(lambda k: float(sum(k)) / (1 + k[0]))
-        assert state.keys == sorted(s._reduced if reduced else s._margin)
+        assert state.keys == (s.reduced_margin() if reduced else s.margin())
         assert state.values == [state.memo[k] for k in state.keys]
-        assert set(state.envelopes) == (set() if reduced else s._margin)
+        assert set(state.envelopes) == (set() if reduced else set(s.margin()))
         for k, env in state.envelopes.items():
             assert env == s.monotone_envelope(k), k
         if step == len(steps):
@@ -722,15 +721,31 @@ def test_margin_state_follows_the_index_set(reduced, dim, steps):
 # -- reports ----------------------------------------------------------------
 
 
-def test_estimator_report_stats():
-    values = {(0, 1): 0.2, (1, 0): 0.5, (2, 0): 0.5}
-    rep = EstimatorReport(values, 1.2, 0.5, 0.5, 1)
-    assert (rep.fresh, rep.reused) == (2, 1)
-    assert lex_argmax(rep.values) == (1, 0)
-    assert rep.ratio_c == 1.0
-    assert EstimatorReport(values, 1.2, 0.5, 0.2, 0).ratio_c == pytest.approx(2.5, abs=1e-15)
-    assert EstimatorReport(values, 1.2, 0.5, 0.0, 0).ratio_c == math.inf
-    assert EstimatorReport({}, 0.0, 0.0, 0.0, 0).ratio_c == 1.0
+def test_margin_state_report_stats():
+    # the margin of {(0, 0), (1, 0)} is (0, 1), (1, 1), (2, 0), of which
+    # (1, 1) is not reduced: ratio_c is vmax over the largest reduced value
+    cases = [
+        ((0.2, 0.5, 0.5), 0.5, 1.0),
+        ((0.2, 0.5, 0.2), 0.5, 2.5),
+        ((0.0, 0.5, 0.0), 0.5, math.inf),
+        ((0.0, 0.0, 0.0), 0.0, 1.0),
+    ]
+    for values, vmax, ratio_c in cases:
+        s = MonotoneIndexSet(2, [(0, 0), (1, 0)])
+        state = MarginState(s)
+        memo = dict(zip(s.margin(), values))
+        assert state.report(memo.get) is state
+        assert (state.total, state.vmax, state.fresh, state.reused) == (sum(values), vmax, 3, 0)
+        assert state.ratio_c == pytest.approx(ratio_c, abs=1e-15)
+        # ties go to the lexicographically smallest candidate
+        assert state.best() == min(memo, key=lambda k: (-memo[k], k))
+    # adding (2, 0) forgets it and makes its forward neighbours pending
+    s.add((2, 0))
+    state.absorb([(2, 0)])
+    assert state.pending == [(2, 1), (3, 0)]
+    state.report(lambda k: 0.25)
+    assert (state.fresh, state.reused) == (2, 2)
+    assert state.keys == s.margin() and state.total == sum(state.values)
 
 
 def test_margin_report_matches_direct():
@@ -738,8 +753,8 @@ def test_margin_report_matches_direct():
     P, _ = build_chain(disc, 3)
     spec = NormSpec(p=2)
     rep = margin_report(P, disc, spec)
-    assert set(rep.values) == set(map(tuple, P.indexset.margin()))
-    for k, v in rep.values.items():
+    assert set(rep.memo) == set(map(tuple, P.indexset.margin()))
+    for k, v in rep.memo.items():
         assert v == residual_estimator(P, disc, k, spec)
     with pytest.raises(ValueError, match="another index set"):
         margin_report(P, disc, spec, MarginState(MonotoneIndexSet(1, [(0,)])))
@@ -751,7 +766,7 @@ def test_reduced_margin_report_counts_solves():
     disc = SpatialDiscretization(affine_problem(), 32)
     P, cache = build_chain(disc, 2)
     rep = reduced_margin_report(P, disc, NormSpec(p=2), cache)
-    assert set(rep.values) == {(2,)}
+    assert set(rep.memo) == {(2,)}
     assert cache.n_solves == 3
     assert rep.ratio_c == 1.0
     with pytest.raises(ValueError, match="candidate rule"):
@@ -761,7 +776,7 @@ def test_reduced_margin_report_counts_solves():
 @pytest.mark.parametrize("strategy, p", [("gn", 2), ("gn", "inf"), ("gg", 2)])
 @pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
 def test_report_memo_matches_fresh(kind, strategy, p):
-    # a margin state kept across steps, which drop_stale prunes, gives the
+    # a margin state kept across steps, which absorb prunes, gives the
     # values and candidates of a from-scratch report after every step
     rng = np.random.default_rng(53)
     dim = 3
@@ -783,10 +798,10 @@ def test_report_memo_matches_fresh(kind, strategy, p):
     dropped, moved = {}, 0
     for step in range(7):
         got, want = report(kept), report()
-        assert set(got.values) == set(want.values) == set(memo)
+        assert got.keys == want.keys == sorted(memo)
         assert got.fresh == len(got.values) - got.reused
-        for k, v in want.values.items():
-            assert abs(got.values[k] - v) <= tol, (step, k, got.values[k], v)
+        for k, v in want.memo.items():
+            assert abs(got.memo[k] - v) <= tol, (step, k, got.memo[k], v)
             if k in dropped and abs(dropped[k] - v) > tol:
                 moved += 1
         # mark like the drivers: a monotone envelope, or several

@@ -12,10 +12,10 @@ from sparseuq.multiindex import MonotoneIndexSet
 from oracles import (
     is_monotone,
     margin,
+    matches_definitions,
     monotone_envelope,
     random_monotone,
     reduced_margin,
-    validate_caches,
 )
 
 # -- an independent envelope oracle -----------------------------------------
@@ -135,7 +135,28 @@ def test_incremental_caches_match_brute_force(dim):
         assert is_monotone(members)
         assert set(s.margin()) == margin(members)
         assert set(s.reduced_margin()) == reduced_margin(members)
-        assert validate_caches(s)
+        assert matches_definitions(s)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_envelope_refuses_indices_outside_the_margin(dim):
+    # a member, an index two steps out, one with a negative entry and one
+    # of another length are refused; every margin index gets the oracle's
+    # envelope
+    rng = np.random.default_rng(40 + dim)
+    for trial in range(10):
+        s = random_monotone(rng, dim, int(rng.integers(0, 25)))
+        members = set(s)
+        outer = margin(members)
+        top = max(outer, key=sum)
+        far = top[:-1] + (top[-1] + 1,)
+        assert far not in outer and far not in members
+        refused = [sorted(members)[-1], far, (-1,) + top[1:], top + (0,)]
+        for k in refused:
+            with pytest.raises(ValueError, match="is not in the margin"):
+                s.monotone_envelope(k)
+        for k in s.margin():
+            assert s.monotone_envelope(k) == sorted(monotone_envelope(members, k)), k
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
