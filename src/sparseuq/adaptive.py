@@ -42,6 +42,7 @@ bitwise identical.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +54,7 @@ from .estimators import (
     margin_report,
     reduced_margin_report,
     reference_error,
+    sup_points_per_dim,
 )
 from .fem import SolveCache, check_ellipticity, config_number
 from .interp import SparseInterpolant
@@ -218,6 +220,8 @@ def run_strategy(problem, disc, config, on_row=None):
     """Run config.strategy from the singleton zero index to a stop;
     on_row, if given, receives each trace row as it is appended."""
     info = check_ellipticity(problem, disc)
+    if config.norm.p == math.inf:
+        sup_points_per_dim(config.norm, problem.dim)
     trace = AdaptiveTrace(config.strategy, config, info)
     P = SparseInterpolant(config.nodes, problem.dim)
     cache = SolveCache(disc)

@@ -25,13 +25,14 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import statistics
 import sys
 from pathlib import Path
 
 from . import __version__
 from .adaptive import AdaptiveConfig, TraceRow, run_strategy
-from .estimators import MAX_REFERENCE_DIM, NormSpec, check_reference_dim
+from .estimators import MAX_REFERENCE_DIM, NormSpec, check_reference_dim, sup_points_per_dim
 from .fem import (
     MESH_N,
     PROBLEM_DEFAULTS,
@@ -188,6 +189,9 @@ def run_experiment(config_path, outdir=None):
         AdaptiveConfig(strategy=strategy, reference_every=every, reference_quad=quad, **run)
         for strategy in strategies
     ]
+    # the strategies share one norm; a p = inf grid too coarse is refused here
+    if configs[0].norm.p == math.inf:
+        sup_points_per_dim(configs[0].norm, problem.dim)
     # files and summary entries are named by the normalized strategy
     names = [acfg.strategy for acfg in configs]
     for name in names:

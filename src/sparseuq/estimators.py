@@ -66,8 +66,9 @@ class NormSpec:
     The norm section of a config: its keys are the fields, and their
     defaults are the section's.  sup_points_per_dim (>= 2) and
     sup_budget (>= 2) control the p = inf sample grid (per-dimension
-    resolution, capped so the total grid stays within budget, but never
-    below 2).  The p = inf value is the maximum over that grid, a lower
+    resolution, capped so the total grid stays within budget; a grid of
+    fewer than 4 points per axis is refused, see sup_points_per_dim).
+    The p = inf value is the maximum over that grid, a lower
     bound of the sup, so total / a_min certifies the error only on the
     grid.  For p = 2 the Gauss order is derived from the integrand
     degree, so the quadrature is exact.
@@ -144,11 +145,25 @@ def gauss_axis(order):
 
 
 def sup_points_per_dim(spec, dim):
+    """Points per axis of the p = inf sample grid at dim parameters:
+    spec.sup_points_per_dim, capped so the grid stays within
+    spec.sup_budget.  Fewer than 4 raise ValueError.  Two or three
+    equispaced points lie in {-1, 0, 1}, the first three nodes of every
+    family, where the fresh basis functions of Leja and R-Leja levels
+    >= 3 (>= 2 on two points) and of Clenshaw-Curtis levels >= 2 vanish:
+    such a grid reads their estimates as exactly 0."""
     # the float root can land just below an exact integer root
     per = int(spec.sup_budget ** (1.0 / dim))
     while (per + 1) ** dim <= spec.sup_budget:
         per += 1
-    return max(2, min(spec.sup_points_per_dim, per))
+    per = min(spec.sup_points_per_dim, per)
+    if per < 4:
+        raise ValueError(
+            "the p = inf sample grid at M=%d has %d points per axis, and fewer than 4 read "
+            "basis functions as zero: raise norm.sup_budget to at least 4**%d (and "
+            "norm.sup_points_per_dim to at least 4), or use p = 2" % (dim, per, dim)
+        )
+    return per
 
 
 def combine_axes(norms, axes, p):
@@ -279,8 +294,10 @@ def residual_estimator(P, disc, k, spec):
     shape = fresh_shape(kind, k)
     detail = None
     for m, km in enumerate(k):
+        if km == 0:
+            continue
         back = backward(k, m)
-        if km == 0 or back not in P.indexset:
+        if back not in P.indexset:
             continue
         start, count = P.block_of(back)
         grads = disc.gradient_rows(P.surpluses()[start : start + count])

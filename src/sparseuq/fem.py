@@ -30,7 +30,6 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import kernels
-from .interp import MAX_DIM
 
 
 class EllipticityError(ValueError):
@@ -372,8 +371,6 @@ def build_problem(spec):
     dim = config_number("problem.M", spec["M"], int)
     if dim < 1:
         raise ValueError("problem.M must be at least 1, got %d" % dim)
-    if dim > MAX_DIM:
-        raise ValueError("problem.M must be at most %d, got %d" % (MAX_DIM, dim))
     family = str(spec["family"]).lower()
     a0 = config_number("problem.a0", spec["a0"])
     amps = _amplitudes(dim, spec)

@@ -21,9 +21,7 @@ candidate's values are formed once.  Scattered points (the queries)
 go through kernels.weight_product.
 
 add_index(i, values) is the one way in: values are taken at i's fresh
-points, coords_of(new_point_indices(i)).  A fresh block is a tensor
-with one axis per parameter, so the dimension is at most MAX_DIM = 64,
-NumPy's limit on array axes.
+points, coords_of(new_point_indices(i)).
 
 The surpluses of one index's fresh block are flat rows in C order over
 its fresh_shape.  mode_product applies a matrix along one axis of such
@@ -53,9 +51,6 @@ from .nodes import get_family, growth
 
 _EINSUM_LETTERS = "abcdefghij"
 _DOMAIN_SLACK = 1e-12
-# NumPy arrays have at most 64 axes, and _fresh_points unravels a fresh
-# block as a tensor with one axis per parameter
-MAX_DIM = 64
 
 
 def fresh_shape(kind, i):
@@ -85,20 +80,22 @@ def _work(kind, i):
 
 @functools.lru_cache(maxsize=None)
 def _fresh_points(kind, i):
-    fresh = np.unravel_index(np.arange(_work(kind, i), dtype=np.int64), _fresh_shape(kind, i))
-    out = np.stack(fresh, axis=1) + [r.start for r in fresh_ranges(kind, i)]
+    # the C-order grid of the per-axis fresh positions, last axis fastest
+    out = np.array(list(itertools.product(*fresh_ranges(kind, i))), dtype=np.int64)
     out.flags.writeable = False
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _level_range(kind, level):
+    """Fresh sequence positions of a level: m(level - 1) + 1 .. m(level), 0 .. 0 at 0."""
+    lo = growth(kind, level - 1) + 1 if level >= 1 else 0
+    return range(lo, growth(kind, level) + 1)
+
+
 def fresh_ranges(kind, i):
     """Per-dimension sequence-position ranges of the fresh points of i."""
-    out = []
-    for im in i:
-        lo = growth(kind, im - 1) + 1 if im >= 1 else 0
-        hi = growth(kind, im)
-        out.append(range(lo, hi + 1))
-    return out
+    return [_level_range(kind, im) for im in i]
 
 
 def grid_points(kind, indexset):
@@ -129,8 +126,6 @@ class SparseInterpolant:
         # the index set checks that dim is an integer of at least 1
         self.indexset = MonotoneIndexSet(dim)
         self.dim = self.indexset.dim
-        if self.dim > MAX_DIM:
-            raise ValueError("dimension must be at most %d, got %d" % (MAX_DIM, self.dim))
         self._blocks = {}
         # value_below of addable indices, until add_index takes them
         self._below = {}
@@ -488,7 +483,7 @@ def _fresh_inverse_rows(kind, level):
     B is unit lower triangular, so B^-1 follows by forward substitution:
     row i is e_i minus the earlier rows weighted by B[i, :i].  Read-only:
     every caller shares it."""
-    r = fresh_ranges(kind, (level,))[0]
+    r = _level_range(kind, level)
     n = r.stop
     B = _level_basis(kind, level)
     inv = np.eye(n)
@@ -510,7 +505,7 @@ def _times_y_rows(kind, level):
     points: the fresh rows of B^-1 applied to the nodal values x * h(x).
     For unit-growth families it is the scalar d_l / d_{l-1}, d_i the
     basis denominators.  Read-only: every caller shares it."""
-    prev = fresh_ranges(kind, (level - 1,))[0]
+    prev = _level_range(kind, level - 1)
     B = _level_basis(kind, level)
     x = get_family(kind).nodes(B.shape[0])
     rows = _fresh_inverse_rows(kind, level) @ (x[:, None] * B[:, prev.start : prev.stop])
@@ -537,5 +532,5 @@ def mode_product(A, rows, pre):
 
 def _fresh_table(kind, level, ys):
     """Fresh-basis columns of one level at the samples ys."""
-    r = fresh_ranges(kind, (level,))[0]
+    r = _level_range(kind, level)
     return get_family(kind).basis_matrix(ys, r.stop)[:, r.start : r.stop]

@@ -153,8 +153,12 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
         ({"problem": {"M": 1, "f": math.nan}}, "problem.f must be finite, got nan"),
         # M = 0 once left a header-only trace file behind, then exited 3
         ({"problem": {"M": 0}}, "problem.M must be at least 1"),
-        # M = 65 once died in numpy's 64-axis limit after writing a trace
-        ({"problem": {"M": 65}}, "problem.M must be at most 64, got 65"),
+        # a p = inf grid of 3 or fewer points per axis lies in {-1, 0, 1},
+        # where fresh basis functions vanish: these once ran, stopped "on tol"
+        # with estimates of exactly 0 and wrote their files
+        ({"problem": {"M": 8}, "norm": {"p": "inf"}}, "at M=8 has 3 points per axis"),
+        ({"problem": {"M": 10}, "norm": {"p": "inf"}}, "at M=10 has 2 points per axis"),
+        ({"norm": {"p": "inf", "sup_points_per_dim": 3}}, "at M=1 has 3 points per axis"),
         # one strategy under two spellings once wrote two sets of files
         ({"strategies": ["gg", "GG"]}, "strategy 'gg' appears more than once"),
         ({"strategies": ["gg", "gg"]}, "strategy 'gg' appears more than once"),
@@ -325,6 +329,18 @@ def test_final_set_round_trip(tmp_path):
     snap = json.loads((out / "gn_envelope-final-set.json").read_text())
     assert snap["problem_hash"] == problem_hash(load_config(cfg_path))
     assert snap["a_min"] > 0
+
+
+def test_run_past_64_parameters(tmp_path):
+    # problem.M above 64 was once refused: fresh points were unravelled into
+    # an array with one axis per parameter, and NumPy allows 64
+    cfg = write_config(tmp_path, "m65.json", {"problem": {"M": 65, "sigma": 4}, "tol": 1e-3})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--outdir", str(out)]) == 0
+    P = load_interpolant(out / "gn_envelope-final-set.json")
+    assert P.dim == 65 and P.n_points > 1
+    Y = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 65))
+    assert np.all(np.isfinite(P.evaluate(Y)))
 
 
 def test_run_multiple_strategies(tmp_path):

@@ -160,10 +160,39 @@ def test_sup_grid_budget():
     assert sup_points_per_dim(spec, 1) == 33
     assert sup_points_per_dim(spec, 3) == 33
     assert sup_points_per_dim(spec, 4) == 14
-    assert sup_points_per_dim(NormSpec(p="inf", sup_budget=10), 3) == 2
+    assert sup_points_per_dim(spec, 7) == 4
     # exact powers fit, though their float roots fall just below the integer
     for budget, dim, per in ((1000, 3, 10), (125, 3, 5), (4096, 6, 4), (8000, 3, 20)):
         assert sup_points_per_dim(NormSpec(p="inf", sup_budget=budget), dim) == per
+    # fewer than 4 points per axis are refused (see the test below); they
+    # were once kept down to 2
+    for over, dim, per in (({"sup_budget": 10}, 3, 2), ({}, 8, 3), ({}, 10, 2)):
+        with pytest.raises(ValueError, match="at M=%d has %d points per axis" % (dim, per)):
+            sup_points_per_dim(NormSpec(p="inf", **over), dim)
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_sample_grids_below_4_points_read_basis_functions_as_zero(kind):
+    # 2 or 3 equispaced points lie in {-1, 0, 1}, the first three nodes of
+    # every family, so a fresh basis function of a higher level vanishes on
+    # all of them: at M = 10 a Leja run once stopped "on tol" with 2,788 of
+    # its 3,068 final estimates exactly 0
+    levels = range(1, 9 if kind == "clenshaw_curtis" else 40)
+
+    def zero_columns(n):
+        return [
+            level
+            for level in levels
+            if (np.abs(estimators._axis_table(kind, level, n)).max(axis=0) == 0.0).any()
+        ]
+
+    for n in (2, 3):
+        assert zero_columns(n)
+        with pytest.raises(ValueError, match="at M=1 has %d points per axis" % n):
+            sup_points_per_dim(NormSpec(p="inf", sup_points_per_dim=n), 1)
+    for n in (4, 5, 8, 14, 33):
+        assert zero_columns(n) == []
+        assert sup_points_per_dim(NormSpec(p="inf", sup_points_per_dim=n), 1) == n
 
 
 def sample_axes(spec, dim):
@@ -287,8 +316,10 @@ def test_level_zero_axes_take_no_mode_product(p, monkeypatch):
         return mode_product(A, rows, pre)
 
     monkeypatch.setattr(estimators, "mode_product", counted)
-    spec = NormSpec(p=p)
-    index = (1,) + (0,) * 11
+    # M = 8 within a budget of 4 points per axis: 2 points per axis, which
+    # the default budget gave at M = 12, are now refused
+    spec = NormSpec(p=p, sup_budget=4**8)
+    index = (1,) + (0,) * 7
     block = np.random.default_rng(97).normal(size=(work("clenshaw_curtis", index), 3))
     got = _euclidean_lp_norm("clenshaw_curtis", index, block, spec)
     assert len(shapes) == 1

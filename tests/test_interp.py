@@ -2,6 +2,7 @@
 polynomial-exactness properties, combination-technique cross-checks."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -157,12 +158,48 @@ def test_add_index_admissibility_errors():
         add_evaluated(P, (0, 0), lambda y: np.array([1.0]))
 
 
-def test_dimension_above_64_is_rejected():
-    # M = 65 once died in numpy's 64-axis limit when its root was added
-    with pytest.raises(ValueError, match="dimension must be at most 64, got 65"):
-        SparseInterpolant("leja", 65)
-    P = SparseInterpolant("leja", 64)
-    assert P.add_index((0,) * 64, values=np.array([[1.0, 2.0]])) == 1
+def test_dimension_above_64_builds_evaluates_and_round_trips():
+    # M = 65 was once refused: fresh points were unravelled into an array
+    # with one axis per parameter, and NumPy allows 64
+    def f(y):
+        # affine along the last axis, past the 64th
+        return np.array([1.0 + y[-1], 2.0 - 3.0 * y[-1]])
+
+    rng = np.random.default_rng(3)
+    for dim in (65, 128):
+        P = SparseInterpolant("leja", dim)
+        root, k = (0,) * dim, (0,) * (dim - 1) + (1,)
+        assert add_evaluated(P, root, f) == 1
+        at_root = f(P.coords_of(P.new_point_indices(root))[0])
+        assert P.value_below(k).tolist() == [at_root.tolist()]
+        assert add_evaluated(P, k, f) == 1
+        Y = rng.uniform(-1.0, 1.0, size=(5, dim))
+        assert np.max(np.abs(P.evaluate(Y) - [f(y) for y in Y])) <= 1e-14
+        Q = SparseInterpolant.from_jsonable(json.loads(json.dumps(P.to_jsonable())))
+        assert Q.dim == dim and Q.block_of(k) == P.block_of(k)
+        assert Q.evaluate(Y).tobytes() == P.evaluate(Y).tobytes()
+
+
+def unravel_fresh_points(kind, k):
+    """k's fresh points as np.unravel_index lays them out: the C-order
+    grid over fresh_shape, shifted by each axis's first fresh position."""
+    ranges = fresh_ranges(kind, k)
+    shape = tuple(len(r) for r in ranges)
+    fresh = np.unravel_index(np.arange(math.prod(shape), dtype=np.int64), shape)
+    return np.stack(fresh, axis=1) + [r.start for r in ranges]
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_fresh_points_keep_the_unravel_order(kind):
+    rng = np.random.default_rng(11)
+    top = 4 if kind == "clenshaw_curtis" else 7
+    for _ in range(60):
+        dim = int(rng.integers(1, 9))
+        k = tuple(int(v) for v in rng.integers(0, top, size=dim))
+        got = SparseInterpolant(kind, dim).new_point_indices(k)
+        want = unravel_fresh_points(kind, k)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fractional_dimension_is_rejected():
