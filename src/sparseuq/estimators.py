@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .fem import check_keys, config_mapping, config_number
-from .interp import _fresh_table, _times_y_rows, fresh_shape, mode_product, work
-from .multiindex import backward, forward
+from .interp import _fresh_table, _level_range, _times_y_rows, mode_product, work
+from .multiindex import as_index, backward, forward
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
@@ -285,25 +285,24 @@ def residual_estimator(P, disc, k, spec):
     its rows along m.  For Leja and R-Leja every block is one row and the
     mode product a scalar times it.
     """
-    k = tuple(int(v) for v in k)
+    k = as_index(k)
     if len(k) != P.dim:
         raise ValueError("index length %d does not match dimension %d" % (len(k), P.dim))
     if k in P.indexset:
         raise ValueError("index %r is already in the set" % (k,))
     kind = P.family.kind
-    shape = fresh_shape(kind, k)
-    detail = None
+    detail, pre = None, 1
     for m, km in enumerate(k):
-        if km == 0:
+        if not km:
             continue
         back = backward(k, m)
-        if back not in P.indexset:
-            continue
-        start, count = P.block_of(back)
-        grads = disc.gradient_rows(P.surpluses()[start : start + count])
-        term = mode_product(_times_y_rows(kind, km), grads, math.prod(shape[:m]))
-        term *= disc.terms_mid[m]
-        detail = term if detail is None else detail + term
+        if back in P.indexset:
+            start, count = P.block_of(back)
+            grads = disc.gradient_rows(P.surpluses()[start : start + count])
+            term = mode_product(_times_y_rows(kind, km), grads, pre)
+            term *= disc.terms_mid[m]
+            detail = term if detail is None else detail + term
+        pre *= len(_level_range(kind, km))
     if detail is None:
         return 0.0
     # element-data L2 norm is sqrt(h) times the Euclidean row norm
@@ -313,8 +312,11 @@ def residual_estimator(P, disc, k, spec):
 
 def fresh_solves(P, cache, k):
     """Read-only cached solves at k's fresh points, rows in block order.  Keyed
-    by (node family, k): a node index names another point in each family."""
-    return cache.solve_indexed((P.family.kind, tuple(k)), P.coords_of(P.new_point_indices(k)))
+    by (node family, k): a node index names another point in each family.
+    The points are formed only on a miss."""
+    key = (P.family.kind, tuple(k))
+    points = None if key in cache else P.coords_of(P.new_point_indices(k))
+    return cache.solve_indexed(key, points)
 
 
 def surplus_indicator(P, disc, k, spec, cache):
@@ -326,7 +328,7 @@ def surplus_indicator(P, disc, k, spec, cache):
     i <= k only (see there why the others vanish at these points); P
     keeps it, so add_index(k) does not form it again.
     """
-    k = tuple(int(v) for v in k)
+    k = as_index(k)
     if not P.indexset.is_admissible(k):
         raise ValueError("index %r is not addable to the current set" % (k,))
     u_rows = fresh_solves(P, cache, k)
@@ -337,12 +339,13 @@ def surplus_indicator(P, disc, k, spec, cache):
     return _euclidean_lp_norm(P.family.kind, k, rows, spec)
 
 
-def profit(kind, env, eta):
+def profit(env, eta, counts):
     """Envelope-averaged profit: summed estimators over summed work.
 
     env is a candidate's sorted monotone envelope (as
-    MonotoneIndexSet.monotone_envelope returns it) and eta maps margin
-    indices to estimator values covering it; both sums run in env's
+    MonotoneIndexSet.monotone_envelope returns it), eta maps margin
+    indices to estimator values covering it and counts maps them to
+    their fresh-point counts (interp.work); both sums run in env's
     order.  The envelope of k is every ancestor of k missing from
     Lambda: Lambda is downward closed, so a walk down from k through
     missing indices reaches each of them.  Adding indices outside it
@@ -353,7 +356,7 @@ def profit(kind, env, eta):
     computes again only the others.
     """
     num = sum(eta[j] for j in env)
-    den = sum(work(kind, j) for j in env)
+    den = sum(counts[j] for j in env)
     return num / den
 
 
@@ -405,17 +408,17 @@ class MarginState:
     fresh and reused estimates.
 
     A state with a profit_kind (gn_profit) also keeps each candidate's
-    monotone envelope, sorted as profit takes it, and users maps each
-    index to the candidates whose envelope holds it.  An added index
-    leaves every envelope that held it.  A new candidate's envelope is
-    itself plus the envelopes of its missing backward neighbours, all of
-    them margin members (for k = i + e_n with i in Lambda,
-    k - e_m = (i - e_m) + e_n).  by_profit holds the profits; stale
-    names the new candidates and those whose envelope lost an added
-    index, and only those get a profit again (see profit).  The envelope
-    of k holds every missing ancestor of k, so a member whose estimate
-    was dropped, a forward neighbour of an added index, sits in an
-    envelope that lost that index.
+    monotone envelope, sorted as profit takes it, and its fresh-point
+    count (counts), and users maps each index to the candidates whose
+    envelope holds it.  An added index leaves every envelope that held
+    it.  A new candidate's envelope is itself plus the envelopes of its
+    missing backward neighbours, all of them margin members (for
+    k = i + e_n with i in Lambda, k - e_m = (i - e_m) + e_n).  by_profit
+    holds the profits; stale names the new candidates and those whose
+    envelope lost an added index, and only those get a profit again (see
+    profit).  The envelope of k holds every missing ancestor of k, so a
+    member whose estimate was dropped, a forward neighbour of an added
+    index, sits in an envelope that lost that index.
     """
 
     def __init__(self, indexset, profit_kind=None, reduced=False):
@@ -426,7 +429,7 @@ class MarginState:
         self.keys, self.values = [], []
         self.total, self.vmax, self.ratio_c, self.fresh, self.reused = 0.0, 0.0, 1.0, 0, 0
         self.by_value, self.by_reduced, self.by_profit = _LazyHeap(), _LazyHeap(), _LazyHeap()
-        self.envelopes, self.users, self.stale = {}, defaultdict(set), set()
+        self.envelopes, self.counts, self.users, self.stale = {}, {}, defaultdict(set), set()
         # to estimate at the next report, in lexicographic order
         self.pending = indexset.reduced_margin() if reduced else indexset.margin()
         if profit_kind is not None:
@@ -442,6 +445,7 @@ class MarginState:
                 if back not in members:
                     env.update(self.envelopes[back])
         self.envelopes[k] = sorted(env)
+        self.counts[k] = work(self.profit_kind, k)
         for j in env:
             self.users[j].add(k)
         self.stale.add(k)
@@ -475,7 +479,7 @@ class MarginState:
             return self.by_value.top()[1]
         for k in self.stale:
             if k in self.memo:
-                self.by_profit.push(k, profit(self.profit_kind, self.envelopes[k], self.memo))
+                self.by_profit.push(k, profit(self.envelopes[k], self.memo, self.counts))
         self.stale.clear()
         return self.by_profit.top()[1]
 
@@ -499,6 +503,7 @@ class MarginState:
             return
         for j in added:
             self.envelopes.pop(j, None)
+            self.counts.pop(j, None)
             for k in self.users.pop(j, ()):
                 # k's envelope holds every missing ancestor of k, so also
                 # the added backward neighbour of each member it dropped

@@ -226,10 +226,13 @@ class SolveCache:
         self._by_index = {}
         self.n_solves = 0
 
+    def __contains__(self, key):
+        return key in self._by_index
+
     def solve_indexed(self, key, Y):
         """Solutions at the points Y (P, M) of the block named key, shape
         (P, n+1): one counted batch on the first request for key, the
-        same read-only array afterwards, whatever Y is then."""
+        same read-only array afterwards, whatever Y is then (None, say)."""
         if key not in self._by_index:
             U = self._by_index[key] = self.disc.solve_at(np.asarray(Y, dtype=np.float64))
             U.flags.writeable = False

@@ -21,14 +21,17 @@ candidate's values are formed once.  Scattered points (the queries)
 go through kernels.weight_product.
 
 add_index(i, values) is the one way in: values are taken at i's fresh
-points, coords_of(new_point_indices(i)).
+points, coords_of(new_point_indices(i)), formed like work(i) on each
+call from _level_range over i's nonzero levels.  Every memo here is
+keyed by (family, level), none by an index, so none grows with a run.
 
 The surpluses of one index's fresh block are flat rows in C order over
-its fresh_shape.  mode_product applies a matrix along one axis of such
-rows without leaving the flat form: _times_y_rows carries a block
-through "multiply by y_m, then take the next level's detail", which is
-how the residual estimator forms its detail from the stored blocks
-alone, and _fresh_inverse_rows takes level-grid values to surpluses.
+its per-axis fresh counts.  mode_product applies a matrix along one
+axis of such rows without leaving the flat form: _times_y_rows carries
+a block through "multiply by y_m, then take the next level's detail",
+which is how the residual estimator forms its detail from the stored
+blocks alone, and _fresh_inverse_rows takes level-grid values to
+surpluses.
 
 TensorPoly and TensorDetail are the combination-technique view: a
 detail operator applied to grid values is a signed sum of full tensor
@@ -46,44 +49,16 @@ import math
 import numpy as np
 
 from . import kernels
-from .multiindex import MonotoneIndexSet
+from .multiindex import MonotoneIndexSet, as_index
 from .nodes import get_family, growth
 
 _EINSUM_LETTERS = "abcdefghij"
 _DOMAIN_SLACK = 1e-12
 
 
-def fresh_shape(kind, i):
-    """Per-dimension counts m(i_m) - m(i_m - 1) of the fresh points of i,
-    the growth function extended by m(-1) = -1 so a zero component
-    contributes one point.  A tuple of plain ints, memoized per
-    (kind, index); NumPy integer components share the entry of the equal
-    plain ones."""
-    return _fresh_shape(kind, tuple(i))
-
-
-@functools.lru_cache(maxsize=None)
-def _fresh_shape(kind, i):
-    return tuple(len(r) for r in fresh_ranges(kind, i))
-
-
 def work(kind, i):
-    """Number of fresh grid points a multi-index contributes: the product
-    of its fresh_shape, a plain int memoized like it."""
-    return _work(kind, tuple(i))
-
-
-@functools.lru_cache(maxsize=None)
-def _work(kind, i):
-    return math.prod(_fresh_shape(kind, i))
-
-
-@functools.lru_cache(maxsize=None)
-def _fresh_points(kind, i):
-    # the C-order grid of the per-axis fresh positions, last axis fastest
-    out = np.array(list(itertools.product(*fresh_ranges(kind, i))), dtype=np.int64)
-    out.flags.writeable = False
-    return out
+    """Number of fresh grid points of i: a product over its nonzero levels."""
+    return math.prod(len(_level_range(kind, v)) for v in i if v)
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,7 +75,7 @@ def fresh_ranges(kind, i):
 
 def grid_points(kind, indexset):
     """All grid node-index tuples of a monotone set, in block order."""
-    return [tuple(j) for i in indexset for j in _fresh_points(kind, tuple(i)).tolist()]
+    return [j for i in indexset for j in itertools.product(*fresh_ranges(kind, i))]
 
 
 def _grid_weights(tables, pts):
@@ -143,8 +118,13 @@ class SparseInterpolant:
         return self._blocks[tuple(i)]
 
     def new_point_indices(self, i):
-        """Read-only (work(i), M) int64 node indices of i's fresh points, C order."""
-        return _fresh_points(self.family.kind, tuple(i))
+        """(work(i), M) int64 node indices of i's fresh points, C order: the
+        product of the fresh ranges of i's nonzero levels, 0 elsewhere."""
+        kind, cols = self.family.kind, [m for m, v in enumerate(i) if v]
+        rows = list(itertools.product(*(_level_range(kind, i[m]) for m in cols)))
+        out = np.zeros((len(rows), self.dim), dtype=np.int64)
+        out[:, cols] = rows
+        return out
 
     def coords_of(self, js):
         js = np.asarray(js, dtype=np.int64).reshape(-1, self.dim)
@@ -246,7 +226,7 @@ class SparseInterpolant:
         """
         if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
-        k = tuple(int(v) for v in k)
+        k = as_index(k)
         if len(k) != self.dim:
             raise ValueError("index length %d does not match dimension %d" % (len(k), self.dim))
         kept = self._below.get(k)
@@ -278,7 +258,7 @@ class SparseInterpolant:
         are used and then dropped).
         Returns the number of fresh points.
         """
-        i = tuple(int(v) for v in i)
+        i = as_index(i)
         if not self.indexset.is_admissible(i):
             raise ValueError(
                 "index %r is not addable (must be the root or reduced-margin)" % (i,)
@@ -319,7 +299,7 @@ class SparseInterpolant:
         obj = cls(data["nodes"], data["dim"])
         obj.indexset = MonotoneIndexSet.from_jsonable(data["indices"], dim=obj.dim)
         kind = obj.family.kind
-        expected = sum(work(kind, tuple(k)) for k in obj.indexset)
+        expected = sum(work(kind, k) for k in obj.indexset)
         if len(data["points"]) != expected:
             raise ValueError(
                 "point count %d does not match index set (%d expected)"
@@ -328,7 +308,7 @@ class SparseInterpolant:
         grid = set(grid_points(kind, obj.indexset))
         row_of = {}
         for rec in data["points"]:
-            j = tuple(int(v) for v in rec["j"])
+            j = as_index(rec["j"])
             if j not in grid:
                 raise ValueError("point %r is not on the grid of the index set" % (j,))
             if j in row_of:
@@ -364,7 +344,7 @@ class TensorPoly:
 
     def __init__(self, family, levels, values_nd):
         self.family = get_family(family)
-        self.levels = tuple(int(v) for v in levels)
+        self.levels = as_index(levels)
         self.dim = len(self.levels)
         self.values = np.asarray(values_nd, dtype=np.float64)
         if self.values.ndim != self.dim + 1:

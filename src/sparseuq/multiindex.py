@@ -17,9 +17,20 @@ dimension) save and load it.  margin() and reduced_margin() compute
 their indices from the members, in order, on every call, so an adaptive
 run reads them once, at the root, and follows its candidates from round
 to round in one estimators.MarginState.  forward and backward step one
-component of an index.  The test suite checks the set against direct
-transcriptions of the definitions (tests/oracles.py).
+component of an index, as_index checks and normalises one.  The test
+suite checks the set against direct transcriptions of the definitions
+(tests/oracles.py).
 """
+
+import operator
+
+
+def as_index(k):
+    """k as a tuple of plain ints; an entry that is not an integer raises."""
+    try:
+        return tuple(map(operator.index, k))
+    except TypeError:
+        raise ValueError("index %r has a non-integer entry" % (k,)) from None
 
 
 def forward(k, m):
@@ -49,7 +60,7 @@ class MonotoneIndexSet:
         self.dim = int(dim)
         self.members = set()
         for k in sorted(members):
-            self.add(tuple(k))
+            self.add(k)
 
     def __contains__(self, k):
         return tuple(k) in self.members
@@ -92,11 +103,11 @@ class MonotoneIndexSet:
 
     def is_admissible(self, k):
         """True iff add(k) would succeed."""
-        return self._refusal(tuple(int(v) for v in k)) is None
+        return self._refusal(as_index(k)) is None
 
     def add(self, k):
         """Insert k; it must be the root (on an empty set) or reduced-margin."""
-        k = tuple(int(v) for v in k)
+        k = as_index(k)
         refusal = self._refusal(k)
         if refusal is not None:
             raise ValueError(refusal)
@@ -133,4 +144,4 @@ class MonotoneIndexSet:
 
     @classmethod
     def from_jsonable(cls, data, dim):
-        return cls(dim, [tuple(int(v) for v in row) for row in data])
+        return cls(dim, [as_index(row) for row in data])

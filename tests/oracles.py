@@ -33,9 +33,10 @@ from sparseuq.interp import (
     TensorPoly,
     _fresh_inverse_rows,
     _fresh_table,
-    fresh_shape,
+    fresh_ranges,
     mode_product,
     tensor_grid_axes,
+    work,
 )
 from sparseuq.multiindex import MonotoneIndexSet
 from sparseuq.nodes import (
@@ -97,6 +98,13 @@ def detail_terms(det, Y):
         part = det._eval_scatter(levels, Y)
         out = sign * part if out is None else out + sign * part
     return out
+
+
+def fresh_shape(kind, i):
+    """Per-dimension counts m(i_m) - m(i_m - 1) of the fresh points of i,
+    the growth function extended by m(-1) = -1 so a zero component
+    contributes one point."""
+    return tuple(len(r) for r in fresh_ranges(kind, i))
 
 
 class HierarchicalBlock:
@@ -443,7 +451,8 @@ def gn_rounds(problem, disc, config):
             return rounds
         s = P.indexset
         if config.strategy == "gn_profit":
-            pis = {k: profit(config.nodes, s.monotone_envelope(k), values) for k in values}
+            counts = {k: work(config.nodes, k) for k in values}
+            pis = {k: profit(s.monotone_envelope(k), values, counts) for k in values}
             marked = s.monotone_envelope(lex_argmax(pis))
         else:
             marked = s.monotone_envelope(lex_argmax(values))

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sparseuq import adaptive, estimators, interp, multiindex
+from sparseuq import adaptive, estimators, interp, multiindex, nodes
 from sparseuq.adaptive import (
     AdaptiveConfig,
     STRATEGIES,
@@ -285,6 +285,32 @@ def row_stats(row):
         row.estimates_fresh,
         row.estimates_reused,
     )
+
+
+def memo_sizes():
+    """Entry count of every lru_cache memo of interp, estimators and nodes."""
+    return {
+        (module.__name__, name): fn.cache_info().currsize
+        for module in (interp, estimators, nodes)
+        for name, fn in vars(module).items()
+        if hasattr(fn, "cache_info")
+    }
+
+
+@pytest.mark.parametrize("strategy", ["gn_profit", "gg"])
+def test_memos_do_not_grow_with_the_indices_visited(strategy):
+    # every memo is keyed by (family, level[, sample count]): a run adds
+    # at most one entry per level reached, however many indices it visits
+    before = memo_sizes()
+    p = build_problem({"family": "cosine", "M": 12})
+    config = AdaptiveConfig(strategy=strategy, nodes="leja", tol=1e-12, max_iter=40)
+    trace = run_strategy(p, SpatialDiscretization(p, 32), config)
+    s = trace.interpolant.indexset
+    visited = set(s.members).union(s.margin())
+    levels = 2 + max(max(k) for k in visited)
+    assert len(trace.rows) == 41 + (strategy == "gg") and len(visited) > 4 * levels
+    for key, size in memo_sizes().items():
+        assert size - before.get(key, 0) <= levels, (key, size, levels)
 
 
 def test_gn_profit_recomputes_only_stale_profits(monkeypatch):

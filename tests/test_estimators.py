@@ -628,6 +628,36 @@ def test_surplus_reuses_cache_for_add():
     assert cache.n_solves == n
 
 
+def test_inserting_a_solved_block_forms_no_points(monkeypatch):
+    # the surplus indicator solves k's block; add_index(k) then reads it
+    # from the cache and forms its coordinates nowhere
+    disc = SpatialDiscretization(build_problem({"family": "cosine", "M": 2}), 16)
+    P = SparseInterpolant("clenshaw_curtis", 2)
+    cache = SolveCache(disc)
+    P.add_index((0, 0), values=fresh_solves(P, cache, (0, 0)))
+    formed = []
+    coords_of = SparseInterpolant.coords_of
+    monkeypatch.setattr(
+        SparseInterpolant, "coords_of", lambda self, js: formed.append(1) or coords_of(self, js)
+    )
+    for k in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+        surplus_indicator(P, disc, k, NormSpec(p=2), cache)
+        assert len(formed) == 1, k
+        n = cache.n_solves
+        P.add_index(k, values=fresh_solves(P, cache, k))
+        assert len(formed) == 1 and cache.n_solves == n, k
+        formed.clear()
+
+
+def test_non_integer_indices_are_refused():
+    disc = SpatialDiscretization(affine_problem(), 32)
+    P, cache = build_chain(disc, 1)
+    with pytest.raises(ValueError, match="non-integer"):
+        surplus_indicator(P, disc, (1.5,), NormSpec(p=2), cache)
+    with pytest.raises(ValueError, match="non-integer"):
+        residual_estimator(P, disc, (2.0,), NormSpec(p=2))
+
+
 def test_fresh_solves_keep_node_families_apart():
     # a node index names another point in each family, so a cache shared
     # by Leja and Clenshaw-Curtis interpolants once returned the Leja
@@ -652,22 +682,25 @@ def test_fresh_solves_keep_node_families_apart():
 def test_profit_unit_growth_reduced_margin():
     s = MonotoneIndexSet(1, [(0,)])
     eta = {(1,): 0.7}
-    assert profit("leja", s.monotone_envelope((1,)), eta) == pytest.approx(0.7, abs=0)
+    env = s.monotone_envelope((1,))
+    assert profit(env, eta, {(1,): 1}) == pytest.approx(0.7, abs=0)
 
 
 def test_profit_cc_singleton_envelope():
     s = MonotoneIndexSet(1, [(0,), (1,)])
     eta = {(2,): 0.6}
-    assert profit("clenshaw_curtis", s.monotone_envelope((2,)), eta) == pytest.approx(0.3, abs=0)
+    env = s.monotone_envelope((2,))
+    assert profit(env, eta, {(2,): work("clenshaw_curtis", (2,))}) == pytest.approx(0.3, abs=0)
 
 
 def test_profit_envelope_average():
     # the envelope of (1,1) over {(0,0),(1,0)} is {(0,1),(1,1)}
     s = MonotoneIndexSet(2, [(0, 0), (1, 0)])
     eta = {(2, 0): 0.9, (0, 1): 0.3, (1, 1): 0.1}
-    got = profit("leja", s.monotone_envelope((1, 1)), eta)
+    counts = {k: work("leja", k) for k in eta}
+    got = profit(s.monotone_envelope((1, 1)), eta, counts)
     assert got == pytest.approx((0.3 + 0.1) / 2.0, abs=1e-15)
-    assert profit("leja", s.monotone_envelope((2, 0)), eta) == pytest.approx(0.9, abs=0)
+    assert profit(s.monotone_envelope((2, 0)), eta, counts) == pytest.approx(0.9, abs=0)
 
 
 def test_drop_stale_returns_forgotten_keys():
@@ -707,7 +740,9 @@ def test_kept_profits_equal_fresh_profits(kind):
             live = state.by_profit.live
             assert set(live) == set(state.memo) == set(s.margin())
             for k, entry in live.items():
-                assert -entry[0] == profit(kind, s.monotone_envelope(k), state.memo), (dim, step, k)
+                env = s.monotone_envelope(k)
+                counts = {j: work(kind, j) for j in env}
+                assert -entry[0] == profit(env, state.memo, counts), (dim, step, k)
             kept += sum(1 for k, entry in before.items() if live.get(k) is entry)
             cand = s.margin()
             marked = s.monotone_envelope(cand[rng.integers(len(cand))])

@@ -76,7 +76,8 @@ def test_work_examples():
 
 @pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
 def test_work_memo_counts_fresh_points(kind):
-    # memoized per (kind, index); NumPy components give the same plain int
+    # from the per-(kind, level) fresh ranges of the nonzero components;
+    # NumPy components give the same plain int
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3, 4):
         for _ in range(10):
@@ -104,7 +105,8 @@ def test_work_memo_keeps_reload_and_profit(kind):
     for k in s.margin():
         env = s.monotone_envelope(k)
         den = sum(len(list(itertools.product(*fresh_ranges(kind, j)))) for j in env)
-        assert profit(kind, env, eta) == sum(eta[j] for j in env) / den
+        counts = {j: work(kind, j) for j in env}
+        assert profit(env, eta, counts) == sum(eta[j] for j in env) / den
 
 
 def test_fresh_ranges_cc():
@@ -200,6 +202,20 @@ def test_fresh_points_keep_the_unravel_order(kind):
         want = unravel_fresh_points(kind, k)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_non_integer_indices_are_refused():
+    P = SparseInterpolant("leja", 2)
+    P.add_index((0, 0), values=[[1.0]])
+    with pytest.raises(ValueError, match="non-integer"):
+        P.add_index((1.5, 0), values=[[1.0]])
+    with pytest.raises(ValueError, match="non-integer"):
+        P.value_below((1.0, 0))
+    data = P.to_jsonable()
+    data["points"][0]["j"] = [0.0, 0]
+    with pytest.raises(ValueError, match="non-integer"):
+        SparseInterpolant.from_jsonable(data)
+    assert list(P.indexset) == [(0, 0)]
 
 
 def test_fractional_dimension_is_rejected():

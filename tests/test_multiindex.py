@@ -97,6 +97,23 @@ def test_add_validation():
         s.add((0, 0, 1))
 
 
+def test_non_integer_entries_are_refused():
+    # they were once truncated: add((1.7, 0)) added (1, 0)
+    s = MonotoneIndexSet(2, [(0, 0)])
+    for k in [(1.7, 0), (1.0, 0), np.array([1.5, 0.0]), ("1", 0)]:
+        with pytest.raises(ValueError, match="non-integer"):
+            s.add(k)
+        with pytest.raises(ValueError, match="non-integer"):
+            s.is_admissible(k)
+    with pytest.raises(ValueError, match=r"\[0\.0, 0\]"):
+        MonotoneIndexSet.from_jsonable([[0.0, 0]], 2)
+    assert list(s) == [(0, 0)]
+    s.add(np.array([1, 0]))
+    s.add((np.int64(0), np.int32(1)))
+    assert list(s) == [(0, 0), (0, 1), (1, 0)]
+    assert all(type(v) is int for k in s for v in k)
+
+
 def test_margin_methods_empty_set():
     s = MonotoneIndexSet(2)
     with pytest.raises(ValueError):
