@@ -13,17 +13,22 @@ rows and the factors multiplied by broadcasting.  The reference error's
 grid is one such grid, and so are a new index's fresh points.  There
 only the stored blocks below the index carry nonzero basis weights, so
 SparseInterpolant.value_below sums those alone, with per-axis tables
-taken from memoized per-level basis tables; it gives both add_index and
-the surplus indicator the interpolant's values there.  For an addable
-index that sum cannot change until the index itself is added, so the
-interpolant keeps it, read-only, and add_index takes it back out: a
-candidate's values are formed once.  Scattered points (the queries)
-go through kernels.weight_product.
+taken from memoized per-level basis tables for the index's nonzero
+levels only; it gives both add_index and the surplus indicator the
+interpolant's values there.  For an addable index that sum cannot
+change until the index itself is added, so the interpolant keeps it,
+read-only, and add_index takes it back out: a candidate's values are
+formed once.  Scattered points (the queries) go through
+kernels.weight_product, whose product runs over each stored point's
+support: h_0 is exactly 1.0, so level-0 factors are skipped, and a
+parameter no stored point uses gets no basis table.
 
 add_index(i, values) is the one way in: values are taken at i's fresh
-points, coords_of(new_point_indices(i)), formed like work(i) on each
-call from _level_range over i's nonzero levels.  Every memo here is
-keyed by (family, level), none by an index, so none grows with a run.
+points, coords_of(new_point_indices(i)), formed like work(i) from
+_level_range over i's nonzero levels; for an addable i the node indices
+are kept, like its values below, until add_index takes them.  Every
+memo here is keyed by (family, level), none by an index, so none grows
+with a run.
 
 The surpluses of one index's fresh block are flat rows in C order over
 its per-axis fresh counts.  mode_product applies a matrix along one
@@ -85,12 +90,13 @@ def _grid_weights(tables, pts):
     Each table's columns are gathered at the rows as whole contiguous
     rows of its transpose, and the factors multiplied by broadcasting in
     the order m = 0, 1, ..., as kernels.weight_product multiplies them.
-    A column-major (prod_m len(tables[m]), len(pts)) view."""
+    A column-major (prod_m len(tables[m]), len(pts)) view; with no
+    tables, the one sample weighs 1 at every row."""
     W = None
     for m, t in enumerate(tables):
         g = t.T[pts[:, m]]
         W = g if W is None else (W[:, :, None] * g[:, None, :]).reshape(len(pts), -1)
-    return W.T
+    return np.ones((1, len(pts))) if W is None else W.T
 
 
 class SparseInterpolant:
@@ -102,8 +108,10 @@ class SparseInterpolant:
         self.indexset = MonotoneIndexSet(dim)
         self.dim = self.indexset.dim
         self._blocks = {}
-        # value_below of addable indices, until add_index takes them
+        # value_below and new_point_indices of addable indices, until
+        # add_index takes them
         self._below = {}
+        self._fresh = {}
         # rows in insertion order, appended into capacity-doubling buffers
         self._n = 0
         self._pts = np.empty((0, self.dim), dtype=np.int64)
@@ -119,7 +127,21 @@ class SparseInterpolant:
 
     def new_point_indices(self, i):
         """(work(i), M) int64 node indices of i's fresh points, C order: the
-        product of the fresh ranges of i's nonzero levels, 0 elsewhere."""
+        product of the fresh ranges of i's nonzero levels, 0 elsewhere.
+        For an addable i the array is kept, read-only, and returned again
+        until add_index(i) takes it out, so a candidate's points are
+        formed once."""
+        i = as_index(i)
+        kept = self._fresh.get(i)
+        if kept is not None:
+            return kept
+        out = self._point_indices(i)
+        if self.indexset.is_admissible(i):
+            out.flags.writeable = False
+            self._fresh[i] = out
+        return out
+
+    def _point_indices(self, i):
         kind, cols = self.family.kind, [m for m, v in enumerate(i) if v]
         rows = list(itertools.product(*(_level_range(kind, i[m]) for m in cols)))
         out = np.zeros((len(rows), self.dim), dtype=np.int64)
@@ -160,10 +182,13 @@ class SparseInterpolant:
     def basis_weights(self, Y):
         """Tensor hierarchical basis values at points Y of shape (P, M) for
         every stored grid point, shape (P, rows): the interpolant is
-        basis_weights @ surpluses.  The per-dimension basis tables are
-        stacked and kernels.weight_product gathers them at the points'
-        stacked ids.  The result is a column-major view (its transpose is
-        C-ordered)."""
+        basis_weights @ surpluses.  Tables are built only for the active
+        parameters, those where some stored point has a nonzero level:
+        one constant column h_0 = 1 comes first, then each active
+        parameter's columns h_1, h_2, ..., and kernels.weight_product
+        multiplies, per stored point, the columns of its nonzero levels
+        (its level-0 entries name the constant column).  The result is a
+        column-major view (its transpose is C-ordered)."""
         if not self._n:
             raise ValueError("cannot evaluate an empty interpolant")
         Y = np.asarray(Y, dtype=np.float64)
@@ -175,10 +200,14 @@ class SparseInterpolant:
         if np.any(np.abs(Y) > 1.0 + _DOMAIN_SLACK):
             raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
         nmax = pts.max(axis=0) + 1
-        # basis_matrix is a transposed view of a row-major (n, P) array
-        rows = [self.family.basis_matrix(Y[:, m], int(nmax[m])).T for m in range(self.dim)]
-        # each point's column ids in the stacked table: past the tables before
-        cols = pts + (np.cumsum(nmax) - nmax)
+        active = np.flatnonzero(nmax > 1)
+        # basis_matrix is a transposed view of a row-major (n, P) array;
+        # its h_0 row is dropped, as row 0, all ones, serves every parameter
+        rows = [np.ones((1, Y.shape[0]))]
+        rows += [self.family.basis_matrix(Y[:, m], int(nmax[m])).T[1:] for m in active]
+        # level j >= 1 of parameter m sits past the active tables before it
+        offsets = np.cumsum(nmax - 1) - (nmax - 1)
+        cols = np.where(pts != 0, pts + offsets, 0)
         return kernels.weight_product(np.concatenate(rows, axis=0).T, cols)
 
     def grid_basis_weights(self, axes, start=0):
@@ -236,8 +265,10 @@ class SparseInterpolant:
         pts = self._pts[: self._n]
         ranges = fresh_ranges(kind, k)
         box = (pts < [r.stop for r in ranges]).all(axis=1)
-        tables = [_level_basis(kind, km)[r.start : r.stop] for km, r in zip(k, ranges)]
-        out = _grid_weights(tables, pts[box]) @ self._vals[: self._n][box]
+        # a level-0 axis has one sample and its table is [[1.0]]: skip it
+        supp = [m for m, km in enumerate(k) if km]
+        tables = [_level_basis(kind, k[m])[ranges[m].start : ranges[m].stop] for m in supp]
+        out = _grid_weights(tables, pts[box][:, supp]) @ self._vals[: self._n][box]
         if self.indexset.is_admissible(k):
             out.flags.writeable = False
             self._below[k] = out
@@ -263,7 +294,9 @@ class SparseInterpolant:
             raise ValueError(
                 "index %r is not addable (must be the root or reduced-margin)" % (i,)
             )
-        newjs = self.new_point_indices(i)
+        newjs = self._fresh.pop(i, None)
+        if newjs is None:
+            newjs = self._point_indices(i)
         fvals = np.asarray(values, dtype=np.float64)
         if fvals.ndim == 1:
             fvals = fvals[:, None]
@@ -320,7 +353,7 @@ class SparseInterpolant:
         # blocks regroup by the unique index whose fresh range holds each
         # point, in new_point_indices order, which block_of readers rely on
         for i in obj.indexset:
-            rows = [row_of[tuple(j)] for j in obj.new_point_indices(i).tolist()]
+            rows = [row_of[tuple(j)] for j in obj._point_indices(i).tolist()]
             if rows != list(range(rows[0], rows[0] + len(rows))):
                 raise ValueError(
                     "points of index %r are not contiguous in block order" % (tuple(i),)

@@ -57,20 +57,57 @@ def basis_table(ys, nodes, mks, denoms):
 # It serves scattered points (SparseInterpolant.basis_weights, the queries);
 # points that form a tensor grid are weighed axis by axis instead
 # (interp._grid_weights).
+# Column 0 of table is the constant basis function h_0, which is exactly
+# 1.0 for every node family, and every level-0 entry of cols names it.
+# That column is never multiplied: grid point r takes only the factors
+# of its nonzero ids (the parameters where its level is nonzero), in
+# increasing m, and a point with none gets column 0 itself.  As
+# x * 1.0 == x, W is bitwise the product over all M factors taken in the
+# order m = 0, 1, ...
 # The product runs on the transpose: row t of table.T holds basis function t
 # at every sample, so each factor is a gather of whole contiguous rows, not
 # of P scattered columns.  For the column-major (P, T) view that
 # SparseInterpolant.basis_weights passes, table.T is C-ordered already and
-# is not copied.  The factors are multiplied in the same order m = 0, 1, ...
-# as a column gather would, so W is bitwise the same; it is returned as a
-# column-major (P, N) view.
+# is not copied.  One gather takes every point's first factor.  For
+# each later factor rank q, the points that take a q-th factor form runs
+# of consecutive rows, at most one per index block, since a block's
+# points share their support (4, 11 and 54 runs over all ranks on the
+# benchmark's three surrogates, before joining); each run is one gather
+# and one in-place product, so no buffer but the result holds an (N, P)
+# array.  A point past its support takes the constant row, exactly, so
+# runs whose gap holds fewer than _BRIDGE entries (rows times samples)
+# are joined: a short gap costs less than another gather call, and a
+# few samples (single-point queries) need only one call per rank.  W is
+# returned as a column-major (P, N) view.
+
+_BRIDGE = 1024
 
 
 def weight_product(table, cols):
     rows = np.ascontiguousarray(table.T)
-    out = rows[cols[:, 0]]
-    for m in range(1, cols.shape[1]):
-        out *= rows[cols[:, m]]
+    n, dim = cols.shape
+    flat = cols.ravel()
+    at = np.flatnonzero(flat != 0)
+    r = at // dim
+    size = np.bincount(r, minlength=n)
+    width = max(int(size.max(initial=0)), 1)
+    # factors[r, q] is the q-th nonzero id of point r in increasing m, and
+    # 0 (the constant row) past its support
+    factors = np.zeros(n * width, dtype=cols.dtype)
+    factors[np.arange(at.shape[0]) + (r * width - (np.cumsum(size) - size)[r])] = flat[at]
+    factors = factors.reshape(n, width)
+    out = rows[factors[:, 0]]
+    if width > 1:
+        # run edges per rank: starts and stops alternate within each rank
+        takes = np.zeros((width - 1, n + 2), dtype=np.int8)
+        takes[:, 1:-1] = size > np.arange(1, width)[:, None]
+        qs, edges = np.nonzero(np.diff(takes, axis=1))
+        qs, starts, stops = qs[::2] + 1, edges[::2], edges[1::2]
+        apart = (qs[1:] != qs[:-1]) | ((starts[1:] - stops[:-1]) * rows.shape[1] >= _BRIDGE)
+        first = np.concatenate(([True], apart))
+        last = np.concatenate((apart, [True]))
+        for q, a, b in zip(qs[first].tolist(), starts[first].tolist(), stops[last].tolist()):
+            out[a:b] *= rows[factors[a:b, q]]
     return out.T
 
 

@@ -33,6 +33,7 @@ from sparseuq.interp import (
     TensorPoly,
     _fresh_inverse_rows,
     _fresh_table,
+    _level_basis,
     fresh_ranges,
     mode_product,
     tensor_grid_axes,
@@ -173,6 +174,35 @@ def point_indices(P):
 def grid_coords(P):
     """Coordinates of P's grid points, rows in insertion order."""
     return P.coords_of(point_indices(P))
+
+
+def dense_basis_weights(P, Y):
+    """P.basis_weights(Y) as a product over all M parameters, level-0
+    factors h_0 = 1 included: one basis table per parameter, gathered at
+    the stored points' node indices and multiplied in the order
+    m = 0, 1, ..., starting from the first factor.  Shape (P, rows)."""
+    pts = np.asarray(point_indices(P))
+    Y = np.asarray(Y, dtype=np.float64)
+    W = None
+    for m in range(P.dim):
+        g = P.family.basis_matrix(Y[:, m], int(pts[:, m].max()) + 1)[:, pts[:, m]]
+        W = g if W is None else W * g
+    return W
+
+
+def value_below_all_axes(P, k):
+    """P.value_below(k) with a weight factor on every axis: an axis with
+    k_m = 0 contributes its level-0 table [[1.0]]; the rows of the box
+    below k, weighed on the C-order grid of k's fresh points."""
+    kind = P.family.kind
+    pts = np.asarray(point_indices(P))
+    ranges = fresh_ranges(kind, k)
+    box = (pts < [r.stop for r in ranges]).all(axis=1)
+    W = None
+    for km, r, col in zip(k, ranges, pts[box].T):
+        g = _level_basis(kind, km)[r.start : r.stop].T[col]
+        W = g if W is None else (W[:, :, None] * g[:, None, :]).reshape(len(col), -1)
+    return W.T @ P.surpluses()[box]
 
 
 def basis_value(kind, i, y):

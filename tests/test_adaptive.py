@@ -24,7 +24,13 @@ from sparseuq.fem import (
 from sparseuq.interp import SparseInterpolant
 from sparseuq.multiindex import MonotoneIndexSet
 
-from oracles import gg_rounds, gn_rounds, matches_definitions, point_indices
+from oracles import (
+    dense_basis_weights,
+    gg_rounds,
+    gn_rounds,
+    matches_definitions,
+    point_indices,
+)
 
 
 def const(c):
@@ -311,6 +317,51 @@ def test_memos_do_not_grow_with_the_indices_visited(strategy):
     assert len(trace.rows) == 41 + (strategy == "gg") and len(visited) > 4 * levels
     for key, size in memo_sizes().items():
         assert size - before.get(key, 0) <= levels, (key, size, levels)
+
+
+def test_evaluation_builds_tables_for_the_active_parameters_only(monkeypatch):
+    # at M = 64 a 60-row run uses a few parameters; evaluation builds one
+    # basis table per used parameter and multiplies only nonzero levels,
+    # and its values are bitwise the product over all 64 factors
+    p = build_problem({"family": "cosine", "M": 64})
+    config = AdaptiveConfig(strategy="gn_envelope", nodes="leja", tol=1e-12, max_iter=59)
+    P = run_strategy(p, SpatialDiscretization(p, 32), config).interpolant
+    active = {m for k in P.indexset for m, v in enumerate(k) if v}
+    assert 2 < len(active) < 32
+    Y = np.random.default_rng(71).uniform(-1, 1, size=(300, 64))
+    dense = np.asfortranarray(dense_basis_weights(P, Y))
+    calls = []
+    basis_matrix = nodes.NodeFamily.basis_matrix
+    monkeypatch.setattr(
+        nodes.NodeFamily,
+        "basis_matrix",
+        lambda self, ys, n: calls.append(n) or basis_matrix(self, ys, n),
+    )
+    got = P.evaluate(Y)
+    assert len(calls) == len(active) and min(calls) > 1
+    assert got.tobytes() == (dense @ P.surpluses()).tobytes()
+    W = np.ascontiguousarray(P.basis_weights(Y))
+    assert W.tobytes() == np.ascontiguousarray(dense).tobytes()
+
+
+@pytest.mark.parametrize("nodes_kind", ["clenshaw_curtis", "leja"])
+def test_gg_forms_each_blocks_points_once(nodes_kind, monkeypatch):
+    # the surplus indicator forms a candidate's node indices on its cache
+    # miss; the interpolant keeps them until add_index takes them
+    formed = []
+    new_point_indices = SparseInterpolant.new_point_indices
+    monkeypatch.setattr(
+        SparseInterpolant,
+        "new_point_indices",
+        lambda self, i: formed.append(tuple(i)) or new_point_indices(self, i),
+    )
+    p = cosine_problem(3)
+    cfg = AdaptiveConfig(strategy="gg", nodes=nodes_kind, tol=1e-5, reference_every=0)
+    trace = run_strategy(p, SpatialDiscretization(p, 64), cfg)
+    assert trace.stop_reason == "tol"
+    assert len(formed) == len(set(formed))
+    assert set(trace.interpolant.indexset) <= set(formed)
+    assert not trace.interpolant._fresh
 
 
 def test_gn_profit_recomputes_only_stale_profits(monkeypatch):

@@ -38,6 +38,7 @@ from oracles import (
     tensor_grid_coords,
     tensor_interpolant,
     tensor_values,
+    value_below_all_axes,
 )
 
 
@@ -732,6 +733,40 @@ def test_kept_value_below_equals_a_fresh_product(kind):
                 assert v.tobytes() == Q.value_below(k).tobytes(), (dim, k)
                 seen += 1
         assert seen == len(others[1::2])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_below_equals_the_all_axes_product(kind):
+    # value_below skips k's level-0 axes, whose tables are [[1.0]]; the
+    # product over every axis gives the same bytes
+    rng = np.random.default_rng(61)
+    seen = 0
+    for dim in (1, 2, 3, 4):
+        s = capped_monotone(kind, dim, rng.integers(0, 10**6, size=10))
+        P = random_valued(kind, s, rng)
+        for k in s.reduced_margin() + [(0,) * dim]:
+            got = P.value_below(k)
+            assert got.tobytes() == value_below_all_axes(P, k).tobytes(), (dim, k)
+            seen += 0 in k
+    assert seen > 10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_point_indices_of_a_candidate_are_formed_once(kind):
+    # new_point_indices keeps an addable index's array, read-only, and
+    # add_index takes it out; other indices' arrays are not kept
+    rng = np.random.default_rng(67)
+    P = random_valued(kind, capped_monotone(kind, 3, [2, 5, 1]), rng)
+    k = tuple(P.indexset.reduced_margin()[0])
+    js = P.new_point_indices(k)
+    assert not js.flags.writeable and P.new_point_indices(k) is js
+    far = tuple(v + 2 for v in k)
+    assert P.new_point_indices(far).flags.writeable and far not in P._fresh
+    P.add_index(k, values=rng.normal(size=(work(kind, k), 3)))
+    assert k not in P._fresh
+    start, count = P.block_of(k)
+    assert point_indices(P)[start : start + count] == [tuple(j) for j in js.tolist()]
+    assert P.new_point_indices(k).tobytes() == js.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

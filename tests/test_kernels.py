@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparseuq import kernels
+from sparseuq import interp, kernels
 from sparseuq.nodes import get_family, growth
 
 
@@ -101,6 +101,7 @@ def test_clenshaw_curtis_tables_equal_unscaled_ones():
 def test_weight_product_matches_loop():
     rng = np.random.default_rng(3)
     table = rng.standard_normal((17, 12))
+    table[:, 0] = 1.0  # the constant column, h_0
     cols = rng.integers(0, 12, size=(8, 3)).astype(np.int64)
     got = kernels.weight_product(table, cols)
     for p in range(17):
@@ -122,11 +123,48 @@ def weight_product_columns(table, cols):
 @pytest.mark.parametrize("n_pts, n_rows", [(33, 20), (1, 20), (33, 1)])
 def test_weight_product_matches_column_gather(order, dim, n_pts, n_rows):
     rng = np.random.default_rng(dim * 100 + n_pts + n_rows)
-    table = np.asarray(rng.standard_normal((n_pts, 6 * dim)), order=order)
+    table = rng.standard_normal((n_pts, 6 * dim))
+    table[:, 0] = 1.0  # the constant column, h_0
+    table = np.asarray(table, order=order)
     cols = rng.integers(0, 6 * dim, size=(n_rows, dim)).astype(np.int64)
     got = kernels.weight_product(table, cols)
     assert got.shape == (n_pts, n_rows)
     assert got.tobytes() == weight_product_columns(table, cols).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_pts", [1, 25, 2048])
+def test_weight_product_skips_the_constant_column(order, n_pts):
+    # all-zero rows (the root) weigh 1 everywhere; a whole column of zeros
+    # (an inactive parameter) and zeros between nonzero ids take no factor;
+    # points whose support sizes interleave split into runs, which are
+    # joined across every gap (1 sample), some gaps (25) or none (2048)
+    rng = np.random.default_rng(8)
+    table = rng.standard_normal((n_pts, 13))
+    table[:, 0] = 1.0
+    table = np.asarray(table, order=order)
+    cols = rng.integers(1, 13, size=(120, 7)).astype(np.int64)
+    cols[:, [0, 3, 6]] = 0
+    cols[rng.random((120, 7)) < 0.4] = 0
+    cols[40:80][rng.random(40) < 0.8] = 0
+    cols[[0, 5, 6, 119]] = 0
+    got = kernels.weight_product(table, cols)
+    assert got.shape == (n_pts, 120)
+    assert got.tobytes() == weight_product_columns(table, cols).tobytes()
+    assert np.all(got[:, [0, 5, 6, 119]] == 1.0)
+    root = np.zeros((3, 4), dtype=np.int64)
+    assert np.all(kernels.weight_product(table, root) == 1.0)
+
+
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_constant_basis_function_is_exactly_one(kind):
+    # weight_product never multiplies h_0, which is exact only if h_0 == 1.0
+    fam = get_family(kind)
+    rng = np.random.default_rng(12)
+    ys = np.concatenate([rng.uniform(-1, 1, 1000), fam.nodes(17), [-1.0, 0.0, 1.0]])
+    for n in (1, 2, 3, 5, 9, 17):
+        assert np.all(fam.basis_matrix(ys, n)[:, 0] == 1.0), n
+    assert interp._level_basis(kind, 0).tolist() == [[1.0]]
 
 
 def test_log_product_values_and_collisions():
