@@ -150,8 +150,10 @@ class AdaptiveTrace:
 
 
 def _add_indices(P, cache, marked):
+    """Store the marked blocks, taking their solves out of the cache: no
+    run asks for a stored block's solves again."""
     for k in marked:
-        P.add_index(k, values=fresh_solves(P, cache, k))
+        P.add_index(k, values=fresh_solves(P, cache, k, keep=False))
 
 
 def _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row):

@@ -7,7 +7,9 @@ Subcommands:
   and a summary.json into the output directory.  The config alone sets
   the run, including the reference-error cadence (``reference.every``).
   A trace's columns are the fields of adaptive.TraceRow, and each row is
-  written as the run appends it.
+  written as the run appends it.  A final set is written and reloaded one
+  point record at a time (write_final_set, load_interpolant); its bytes
+  are json.dumps of the whole snapshot, followed by a newline.
 * ``compare trace.csv ...``: align traces of the same problem on the
   cumulative solve count, emitting a plot-ready table with a reference
   error and an estimator column per trace.
@@ -44,7 +46,7 @@ from .fem import (
     config_mapping,
     config_number,
 )
-from .interp import SparseInterpolant
+from .interp import SparseInterpolant, surplus_row
 from .nodes import get_family, growth_inverse, normalize_kind
 
 log = logging.getLogger("sparseuq.cli")
@@ -226,15 +228,8 @@ def run_experiment(config_path, outdir=None):
             trace = run_strategy(problem, disc, acfg, on_row=writer.write_row)
         finally:
             writer.close()
-        snapshot = {
-            "problem_hash": phash,
-            "strategy": strategy,
-            "a_min": info["a_min"],
-            "interpolant": trace.interpolant.to_jsonable(),
-        }
-        (out / ("%s-final-set.json" % strategy)).write_text(
-            json.dumps(snapshot) + "\n"
-        )
+        header = {"problem_hash": phash, "strategy": strategy, "a_min": info["a_min"]}
+        write_final_set(out / ("%s-final-set.json" % strategy), header, trace.interpolant)
         effs = [r.effectivity for r in trace.rows if r.effectivity is not None]
         last = trace.rows[-1]
         summary["strategies"][strategy] = {
@@ -258,9 +253,44 @@ def run_experiment(config_path, outdir=None):
     return exit_code
 
 
+def write_final_set(path, header, P):
+    """Write json.dumps(dict(header, interpolant=P.to_jsonable())) + "\n"
+    to path, one point record at a time.
+
+    The text up to the "points" list, which ends the snapshot, is
+    json.dumps of the header with the points left out; each record of
+    P.point_records follows as json.dumps of it, with the ", " separator
+    json.dumps puts between list items.  So the bytes are the whole
+    snapshot's, and no more than one record is formed at a time.
+    """
+    head = json.dumps(dict(header, interpolant=P.to_jsonable(points=False)))
+    if not head.endswith("[]}}"):
+        raise ValueError("the points list must end the snapshot of %s" % path)
+    with Path(path).open("w") as fh:
+        fh.write(head[:-3])
+        for n, rec in enumerate(P.point_records()):
+            fh.write(", " + json.dumps(rec) if n else json.dumps(rec))
+        fh.write("]}}\n")
+
+
+def _surplus_rows(obj):
+    # each point record's surplus becomes a float64 row as the parser
+    # closes the record, so no tree of Python floats outlives its record
+    if "surplus" in obj:
+        obj["surplus"] = surplus_row(obj)
+    return obj
+
+
 def load_interpolant(path):
-    """Reload a final-set snapshot written by run_experiment."""
-    data = json.loads(Path(path).read_text())
+    """Reload a final-set snapshot written by run_experiment.
+
+    Each point record's surplus becomes a float64 row (interp.surplus_row)
+    as the parser closes that record, so the file's text and the rows are
+    alive at once but no whole-file tree of Python floats is.  A bad
+    surplus raises ValueError naming the first such point; from_jsonable
+    then makes every check of the rest.
+    """
+    data = json.loads(Path(path).read_text(), object_hook=_surplus_rows)
     return SparseInterpolant.from_jsonable(data["interpolant"])
 
 

@@ -310,13 +310,14 @@ def residual_estimator(P, disc, k, spec):
     return _euclidean_lp_norm(kind, k, detail, spec)
 
 
-def fresh_solves(P, cache, k):
+def fresh_solves(P, cache, k, keep=True):
     """Read-only cached solves at k's fresh points, rows in block order.  Keyed
     by (node family, k): a node index names another point in each family.
-    The points are formed only on a miss."""
+    The points are formed only on a miss.  keep False takes the block out
+    of the cache (SolveCache.solve_indexed), for a caller that stores it."""
     key = (P.family.kind, tuple(k))
     points = None if key in cache else P.coords_of(P.new_point_indices(k))
-    return cache.solve_indexed(key, points)
+    return cache.solve_indexed(key, points, keep)
 
 
 def surplus_indicator(P, disc, k, spec, cache):

@@ -212,13 +212,18 @@ def check_ellipticity(problem, disc):
 
 
 class SolveCache:
-    """Insert-once cache of PDE solves.
+    """Cache of PDE solves that holds a block's solves until add_index
+    stores them.
 
     Collocation solves are one counted read-only array per block, keyed
-    by what fixes its points (estimators.fresh_solves).  solve_y solves
-    a sampling point set in one batch that is not counted against the
-    solve budget and not kept; no run calls it, the test suite's Monte
-    Carlo oracle does, and the benchmark's tracer wraps it by name.
+    by what fixes its points (estimators.fresh_solves).  The gg surplus
+    indicator keeps a candidate's solves here; adaptive._add_indices
+    takes them out with keep=False as the block is stored, and no run
+    asks for a stored block again, so the cache never holds a copy of
+    the interpolant's values.  solve_y solves a sampling point set in one
+    batch that is not counted against the solve budget and not kept; no
+    run calls it, the test suite's Monte Carlo oracle does, and the
+    benchmark's tracer wraps it by name.
     """
 
     def __init__(self, disc):
@@ -229,15 +234,20 @@ class SolveCache:
     def __contains__(self, key):
         return key in self._by_index
 
-    def solve_indexed(self, key, Y):
+    def solve_indexed(self, key, Y, keep=True):
         """Solutions at the points Y (P, M) of the block named key, shape
         (P, n+1): one counted batch on the first request for key, the
-        same read-only array afterwards, whatever Y is then (None, say)."""
-        if key not in self._by_index:
-            U = self._by_index[key] = self.disc.solve_at(np.asarray(Y, dtype=np.float64))
+        same read-only array afterwards, whatever Y is then (None, say).
+        With keep False the block leaves the cache: a kept one is handed
+        over, a missing one is solved, counted and not kept."""
+        U = self._by_index.get(key) if keep else self._by_index.pop(key, None)
+        if U is None:
+            U = self.disc.solve_at(np.asarray(Y, dtype=np.float64))
             U.flags.writeable = False
             self.n_solves += len(U)
-        return self._by_index[key]
+            if keep:
+                self._by_index[key] = U
+        return U
 
     def solve_y(self, Y):
         """Solutions at the sampling points Y, (P, M) or a single point

@@ -315,20 +315,29 @@ class SparseInterpolant:
 
     # -- serialization ------------------------------------------------------
 
-    def to_jsonable(self):
-        js = self._pts[: self._n].tolist()
+    def point_records(self):
+        """The stored points in insertion order, one {"j": ..., "surplus": ...}
+        record at a time, formed from the buffers as it is asked for: the
+        "points" of to_jsonable, for a writer that streams them."""
+        for j, row in zip(self._pts[: self._n], self.surpluses()):
+            yield {"j": j.tolist(), "surplus": row.tolist()}
+
+    def to_jsonable(self, points=True):
+        """The interpolant as plain JSON values.  With points False the
+        "points" list, which comes last, is left empty for a writer that
+        fills it from point_records."""
         return {
             "nodes": self.family.kind,
             "dim": self.dim,
             "indices": self.indexset.to_jsonable(),
-            "points": [
-                {"j": j, "surplus": row}
-                for j, row in zip(js, self.surpluses().tolist())
-            ],
+            "points": list(self.point_records()) if points else [],
         }
 
     @classmethod
     def from_jsonable(cls, data):
+        """Rebuild from to_jsonable's form.  A record's surplus is a
+        non-empty flat list of JSON numbers, or that list already made a
+        float64 row by surplus_row, and every point's has the same length."""
         obj = cls(data["nodes"], data["dim"])
         obj.indexset = MonotoneIndexSet.from_jsonable(data["indices"], dim=obj.dim)
         kind = obj.family.kind
@@ -340,16 +349,23 @@ class SparseInterpolant:
             )
         grid = set(grid_points(kind, obj.indexset))
         row_of = {}
+        surplus = []
         for rec in data["points"]:
             j = as_index(rec["j"])
             if j not in grid:
                 raise ValueError("point %r is not on the grid of the index set" % (j,))
             if j in row_of:
                 raise ValueError("point %r appears more than once" % (j,))
+            row = surplus_row(rec)
+            if surplus and len(row) != len(surplus[0]):
+                raise ValueError(
+                    "point %r has %d surplus values, the first point %d"
+                    % (j, len(row), len(surplus[0]))
+                )
             row_of[j] = len(row_of)
-        if data["points"]:
-            surplus = np.array([rec["surplus"] for rec in data["points"]], dtype=float)
-            obj._append(list(row_of), surplus)
+            surplus.append(row)
+        if surplus:
+            obj._append(list(row_of), np.array(surplus))
         # blocks regroup by the unique index whose fresh range holds each
         # point, in new_point_indices order, which block_of readers rely on
         for i in obj.indexset:
@@ -360,6 +376,28 @@ class SparseInterpolant:
                 )
             obj._blocks[tuple(i)] = (rows[0], len(rows))
         return obj
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def surplus_row(rec):
+    """A point record's surplus as a 1-D float64 row.  It must be a
+    non-empty flat list of JSON numbers (booleans are not), or such a row
+    already; anything else raises ValueError naming the record's point."""
+    s = rec["surplus"]
+    if isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 1 and s.size:
+        return s
+    if isinstance(s, list) and s and _NUMBER_TYPES.issuperset(map(type, s)):
+        try:
+            return np.array(s, dtype=np.float64)
+        except OverflowError:
+            pass
+    j = rec.get("j")
+    raise ValueError(
+        "point %r has a surplus that is not a non-empty list of numbers"
+        % (tuple(j) if isinstance(j, list) else j,)
+    )
 
 
 # ---------------------------------------------------------------------------

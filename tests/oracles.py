@@ -15,9 +15,12 @@ any of it:
   checked against;
 * Lebesgue constants and detail norms on equispaced samples;
 * pointwise coefficients, H1_0 and element L2 row norms, and a Monte
-  Carlo reference error.
+  Carlo reference error;
+* the final-set file as json.dumps of the whole snapshot, which
+  cli.write_final_set streams one point record at a time.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -526,6 +529,22 @@ def gg_rounds(problem, disc, config):
         for k in marked:
             P.add_index(k, values=fresh_solves(P, cache, k))
         drop_stale(memo, marked)
+
+
+# ---------------------------------------------------------------------------
+# snapshots
+
+
+def final_set_text(header, P):
+    """The final-set file of P under header (problem_hash, strategy,
+    a_min): json.dumps of the whole snapshot dict and a newline."""
+    snapshot = {
+        "problem_hash": header["problem_hash"],
+        "strategy": header["strategy"],
+        "a_min": header["a_min"],
+        "interpolant": P.to_jsonable(),
+    }
+    return json.dumps(snapshot) + "\n"
 
 
 # ---------------------------------------------------------------------------

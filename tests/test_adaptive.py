@@ -142,6 +142,33 @@ def test_gg_augmentation_absorbs_cached_solves():
     assert trace.cache.n_solves == trace.interpolant.n_points
 
 
+@pytest.mark.parametrize(
+    "strategy, kw",
+    [
+        ("gn_envelope", {"tol": 1e-5}),
+        ("gn_profit", {"tol": 1e-5}),
+        ("gg", {"tol": 1e-5}),
+        ("gg", {"tol": 1e-14, "max_iter": 4}),
+    ],
+)
+def test_stored_blocks_leave_the_solve_cache(strategy, kw, monkeypatch):
+    # _add_indices hands each block's solves from the cache to the
+    # interpolant: a stored block is never cached, and the solve counts
+    # are those of a run whose cache keeps every block
+    p = cosine_problem()
+    disc = SpatialDiscretization(p, 64)
+    trace = run(strategy, p, disc, **kw)
+    kind, P = trace.interpolant.family.kind, trace.interpolant
+    assert [(kind, tuple(i)) in trace.cache for i in P.indexset] == [False] * len(P.indexset)
+    assert trace.cache.n_solves == P.n_points
+    fresh_solves = estimators.fresh_solves
+    monkeypatch.setattr(adaptive, "fresh_solves", lambda P, cache, k, keep: fresh_solves(P, cache, k))
+    kept = run(strategy, p, disc, **kw)
+    assert all((kind, tuple(i)) in kept.cache for i in kept.interpolant.indexset)
+    assert [r.n_solves for r in trace.rows] == [r.n_solves for r in kept.rows]
+    assert trace.stop_reason == kept.stop_reason == ("max_iter" if "max_iter" in kw else "tol")
+
+
 def test_gg_solves_cover_reduced_margin_each_iteration():
     p = cosine_problem()
     disc = SpatialDiscretization(p, 64)

@@ -8,10 +8,12 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparseuq import cli
 from sparseuq.adaptive import AdaptiveConfig, TraceRow, run_strategy
 from sparseuq.cli import (
     _KNOWN_KEYS,
@@ -26,9 +28,13 @@ from sparseuq.cli import (
     problem_hash,
     read_trace,
     run_experiment,
+    write_final_set,
 )
 from sparseuq.estimators import NormSpec
 from sparseuq.fem import MESH_N, PROBLEM_DEFAULTS, SpatialDiscretization, build_problem
+from sparseuq.interp import SparseInterpolant
+
+from oracles import add_evaluated, final_set_text, random_monotone
 
 
 def write_config(tmp_path, name, data):
@@ -329,6 +335,108 @@ def test_final_set_round_trip(tmp_path):
     snap = json.loads((out / "gn_envelope-final-set.json").read_text())
     assert snap["problem_hash"] == problem_hash(load_config(cfg_path))
     assert snap["a_min"] > 0
+
+
+# surpluses whose repr json.dumps must keep: a signed zero, subnormals,
+# 17-digit values and the extremes of the doubles
+AWKWARD_FLOATS = [
+    -0.0,
+    0.0,
+    5e-324,
+    -2.225073858507201e-308,
+    0.30000000000000004,
+    1.0 / 3.0,
+    -2.0 / 7.0 * 1e-11,
+    123456789.12345679,
+    1.7976931348623157e308,
+    -1.0,
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
+def test_streamed_final_set_is_the_snapshot_dump(kind, dim, tmp_path):
+    rng = np.random.default_rng(dim)
+    s = random_monotone(rng, dim, 2 + 3 * dim)
+    P = SparseInterpolant(kind, dim)
+    for i in s:
+        add_evaluated(P, i, lambda y: np.array([1.0, y.sum(), -0.0]))
+    data = P.to_jsonable()
+    for rec in data["points"]:
+        rec["surplus"] = [AWKWARD_FLOATS[v] for v in rng.integers(0, len(AWKWARD_FLOATS), 7)]
+    P = SparseInterpolant.from_jsonable(data)
+    header = {"problem_hash": "0123abcd", "strategy": "gg", "a_min": 0.1 + 0.7}
+    path = tmp_path / "set.json"
+    for Q in (P, SparseInterpolant(kind, dim)):
+        write_final_set(path, header, Q)
+        assert path.read_text() == final_set_text(header, Q)
+    write_final_set(path, header, P)
+    # the reload gives back every surplus bit, -0.0 included
+    R = load_interpolant(path)
+    assert R.surpluses().tobytes() == P.surpluses().tobytes()
+    assert final_set_text(header, R) == path.read_text()
+
+
+def test_run_final_set_is_the_snapshot_dump(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "gg.json",
+        {"problem": {"family": "cosine", "M": 2}, "mesh_n": 64, "tol": 1e-4, "strategies": ["gg"]},
+    )
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    text = (out / "gg-final-set.json").read_text()
+    header = json.loads(text)
+    assert final_set_text(header, load_interpolant(out / "gg-final-set.json")) == text
+
+
+def test_final_set_moves_one_record_at_a_time(tmp_path, monkeypatch):
+    # a gg Clenshaw-Curtis M = 5 final set (1,425 points of 257 values,
+    # about 8.7 MB of JSON).  The write, everything run_experiment does
+    # after the build, holds one record at a time: json.dumps of the
+    # whole snapshot peaked at 29.7 MB here.  The reload holds the file's
+    # bytes and its text at once while reading it (2.0 times the file)
+    # but never a whole tree of Python floats (2.4 times the file).
+    amps = [0.9 * (m + 1) ** -2.0 for m in range(5)]
+    cfg = write_config(
+        tmp_path,
+        "gg5.json",
+        {
+            "problem": {"family": "cosine", "M": 5, "a0": 2.0, "amps": amps, "f": 1.0},
+            "mesh_n": 256,
+            "nodes": "clenshaw_curtis",
+            "strategies": ["gg"],
+            "tol": 5.7e-7,
+            "max_iter": 400,
+            "reference": {"every": 0},
+        },
+    )
+    built = {}
+
+    def traced_after_build(*args, **kwargs):
+        built["trace"] = run_strategy(*args, **kwargs)
+        tracemalloc.start()
+        return built["trace"]
+
+    monkeypatch.setattr(cli, "run_strategy", traced_after_build)
+    try:
+        assert run_experiment(cfg, outdir=tmp_path / "out") == 0
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    P = built["trace"].interpolant
+    assert P.n_points == 1425 and P.surpluses().shape[1] == 257
+    assert write_peak < 1e6
+    path = tmp_path / "out" / "gg-final-set.json"
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        Q = load_interpolant(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Q.surpluses(), P.surpluses())
+    assert load_peak < 2.2 * size, load_peak / size
 
 
 def test_run_past_64_parameters(tmp_path):

@@ -4,6 +4,7 @@ polynomial-exactness properties, combination-technique cross-checks."""
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,56 @@ def test_malformed_snapshot_rejected():
     swapped = reload_with([0, 2, 1])
     with pytest.raises(ValueError, match=r"\(1, 0\)"):
         SparseInterpolant.from_jsonable(swapped)
+
+
+def _set_surplus(j, value):
+    def edit(points):
+        points[j]["surplus"] = value
+
+    return edit
+
+
+def _set_every_surplus(value):
+    def edit(points):
+        for rec in points:
+            rec["surplus"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, bad",
+    [
+        (None, None),
+        (_set_surplus(0, 1.0), (0,)),
+        (_set_surplus(1, [None, 0.5, 0.25]), (1,)),
+        (_set_surplus(0, ["1", "2", "3"]), (0,)),
+        (_set_every_surplus([]), (0,)),
+        (_set_surplus(1, [0.5, 0.25]), (1,)),
+        (_set_surplus(1, [True, 0.5, 0.25]), (1,)),
+    ],
+    ids=["valid", "scalar", "null", "strings", "empty", "unequal", "boolean"],
+)
+def test_snapshot_surplus_must_be_a_list_of_numbers(edit, bad, tmp_path):
+    # a surplus is a non-empty flat list of JSON numbers, the same length
+    # for every point; the loader names the first point that breaks this,
+    # from a dict and through the CLI's per-record reload alike
+    from sparseuq.cli import load_interpolant
+
+    s = MonotoneIndexSet(1, [(0,), (1,)])
+    P = build_interpolant("leja", s, lambda y: np.array([1.0, y[0], -y[0] ** 2]))
+    data = json.loads(json.dumps(P.to_jsonable()))
+    if edit is not None:
+        edit(data["points"])
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"interpolant": data}))
+    if bad is None:
+        for Q in (SparseInterpolant.from_jsonable(data), load_interpolant(path)):
+            assert np.array_equal(Q.surpluses(), P.surpluses())
+        return
+    for load in (lambda: SparseInterpolant.from_jsonable(data), lambda: load_interpolant(path)):
+        with pytest.raises(ValueError, match=r"^point %s has " % re.escape(repr(bad))):
+            load()
 
 
 # -- combination technique --------------------------------------------------

@@ -101,6 +101,7 @@ def test_public_methods_are_pinned():
         "grid_basis_weights",
         "n_points",
         "new_point_indices",
+        "point_records",
         "surpluses",
         "to_jsonable",
         "value_below",
