@@ -9,7 +9,9 @@ Subcommands:
   A trace's columns are the fields of adaptive.TraceRow, and each row is
   written as the run appends it.  A final set is written and reloaded one
   point record at a time (write_final_set, load_interpolant); its bytes
-  are json.dumps of the whole snapshot, followed by a newline.
+  are json.dumps of the whole snapshot, followed by a newline, and the
+  reload holds one fixed-size window of its text and one record besides
+  the surrogate's own buffers.
 * ``compare trace.csv ...``: align traces of the same problem on the
   cumulative solve count, emitting a plot-ready table with a reference
   error and an estimator column per trace.
@@ -20,17 +22,19 @@ Exit codes: 0 success, 2 when any run stopped on a budget instead of
 the tolerance, 3 for usage, configuration or ellipticity errors.
 """
 
-import argparse
-import csv
 import dataclasses
 import hashlib
 import itertools
 import json
 import logging
 import math
-import statistics
+import re
 import sys
 from pathlib import Path
+
+# argparse, csv and statistics are imported where they are used (main,
+# read_trace, the run summary): none is on the way from the import to the
+# first solve
 
 from . import __version__
 from .adaptive import AdaptiveConfig, TraceRow, run_strategy
@@ -214,6 +218,8 @@ def run_experiment(config_path, outdir=None):
         info["a_max"],
         info["alpha"],
     )
+    import statistics
+
     exit_code = 0
     summary = {
         "problem_hash": phash,
@@ -281,20 +287,147 @@ def _surplus_rows(obj):
     return obj
 
 
-def load_interpolant(path):
-    """Reload a final-set snapshot written by run_experiment.
+# characters of a final set read at a time while it is reloaded
+_CHUNK = 1 << 16
+_SPACE = re.compile(r"[ \t\n\r]*")
+# "" (the window's end) and the characters that can go on a JSON number
+_NUMBER_GOES_ON = frozenset(("", *"+-.0123456789Ee"))
+# len("-Infinity"): where the JSON decoder reports a failure, it has read
+# at most this many characters on, except through a string, which it
+# reports as unterminated
+_LONGEST_TOKEN = 9
 
-    Each point record's surplus becomes a float64 row (interp.surplus_row)
-    as the parser closes that record, so the file's text and the rows are
-    alive at once but no whole-file tree of Python floats is.  A bad
-    surplus raises ValueError naming the first such point; from_jsonable
-    then makes every check of the rest.
+
+class _Window:
+    """A forward-only window on a JSON text file, decoded one value at a
+    time: it holds the unread rest of the last chunk read, plus whatever
+    value is being decoded, never the whole file."""
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.decoder = json.JSONDecoder(object_hook=_surplus_rows)
+        self.text, self.pos, self.offset = "", 0, 0
+
+    def _more(self):
+        """Read the next chunk behind the unread text; False at the file's end."""
+        chunk = self.fh.read(_CHUNK)
+        self.offset += self.pos
+        self.text, self.pos = self.text[self.pos :] + chunk, 0
+        return bool(chunk)
+
+    def error(self, what, pos=None):
+        at = self.offset + (self.pos if pos is None else pos)
+        return ValueError("final set %s: %s at character %d" % (self.path, what, at))
+
+    def peek(self):
+        """The next character past whitespace, "" at the file's end."""
+        while True:
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos : self.pos + 1]
+
+    def take(self, char):
+        """Read char if it comes next past whitespace."""
+        found = self.peek() == char
+        self.pos += found
+        return found
+
+    def expect(self, chars, what):
+        char = self.peek()
+        if not char or char not in chars:
+            raise self.error("expected %s" % what)
+        self.pos += 1
+        return char
+
+    def value(self):
+        """Decode the next JSON value, again with the next chunk read
+        behind it while it may go on past the window's end.  A cut
+        string, literal, object or list fails to decode, with an
+        unterminated string or at most _LONGEST_TOKEN characters before
+        the window's end; a failure anywhere else is the file's, and is
+        raised without reading on.  A cut number decodes as a shorter one
+        ("1.5" of "1.53e-7"), so a value that the window's end or a
+        character that can go on a number follows is decoded again."""
+        self.peek()
+        while True:
+            try:
+                obj, end = self.decoder.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                cut = exc.msg.startswith("Unterminated string")
+                if (cut or len(self.text) - exc.pos <= _LONGEST_TOKEN) and self._more():
+                    continue
+                raise self.error(exc.msg, exc.pos) from None
+            if self.text[end : end + 1] not in _NUMBER_GOES_ON or not self._more():
+                self.pos = end
+                return obj
+
+    def members_until(self, name):
+        """Read the members of the object that opens next, up to the one
+        called name, whose ':' is read so that its value comes next.
+        Returns the members before it, and whether it was found before
+        the object closed."""
+        self.expect("{", "'{'")
+        members = {}
+        closed = self.take("}")
+        while not closed:
+            if self.peek() != '"':
+                raise self.error("expected a member name")
+            key = self.value()
+            self.expect(":", "':'")
+            if key == name:
+                return members, True
+            members[key] = self.value()
+            closed = self.expect(",}", "',' or '}'") == "}"
+        return members, False
+
+    def point_records(self):
+        """The records of the points list whose '[' was read, one decoded
+        object at a time; then the '}}' that close the interpolant and the
+        snapshot, and nothing but whitespace after them."""
+        done = self.take("]")
+        while not done:
+            if self.peek() != "{":
+                raise self.error("expected a point record")
+            yield self.value()
+            done = self.expect(",]", "',' or ']'") == "]"
+        for closes in ("the interpolant", "the snapshot"):
+            self.expect("}", "'}' closing %s, which \"points\" must end" % closes)
+        if self.peek():
+            raise self.error("trailing text")
+
+
+def load_interpolant(path):
+    """Reload a final-set snapshot written by write_final_set.
+
+    The file is read in _CHUNK-character chunks.  Its members before the
+    "points" list are decoded with json; then the point records are
+    decoded one at a time (JSONDecoder.raw_decode over the window, again
+    with the next chunk behind it when a record runs past the window's
+    end) and handed to SparseInterpolant.from_jsonable as a generator.
+    Each record's surplus becomes a float64 row (interp.surplus_row) as
+    the record closes, and from_jsonable writes it into the surplus
+    buffer, so the reload holds one record and the surrogate's own
+    buffers, never the file's text.  The layout is write_final_set's:
+    "points" is the last member of "interpolant", which is the last of
+    the snapshot, with any whitespace and separators json.dumps makes.
+    Any other layout, a truncated file or trailing text raises
+    ValueError, as do a bad surplus (naming the first such point) and
+    every check of from_jsonable.
     """
-    data = json.loads(Path(path).read_text(), object_hook=_surplus_rows)
-    return SparseInterpolant.from_jsonable(data["interpolant"])
+    with Path(path).open() as fh:
+        window = _Window(fh, path)
+        if not window.members_until("interpolant")[1]:
+            raise ValueError('final set %s has no "interpolant"' % path)
+        data, found = window.members_until("points")
+        if found:
+            window.expect("[", "'[' opening \"points\"")
+            data["points"] = window.point_records()
+        return SparseInterpolant.from_jsonable(data)
 
 
 def read_trace(path):
+    import csv
+
     path = Path(path)
     try:
         fh = path.open()
@@ -386,15 +519,16 @@ def _cmd_selftest(args):
     return selftest.run()
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 3 like configuration errors; 2 means a budget stop."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, "%s: error: %s\n" % (self.prog, message))
-
-
 def main(argv=None):
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit 3 like configuration errors; 2 means a budget stop."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
     parser = _Parser(
         prog="sparseuq",
         description="Adaptive sparse-grid collocation for parametric diffusion.",

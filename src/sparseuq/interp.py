@@ -335,37 +335,51 @@ class SparseInterpolant:
 
     @classmethod
     def from_jsonable(cls, data):
-        """Rebuild from to_jsonable's form.  A record's surplus is a
-        non-empty flat list of JSON numbers, or that list already made a
-        float64 row by surplus_row, and every point's has the same length."""
-        obj = cls(data["nodes"], data["dim"])
-        obj.indexset = MonotoneIndexSet.from_jsonable(data["indices"], dim=obj.dim)
+        """Rebuild from to_jsonable's form.  data["points"] may be any
+        iterable of records, read once and in order: a list, or the
+        generator cli.load_interpolant decodes from a file one record at a
+        time.  A record's surplus is a non-empty flat list of JSON numbers,
+        or that list already made a float64 row by surplus_row, and every
+        point's has the same length.  The (sum of work(k), K) surplus
+        buffer and the point-index buffer are allocated at the first record
+        and each record's row is written into them, so the rows are held
+        once; records past the index set's count are only counted."""
+        nodes, dim, indices, points = (
+            _member(data, key) for key in ("nodes", "dim", "indices", "points")
+        )
+        obj = cls(nodes, dim)
+        obj.indexset = MonotoneIndexSet.from_jsonable(indices, dim=obj.dim)
         kind = obj.family.kind
         expected = sum(work(kind, k) for k in obj.indexset)
-        if len(data["points"]) != expected:
-            raise ValueError(
-                "point count %d does not match index set (%d expected)"
-                % (len(data["points"]), expected)
-            )
         grid = set(grid_points(kind, obj.indexset))
         row_of = {}
-        surplus = []
-        for rec in data["points"]:
+        count = 0
+        for rec in points:
+            count += 1
+            if count > expected:
+                continue
             j = as_index(rec["j"])
             if j not in grid:
                 raise ValueError("point %r is not on the grid of the index set" % (j,))
             if j in row_of:
                 raise ValueError("point %r appears more than once" % (j,))
             row = surplus_row(rec)
-            if surplus and len(row) != len(surplus[0]):
+            if not row_of:
+                obj._pts = np.empty((expected, obj.dim), dtype=np.int64)
+                obj._vals = np.empty((expected, len(row)))
+            elif len(row) != obj._vals.shape[1]:
                 raise ValueError(
                     "point %r has %d surplus values, the first point %d"
-                    % (j, len(row), len(surplus[0]))
+                    % (j, len(row), obj._vals.shape[1])
                 )
+            obj._pts[len(row_of)] = j
+            obj._vals[len(row_of)] = row
             row_of[j] = len(row_of)
-            surplus.append(row)
-        if surplus:
-            obj._append(list(row_of), np.array(surplus))
+        if count != expected:
+            raise ValueError(
+                "point count %d does not match index set (%d expected)" % (count, expected)
+            )
+        obj._n = count
         # blocks regroup by the unique index whose fresh range holds each
         # point, in new_point_indices order, which block_of readers rely on
         for i in obj.indexset:
@@ -376,6 +390,13 @@ class SparseInterpolant:
                 )
             obj._blocks[tuple(i)] = (rows[0], len(rows))
         return obj
+
+
+def _member(data, key):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError('the interpolant has no "%s"' % key) from None
 
 
 _NUMBER_TYPES = frozenset((int, float))

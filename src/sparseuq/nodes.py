@@ -49,7 +49,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 import numpy as np
 
@@ -219,6 +218,8 @@ def _leja_sequence():
 def _rleja_sequence():
     """The circle angles q_j pi (q_0 = 0, q_1 = 1, q_2m = q_m / 2,
     q_2m+1 = q_2m + 1) projected with cos, repeated values dropped."""
+    from fractions import Fraction
+
     qs = [Fraction(0), Fraction(1)]
     seen = set()
     half = Fraction(1, 2)
