@@ -50,7 +50,7 @@ from .fem import (
     config_mapping,
     config_number,
 )
-from .interp import SparseInterpolant, surplus_row
+from .interp import SparseInterpolant
 from .nodes import get_family, growth_inverse, normalize_kind
 
 log = logging.getLogger("sparseuq.cli")
@@ -279,14 +279,6 @@ def write_final_set(path, header, P):
         fh.write("]}}\n")
 
 
-def _surplus_rows(obj):
-    # each point record's surplus becomes a float64 row as the parser
-    # closes the record, so no tree of Python floats outlives its record
-    if "surplus" in obj:
-        obj["surplus"] = surplus_row(obj)
-    return obj
-
-
 # characters of a final set read at a time while it is reloaded
 _CHUNK = 1 << 16
 _SPACE = re.compile(r"[ \t\n\r]*")
@@ -305,7 +297,7 @@ class _Window:
 
     def __init__(self, fh, path):
         self.fh, self.path = fh, path
-        self.decoder = json.JSONDecoder(object_hook=_surplus_rows)
+        self.decoder = json.JSONDecoder()
         self.text, self.pos, self.offset = "", 0, 0
 
     def _more(self):
@@ -403,16 +395,16 @@ def load_interpolant(path):
     "points" list are decoded with json; then the point records are
     decoded one at a time (JSONDecoder.raw_decode over the window, again
     with the next chunk behind it when a record runs past the window's
-    end) and handed to SparseInterpolant.from_jsonable as a generator.
-    Each record's surplus becomes a float64 row (interp.surplus_row) as
-    the record closes, and from_jsonable writes it into the surplus
-    buffer, so the reload holds one record and the surrogate's own
-    buffers, never the file's text.  The layout is write_final_set's:
-    "points" is the last member of "interpolant", which is the last of
-    the snapshot, with any whitespace and separators json.dumps makes.
-    Any other layout, a truncated file or trailing text raises
-    ValueError, as do a bad surplus (naming the first such point) and
-    every check of from_jsonable.
+    end) and handed to SparseInterpolant.from_jsonable as a generator,
+    which makes each record's surplus a float64 row as it arrives and
+    writes it into the surplus buffer, so the reload holds one record and
+    the surrogate's own buffers, never the file's text.  The layout is
+    write_final_set's: "points" is the last member of "interpolant",
+    which is the last of the snapshot, with any whitespace and separators
+    json.dumps makes.  Any other layout, a truncated file or trailing
+    text raises ValueError, as does every check of from_jsonable (a
+    record without "j" or "surplus", or a bad surplus, names the first
+    such record).
     """
     with Path(path).open() as fh:
         window = _Window(fh, path)
@@ -438,7 +430,13 @@ def read_trace(path):
         if not first.startswith("# problem_hash="):
             raise ConfigError("%s: missing problem_hash header" % path)
         phash = first.strip().split("=", 1)[1]
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        # compare cannot do without these; a trace missing another column
+        # (one older than ratio_c, say) leaves its cells blank
+        missing = [c for c in ("strategy", "n_solves") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError("%s: no %s column" % (path, ", ".join(missing)))
+        rows = list(reader)
     return phash, rows
 
 

@@ -25,10 +25,11 @@ parameter no stored point uses gets no basis table.
 
 add_index(i, values) is the one way in: values are taken at i's fresh
 points, coords_of(new_point_indices(i)), formed like work(i) from
-_level_range over i's nonzero levels; for an addable i the node indices
-are kept, like its values below, until add_index takes them.  Every
-memo here is keyed by (family, level), none by an index, so none grows
-with a run.
+_level_range over i's nonzero levels, and add_index forms the same node
+indices again to store them (a product of ranges; keeping them between
+the two calls saved too little build time to tell on the benchmark's
+workloads).  Every module-level memo here is keyed by (family, level),
+none by an index, so none grows with a run.
 
 The surpluses of one index's fresh block are flat rows in C order over
 its per-axis fresh counts.  mode_product applies a matrix along one
@@ -108,10 +109,8 @@ class SparseInterpolant:
         self.indexset = MonotoneIndexSet(dim)
         self.dim = self.indexset.dim
         self._blocks = {}
-        # value_below and new_point_indices of addable indices, until
-        # add_index takes them
+        # value_below of addable indices, until add_index takes it
         self._below = {}
-        self._fresh = {}
         # rows in insertion order, appended into capacity-doubling buffers
         self._n = 0
         self._pts = np.empty((0, self.dim), dtype=np.int64)
@@ -128,20 +127,8 @@ class SparseInterpolant:
     def new_point_indices(self, i):
         """(work(i), M) int64 node indices of i's fresh points, C order: the
         product of the fresh ranges of i's nonzero levels, 0 elsewhere.
-        For an addable i the array is kept, read-only, and returned again
-        until add_index(i) takes it out, so a candidate's points are
-        formed once."""
+        A new writable array on every call."""
         i = as_index(i)
-        kept = self._fresh.get(i)
-        if kept is not None:
-            return kept
-        out = self._point_indices(i)
-        if self.indexset.is_admissible(i):
-            out.flags.writeable = False
-            self._fresh[i] = out
-        return out
-
-    def _point_indices(self, i):
         kind, cols = self.family.kind, [m for m, v in enumerate(i) if v]
         rows = list(itertools.product(*(_level_range(kind, i[m]) for m in cols)))
         out = np.zeros((len(rows), self.dim), dtype=np.int64)
@@ -294,9 +281,7 @@ class SparseInterpolant:
             raise ValueError(
                 "index %r is not addable (must be the root or reduced-margin)" % (i,)
             )
-        newjs = self._fresh.pop(i, None)
-        if newjs is None:
-            newjs = self._point_indices(i)
+        newjs = self.new_point_indices(i)
         fvals = np.asarray(values, dtype=np.float64)
         if fvals.ndim == 1:
             fvals = fvals[:, None]
@@ -338,15 +323,19 @@ class SparseInterpolant:
         """Rebuild from to_jsonable's form.  data["points"] may be any
         iterable of records, read once and in order: a list, or the
         generator cli.load_interpolant decodes from a file one record at a
-        time.  A record's surplus is a non-empty flat list of JSON numbers,
-        or that list already made a float64 row by surplus_row, and every
-        point's has the same length.  The (sum of work(k), K) surplus
-        buffer and the point-index buffer are allocated at the first record
-        and each record's row is written into them, so the rows are held
-        once; records past the index set's count are only counted."""
+        time.  A record is an object with a "j" and a "surplus", a
+        non-empty flat list of JSON numbers that surplus_row makes a
+        float64 row as the record arrives, and every point's has the same
+        length.  The (sum of work(k), K) surplus buffer and the point-index
+        buffer are allocated at the first record and each record's row is
+        written into them, so the rows are held once; records past the
+        index set's count are only counted.  Any other form raises
+        ValueError naming the key, record or point at fault."""
         nodes, dim, indices, points = (
             _member(data, key) for key in ("nodes", "dim", "indices", "points")
         )
+        if not isinstance(indices, list):
+            raise ValueError('the interpolant\'s "indices" is not a list: %r' % (indices,))
         obj = cls(nodes, dim)
         obj.indexset = MonotoneIndexSet.from_jsonable(indices, dim=obj.dim)
         kind = obj.family.kind
@@ -358,6 +347,8 @@ class SparseInterpolant:
             count += 1
             if count > expected:
                 continue
+            if not isinstance(rec, dict) or "j" not in rec:
+                raise ValueError('point record %d is not an object with a "j"' % count)
             j = as_index(rec["j"])
             if j not in grid:
                 raise ValueError("point %r is not on the grid of the index set" % (j,))
@@ -383,7 +374,7 @@ class SparseInterpolant:
         # blocks regroup by the unique index whose fresh range holds each
         # point, in new_point_indices order, which block_of readers rely on
         for i in obj.indexset:
-            rows = [row_of[tuple(j)] for j in obj._point_indices(i).tolist()]
+            rows = [row_of[tuple(j)] for j in obj.new_point_indices(i).tolist()]
             if rows != list(range(rows[0], rows[0] + len(rows))):
                 raise ValueError(
                     "points of index %r are not contiguous in block order" % (tuple(i),)
@@ -404,21 +395,20 @@ _NUMBER_TYPES = frozenset((int, float))
 
 def surplus_row(rec):
     """A point record's surplus as a 1-D float64 row.  It must be a
-    non-empty flat list of JSON numbers (booleans are not), or such a row
-    already; anything else raises ValueError naming the record's point."""
-    s = rec["surplus"]
-    if isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 1 and s.size:
-        return s
+    non-empty flat list of JSON numbers (booleans are not); anything else,
+    or no surplus, raises ValueError naming the record's point."""
+    s = rec.get("surplus")
     if isinstance(s, list) and s and _NUMBER_TYPES.issuperset(map(type, s)):
         try:
             return np.array(s, dtype=np.float64)
         except OverflowError:
             pass
     j = rec.get("j")
-    raise ValueError(
-        "point %r has a surplus that is not a non-empty list of numbers"
-        % (tuple(j) if isinstance(j, list) else j,)
-    )
+    if "surplus" in rec:
+        what = "a surplus that is not a non-empty list of numbers"
+    else:
+        what = 'no "surplus"'
+    raise ValueError("point %r has %s" % (tuple(j) if isinstance(j, list) else j, what))
 
 
 # ---------------------------------------------------------------------------

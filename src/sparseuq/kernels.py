@@ -72,15 +72,9 @@ def basis_table(ys, nodes, mks, denoms):
 # each later factor rank q, the points that take a q-th factor form runs
 # of consecutive rows, at most one per index block, since a block's
 # points share their support (4, 11 and 54 runs over all ranks on the
-# benchmark's three surrogates, before joining); each run is one gather
-# and one in-place product, so no buffer but the result holds an (N, P)
-# array.  A point past its support takes the constant row, exactly, so
-# runs whose gap holds fewer than _BRIDGE entries (rows times samples)
-# are joined: a short gap costs less than another gather call, and a
-# few samples (single-point queries) need only one call per rank.  W is
+# benchmark's three surrogates); each run is one gather and one in-place
+# product, so no buffer but the result holds an (N, P) array.  W is
 # returned as a column-major (P, N) view.
-
-_BRIDGE = 1024
 
 
 def weight_product(table, cols):
@@ -102,11 +96,7 @@ def weight_product(table, cols):
         takes = np.zeros((width - 1, n + 2), dtype=np.int8)
         takes[:, 1:-1] = size > np.arange(1, width)[:, None]
         qs, edges = np.nonzero(np.diff(takes, axis=1))
-        qs, starts, stops = qs[::2] + 1, edges[::2], edges[1::2]
-        apart = (qs[1:] != qs[:-1]) | ((starts[1:] - stops[:-1]) * rows.shape[1] >= _BRIDGE)
-        first = np.concatenate(([True], apart))
-        last = np.concatenate((apart, [True]))
-        for q, a, b in zip(qs[first].tolist(), starts[first].tolist(), stops[last].tolist()):
+        for q, a, b in zip((qs[::2] + 1).tolist(), edges[::2].tolist(), edges[1::2].tolist()):
             out[a:b] *= rows[factors[a:b, q]]
     return out.T
 
@@ -115,21 +105,16 @@ def weight_product(table, cols):
 # greedy node placement objective
 #
 # out[p] = sum_i log |ys[p] - nodes[i]|, with -inf at exact collisions,
-# formed _LOG_CHUNK samples at a time to bound the table of differences.
-# Only the Leja search past the tabulated points (nodes._LEJA_TABLE, the
-# first 64) calls it, so a run that stays within level 63 never does.
-
-_LOG_CHUNK = 1 << 18
+# from one (len(ys), len(nodes)) table of differences.  Only the Leja
+# search past the tabulated points (nodes._LEJA_TABLE, the first 64)
+# calls it, one node at a time on its 100,001 candidates, so a run that
+# stays within level 63 never does.
 
 
 def log_product(ys, nodes):
-    out = np.empty(ys.shape[0])
-    for a in range(0, ys.shape[0], _LOG_CHUNK):
-        b = min(a + _LOG_CHUNK, ys.shape[0])
-        d = np.abs(ys[a:b, None] - nodes[None, :])
-        with np.errstate(divide="ignore"):
-            out[a:b] = np.sum(np.log(d), axis=1)
-    return out
+    d = np.abs(ys[:, None] - nodes[None, :])
+    with np.errstate(divide="ignore"):
+        return np.sum(np.log(d), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -373,22 +373,24 @@ def test_evaluation_builds_tables_for_the_active_parameters_only(monkeypatch):
 
 @pytest.mark.parametrize("nodes_kind", ["clenshaw_curtis", "leja"])
 def test_gg_forms_each_blocks_points_once(nodes_kind, monkeypatch):
-    # the surplus indicator forms a candidate's node indices on its cache
-    # miss; the interpolant keeps them until add_index takes them
+    # the surplus indicator forms a candidate's coordinates on its solve
+    # cache's miss only, and add_index takes the block's solves from the
+    # cache, so every block's points are formed exactly once; a block is
+    # named by the levels of its first node index
     formed = []
-    new_point_indices = SparseInterpolant.new_point_indices
-    monkeypatch.setattr(
-        SparseInterpolant,
-        "new_point_indices",
-        lambda self, i: formed.append(tuple(i)) or new_point_indices(self, i),
-    )
+    coords_of = SparseInterpolant.coords_of
+
+    def spy(self, js):
+        formed.append(tuple(nodes.growth_inverse(nodes_kind, v) for v in js[0]))
+        return coords_of(self, js)
+
+    monkeypatch.setattr(SparseInterpolant, "coords_of", spy)
     p = cosine_problem(3)
     cfg = AdaptiveConfig(strategy="gg", nodes=nodes_kind, tol=1e-5, reference_every=0)
     trace = run_strategy(p, SpatialDiscretization(p, 64), cfg)
     assert trace.stop_reason == "tol"
     assert len(formed) == len(set(formed))
     assert set(trace.interpolant.indexset) <= set(formed)
-    assert not trace.interpolant._fresh
 
 
 def test_gn_profit_recomputes_only_stale_profits(monkeypatch):

@@ -414,6 +414,48 @@ def test_snapshot_without_a_key_names_it(key, tmp_path):
         load_interpolant(path)
 
 
+def _drop(key, at):
+    def edit(inner):
+        del inner["points"][at][key]
+
+    return edit
+
+
+def _set_record(at, value):
+    def edit(inner):
+        inner["points"][at] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message, from_file",
+    [
+        (_drop("j", 1), 'point record 2 is not an object with a "j"', True),
+        (_drop("surplus", 1), 'point (1, 0) has no "surplus"', True),
+        (lambda inner: inner.update(indices=5), '"indices" is not a list: 5', True),
+        (_set_record(1, [1, 0]), 'point record 2 is not an object with a "j"', False),
+    ],
+    ids=["no-j", "no-surplus", "indices-5", "record-not-object"],
+)
+def test_malformed_point_record_or_indices_names_it(edit, message, from_file, tmp_path):
+    # each of these once raised KeyError or TypeError from the dict and,
+    # where a file can hold it, from the file; a record that is not an
+    # object is refused by the file's reader before from_jsonable sees it
+    P = SparseInterpolant("leja", 2)
+    add_evaluated(P, (0, 0), lambda y: np.array([1.0, -2.0]))
+    add_evaluated(P, (1, 0), lambda y: np.array([y[0], 0.5]))
+    snap = json.loads(json.dumps({"strategy": "gg", "interpolant": P.to_jsonable()}))
+    edit(snap["interpolant"])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SparseInterpolant.from_jsonable(snap["interpolant"])
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(snap) + "\n")
+    expect = message if from_file else "expected a point record"
+    with pytest.raises(ValueError, match=re.escape(expect)):
+        load_interpolant(path)
+
+
 # surpluses the text must carry bit for bit: any finite or infinite double
 # (signed zeros and subnormals included), the awkward values above and NaN,
 # which json.dumps writes as NaN and the reload reads back as float("nan")
@@ -897,6 +939,26 @@ def test_compare_missing_trace_exits_3(tmp_path, capsys):
     assert "cannot read trace %s" % missing in capsys.readouterr().err
     with pytest.raises(ConfigError, match="cannot read trace"):
         read_trace(missing)
+
+
+@pytest.mark.parametrize(
+    "header, missing",
+    [
+        ("n,wall_ms", "strategy, n_solves"),
+        ("strategy,wall_ms", "n_solves"),
+        ("", "strategy, n_solves"),
+    ],
+    ids=["neither", "no-n_solves", "empty"],
+)
+def test_compare_trace_without_its_key_columns_exits_3(header, missing, tmp_path, capsys):
+    # a hash line without the strategy or n_solves column once ended in a
+    # KeyError traceback, exit 1
+    path = tmp_path / "t.csv"
+    path.write_text("# problem_hash=0123abcd\n" + (header + "\n0,1.5\n" if header else ""))
+    assert main(["compare", str(path)]) == 3
+    assert "%s: no %s column" % (path, missing) in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="no %s column" % missing):
+        read_trace(path)
 
 
 def test_read_trace_requires_header(tmp_path):

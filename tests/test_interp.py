@@ -804,20 +804,20 @@ def test_value_below_equals_the_all_axes_product(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_point_indices_of_a_candidate_are_formed_once(kind):
-    # new_point_indices keeps an addable index's array, read-only, and
-    # add_index takes it out; other indices' arrays are not kept
+    # new_point_indices forms a new writable array on every call, with the
+    # same bytes, and add_index stores the block's rows in that order
     rng = np.random.default_rng(67)
     P = random_valued(kind, capped_monotone(kind, 3, [2, 5, 1]), rng)
     k = tuple(P.indexset.reduced_margin()[0])
     js = P.new_point_indices(k)
-    assert not js.flags.writeable and P.new_point_indices(k) is js
-    far = tuple(v + 2 for v in k)
-    assert P.new_point_indices(far).flags.writeable and far not in P._fresh
+    again = P.new_point_indices(k)
+    assert js.flags.writeable and again is not js and again.tobytes() == js.tobytes()
+    js[:] = -1
+    assert P.new_point_indices(k).tobytes() == again.tobytes()
     P.add_index(k, values=rng.normal(size=(work(kind, k), 3)))
-    assert k not in P._fresh
     start, count = P.block_of(k)
-    assert point_indices(P)[start : start + count] == [tuple(j) for j in js.tolist()]
-    assert P.new_point_indices(k).tobytes() == js.tobytes()
+    assert point_indices(P)[start : start + count] == [tuple(j) for j in again.tolist()]
+    assert P.new_point_indices(k).tobytes() == again.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -137,8 +137,8 @@ def test_weight_product_matches_column_gather(order, dim, n_pts, n_rows):
 def test_weight_product_skips_the_constant_column(order, n_pts):
     # all-zero rows (the root) weigh 1 everywhere; a whole column of zeros
     # (an inactive parameter) and zeros between nonzero ids take no factor;
-    # points whose support sizes interleave split into runs, which are
-    # joined across every gap (1 sample), some gaps (25) or none (2048)
+    # points whose support sizes interleave split into many short runs per
+    # factor rank, each taken by its own gather, at 1, 25 and 2048 samples
     rng = np.random.default_rng(8)
     table = rng.standard_normal((n_pts, 13))
     table[:, 0] = 1.0
