@@ -27,18 +27,18 @@ reference error updates the last one's rows.
 Every run keeps its candidates, the margin or for gg the reduced
 margin, in one estimators.MarginState, which is also each round's
 report; the index set keeps only its members.  The state follows each
-extension in time proportional to what it changed: the candidates in
-order, their estimates, and for gn_profit each candidate's monotone
-envelope and profit.  The strategy picks the report and the marking
-rule once, before the loop.  gn marks the envelope of the state's best candidate,
-whose search pops stale entries off a heap instead of scanning the
-margin; a profit is computed again only when its envelope or one of
-its members' estimates changed, and estimators.profit says why every
-kept profit is exact.  gg's Dorfler prefix walks the same value heap.
+extension in time proportional to what it changed: the candidates,
+their estimates and exact sum, and for gn_profit each candidate's
+monotone envelope and profit.  gn marks the envelope of the state's
+best candidate, whose search pops stale entries off a heap instead of
+scanning the margin; a profit is computed again only when its envelope
+or one of its members' estimates changed, and estimators.profit says
+why every kept profit is exact.  gg's Dorfler prefix walks the same
+value heap.
 
-Every run starts from the singleton zero index, estimates candidates in
-lexicographic order and breaks ties lexicographically, so reruns are
-bitwise identical.
+Every run starts from the singleton zero index and breaks ties
+lexicographically, and totals and profits are correctly rounded sums,
+whose bits no Python version moves: reruns are bitwise identical.
 """
 
 import logging
@@ -268,7 +268,7 @@ def run_strategy(problem, disc, config, on_row=None):
 
 
 def _augment_gg(trace, disc, report, state, on_row):
-    """Absorb the whole reduced margin, report.keys, after the loop.
+    """Absorb the whole reduced margin, in lexicographic order, after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
     already cached and the extension is free.  The extra trace row keeps
@@ -281,7 +281,7 @@ def _augment_gg(trace, disc, report, state, on_row):
     P, cache, last = trace.interpolant, trace.cache, trace.rows[-1]
     trace.pre_augmentation_error = last.reference_error
     before = cache.n_solves
-    _add_indices(P, cache, report.keys)
+    _add_indices(P, cache, sorted(report.values))
     if cache.n_solves != before:
         raise RuntimeError("augmentation must reuse cached solves")
     due = trace.config.reference_every > 0

@@ -23,7 +23,6 @@ the level's fresh basis at p = 2, its fresh basis table on the sample
 axis at p = inf.
 """
 
-import bisect
 import functools
 import heapq
 import math
@@ -343,22 +342,20 @@ def surplus_indicator(P, disc, k, spec, cache):
 def profit(env, eta, counts):
     """Envelope-averaged profit: summed estimators over summed work.
 
-    env is a candidate's sorted monotone envelope (as
-    MonotoneIndexSet.monotone_envelope returns it), eta maps margin
+    env is a candidate's monotone envelope in any order, eta maps margin
     indices to estimator values covering it and counts maps them to
-    their fresh-point counts (interp.work); both sums run in env's
-    order.  The envelope of k is every ancestor of k missing from
-    Lambda: Lambda is downward closed, so a walk down from k through
-    missing indices reaches each of them.  Adding indices outside it
-    therefore leaves it unchanged, and a member's value changes only
-    when MarginState.absorb forgets it, as an added index or a forward
-    neighbour of one.  So a profit whose envelope meets none of these
-    keys is the same, bit for bit, after the extension, and MarginState
-    computes again only the others.
+    their fresh-point counts (interp.work); math.fsum makes the profit
+    the same bits in any order and on every Python version.  The
+    envelope of k is every ancestor of k missing from Lambda: Lambda is
+    downward closed, so a walk down from k through missing indices
+    reaches each of them.  Adding indices outside it therefore leaves it
+    unchanged, and a member's value changes only when MarginState.absorb
+    forgets it, as an added index or a forward neighbour of one.  So a
+    profit whose envelope meets none of these keys is the same, bit for
+    bit, after the extension, and MarginState computes again only the
+    others.
     """
-    num = sum(eta[j] for j in env)
-    den = sum(counts[j] for j in env)
-    return num / den
+    return math.fsum(eta[j] for j in env) / sum(counts[j] for j in env)
 
 
 class _LazyHeap:
@@ -393,41 +390,46 @@ class _LazyHeap:
         return heap[0]
 
 
+def _units(v):
+    """The finite double v as an exact int count of 2**-1074."""
+    n, d = v.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
 class MarginState:
     """The candidates of an adaptive run and its round's report, with
     every candidate's estimate kept until an extension can change it.
 
     The candidates are the margin, or with reduced (gg) the reduced
     margin, read off the index set once; absorb follows each extension.
-    keys holds them in lexicographic order and values their estimates
-    in that order; extensions insert and delete by bisection, so no
-    round sorts the candidates.  memo maps each candidate to its
-    estimate.  by_value holds the estimates and by_reduced those of the
-    reduced-margin candidates.  report() sets total, the builtin sum of
-    values (its bits depend on the Python version alone), vmax, ratio_c
-    (vmax over the largest reduced-margin estimate) and the counts of
-    fresh and reused estimates.
+    values maps each candidate to its estimate, and exact is their sum
+    in _units, kept exactly: report adds each fresh estimate and absorb
+    subtracts each one it forgets.  by_value holds the estimates and
+    by_reduced those of the reduced-margin candidates.  report() sets
+    total, exact rounded by int true division, which is correctly
+    rounded: math.fsum of values, in any order and on every Python
+    version.  It also sets vmax, ratio_c (vmax over the largest
+    reduced-margin estimate) and the fresh and reused counts.
 
     A state with a profit_kind (gn_profit) also keeps each candidate's
-    monotone envelope, sorted as profit takes it, and its fresh-point
-    count (counts), and users maps each index to the candidates whose
-    envelope holds it.  An added index leaves every envelope that held
-    it.  A new candidate's envelope is itself plus the envelopes of its
-    missing backward neighbours, all of them margin members (for
-    k = i + e_n with i in Lambda, k - e_m = (i - e_m) + e_n).  by_profit
-    holds the profits; stale names the new candidates and those whose
-    envelope lost an added index, and only those get a profit again (see
-    profit).  The envelope of k holds every missing ancestor of k, so a
-    member whose estimate was dropped, a forward neighbour of an added
-    index, sits in an envelope that lost that index.
+    monotone envelope, a set, and its fresh-point count (counts), and
+    users maps each index to the candidates whose envelope holds it.  An
+    added index leaves every envelope that held it.  A new candidate's
+    envelope is itself plus the envelopes of its missing backward
+    neighbours, all of them margin members (for k = i + e_n with i in
+    Lambda, k - e_m = (i - e_m) + e_n).  by_profit holds the profits;
+    stale names the new candidates and those whose envelope lost an
+    added index, and only those get a profit again (see profit).  The
+    envelope of k holds every missing ancestor of k, so a member whose
+    estimate was dropped, a forward neighbour of an added index, sits in
+    an envelope that lost that index.
     """
 
     def __init__(self, indexset, profit_kind=None, reduced=False):
         self.indexset = indexset
         self.profit_kind = profit_kind
         self.reduced = reduced
-        self.memo = {}
-        self.keys, self.values = [], []
+        self.values, self.exact = {}, 0
         self.total, self.vmax, self.ratio_c, self.fresh, self.reused = 0.0, 0.0, 1.0, 0, 0
         self.by_value, self.by_reduced, self.by_profit = _LazyHeap(), _LazyHeap(), _LazyHeap()
         self.envelopes, self.counts, self.users, self.stale = {}, {}, defaultdict(set), set()
@@ -445,7 +447,7 @@ class MarginState:
                 back = backward(k, m)
                 if back not in members:
                     env.update(self.envelopes[back])
-        self.envelopes[k] = sorted(env)
+        self.envelopes[k] = env
         self.counts[k] = work(self.profit_kind, k)
         for j in env:
             self.users[j].add(k)
@@ -455,16 +457,14 @@ class MarginState:
         """Estimate the pending candidates with estimate(k), in
         lexicographic order, set the round's numbers and return self."""
         for k in self.pending:
-            value = self.memo[k] = estimate(k)
-            i = bisect.bisect_left(self.keys, k)
-            self.keys.insert(i, k)
-            self.values.insert(i, value)
+            value = self.values[k] = estimate(k)
+            self.exact += _units(value)
             self.by_value.push(k, value)
             if self.indexset._is_reduced(k):
                 self.by_reduced.push(k, value)
         self.fresh, self.pending = len(self.pending), []
-        self.reused = len(self.memo) - self.fresh
-        self.total = float(sum(self.values))
+        self.reused = len(self.values) - self.fresh
+        self.total = self.exact / (1 << 1074)
         # a nonempty set has a nonempty reduced margin
         self.vmax, rmax = -self.by_value.top()[0], -self.by_reduced.top()[0]
         if rmax > 0.0:
@@ -479,8 +479,8 @@ class MarginState:
         if self.profit_kind is None:
             return self.by_value.top()[1]
         for k in self.stale:
-            if k in self.memo:
-                self.by_profit.push(k, profit(self.envelopes[k], self.memo, self.counts))
+            if k in self.values:
+                self.by_profit.push(k, profit(self.envelopes[k], self.values, self.counts))
         self.stale.clear()
         return self.by_profit.top()[1]
 
@@ -493,9 +493,8 @@ class MarginState:
         added = [tuple(j) for j in added]
         keys = {forward(j, m) for j in added for m in range(len(j))}.union(added)
         for k in keys:
-            if self.memo.pop(k, None) is not None:
-                i = bisect.bisect_left(self.keys, k)
-                del self.keys[i], self.values[i]
+            if k in self.values:
+                self.exact -= _units(self.values.pop(k))
                 for heap in (self.by_value, self.by_reduced, self.by_profit):
                     heap.discard(k)
         outside = [k for k in keys if k not in self.indexset.members]
@@ -509,7 +508,7 @@ class MarginState:
                 # k's envelope holds every missing ancestor of k, so also
                 # the added backward neighbour of each member it dropped
                 if k in self.envelopes:
-                    self.envelopes[k].remove(j)
+                    self.envelopes[k].discard(j)
                     self.stale.add(k)
         for k in self.pending:
             if k not in self.envelopes:

@@ -336,15 +336,15 @@ class SparseInterpolant:
         )
         if not isinstance(indices, list):
             raise ValueError('the interpolant\'s "indices" is not a list: %r' % (indices,))
+        if not hasattr(points, "__iter__"):
+            raise ValueError('the interpolant\'s "points" is not a list of records: %r' % (points,))
         obj = cls(nodes, dim)
         obj.indexset = MonotoneIndexSet.from_jsonable(indices, dim=obj.dim)
         kind = obj.family.kind
         expected = sum(work(kind, k) for k in obj.indexset)
         grid = set(grid_points(kind, obj.indexset))
-        row_of = {}
-        count = 0
-        for rec in points:
-            count += 1
+        row_of, count = {}, 0
+        for count, rec in enumerate(points, 1):
             if count > expected:
                 continue
             if not isinstance(rec, dict) or "j" not in rec:

@@ -22,6 +22,7 @@ suite checks the set against direct transcriptions of the definitions
 (tests/oracles.py).
 """
 
+import numbers
 import operator
 
 
@@ -53,7 +54,7 @@ class MonotoneIndexSet:
     """
 
     def __init__(self, dim, members=()):
-        if int(dim) != dim:
+        if not isinstance(dim, numbers.Real) or dim % 1 != 0:
             raise ValueError("dim must be an integer, got %r" % (dim,))
         if dim < 1:
             raise ValueError("dimension must be at least 1")

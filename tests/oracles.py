@@ -456,7 +456,7 @@ def memo_report(P, disc, spec, memo):
         else:
             memo[k] = residual_estimator(P, disc, k, spec)
         values[k] = memo[k]
-    total = float(sum(values.values()))
+    total = math.fsum(values.values())
     vmax = float(max(values.values())) if values else 0.0
     rvals = [values[k] for k in values if k in reduced]
     rmax = max(rvals) if rvals else 0.0
@@ -514,7 +514,7 @@ def gg_rounds(problem, disc, config):
             else:
                 memo[k] = surplus_indicator(P, disc, k, config.norm, cache)
             values[k] = memo[k]
-        total, vmax = float(sum(values.values())), float(max(values.values()))
+        total, vmax = math.fsum(values.values()), float(max(values.values()))
         stats = (total, vmax, 1.0, len(values) - reused, reused)
         if total <= config.tol or n + 1 > config.max_iter or cache.n_solves >= config.max_solves:
             rounds.append((sorted(values), stats))

@@ -516,7 +516,8 @@ def test_gg_rounds_are_incremental(theta, rounds, monkeypatch):
     # a round costs what the last extension changed: no sort longer than
     # one round's fresh estimates and no rescan of the reduced margin.  A
     # Dorfler round at 0.5 marks and estimates afresh a large share of
-    # the reduced margin, whose growth keeps that run short
+    # the reduced margin, whose growth keeps that run short.  The one
+    # sort of the whole reduced margin is the augmentation's, the last
     problem = build_problem({"family": "cosine", "M": 6})
     disc = SpatialDiscretization(problem, 32)
     rescans, sorts = [], []
@@ -539,10 +540,12 @@ def test_gg_rounds_are_incremental(theta, rounds, monkeypatch):
     assert trace.stop_reason == "max_iter" and len(trace.rows) == rounds + 2
     # the state reads the reduced margin of the root alone
     assert rescans == [1]
-    assert max(sorts) <= max(r.estimates_fresh for r in trace.rows)
     last = trace.rows[-2]
+    *loop, augmentation = sorts
+    assert augmentation == last.estimates_fresh + last.estimates_reused
+    assert max(loop) <= max(r.estimates_fresh for r in trace.rows)
     if theta == 0.0:
-        assert max(sorts) * 10 < last.estimates_fresh + last.estimates_reused
+        assert max(loop) * 10 < last.estimates_fresh + last.estimates_reused
 
 
 # -- reference and effectivity ----------------------------------------------

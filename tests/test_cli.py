@@ -429,19 +429,39 @@ def _set_record(at, value):
 
 
 @pytest.mark.parametrize(
-    "edit, message, from_file",
+    "edit, message, reader_message",
     [
-        (_drop("j", 1), 'point record 2 is not an object with a "j"', True),
-        (_drop("surplus", 1), 'point (1, 0) has no "surplus"', True),
-        (lambda inner: inner.update(indices=5), '"indices" is not a list: 5', True),
-        (_set_record(1, [1, 0]), 'point record 2 is not an object with a "j"', False),
+        (_drop("j", 1), 'point record 2 is not an object with a "j"', None),
+        (_drop("surplus", 1), 'point (1, 0) has no "surplus"', None),
+        (lambda inner: inner.update(indices=5), '"indices" is not a list: 5', None),
+        (
+            _set_record(1, [1, 0]),
+            'point record 2 is not an object with a "j"',
+            "expected a point record",
+        ),
+        (lambda inner: inner.update(dim=None), "dim must be an integer, got None", None),
+        (lambda inner: inner.update(dim=[2]), "dim must be an integer, got [2]", None),
+        (
+            lambda inner: inner.update(points=5),
+            'the interpolant\'s "points" is not a list of records: 5',
+            "expected '[' opening \"points\"",
+        ),
     ],
-    ids=["no-j", "no-surplus", "indices-5", "record-not-object"],
+    ids=[
+        "no-j",
+        "no-surplus",
+        "indices-5",
+        "record-not-object",
+        "dim-null",
+        "dim-list",
+        "points-5",
+    ],
 )
-def test_malformed_point_record_or_indices_names_it(edit, message, from_file, tmp_path):
+def test_malformed_point_record_or_indices_names_it(edit, message, reader_message, tmp_path):
     # each of these once raised KeyError or TypeError from the dict and,
     # where a file can hold it, from the file; a record that is not an
-    # object is refused by the file's reader before from_jsonable sees it
+    # object, or points that are not a list, are refused by the file's
+    # reader (reader_message) before from_jsonable sees them
     P = SparseInterpolant("leja", 2)
     add_evaluated(P, (0, 0), lambda y: np.array([1.0, -2.0]))
     add_evaluated(P, (1, 0), lambda y: np.array([y[0], 0.5]))
@@ -451,8 +471,7 @@ def test_malformed_point_record_or_indices_names_it(edit, message, from_file, tm
         SparseInterpolant.from_jsonable(snap["interpolant"])
     path = tmp_path / "set.json"
     path.write_text(json.dumps(snap) + "\n")
-    expect = message if from_file else "expected a point record"
-    with pytest.raises(ValueError, match=re.escape(expect)):
+    with pytest.raises(ValueError, match=re.escape(reader_message or message)):
         load_interpolant(path)
 
 

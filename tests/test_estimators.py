@@ -2,6 +2,7 @@
 against closed forms, profit weighting, reference errors."""
 
 import functools
+import itertools
 import math
 import os
 import re
@@ -59,6 +60,7 @@ from oracles import (
     l2_element_rows,
     monte_carlo_error,
     point_grid,
+    random_monotone,
     tensor_values,
 )
 
@@ -532,9 +534,9 @@ def test_rank_one_residuals_skip_the_grid_path(kind, monkeypatch):
     monkeypatch.setattr(estimators.np, "tensordot", refuse)
     monkeypatch.setattr(estimators.np.linalg, "svd", refuse)
     report = margin_report(P, disc, spec)
-    assert set(report.memo) == set(want)
+    assert set(report.values) == set(want)
     assert report.vmax > 0.0
-    for k, got in report.memo.items():
+    for k, got in report.values.items():
         assert abs(got - want[k]) <= 1e-12 * scale, (k, got, want[k])
 
 
@@ -566,14 +568,14 @@ def test_clenshaw_curtis_p2_reports_skip_the_grid_path(monkeypatch):
     monkeypatch.setattr(estimators.np, "tensordot", refuse)
     monkeypatch.setattr(estimators.np.linalg, "svd", refuse)
     report = margin_report(P, disc, spec)
-    assert set(report.memo) == set(want_res)
+    assert set(report.values) == set(want_res)
     assert report.vmax > 0.0
-    for k, got in report.memo.items():
+    for k, got in report.values.items():
         assert abs(got - want_res[k]) <= 1e-12 * res_scale, (k, got, want_res[k])
     report = reduced_margin_report(P, disc, spec, cache)
-    assert set(report.memo) == set(want_sur)
+    assert set(report.values) == set(want_sur)
     assert report.vmax > 0.0
-    for k, got in report.memo.items():
+    for k, got in report.values.items():
         assert abs(got - want_sur[k]) <= 1e-12 * sur_scale, (k, got, want_sur[k])
 
 
@@ -738,11 +740,11 @@ def test_kept_profits_equal_fresh_profits(kind):
             assert estimated == pending
             state.best()
             live = state.by_profit.live
-            assert set(live) == set(state.memo) == set(s.margin())
+            assert set(live) == set(state.values) == set(s.margin())
             for k, entry in live.items():
                 env = s.monotone_envelope(k)
                 counts = {j: work(kind, j) for j in env}
-                assert -entry[0] == profit(env, state.memo, counts), (dim, step, k)
+                assert -entry[0] == profit(env, state.values, counts), (dim, step, k)
             kept += sum(1 for k, entry in before.items() if live.get(k) is entry)
             cand = s.margin()
             marked = s.monotone_envelope(cand[rng.integers(len(cand))])
@@ -761,18 +763,20 @@ def test_kept_profits_equal_fresh_profits(kind):
 )
 def test_margin_state_follows_the_index_set(reduced, dim, steps):
     # after admissible additions, one reduced-margin index or a whole
-    # monotone envelope at a time, the state's ordered candidates (the
-    # margin, or the reduced margin), values and envelopes equal what the
+    # monotone envelope at a time, the state's candidates (the margin, or
+    # the reduced margin), values, total and envelopes equal what the
     # index set gives from scratch
     s = MonotoneIndexSet(dim, [(0,) * dim])
     state = MarginState(s, None if reduced else "leja", reduced=reduced)
+    estimate = lambda k: float(sum(k)) / (1 + k[0])
     for step in range(len(steps) + 1):
-        state.report(lambda k: float(sum(k)) / (1 + k[0]))
-        assert state.keys == (s.reduced_margin() if reduced else s.margin())
-        assert state.values == [state.memo[k] for k in state.keys]
-        assert set(state.envelopes) == (set() if reduced else set(s.margin()))
+        state.report(estimate)
+        cands = s.reduced_margin() if reduced else s.margin()
+        assert state.values == {k: estimate(k) for k in cands}
+        assert state.total == math.fsum(state.values.values())
+        assert set(state.envelopes) == (set() if reduced else set(cands))
         for k, env in state.envelopes.items():
-            assert env == s.monotone_envelope(k), k
+            assert sorted(env) == s.monotone_envelope(k), k
         if step == len(steps):
             break
         whole, pick = steps[step]
@@ -801,7 +805,8 @@ def test_margin_state_report_stats():
         state = MarginState(s)
         memo = dict(zip(s.margin(), values))
         assert state.report(memo.get) is state
-        assert (state.total, state.vmax, state.fresh, state.reused) == (sum(values), vmax, 3, 0)
+        stats = (state.total, state.vmax, state.fresh, state.reused)
+        assert stats == (math.fsum(values), vmax, 3, 0)
         assert state.ratio_c == pytest.approx(ratio_c, abs=1e-15)
         # ties go to the lexicographically smallest candidate
         assert state.best() == min(memo, key=lambda k: (-memo[k], k))
@@ -811,7 +816,51 @@ def test_margin_state_report_stats():
     assert state.pending == [(2, 1), (3, 0)]
     state.report(lambda k: 0.25)
     assert (state.fresh, state.reused) == (2, 2)
-    assert state.keys == s.margin() and state.total == sum(state.values)
+    assert sorted(state.values) == s.margin()
+    assert state.total == math.fsum(state.values.values())
+
+
+def test_totals_and_profits_are_order_free():
+    # 1.0 on the lexicographically first candidate and 1e-16 on the later
+    # ones: their builtin sum in lexicographic order is 1.0, their
+    # correctly rounded sum 1.0000000000000002
+    s = MonotoneIndexSet(2, [(0, 0), (1, 0), (2, 0)])
+    eta = {(0, 1): 1.0, (1, 1): 1e-16, (2, 1): 1e-16, (3, 0): 1e-16}
+    state = MarginState(s, "leja").report(eta.get)
+    assert sum(eta[k] for k in sorted(eta)) == 1.0
+    assert state.total == math.fsum(eta.values()) == 1.0000000000000002
+    # a profit has the same bits for every order of its envelope
+    env = s.monotone_envelope((2, 1))
+    counts = {j: work("leja", j) for j in env}
+    want = profit(env, eta, counts)
+    assert want == 1.0000000000000002 / sum(counts.values())
+    for order in itertools.permutations(env):
+        assert profit(order, eta, counts) == want
+    assert profit(set(env), eta, counts) == want
+    # the same candidates reached through reports and absorbs in shuffled
+    # orders give the same total bits, fsum's, after every round; the
+    # estimates span 20 decades, so rounded running sums would differ
+    rng = np.random.default_rng(29)
+    target = random_monotone(rng, 3, 12)
+    value = {}
+    estimate = lambda k: value.setdefault(k, rng.random() * 10.0 ** -rng.integers(0, 20))
+    totals = set()
+    for _ in range(6):
+        s = MonotoneIndexSet(3, [(0, 0, 0)])
+        state = MarginState(s, "leja")
+        while True:
+            rng.shuffle(state.pending)
+            state.report(estimate)
+            assert state.total == math.fsum(state.values.values())
+            if len(s) == len(target):
+                break
+            cand = [k for k in s.reduced_margin() if k in target]
+            k = cand[rng.integers(len(cand))]
+            s.add(k)
+            state.absorb([k])
+        assert sorted(state.values) == target.margin()
+        totals.add(state.total)
+    assert len(totals) == 1
 
 
 def test_margin_report_matches_direct():
@@ -819,8 +868,8 @@ def test_margin_report_matches_direct():
     P, _ = build_chain(disc, 3)
     spec = NormSpec(p=2)
     rep = margin_report(P, disc, spec)
-    assert set(rep.memo) == set(map(tuple, P.indexset.margin()))
-    for k, v in rep.memo.items():
+    assert set(rep.values) == set(map(tuple, P.indexset.margin()))
+    for k, v in rep.values.items():
         assert v == residual_estimator(P, disc, k, spec)
     with pytest.raises(ValueError, match="another index set"):
         margin_report(P, disc, spec, MarginState(MonotoneIndexSet(1, [(0,)])))
@@ -832,7 +881,7 @@ def test_reduced_margin_report_counts_solves():
     disc = SpatialDiscretization(affine_problem(), 32)
     P, cache = build_chain(disc, 2)
     rep = reduced_margin_report(P, disc, NormSpec(p=2), cache)
-    assert set(rep.memo) == {(2,)}
+    assert set(rep.values) == {(2,)}
     assert cache.n_solves == 3
     assert rep.ratio_c == 1.0
     with pytest.raises(ValueError, match="candidate rule"):
@@ -860,14 +909,14 @@ def test_report_memo_matches_fresh(kind, strategy, p):
     P = SparseInterpolant(kind, dim)
     P.add_index((0,) * dim, values=fresh_solves(P, cache, (0,) * dim))
     kept = MarginState(P.indexset, reduced=strategy == "gg")
-    memo = kept.memo
+    memo = kept.values
     dropped, moved = {}, 0
     for step in range(7):
         got, want = report(kept), report()
-        assert got.keys == want.keys == sorted(memo)
+        assert sorted(got.values) == sorted(want.values)
         assert got.fresh == len(got.values) - got.reused
-        for k, v in want.memo.items():
-            assert abs(got.memo[k] - v) <= tol, (step, k, got.memo[k], v)
+        for k, v in want.values.items():
+            assert abs(got.values[k] - v) <= tol, (step, k, got.values[k], v)
             if k in dropped and abs(dropped[k] - v) > tol:
                 moved += 1
         # mark like the drivers: a monotone envelope, or several

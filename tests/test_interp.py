@@ -108,7 +108,7 @@ def test_work_memo_keeps_reload_and_profit(kind):
         env = s.monotone_envelope(k)
         den = sum(len(list(itertools.product(*fresh_ranges(kind, j)))) for j in env)
         counts = {j: work(kind, j) for j in env}
-        assert profit(env, eta, counts) == sum(eta[j] for j in env) / den
+        assert profit(env, eta, counts) == math.fsum(eta[j] for j in env) / den
 
 
 def test_fresh_ranges_cc():

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -44,9 +46,11 @@ def test_is_monotone_dimension_mismatch():
 
 def test_fractional_dimension_is_rejected():
     # MonotoneIndexSet(2.5) once failed only at its first add, with
-    # "(0, 0) has length 2, expected 2"
-    with pytest.raises(ValueError, match="dim must be an integer, got 2.5"):
-        MonotoneIndexSet(2.5)
+    # "(0, 0) has length 2, expected 2", and None or [2] raised
+    # TypeError from int(dim)
+    for dim in (2.5, None, [2], "2", math.inf):
+        with pytest.raises(ValueError, match=re.escape("dim must be an integer, got %r" % (dim,))):
+            MonotoneIndexSet(dim)
     s = MonotoneIndexSet(np.int64(2), [(0, 0)])
     assert s.dim == 2 and s.reduced_margin() == [(0, 1), (1, 0)]
 
