@@ -21,8 +21,8 @@ indices and of their forward neighbours (MarginState.absorb; the
 reports give the exactness arguments).  A trace row counts the values
 estimated for it and those reused, and splits its wall_ms into
 estimate_ms (the margin report) and reference_ms (the reference error,
-if one is due).  A run keeps one ReferenceRows state, so each
-reference error updates the last one's rows.
+if one is due).  No stop or mark reads a reference error, so a run
+finds every due row's in one pass at its end (_add_reference_errors).
 
 Every run keeps its candidates, the margin or for gg the reduced
 margin, in one estimators.MarginState, which is also each round's
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from .estimators import (
     MarginState,
     NormSpec,
-    ReferenceRows,
     fresh_solves,
     margin_report,
     reduced_margin_report,
@@ -156,21 +155,10 @@ def _add_indices(P, cache, marked):
         P.add_index(k, values=fresh_solves(P, cache, k, keep=False))
 
 
-def _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row):
-    """Append the trace row of iteration n and pass it to on_row, if
-    given.  The row's reference error, None unless due, updates the
-    run's one reference state, and its time is reference_ms;
-    estimate_ms + reference_ms is wall_ms.  counts holds the fresh and
-    reused estimates."""
-    P, config = trace.interpolant, trace.config
-    t0 = time.perf_counter()
-    ref = None
-    if due:
-        ref = reference_error(P, disc, config.norm, config.reference_quad, state)
-    reference_ms = (time.perf_counter() - t0) * 1000.0
-    eff = None
-    if ref is not None and ref > 0.0:
-        eff = (report.total / trace.a_min) / ref
+def _row(trace, n, report, estimate_ms, counts):
+    """Append and return the trace row of iteration n, with no reference
+    error yet; counts holds the fresh and reused estimates."""
+    P = trace.interpolant
     row = TraceRow(
         n=n,
         strategy=trace.strategy,
@@ -179,29 +167,36 @@ def _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row):
         n_solves=trace.cache.n_solves,
         total_estimator=report.total,
         max_estimator=report.vmax,
-        reference_error=ref,
-        effectivity=eff,
-        wall_ms=estimate_ms + reference_ms,
+        wall_ms=estimate_ms,
         estimate_ms=estimate_ms,
-        reference_ms=reference_ms,
         estimates_fresh=counts[0],
         estimates_reused=counts[1],
         ratio_c=report.ratio_c,
     )
     trace.rows.append(row)
-    log.info(
-        "%s n=%d |set|=%d grid=%d solves=%d total=%.6e ref=%s",
-        trace.strategy,
-        n,
-        row.n_indices,
-        row.n_grid,
-        row.n_solves,
-        row.total_estimator,
-        "-" if ref is None else "%.6e" % ref,
-    )
+    return row
+
+
+def _emit(trace, row, on_row):
+    """Log a finished row and pass it to on_row, if given."""
+    ref = "-" if row.reference_error is None else "%.6e" % row.reference_error
+    fields = (row.n, row.n_indices, row.n_grid, row.n_solves, row.total_estimator)
+    log.info("%s n=%d |set|=%d grid=%d solves=%d total=%.6e ref=%s", trace.strategy, *fields, ref)
     if on_row is not None:
         on_row(row)
-    return row
+
+
+def _add_reference_errors(trace, disc, rows):
+    """Give rows their reference errors, effectivities and reference_ms
+    from one reference_error pass over the final interpolant, each row's
+    from its first n_grid points; wall_ms stays estimate_ms + reference_ms."""
+    config, ms = trace.config, []
+    counts = [row.n_grid for row in rows]
+    refs = reference_error(trace.interpolant, disc, config.norm, config.reference_quad, counts, ms)
+    for row, ref, t in zip(rows, refs, ms):
+        row.reference_error, row.reference_ms, row.wall_ms = ref, t, row.estimate_ms + t
+        if ref > 0.0:
+            row.effectivity = (row.total_estimator / trace.a_min) / ref
 
 
 def _dorfler_mark(state, theta):
@@ -219,8 +214,10 @@ def _dorfler_mark(state, theta):
 
 
 def run_strategy(problem, disc, config, on_row=None):
-    """Run config.strategy from the singleton zero index to a stop;
-    on_row, if given, receives each trace row as it is appended."""
+    """Run config.strategy from the singleton zero index to a stop.
+    on_row, if given, receives each trace row in order: as it is
+    appended, or with a reference cadence right after the run's one
+    reference pass, which follows gg's augmentation."""
     info = check_ellipticity(problem, disc)
     if config.norm.p == math.inf:
         sup_points_per_dim(config.norm, problem.dim)
@@ -231,7 +228,6 @@ def run_strategy(problem, disc, config, on_row=None):
     trace.cache = cache
     is_gg = config.strategy == "gg"
     every = config.reference_every
-    state = ReferenceRows()
     _add_indices(P, cache, [(0,) * problem.dim])
     profit_kind = config.nodes if config.strategy == "gn_profit" else None
     margin = MarginState(P.indexset, profit_kind, reduced=is_gg)
@@ -246,9 +242,9 @@ def run_strategy(problem, disc, config, on_row=None):
         t0 = time.perf_counter()
         report = estimate()
         estimate_ms = (time.perf_counter() - t0) * 1000.0
-        due = every > 0 and n % every == 0
-        counts = (report.fresh, report.reused)
-        _row(trace, n, disc, state, report, due, estimate_ms, counts, on_row)
+        row = _row(trace, n, report, estimate_ms, (report.fresh, report.reused))
+        if not every:
+            _emit(trace, row, on_row)
         if report.total <= config.tol:
             trace.stop_reason = "tol"
             break
@@ -262,28 +258,35 @@ def run_strategy(problem, disc, config, on_row=None):
         _add_indices(P, cache, marked)
         margin.absorb(marked)
         n += 1
+    aug = _augment_gg(trace, margin) if is_gg else None
+    if every:
+        due = [row for row in trace.rows if row.n % every == 0 or row is aug]
+        _add_reference_errors(trace, disc, due)
+        for row in trace.rows:
+            _emit(trace, row, on_row)
+    elif is_gg:
+        _emit(trace, aug, on_row)
     if is_gg:
-        _augment_gg(trace, disc, margin, state, on_row)
+        trace.pre_augmentation_error = trace.rows[-2].reference_error
+        trace.post_augmentation_error = aug.reference_error
     return trace
 
 
-def _augment_gg(trace, disc, report, state, on_row):
+def _augment_gg(trace, report):
     """Absorb the whole reduced margin, in lexicographic order, after the loop.
 
     Every reduced-margin index was just estimated, so its solves are
-    already cached and the extension is free.  The extra trace row keeps
-    the stopping iteration's estimator values, estimates nothing itself
-    (zero fresh and reused counts and estimate_ms) and carries the
-    post-augmentation reference error, due whenever the run has a
-    reference cadence, and its reference_ms, which is also its wall_ms.
-    The stopping row holds the pre-augmentation error.
+    already cached and the extension is free.  The extra trace row, which
+    this returns, keeps the stopping iteration's estimator values and
+    estimates nothing itself (zero fresh and reused counts and
+    estimate_ms).  Its reference error, due whenever the run has a
+    reference cadence, is the post-augmentation one, and its
+    reference_ms is also its wall_ms; the stopping row holds the
+    pre-augmentation error.
     """
     P, cache, last = trace.interpolant, trace.cache, trace.rows[-1]
-    trace.pre_augmentation_error = last.reference_error
     before = cache.n_solves
     _add_indices(P, cache, sorted(report.values))
     if cache.n_solves != before:
         raise RuntimeError("augmentation must reuse cached solves")
-    due = trace.config.reference_every > 0
-    row = _row(trace, last.n + 1, disc, state, report, due, 0.0, (0, 0), on_row)
-    trace.post_augmentation_error = row.reference_error
+    return _row(trace, last.n + 1, report, 0.0, (0, 0))

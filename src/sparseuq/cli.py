@@ -6,12 +6,14 @@ Subcommands:
   strategy, and write per-strategy trace CSVs, final-set JSON snapshots
   and a summary.json into the output directory.  The config alone sets
   the run, including the reference-error cadence (``reference.every``).
-  A trace's columns are the fields of adaptive.TraceRow, and each row is
-  written as the run appends it.  A final set is written and reloaded one
-  point record at a time (write_final_set, load_interpolant); its bytes
-  are json.dumps of the whole snapshot, followed by a newline, and the
-  reload holds one fixed-size window of its text and one record besides
-  the surrogate's own buffers.
+  A trace's columns are the fields of adaptive.TraceRow.  Each row is
+  written as the run appends it, or with a reference cadence right after
+  the run's one reference pass, and summary.json records that cadence as
+  resolved (``reference_every``).  A final set is written and reloaded
+  one point record at a time (write_final_set, load_interpolant); its
+  bytes are json.dumps of the whole snapshot, followed by a newline, and
+  the reload holds one fixed-size window of its text and one record
+  besides the surrogate's own buffers.
 * ``compare trace.csv ...``: align traces of the same problem on the
   cumulative solve count, emitting a plot-ready table with a reference
   error and an estimator column per trace.
@@ -188,6 +190,8 @@ def run_experiment(config_path, outdir=None):
     if not strategies:
         raise ConfigError("strategies list is empty")
     quad = config_number("reference.quad_order", cfg["reference"]["quad_order"], int)
+    if quad < 1:
+        raise ConfigError("reference.quad_order must be at least 1, got %d" % quad)
     # the run settings the config names as AdaptiveConfig does (nodes,
     # norm, tol, ...); every strategy's are checked before any file is written
     run = {key: cfg[key] for key in _RUN_DEFAULTS.keys() & cfg.keys()}
@@ -225,6 +229,7 @@ def run_experiment(config_path, outdir=None):
         "problem_hash": phash,
         "ellipticity": info,
         "config": cfg,
+        "reference_every": every,
         "strategies": {},
     }
     for acfg in configs:

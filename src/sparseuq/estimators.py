@@ -26,6 +26,7 @@ axis at p = inf.
 import functools
 import heapq
 import math
+import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 
@@ -37,8 +38,8 @@ from .multiindex import as_index, backward, forward
 from .nodes import growth
 
 _INF_ALIASES = {"inf", "infinity", "sup", "max"}
-# most parameters of reference_error's tensor grid: at Gauss order 20 its rows
-# at M = 4 hold 160,000 points (330 MB at mesh 256), 20 times more per extra one
+# most parameters of reference_error's tensor grid: at Gauss order 20 it has
+# 160,000 points at M = 4 (1.3 MB of norms per due row), 20 times more per extra one
 MAX_REFERENCE_DIM = 4
 # most reference grid rows per block of reference_error's pass (_row_blocks):
 # at mesh 256 a block of rows is at most 512 KB and stays in cache; on
@@ -565,21 +566,6 @@ def reduced_margin_report(P, disc, spec, cache, state=None):
     return state.report(lambda k: surplus_indicator(P, disc, k, spec, cache))
 
 
-class ReferenceRows:
-    """Incremental state of reference_error for one interpolant: the
-    gradient rows of u_h - S u_h on one reference grid and the number of
-    surplus rows already subtracted.  Empty until the first
-    call fills it, which also records that call's interpolant and grid
-    shape; a later call with another interpolant or grid raises
-    ValueError."""
-
-    def __init__(self):
-        self.interpolant = None
-        self.shape = None
-        self.rows = None
-        self.n_rows = 0
-
-
 def _row_blocks(shape):
     """reference_error's row blocks [(start, stop), ...] over the C-order
     grid of the given shape: whole runs of the last axis, as many as fit
@@ -596,8 +582,12 @@ def check_reference_dim(dim):
         raise ValueError(msg % (dim, MAX_REFERENCE_DIM))
 
 
-def reference_error(P, disc, spec, quad_order=20, state=None):
-    """Parametric norm of u_h - S u_h on a tensor reference grid.
+def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
+    """Parametric norm of u_h - S u_h on a tensor reference grid, one value
+    per entry of the nondecreasing point counts counts, S being the
+    interpolant of P's first count points; with counts None, one float for
+    all of P.  Hierarchical surpluses never change once inserted, so S is
+    the interpolant P was when it had that many points.
 
     The grid is the tensor product of M 1-D axes: the estimators' sample
     axis for p = inf, Gauss order quad_order for p = 2.  It is never
@@ -606,22 +596,17 @@ def reference_error(P, disc, spec, quad_order=20, state=None):
     formed either: disc.grid_gradients gives the gradient rows of u_h in
     closed form from the axes, uncounted and not memoized, and
     P.grid_basis_weights gives the basis weights from per-axis tables.
-    Hierarchical surpluses never change once inserted, so a ReferenceRows
-    state (if given) keeps the gradient rows of u_h - S u_h between calls
-    for one interpolant and grid, and each call subtracts only the rows P
-    gained since; adaptive.run_strategy keeps one per run.  A state that
-    another interpolant or grid filled raises ValueError.  One pass over the
-    grid, in blocks of whole runs of the last axis (_row_blocks) that
-    stay in cache, forms the gradients of fresh rows, subtracts the new
-    surpluses' part and sums the squared row norms.  So a call that
-    updates a filled state allocates nothing the size of the rows: its
-    largest temporaries are one block and the basis weights of the new
-    grid points at the reference points.  An empty state is filled only
-    once its rows are complete, so an EllipticityError (naming the first
-    non-elliptic reference point in C order) leaves it empty.  Tensor
-    grids are only feasible for a handful of dimensions, so more than
-    MAX_REFERENCE_DIM is rejected.
+    One pass over the grid, in blocks of whole runs of the last axis
+    (_row_blocks) that stay in cache, forms each block's gradients and
+    weights, then count by count subtracts that count's chunk of surplus
+    gradients and keeps the squared row norms.  No array of grid by
+    elements outlives a block.  ms, a list if given, receives each
+    count's time in milliseconds, the first count's with the gradients
+    and weights.  An EllipticityError names the first non-elliptic
+    reference point in C order.  Tensor grids are only feasible for a
+    handful of dimensions, so more than MAX_REFERENCE_DIM is rejected.
     """
+    t0 = time.perf_counter()
     dim = P.dim
     check_reference_dim(dim)
     if spec.p == math.inf:
@@ -631,31 +616,41 @@ def reference_error(P, disc, spec, quad_order=20, state=None):
         axes = [gauss_axis(int(quad_order))] * dim
     ys = [y for y, _ in axes]
     shape = tuple(len(y) for y in ys)
-    state = ReferenceRows() if state is None else state
-    fresh = state.rows is None
-    if not fresh and (state.interpolant is not P or state.shape != shape):
-        raise ValueError("this reference state belongs to another interpolant or grid")
-    rows = np.empty((math.prod(shape), disc.n_elements)) if fresh else state.rows
-    W = dS = None
-    if P.n_points > state.n_rows:
-        W = P.grid_basis_weights(ys, start=state.n_rows)
-        dS = disc.gradient_rows(P.surpluses(start=state.n_rows))
-        if dS.shape[0] == 1:
-            # np.matmul over an inner dimension of 1 took twice as long as
-            # over 2 (40 vs 19 ms per pass at 36k x 256 rows); the added
-            # zero term leaves every product exact
-            W = np.hstack([W, np.zeros_like(W)])
-            dS = np.vstack([dS, np.zeros_like(dS)])
+    bounds = [0] + ([P.n_points] if counts is None else [int(c) for c in counts])
+    if len(bounds) < 2 or bounds != sorted(bounds) or bounds[1] < 1 or bounds[-1] > P.n_points:
+        msg = "counts must be nondecreasing, from 1 to the %d points, got %r"
+        raise ValueError(msg % (P.n_points, bounds[1:]))
     blocks = _row_blocks(shape)
-    scratch = np.empty((blocks[0][1], disc.n_elements))
-    sq = np.empty(rows.shape[0])
-    for a, b in blocks:
-        block = rows[a:b]
-        if fresh:
-            disc.grid_gradients(ys, a, b, out=block)
-        if W is not None:
-            block -= np.matmul(W[a:b], dS, out=scratch[: b - a])
-        np.einsum("ij,ij->i", block, block, out=sq[a:b])
-    state.interpolant, state.shape, state.rows, state.n_rows = P, shape, rows, P.n_points
-    # element-data L2 norms of the gradient rows
-    return combine_axes(np.sqrt(disc.h * sq), axes, spec.p)
+    weights = P.grid_basis_weights(ys, blocks, bounds[-1])
+    dS = disc.gradient_rows(P.surpluses()[: bounds[-1]])
+    chunks = []
+    for c0, c1 in zip(bounds, bounds[1:]):
+        # np.matmul over an inner dimension of 1 took twice as long as over
+        # 2 (40 vs 19 ms per pass at 36k x 256 rows): a lone point's chunk
+        # gets a zero row, whose term leaves every product exact
+        d = dS[c0:c1]
+        chunks.append((c0, c1, np.vstack([d, np.zeros_like(d)]) if c1 - c0 == 1 else d))
+    g = np.empty((blocks[0][1], disc.n_elements))
+    scratch = np.empty_like(g)
+    pad = np.zeros((len(g), 2))
+    sq = np.empty((len(chunks), math.prod(shape)))
+    spent = [0.0] * len(chunks)
+    for (a, b), W in zip(blocks, weights):
+        block = disc.grid_gradients(ys, a, b, out=g[: b - a])
+        for i, (c0, c1, d) in enumerate(chunks):
+            if c1 - c0 == 1:
+                pad[: b - a, 0] = W[:, c0]
+                block -= np.matmul(pad[: b - a], d, out=scratch[: b - a])
+            elif c1 > c0:
+                block -= np.matmul(W[:, c0:c1], d, out=scratch[: b - a])
+            np.einsum("ij,ij->i", block, block, out=sq[i, a:b])
+            # count i takes the time since the last count's
+            spent[i] += -t0 + (t0 := time.perf_counter())
+    values = []
+    for i, row in enumerate(sq):
+        # element-data L2 norms of the gradient rows
+        values.append(combine_axes(np.sqrt(disc.h * row), axes, spec.p))
+        spent[i] += -t0 + (t0 := time.perf_counter())
+    if ms is not None:
+        ms[:] = [1000.0 * t for t in spent]
+    return values[0] if counts is None else values

@@ -21,7 +21,7 @@ sums, bitwise as coefficient_at sums it point by point.
 
 SolveCache keeps the collocation solves as one read-only array per
 fresh block of a multi-index, solved in one batch.  The reference error
-solves nothing and keeps its own state (estimators.ReferenceRows).
+solves nothing and keeps nothing (estimators.reference_error).
 """
 
 import math

@@ -174,6 +174,17 @@ def point_indices(P):
     return [tuple(rec["j"]) for rec in P.to_jsonable()["points"]]
 
 
+def leading_part(P, count):
+    """A fresh interpolant rebuilt, through P's snapshot, from the first
+    count points of P, which must end a block: the interpolant P was when
+    it had count points."""
+    data = P.to_jsonable()
+    indices = [k for k in data["indices"] if P.block_of(k)[0] < count]
+    assert sum(work(P.family.kind, k) for k in indices) == count
+    data.update(indices=indices, points=data["points"][:count])
+    return SparseInterpolant.from_jsonable(data)
+
+
 def grid_coords(P):
     """Coordinates of P's grid points, rows in insertion order."""
     return P.coords_of(point_indices(P))

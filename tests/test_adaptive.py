@@ -14,7 +14,7 @@ from sparseuq.adaptive import (
     _dorfler_mark,
     run_strategy,
 )
-from sparseuq.estimators import MarginState, profit
+from sparseuq.estimators import MarginState, NormSpec, profit
 from sparseuq.fem import (
     DiffusionProblem,
     EllipticityError,
@@ -28,6 +28,7 @@ from oracles import (
     dense_basis_weights,
     gg_rounds,
     gn_rounds,
+    leading_part,
     matches_definitions,
     point_indices,
 )
@@ -562,6 +563,39 @@ def test_reference_cadence():
             assert row.reference_error is None
 
 
+@pytest.mark.parametrize("every", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, "inf"])
+@pytest.mark.parametrize("nodes", ["leja", "clenshaw_curtis"])
+@pytest.mark.parametrize("strategy", ["gn_envelope", "gg"])
+def test_due_reference_errors_match_rebuilt_interpolants(strategy, nodes, p, every):
+    # the run's one pass gives each due row, the gg augmentation row
+    # included, bitwise the pass over a fresh interpolant rebuilt from the
+    # row's first n_grid points with the due counts up to the row; a row
+    # that is not due keeps None
+    problem = cosine_problem()
+    disc = SpatialDiscretization(problem, 16)
+    norm = NormSpec(p=p, sup_points_per_dim=9)
+    trace = run(
+        strategy, problem, disc, nodes=nodes, norm=norm, tol=1e-4,
+        reference_every=every, reference_quad=7,
+    )
+    aug = trace.rows[-1] if strategy == "gg" else None
+    due = [row for row in trace.rows if row.n % every == 0 or row is aug]
+    assert len(due) >= 3
+    for i, row in enumerate(due):
+        Q = leading_part(trace.interpolant, row.n_grid)
+        counts = [r.n_grid for r in due[: i + 1]]
+        assert row.reference_error == estimators.reference_error(Q, disc, norm, 7, counts)[-1]
+        assert row.effectivity == (row.total_estimator / trace.a_min) / row.reference_error
+        assert row.wall_ms == row.estimate_ms + row.reference_ms
+    for row in trace.rows:
+        if not any(row is r for r in due):
+            assert (row.reference_error, row.effectivity, row.reference_ms) == (None, None, 0.0)
+    if aug is not None:
+        assert trace.post_augmentation_error == aug.reference_error
+        assert trace.pre_augmentation_error == trace.rows[-2].reference_error
+
+
 def test_effectivity_reliable_small_case():
     p = affine_problem()
     disc = SpatialDiscretization(p, 128)
@@ -662,27 +696,40 @@ def test_ellipticity_failure_propagates():
 
 
 def test_on_row_callback_streams_rows(monkeypatch):
-    # every row reaches on_row as it is appended, the gg augmentation row
-    # included, and a run passes its one reference state to every
-    # reference call
-    states = []
-    real = adaptive.reference_error
+    # without a reference cadence each row reaches on_row before the next
+    # estimate; with one, every row reaches it once and in order, right
+    # after the run's one reference_error call, which follows the gg
+    # augmentation
+    events = []
 
-    def spy(P, disc, spec, quad_order, state):
-        states.append(state)
-        return real(P, disc, spec, quad_order, state)
+    def spy(name, real):
+        def call(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(adaptive, "reference_error", spy)
-    p = affine_problem()
-    disc = SpatialDiscretization(p, 64)
+        return call
+
+    for name in ("margin_report", "reduced_margin_report", "reference_error"):
+        monkeypatch.setattr(adaptive, name, spy(name, getattr(adaptive, name)))
+    p = cosine_problem()
+    disc = SpatialDiscretization(p, 32)
     for strategy in ("gn_envelope", "gg"):
-        seen, states[:] = [], []
-        cfg = AdaptiveConfig(strategy=strategy, tol=1e-6, reference_every=1)
-        trace = run_strategy(p, disc, cfg, on_row=seen.append)
-        assert len(seen) == len(trace.rows) >= 2
-        assert all(a is b for a, b in zip(seen, trace.rows))
-        assert len(states) == len(trace.rows) and all(st is states[0] for st in states)
-        assert states[0].interpolant is trace.interpolant
+        for every in (0, 2):
+            events[:] = []
+            cfg = AdaptiveConfig(strategy=strategy, tol=1e-4, reference_every=every)
+            trace = run_strategy(p, disc, cfg, on_row=events.append)
+            rows = [e for e in events if not isinstance(e, str)]
+            assert len(rows) == len(trace.rows) >= 4
+            assert all(a is b for a, b in zip(rows, trace.rows))
+            report = "reduced_margin_report" if strategy == "gg" else "margin_report"
+            estimates = len(trace.rows) - (strategy == "gg")
+            tags = [e if isinstance(e, str) else "row" for e in events]
+            if every:
+                want = [report] * estimates + ["reference_error"] + ["row"] * len(rows)
+                assert trace.rows[0].reference_error is not None
+            else:
+                want = [report, "row"] * estimates + ["row"] * (strategy == "gg")
+            assert tags == want, (strategy, every)
     # the augmentation row is built estimating nothing
     assert_gg_augmented(trace)
 

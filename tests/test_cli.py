@@ -124,7 +124,7 @@ def test_run_rejects_bad_config_before_writing(tmp_path, capsys):
             },
             "norm.sup_budget >= 2",
         ),
-        ({"reference": {"quad_order": 0}}, "reference_quad must be at least 1, got 0"),
+        ({"reference": {"quad_order": 0}}, "reference.quad_order must be at least 1, got 0"),
         # a negative cadence once ran with no reference and exited 0
         ({"reference": {"every": -1}}, 'reference.every must be at least 0 or "auto", got -1'),
         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
@@ -711,6 +711,25 @@ def test_defaults_come_from_the_section_owners(tmp_path):
     assert DEFAULTS["problem"]["a0"] == 2.0 and DEFAULTS["norm"]["p"] == 2
     assert DEFAULTS["reference"]["every"] == "auto"
     assert DEFAULTS["problem"] is not PROBLEM_DEFAULTS
+
+
+@pytest.mark.parametrize("dim, every", [(2, 1), (3, 5), (5, 0)])
+def test_summary_records_resolved_reference_cadence(tmp_path, dim, every):
+    # "auto" puts a reference on every row at M <= 2, every 5th up to
+    # M = 4, and none past it; summary.json says which
+    cfg = write_config(
+        tmp_path,
+        "auto.json",
+        {"problem": {"family": "cosine", "M": dim}, "mesh_n": 16, "tol": 1e-2},
+    )
+    out = tmp_path / "out"
+    assert run_experiment(cfg, outdir=out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["reference"]["every"] == "auto"
+    assert summary["reference_every"] == every
+    rows = read_trace(out / "gn_envelope-trace.csv")[1]
+    due = [int(r["n"]) % every == 0 if every else False for r in rows]
+    assert [bool(r["reference_error"]) for r in rows] == due
 
 
 def test_reference_every_infeasible_dim(tmp_path, capsys):

@@ -22,8 +22,8 @@ from sparseuq.estimators import (
     _ROW_BLOCK,
     MarginState,
     NormSpec,
-    ReferenceRows,
     _euclidean_lp_norm,
+    _row_blocks,
     combine_axes,
     fresh_solves,
     gauss_axis,
@@ -58,6 +58,7 @@ from oracles import (
     drop_stale,
     h1_rows,
     l2_element_rows,
+    leading_part,
     monte_carlo_error,
     point_grid,
     random_monotone,
@@ -986,52 +987,42 @@ def test_reference_error_uses_uncounted_cache(monkeypatch):
     disc = SpatialDiscretization(affine_problem(), 32)
     P, cache = build_chain(disc, 1)
     before = cache.n_solves
-    # the reference solutions are never formed: nothing is solved or
-    # counted, and the state keeps only the gradient rows of u_h - S u_h
+    # the reference solutions are never formed: nothing is solved or counted
     monkeypatch.setattr(SpatialDiscretization, "solve_at", None)
-    state = ReferenceRows()
-    reference_error(P, disc, NormSpec(p=2), quad_order=10, state=state)
+    assert reference_error(P, disc, NormSpec(p=2), quad_order=10) > 0.0
     assert cache.n_solves == before
-    assert state.rows.shape == (10, 32)
-    assert state.interpolant is P and state.shape == (10,) and state.n_rows == 1
 
 
 @pytest.mark.parametrize("p", [2, "inf"])
 def test_reference_error_incremental_matches_scratch(p):
+    # one pass gives each count's value chunk by chunk: bitwise the same
+    # pass over a fresh interpolant rebuilt from that many points, and to
+    # roundoff its value from scratch; a count may repeat, and a lone
+    # point's chunk is padded
     rng = np.random.default_rng(41)
     spec = NormSpec(p=p, sup_points_per_dim=9)
     problem = build_problem({"family": "cosine", "M": 2, "gamma": 0.9})
     disc = SpatialDiscretization(problem, 32)
     cache = SolveCache(disc)
     P = SparseInterpolant("leja", 2)
-    state = ReferenceRows()
-    rows = []
+    counts = []
     for _ in range(8):
         cand = [(0, 0)] if P.n_points == 0 else P.indexset.reduced_margin()
         k = tuple(cand[rng.integers(len(cand))])
         P.add_index(k, values=fresh_solves(P, cache, k))
-        got = reference_error(P, disc, spec, quad_order=8, state=state)
-        want = reference_error(P, disc, spec, quad_order=8)
-        assert abs(got - want) <= 1e-12 * want, (k, got, want)
-        rows.append(state.rows)
-    # every call after the first updated the same rows incrementally
-    assert all(r is rows[0] for r in rows) and state.n_rows == P.n_points
-    # a second interpolant gets its own state; passing it P's raises and
-    # leaves P's state as it was
-    Q = SparseInterpolant("clenshaw_curtis", 2)
-    for k in [(0, 0), (1, 0), (0, 1)]:
-        Q.add_index(k, values=fresh_solves(Q, cache, k))
-    with pytest.raises(ValueError, match="another interpolant"):
-        reference_error(Q, disc, spec, quad_order=8, state=state)
-    assert state.interpolant is P and state.rows is rows[0]
-    other = ReferenceRows()
-    for R, kept in ((Q, other), (P, state)):
-        got = reference_error(R, disc, spec, quad_order=8, state=kept)
-        want = reference_error(R, disc, spec, quad_order=8)
-        assert abs(got - want) <= 1e-12 * want
-    # so does a grid of another shape
-    with pytest.raises(ValueError, match="another interpolant or grid"):
-        reference_error(P, disc, NormSpec(p=p, sup_points_per_dim=7), quad_order=9, state=state)
+        counts.append(P.n_points)
+    counts.insert(3, counts[2])
+    ms = []
+    got = reference_error(P, disc, spec, quad_order=8, counts=counts, ms=ms)
+    parts = [leading_part(P, c) for c in counts]
+    want = [reference_error(Q, disc, spec, 8, counts[: i + 1])[-1] for i, Q in enumerate(parts)]
+    assert got == want and got[2] == got[3]
+    scratch = [reference_error(Q, disc, spec, quad_order=8) for Q in parts]
+    assert got[0] == scratch[0] and np.allclose(got, scratch, rtol=1e-12, atol=0.0)
+    assert len(ms) == len(counts) and min(ms) > 0.0
+    for bad in ([], [0, 1], [3, 2], [P.n_points + 1]):
+        with pytest.raises(ValueError, match="counts must be nondecreasing"):
+            reference_error(P, disc, spec, quad_order=8, counts=bad)
 
 
 def reference_grid(dim, order):
@@ -1046,16 +1037,14 @@ def test_reference_rows_match_solved_gradients(size):
     problem = build_problem({"family": "cosine", "M": 1, "a0": a0, "amps": [amp]})
     disc = SpatialDiscretization(problem, 48)
     P, _ = build_chain(disc, 3)
-    state = ReferenceRows()
-    reference_error(P, disc, NormSpec(p=2), quad_order=size, state=state)
+    got = reference_error(P, disc, NormSpec(p=2), quad_order=size)
     grid = reference_grid(1, size)
     # the blocked closed-form rows against nodal solves on the whole grid
     grads = disc.gradient_rows(disc.solve_at(grid))
-    want = grads - P.basis_weights(grid) @ disc.gradient_rows(P.surpluses())
-    got = state.rows
-    scale = np.max(np.abs(grads), axis=1)
-    assert got.shape == want.shape == (size, 48)
-    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+    rows = grads - P.basis_weights(grid) @ disc.gradient_rows(P.surpluses())
+    want = combine_axes(l2_element_rows(disc, rows), [gauss_axis(size)], 2.0)
+    scale = combine_axes(l2_element_rows(disc, grads), [gauss_axis(size)], 2.0)
+    assert abs(got - want) <= 1e-12 * scale
 
 
 def test_reference_error_names_first_non_elliptic_point():
@@ -1069,11 +1058,8 @@ def test_reference_error_names_first_non_elliptic_point():
     grid = reference_grid(2, 40)
     first = int(np.flatnonzero(1.0 - 1.5 * grid[:, 0] <= 0.0)[0])
     assert first >= 2 * _ROW_BLOCK
-    state = ReferenceRows()
     with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
-        reference_error(P, disc, NormSpec(p=2), quad_order=40, state=state)
-    # half-formed rows are not kept
-    assert state.rows is None and state.interpolant is None and state.n_rows == 0
+        reference_error(P, disc, NormSpec(p=2), quad_order=40)
 
 
 @pytest.mark.parametrize("p", [2, "inf"])
@@ -1093,7 +1079,7 @@ def test_reference_error_first_value_matches_point_grid(p, dim):
         k = tuple(cand[rng.integers(len(cand))])
         P.add_index(k, values=fresh_solves(P, cache, k))
     spec = NormSpec(p=p, sup_points_per_dim=17)
-    got = reference_error(P, disc, spec, quad_order=9, state=ReferenceRows())
+    got = reference_error(P, disc, spec, quad_order=9)
     axes = sample_axes(spec, dim) if p == "inf" else [gauss_axis(9)] * dim
     grid = point_grid([y for y, _ in axes])
     grads = kernels.p1_slopes(disc.coefficient_at(grid), disc.cum_load, np.empty((len(grid), 32)))
@@ -1142,33 +1128,31 @@ def test_reference_error_names_first_non_elliptic_point_in_later_block():
     grid = point_grid([y for y, _ in sample_axes(spec, 3)])
     first = int(np.flatnonzero(np.min(disc.coefficient_at(grid), axis=1) <= 0.0)[0])
     assert first >= 2 * _ROW_BLOCK
-    state = ReferenceRows()
     with pytest.raises(EllipticityError, match=re.escape("y=%s " % grid[first].tolist())):
-        reference_error(P, disc, spec, state=state)
-    assert state.rows is None and state.interpolant is None
+        reference_error(P, disc, spec, counts=[1, 1])
 
 
-def test_reference_error_incremental_call_allocates_no_rows():
+def test_reference_error_pass_allocates_no_rows():
+    # no array of grid by elements outlives a block, for 1 count or 20
     problem = build_problem({"family": "cosine", "M": 2, "gamma": 0.9})
-    disc = SpatialDiscretization(problem, 128)
+    disc = SpatialDiscretization(problem, 256)
     cache = SolveCache(disc)
     P = SparseInterpolant("leja", 2)
-    for k in [(0, 0), (1, 0), (0, 1)]:
-        P.add_index(k, values=fresh_solves(P, cache, k))
+    counts = []
+    for k in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)] + [(2, 1), (1, 2)] * 7:
+        if k not in P.indexset:
+            P.add_index(k, values=fresh_solves(P, cache, k))
+        counts.append(P.n_points)
     spec = NormSpec(p=2)
-    state = ReferenceRows()
-    reference_error(P, disc, spec, quad_order=64, state=state)
-    rows = state.rows
-    assert rows.shape[0] >= 4 * _ROW_BLOCK
-    P.add_index((1, 1), values=fresh_solves(P, cache, (1, 1)))
-    tracemalloc.start()
-    try:
-        got = reference_error(P, disc, spec, quad_order=64, state=state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert state.rows is rows and state.n_rows == P.n_points
-    # a temporary of the rows' size (or of a large share of them) is gone
-    assert peak < state.rows.nbytes / 4, (peak, state.rows.nbytes)
-    want = reference_error(P, disc, spec, quad_order=64)
-    assert abs(got - want) <= 1e-12 * want
+    assert len(_row_blocks((128, 128))) >= 4 and len(counts) == 20
+    rows_nbytes = 128 * 128 * disc.n_elements * 8
+    want = reference_error(P, disc, spec, quad_order=128)
+    for use in (counts[-1:], counts):
+        tracemalloc.start()
+        try:
+            got = reference_error(P, disc, spec, quad_order=128, counts=use)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_nbytes / 4, (len(use), peak, rows_nbytes)
+        assert len(got) == len(use) and abs(got[-1] - want) <= 1e-12 * want

@@ -396,7 +396,7 @@ def test_basis_weights_match_per_dimension_columns():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
 def test_grid_basis_weights_match_point_grid(kind, dim):
-    # per-axis tables on the 1-D axes, multiplied by broadcasting in the
+    # per-axis tables on the 1-D axes, multiplied block by block in the
     # order m = 0, 1, ..., are bitwise basis_weights on the point grid, in
     # the same column-major layout
     rng = np.random.default_rng(7 * dim)
@@ -405,12 +405,19 @@ def test_grid_basis_weights_match_point_grid(kind, dim):
     axes = [np.linspace(-1.0, 1.0, 9), np.polynomial.legendre.leggauss(6)[0], np.array([0.3])]
     axes = axes[:dim]
     grid = point_grid(axes)
-    for start in (0, P.n_points // 2):
-        want = P.basis_weights(grid)[:, start:]
-        got = P.grid_basis_weights(axes, start)
-        assert got.shape == want.shape == (len(grid), P.n_points - start)
-        assert got.flags.f_contiguous and want.flags.f_contiguous
-        assert np.array_equal(got, want)
+    last = len(axes[-1])
+    # whole runs of the last axis: all of them, then one or two at a time
+    splits = [[0, len(grid)], list(range(0, len(grid) + 1, last))]
+    splits.append(sorted({*range(0, len(grid), 2 * last), len(grid)}))
+    for stop in (None, P.n_points // 2):
+        want = P.basis_weights(grid)[:, :stop]
+        for bounds in splits:
+            blocks = list(zip(bounds, bounds[1:]))
+            got = list(P.grid_basis_weights(axes, blocks, stop))
+            assert len(got) == len(blocks)
+            for (a, b), W in zip(blocks, got):
+                assert W.shape == want[a:b].shape and W.flags.f_contiguous
+                assert np.array_equal(W, want[a:b])
 
 
 def test_malformed_snapshot_rejected():
