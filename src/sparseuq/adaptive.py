@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from .estimators import (
     MarginState,
     NormSpec,
+    check_reference_dim,
     fresh_solves,
     margin_report,
     reduced_margin_report,
@@ -221,6 +222,8 @@ def run_strategy(problem, disc, config, on_row=None):
     info = check_ellipticity(problem, disc)
     if config.norm.p == math.inf:
         sup_points_per_dim(config.norm, problem.dim)
+    if config.reference_every:
+        check_reference_dim(problem.dim)
     trace = AdaptiveTrace(config.strategy, config, info)
     P = SparseInterpolant(config.nodes, problem.dim)
     cache = SolveCache(disc)

@@ -34,9 +34,9 @@ import re
 import sys
 from pathlib import Path
 
-# argparse, csv and statistics are imported where they are used (main,
-# read_trace, the run summary): none is on the way from the import to the
-# first solve
+# argparse and csv are imported where they are used (main, read_trace), and
+# the run summary takes its median by hand, not from statistics or np.median
+# (which loads numpy.ma): none is on the way from the import to the first solve
 
 from . import __version__
 from .adaptive import AdaptiveConfig, TraceRow, run_strategy
@@ -222,8 +222,6 @@ def run_experiment(config_path, outdir=None):
         info["a_max"],
         info["alpha"],
     )
-    import statistics
-
     exit_code = 0
     summary = {
         "problem_hash": phash,
@@ -241,7 +239,8 @@ def run_experiment(config_path, outdir=None):
             writer.close()
         header = {"problem_hash": phash, "strategy": strategy, "a_min": info["a_min"]}
         write_final_set(out / ("%s-final-set.json" % strategy), header, trace.interpolant)
-        effs = [r.effectivity for r in trace.rows if r.effectivity is not None]
+        effs = sorted(r.effectivity for r in trace.rows if r.effectivity is not None)
+        n = len(effs)
         last = trace.rows[-1]
         summary["strategies"][strategy] = {
             "iterations": len(trace.rows),
@@ -255,7 +254,7 @@ def run_experiment(config_path, outdir=None):
             "pre_augmentation_error": trace.pre_augmentation_error,
             "post_augmentation_error": trace.post_augmentation_error,
             "effectivity_min": min(effs) if effs else None,
-            "effectivity_median": statistics.median(effs) if effs else None,
+            "effectivity_median": (effs[(n - 1) // 2] + effs[n // 2]) / 2 if effs else None,
             "wall_ms_total": sum(r.wall_ms for r in trace.rows),
         }
         if trace.budget_exhausted:

@@ -25,6 +25,7 @@ axis at p = inf.
 
 import functools
 import heapq
+import itertools
 import math
 import time
 from collections import defaultdict
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .fem import check_keys, config_mapping, config_number
-from .interp import _fresh_table, _level_range, _times_y_rows, mode_product, work
+from .interp import _fresh_table, _grid_weights, _level_range, _times_y_rows, mode_product, work
 from .multiindex import as_index, backward, forward
 from .nodes import growth
 
@@ -41,10 +42,10 @@ _INF_ALIASES = {"inf", "infinity", "sup", "max"}
 # most parameters of reference_error's tensor grid: at Gauss order 20 it has
 # 160,000 points at M = 4 (1.3 MB of norms per due row), 20 times more per extra one
 MAX_REFERENCE_DIM = 4
-# most reference grid rows per block of reference_error's pass (_row_blocks):
-# at mesh 256 a block of rows is at most 512 KB and stays in cache; on
-# gn-ref-inf-m3 a sweep of 64..2048 rows on a 2-core host was fastest at
-# 128-256, 40% slower at 2048
+# most reference grid rows per block of reference_error's pass (_row_blocks),
+# unless the last axis alone is longer: at mesh 256 such a block is at most
+# 512 KB and stays in cache; on gn-ref-inf-m3 a sweep of 64..2048 rows on a
+# 2-core host was fastest at 128-256, 40% slower at 2048
 _ROW_BLOCK = 256
 
 
@@ -567,12 +568,22 @@ def reduced_margin_report(P, disc, spec, cache, state=None):
 
 
 def _row_blocks(shape):
-    """reference_error's row blocks [(start, stop), ...] over the C-order
-    grid of the given shape: whole runs of the last axis, as many as fit
-    in _ROW_BLOCK rows but at least one.  The first block is the largest."""
-    last, n_grid = shape[-1], math.prod(shape)
-    step = max(_ROW_BLOCK // last, 1) * last
-    return [(a, min(a + step, n_grid)) for a in range(0, n_grid, step)]
+    """reference_error's blocks of the C-order grid of the given shape, in
+    order, each contiguous and given as one slice per axis: the trailing
+    axes whole while they fit in _ROW_BLOCK rows (the last one always), a
+    range of the next axis, one index of each earlier one."""
+    j = len(shape) - 1
+    while j > 0 and math.prod(shape[j - 1 :]) <= _ROW_BLOCK:
+        j -= 1
+    whole = (slice(None),) * (len(shape) - j)
+    if j == 0:
+        return [whole]
+    step = max(_ROW_BLOCK // math.prod(shape[j:]), 1)
+    return [
+        tuple(slice(i, i + 1) for i in lead) + (slice(a, a + step),) + whole
+        for lead in itertools.product(*map(range, shape[: j - 1]))
+        for a in range(0, shape[j - 1], step)
+    ]
 
 
 def check_reference_dim(dim):
@@ -590,21 +601,20 @@ def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
     the interpolant P was when it had that many points.
 
     The grid is the tensor product of M 1-D axes: the estimators' sample
-    axis for p = inf, Gauss order quad_order for p = 2.  It is never
-    formed as an array of points.  The spatial H1_0 seminorm is the L2
-    norm of the element gradient, so the reference solutions are never
-    formed either: disc.grid_gradients gives the gradient rows of u_h in
-    closed form from the axes, uncounted and not memoized, and
-    P.grid_basis_weights gives the basis weights from per-axis tables.
-    One pass over the grid, in blocks of whole runs of the last axis
-    (_row_blocks) that stay in cache, forms each block's gradients and
-    weights, then count by count subtracts that count's chunk of surplus
-    gradients and keeps the squared row norms.  No array of grid by
-    elements outlives a block.  ms, a list if given, receives each
-    count's time in milliseconds, the first count's with the gradients
-    and weights.  An EllipticityError names the first non-elliptic
-    reference point in C order.  Tensor grids are only feasible for a
-    handful of dimensions, so more than MAX_REFERENCE_DIM is rejected.
+    axis for p = inf, Gauss order quad_order for p = 2.  Neither its points
+    nor the reference solutions are ever formed: the spatial H1_0 seminorm
+    is the L2 norm of the element gradient.  One pass over the grid, in
+    tensor sub-grids that stay in cache (_row_blocks), forms each block's
+    gradient rows of u_h in closed form from its coordinates
+    (disc.grid_gradients, uncounted and not memoized) and its basis weights
+    from rows of per-axis tables built once (interp._grid_weights, as
+    value_below does), then count by count subtracts that count's chunk of
+    surplus gradients and keeps the squared row norms.  No array of grid by
+    elements outlives a block.  ms, a list if given, receives each count's
+    time in milliseconds, the first count's with the gradients and weights.
+    An EllipticityError names the first non-elliptic reference point in C
+    order.  More than MAX_REFERENCE_DIM parameters are rejected: tensor
+    grids are feasible for a handful only.
     """
     t0 = time.perf_counter()
     dim = P.dim
@@ -620,8 +630,8 @@ def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
     if len(bounds) < 2 or bounds != sorted(bounds) or bounds[1] < 1 or bounds[-1] > P.n_points:
         msg = "counts must be nondecreasing, from 1 to the %d points, got %r"
         raise ValueError(msg % (P.n_points, bounds[1:]))
-    blocks = _row_blocks(shape)
-    weights = P.grid_basis_weights(ys, blocks, bounds[-1])
+    pts = P.node_indices()[: bounds[-1]]
+    tables = [P.family.basis_matrix(y, int(n)) for y, n in zip(ys, pts.max(axis=0) + 1)]
     dS = disc.gradient_rows(P.surpluses()[: bounds[-1]])
     chunks = []
     for c0, c1 in zip(bounds, bounds[1:]):
@@ -630,13 +640,17 @@ def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
         # gets a zero row, whose term leaves every product exact
         d = dS[c0:c1]
         chunks.append((c0, c1, np.vstack([d, np.zeros_like(d)]) if c1 - c0 == 1 else d))
-    g = np.empty((blocks[0][1], disc.n_elements))
+    g = np.empty((max(_ROW_BLOCK, shape[-1]), disc.n_elements))
     scratch = np.empty_like(g)
     pad = np.zeros((len(g), 2))
     sq = np.empty((len(chunks), math.prod(shape)))
     spent = [0.0] * len(chunks)
-    for (a, b), W in zip(blocks, weights):
-        block = disc.grid_gradients(ys, a, b, out=g[: b - a])
+    b = 0
+    for slices in _row_blocks(shape):
+        sub = [y[s] for y, s in zip(ys, slices)]
+        a, b = b, b + math.prod(map(len, sub))
+        W = _grid_weights([t[s] for t, s in zip(tables, slices)], pts)
+        block = disc.grid_gradients(sub, out=g[: b - a])
         for i, (c0, c1, d) in enumerate(chunks):
             if c1 - c0 == 1:
                 pad[: b - a, 0] = W[:, c0]

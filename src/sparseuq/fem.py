@@ -15,9 +15,9 @@ kernels.thomas_solve, which reads the cumulative load).  The element
 gradients are the fluxes divided by a, so grid_gradients forms them
 without the nodal values, which is all an error in the H1_0 seminorm
 needs.  It takes its parameter points from a tensor grid given by its
-1-D axes, never formed as an array of points: the coefficient of a
-block of whole runs of the last axis is summed from per-axis partial
-sums, bitwise as coefficient_at sums it point by point.
+1-D axes, never formed as an array of points: the coefficient is
+summed axis by axis with broadcasting, bitwise as coefficient_at sums
+it point by point.
 
 SolveCache keeps the collocation solves as one read-only array per
 fresh block of a multi-index, solved in one batch.  The reference error
@@ -134,35 +134,25 @@ class SpatialDiscretization:
         u = kernels.thomas_solve(c, self.cum_load)
         return u if Y.ndim == 2 else u[0]
 
-    def grid_gradients(self, axes, start, stop, out):
-        """Element gradients of the P1 solutions at the rows start:stop of
-        the C-order tensor grid of the 1-D parameter axes (M arrays),
-        written into out of shape (stop - start, n) and returned: in closed
-        form (s0 - F) / a, equal to gradient_rows(solve_at(y)) up to
-        roundoff but without the nodal values.  The grid is never formed
-        as an array of points.  The rows must be whole runs of the last
-        axis.  A run's coefficients are its prefix (a_0 + y_0 a_0m) + ...
-        over the leading axes, formed once per run, plus y_last a_last,m,
-        added in coefficient_at's order, so each row is bitwise
-        coefficient_at's at its grid point.  Raises EllipticityError naming
-        the first grid point, in C order, whose coefficient is not positive
-        on every element."""
+    def grid_gradients(self, axes, out):
+        """Element gradients of the P1 solutions on the C-order tensor grid
+        of the 1-D parameter axes (M arrays), never formed as an array of
+        points, written into out of shape (grid points, n) and returned:
+        (s0 - F) / a in closed form, gradient_rows(solve_at(y)) up to
+        roundoff.  The coefficient is a_0 plus y_m a_m broadcast over one
+        more axis for each m in turn, bitwise coefficient_at's at every
+        point.  Raises EllipticityError naming the first grid point, in C
+        order, whose coefficient is not positive on every element."""
         shape = tuple(len(y) for y in axes)
-        last = shape[-1]
-        if start % last or stop % last:
-            raise ValueError("grid rows %d:%d are not whole runs of the last axis" % (start, stop))
-        lo, hi = start // last, stop // last
-        lead = np.unravel_index(np.arange(lo, hi), shape[:-1]) if len(shape) > 1 else ()
-        prefix = np.empty((hi - lo, self.n_elements))
-        prefix[:] = self.a0_mid
-        for m, idx in enumerate(lead):
-            prefix += np.multiply.outer(axes[m][idx], self.terms_mid[m])
+        a = self.a0_mid
+        for y, am in zip(axes[:-1], self.terms_mid):
+            a = a[..., None, :] + np.multiply.outer(y, am)
         # splitting the row axis makes a view, so the sum lands in out
-        runs = out.reshape(hi - lo, last, self.n_elements)
-        np.add(prefix[:, None, :], np.multiply.outer(axes[-1], self.terms_mid[-1]), out=runs)
+        grid = out.reshape(shape + (self.n_elements,))
+        np.add(a[..., None, :], np.multiply.outer(axes[-1], self.terms_mid[-1]), out=grid)
         p = _first_non_elliptic(out)
         if p is not None:
-            at = np.unravel_index(start + p, shape)
+            at = np.unravel_index(p, shape)
             raise _non_elliptic([float(y[i]) for y, i in zip(axes, at)], out[p])
         return kernels.p1_slopes(out, self.cum_load, out)
 

@@ -8,18 +8,18 @@ families and monotone index sets this sum is interpolatory and equal to
 the telescoping sum of tensorized detail operators over the index set.
 
 Basis weights on a tensor grid of samples, given per axis, are formed
-without the grid (_grid_weights): each axis's table is gathered at the
-stored rows and the factors multiplied by broadcasting.
-grid_basis_weights does the same for the reference error's grid, one
-block of its rows at a time.  A new index's fresh points form such a
-grid too.  There only the stored blocks below the index carry nonzero
-basis weights, so SparseInterpolant.value_below sums those alone, with
-per-axis tables taken from memoized per-level basis tables for the
-index's nonzero levels only; it gives both add_index and the surplus
-indicator the interpolant's values there.  For an addable index that
-sum cannot change until the index itself is added, so the interpolant
-keeps it, read-only, and add_index takes it back out: a candidate's
-values are formed once.  Scattered points (the queries) go through
+without the grid by one routine, _grid_weights: each axis's table is
+gathered at the stored rows and the factors multiplied by broadcasting.
+It serves each block of the reference error's grid, a tensor sub-grid
+(estimators.reference_error), and a new index's fresh points.  There
+only the stored blocks below the index carry nonzero basis weights, so
+SparseInterpolant.value_below sums those alone, with per-axis tables
+taken from memoized per-level basis tables for the index's nonzero
+levels only; it gives both add_index and the surplus indicator the
+interpolant's values there.  For an addable index that sum cannot
+change until the index itself is added, so the interpolant keeps it,
+read-only, and add_index takes it back out: a candidate's values are
+formed once.  Scattered points (the queries) go through
 kernels.weight_product, whose product runs over each stored point's
 support: h_0 is exactly 1.0, so level-0 factors are skipped, and a
 parameter no stored point uses gets no basis table.
@@ -167,6 +167,12 @@ class SparseInterpolant:
         out.flags.writeable = False
         return out
 
+    def node_indices(self):
+        """Node-index rows (insertion order), shape (rows, M); read-only."""
+        out = self._pts[: self._n]
+        out.flags.writeable = False
+        return out
+
     def basis_weights(self, Y):
         """Tensor hierarchical basis values at points Y of shape (P, M) for
         every stored grid point, shape (P, rows): the interpolant is
@@ -197,34 +203,6 @@ class SparseInterpolant:
         offsets = np.cumsum(nmax - 1) - (nmax - 1)
         cols = np.where(pts != 0, pts + offsets, 0)
         return kernels.weight_product(np.concatenate(rows, axis=0).T, cols)
-
-    def grid_basis_weights(self, axes, blocks, stop=None):
-        """basis_weights at the C-order tensor grid of the 1-D axes (M
-        arrays) for the grid points before row stop (all when None),
-        without forming the grid: for each (a, b) of blocks, whole runs of
-        the last axis, yields a column-major (b - a, points) array, bitwise
-        basis_weights(grid)[a:b, :stop].  Each axis's basis table is built
-        once and gathered at the points; a block multiplies its rows'
-        factors in the order m = 0, 1, ..., as _grid_weights does, after
-        an exact 1.0."""
-        if not self._n:
-            raise ValueError("cannot evaluate an empty interpolant")
-        if len(axes) != self.dim:
-            raise ValueError("expected %d axes, got %d" % (self.dim, len(axes)))
-        pts = self._pts[: self._n][:stop]
-        nmax = pts.max(axis=0) + 1
-        if any(np.any(np.abs(ys) > 1.0 + _DOMAIN_SLACK) for ys in axes):
-            raise ValueError("evaluation point outside [-1, 1]^%d" % self.dim)
-        # axis m's factor of every point at every sample, (points, samples)
-        g = [self.family.basis_matrix(ys, int(n)).T[p] for ys, n, p in zip(axes, nmax, pts.T)]
-        last, prefix = len(axes[-1]), [len(ys) for ys in axes[:-1]]
-        for a, b in blocks:
-            runs = np.arange(a // last, b // last)
-            lead = np.unravel_index(runs, prefix) if prefix else ()
-            W = np.ones((len(pts), len(runs)))
-            for f, s in zip(g, lead):
-                W = W * f[:, s]
-            yield (W[:, :, None] * g[-1][:, None, :]).reshape(len(pts), b - a).T
 
     def value_below(self, k):
         """The interpolant's values at the fresh points of k, shape
@@ -315,7 +293,7 @@ class SparseInterpolant:
         """The stored points in insertion order, one {"j": ..., "surplus": ...}
         record at a time, formed from the buffers as it is asked for: the
         "points" of to_jsonable, for a writer that streams them."""
-        for j, row in zip(self._pts[: self._n], self.surpluses()):
+        for j, row in zip(self.node_indices(), self.surpluses()):
             yield {"j": j.tolist(), "surplus": row.tolist()}
 
     def to_jsonable(self, points=True):

@@ -563,6 +563,20 @@ def test_reference_cadence():
             assert row.reference_error is None
 
 
+@pytest.mark.parametrize("strategy", ["gn_envelope", "gg"])
+def test_reference_cadence_at_infeasible_dim_fails_before_solving(strategy, monkeypatch):
+    # the reference pass comes after the loop, so an M it refuses must be
+    # refused before the first solve, not after the whole run
+    def refuse(self, y):
+        raise AssertionError("solved before the reference dimension was checked")
+
+    monkeypatch.setattr(SpatialDiscretization, "solve_at", refuse)
+    p = cosine_problem(estimators.MAX_REFERENCE_DIM + 1)
+    disc = SpatialDiscretization(p, 16)
+    with pytest.raises(ValueError, match="infeasible for M=5"):
+        run(strategy, p, disc, tol=1e-4, reference_every=1)
+
+
 @pytest.mark.parametrize("every", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, "inf"])
 @pytest.mark.parametrize("nodes", ["leja", "clenshaw_curtis"])

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -730,6 +731,10 @@ def test_summary_records_resolved_reference_cadence(tmp_path, dim, every):
     rows = read_trace(out / "gn_envelope-trace.csv")[1]
     due = [int(r["n"]) % every == 0 if every else False for r in rows]
     assert [bool(r["reference_error"]) for r in rows] == due
+    # the median taken by hand is statistics.median's, bit for bit
+    effs = [float(r["effectivity"]) for r in rows if r["effectivity"]]
+    median = summary["strategies"]["gn_envelope"]["effectivity_median"]
+    assert median == (statistics.median(effs) if effs else None), len(effs)
 
 
 def test_reference_every_infeasible_dim(tmp_path, capsys):
@@ -1082,6 +1087,25 @@ def test_cli_import_leaves_run_free_modules_unloaded():
     )
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_run_reaches_the_first_solve_without_run_free_modules(tmp_path):
+    # nor does run_experiment import any of them before its strategy loop
+    code = (
+        "import sys\n"
+        "from sparseuq import cli\n"
+        "def entered(*args, **kw):\n"
+        "    print([m for m in ('argparse', 'csv', 'statistics') if m in sys.modules])\n"
+        "    raise SystemExit(0)\n"
+        "cli.run_strategy = entered\n"
+        "cli.run_experiment(sys.argv[1])\n"
+    )
+    cfg = deterministic_cfg(tmp_path, outdir=str(tmp_path / "out"))
+    res = subprocess.run(
+        [sys.executable, "-c", code, cfg], capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"

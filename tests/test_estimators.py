@@ -1132,6 +1132,31 @@ def test_reference_error_names_first_non_elliptic_point_in_later_block():
         reference_error(P, disc, spec, counts=[1, 1])
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (20,), (300,), (5, 5, 5), (2, 128), (2, 129), (3, 515), (20, 20),
+     (33, 33, 33), (9, 40, 33), (2, 3, 300), (20, 20, 20, 20), (4, 1, 7, 40)],
+)
+def test_row_blocks_tile_the_grid_in_c_order(shape):
+    # each block is one range per axis: one index of each axis before the
+    # range, whole axes after it, the last axis always whole
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    blocks = _row_blocks(shape)
+    done = 0
+    for block in blocks:
+        rows = flat[block].ravel()
+        assert np.array_equal(rows, np.arange(done, done + len(rows)))
+        done += len(rows)
+        lens = [len(range(n)[s]) for n, s in zip(shape, block)]
+        cut = max([m for m in range(len(shape)) if lens[m] != shape[m]], default=0)
+        assert lens[:cut] == [1] * cut and lens[cut + 1 :] == list(shape[cut + 1 :])
+        assert len(rows) <= _ROW_BLOCK or len(rows) == shape[-1]
+    assert done == flat.size
+    if shape == (33, 33, 33):
+        # 7, 7, 7, 7 and 5 runs of the last axis per leading index
+        assert len(blocks) == 165
+
+
 def test_reference_error_pass_allocates_no_rows():
     # no array of grid by elements outlives a block, for 1 count or 20
     problem = build_problem({"family": "cosine", "M": 2, "gamma": 0.9})

@@ -93,7 +93,7 @@ def test_non_finite_coefficient_fails_the_check():
     with pytest.raises(EllipticityError, match="min nan"):
         disc.solve_at(np.array([0.5]))
     with pytest.raises(EllipticityError, match="min nan"):
-        disc.grid_gradients([np.array([0.5])], 0, 1, out=np.empty((1, 16)))
+        disc.grid_gradients([np.array([0.5])], out=np.empty((1, 16)))
     # one NaN element is enough
     half = DiffusionProblem(1, const(2.0), [lambda x: np.where(x < 0.5, 0.5, np.nan)], const(1.0))
     with pytest.raises(EllipticityError):
@@ -252,11 +252,15 @@ def gradients_at(disc, Y):
 
 
 def blocked_grid_gradients(disc, axes):
-    """grid_gradients over the row blocks reference_error passes."""
-    shape = [len(y) for y in axes]
-    out = np.full((int(np.prod(shape)), disc.n_elements), np.nan)
-    for a, b in _row_blocks(shape):
-        assert disc.grid_gradients(axes, a, b, out=out[a:b]) is not None
+    """grid_gradients over the tensor sub-grids reference_error passes,
+    each written into its rows of the C-order grid."""
+    out = np.full((len(point_grid(axes)), disc.n_elements), np.nan)
+    b = 0
+    for block in _row_blocks([len(y) for y in axes]):
+        sub = [y[s] for y, s in zip(axes, block)]
+        a, b = b, b + len(point_grid(sub))
+        assert disc.grid_gradients(sub, out=out[a:b]) is not None
+    assert b == len(out)
     return out
 
 
@@ -280,8 +284,10 @@ def test_gradients_at_match_solved_gradients(size):
     assert got.shape == want.shape == (6 * size, 64)
     scale = np.max(np.abs(want), axis=1)
     assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+    # the last run of the last axis alone, as a one-point sub-grid of the
+    # leading axes
     out = np.full((size, 64), np.nan)
-    assert disc.grid_gradients(axes, 5 * size, 6 * size, out=out) is out
+    assert disc.grid_gradients([axes[0][1:], axes[1][2:], axes[2]], out=out) is out
     assert np.array_equal(out, got[5 * size :])
 
 
@@ -289,7 +295,7 @@ def test_gradients_at_names_first_non_elliptic_point():
     disc = SpatialDiscretization(two_plus_y(), 16)
     axes = [np.array([0.5, -2.5, -3.0])]
     with pytest.raises(EllipticityError, match=r"y=\[-2\.5\]"):
-        disc.grid_gradients(axes, 0, 3, out=np.empty((3, 16)))
+        disc.grid_gradients(axes, out=np.empty((3, 16)))
 
 
 @pytest.mark.parametrize("last", [17, _ROW_BLOCK, 2 * _ROW_BLOCK + 3])
@@ -307,21 +313,6 @@ def test_grid_gradients_bitwise_match_pointwise(p, dim, last):
         axes = [np.linspace(-1.0, 1.0, n) for n in sizes]
     got = blocked_grid_gradients(disc, axes)
     assert np.array_equal(got, gradients_at(disc, point_grid(axes)))
-
-
-def test_grid_gradients_rejects_rows_across_a_split_run():
-    disc = cosine_disc(np.random.default_rng(3), 2, 8)
-    axes = [np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 4)]
-    # rows that start or stop inside a run of the last axis, parts of
-    # one run included
-    for a, b in [(2, 6), (5, 7), (4, 6), (1, 4), (0, 3)]:
-        with pytest.raises(ValueError, match="not whole runs"):
-            disc.grid_gradients(axes, a, b, out=np.empty((b - a, 8)))
-    # whole runs are fine
-    want = gradients_at(disc, point_grid(axes))
-    for a, b in [(4, 8), (4, 12), (0, 12)]:
-        out = np.empty((b - a, 8))
-        assert np.array_equal(disc.grid_gradients(axes, a, b, out=out), want[a:b])
 
 
 def test_solver_determinism_bitwise():

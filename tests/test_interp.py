@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseuq.estimators import profit
+from sparseuq.estimators import _row_blocks, profit
 from sparseuq.interp import (
     SparseInterpolant,
     _fresh_inverse_rows,
+    _grid_weights,
     _level_basis,
     _times_y_rows,
     fresh_ranges,
@@ -396,28 +397,25 @@ def test_basis_weights_match_per_dimension_columns():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["leja", "rleja", "clenshaw_curtis"])
 def test_grid_basis_weights_match_point_grid(kind, dim):
-    # per-axis tables on the 1-D axes, multiplied block by block in the
-    # order m = 0, 1, ..., are bitwise basis_weights on the point grid, in
-    # the same column-major layout
+    # on each of reference_error's blocks, _grid_weights over the rows of
+    # per-axis tables is bitwise basis_weights at the block's points, in
+    # the same column-major layout, for all points and for the first half
     rng = np.random.default_rng(7 * dim)
     s = random_monotone(rng, dim, 5 * dim)
     P = build_interpolant(kind, s, lambda y: np.array([np.exp(0.3 * y.sum()), 1.0]))
-    axes = [np.linspace(-1.0, 1.0, 9), np.polynomial.legendre.leggauss(6)[0], np.array([0.3])]
-    axes = axes[:dim]
-    grid = point_grid(axes)
-    last = len(axes[-1])
-    # whole runs of the last axis: all of them, then one or two at a time
-    splits = [[0, len(grid)], list(range(0, len(grid) + 1, last))]
-    splits.append(sorted({*range(0, len(grid), 2 * last), len(grid)}))
+    axes = [np.linspace(-1.0, 1.0, 9), np.polynomial.legendre.leggauss(40)[0]]
+    axes = (axes + [np.linspace(-1.0, 1.0, 33)])[-dim:]
+    blocks = _row_blocks([len(y) for y in axes])
+    assert len(blocks) == [1, 6, 54][dim - 1]
     for stop in (None, P.n_points // 2):
-        want = P.basis_weights(grid)[:, :stop]
-        for bounds in splits:
-            blocks = list(zip(bounds, bounds[1:]))
-            got = list(P.grid_basis_weights(axes, blocks, stop))
-            assert len(got) == len(blocks)
-            for (a, b), W in zip(blocks, got):
-                assert W.shape == want[a:b].shape and W.flags.f_contiguous
-                assert np.array_equal(W, want[a:b])
+        pts = P.node_indices()[:stop]
+        assert not pts.flags.writeable
+        tables = [P.family.basis_matrix(y, int(n)) for y, n in zip(axes, pts.max(axis=0) + 1)]
+        for block in blocks:
+            want = P.basis_weights(point_grid([y[s] for y, s in zip(axes, block)]))[:, :stop]
+            W = _grid_weights([t[s] for t, s in zip(tables, block)], pts)
+            assert W.shape == want.shape and W.flags.f_contiguous
+            assert np.array_equal(W, want)
 
 
 def test_malformed_snapshot_rejected():

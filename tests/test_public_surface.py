@@ -98,9 +98,9 @@ def test_public_methods_are_pinned():
         "coords_of",
         "evaluate",
         "from_jsonable",
-        "grid_basis_weights",
         "n_points",
         "new_point_indices",
+        "node_indices",
         "point_records",
         "surpluses",
         "to_jsonable",
