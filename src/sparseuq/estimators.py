@@ -609,12 +609,15 @@ def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
     (disc.grid_gradients, uncounted and not memoized) and its basis weights
     from rows of per-axis tables built once (interp._grid_weights, as
     value_below does), then count by count subtracts that count's chunk of
-    surplus gradients and keeps the squared row norms.  No array of grid by
-    elements outlives a block.  ms, a list if given, receives each count's
-    time in milliseconds, the first count's with the gradients and weights.
-    An EllipticityError names the first non-elliptic reference point in C
-    order.  More than MAX_REFERENCE_DIM parameters are rejected: tensor
-    grids are feasible for a handful only.
+    surplus gradients and keeps the squared row norms: for p = 2 whole rows,
+    as its weighted dot needs them to keep its bits, for p = inf only each
+    count's running maximum, as max(sqrt(h x)) = sqrt(h max x) for correctly
+    rounded operations and x >= 0.  No array of grid by elements outlives a
+    block.  ms, a list if given, receives each count's time in milliseconds,
+    the first count's with the gradients and weights.  An EllipticityError
+    names the first non-elliptic reference point in C order.  More than
+    MAX_REFERENCE_DIM parameters are rejected: tensor grids are feasible
+    for a handful only.
     """
     t0 = time.perf_counter()
     dim = P.dim
@@ -643,7 +646,9 @@ def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
     g = np.empty((max(_ROW_BLOCK, shape[-1]), disc.n_elements))
     scratch = np.empty_like(g)
     pad = np.zeros((len(g), 2))
-    sq = np.empty((len(chunks), math.prod(shape)))
+    whole = spec.p != math.inf
+    sq = np.empty((len(chunks), math.prod(shape) if whole else len(g)))
+    top = np.zeros(len(chunks))
     spent = [0.0] * len(chunks)
     b = 0
     for slices in _row_blocks(shape):
@@ -657,11 +662,13 @@ def reference_error(P, disc, spec, quad_order=20, counts=None, ms=None):
                 block -= np.matmul(pad[: b - a], d, out=scratch[: b - a])
             elif c1 > c0:
                 block -= np.matmul(W[:, c0:c1], d, out=scratch[: b - a])
-            np.einsum("ij,ij->i", block, block, out=sq[i, a:b])
+            np.einsum("ij,ij->i", block, block, out=sq[i, a:b] if whole else sq[i, : b - a])
             # count i takes the time since the last count's
             spent[i] += -t0 + (t0 := time.perf_counter())
+        if not whole:
+            np.maximum(top, sq[:, : b - a].max(axis=1), out=top)
     values = []
-    for i, row in enumerate(sq):
+    for i, row in enumerate(sq if whole else top[:, None]):
         # element-data L2 norms of the gradient rows
         values.append(combine_axes(np.sqrt(disc.h * row), axes, spec.p))
         spent[i] += -t0 + (t0 := time.perf_counter())

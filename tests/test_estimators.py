@@ -1181,3 +1181,41 @@ def test_reference_error_pass_allocates_no_rows():
             tracemalloc.stop()
         assert peak < rows_nbytes / 4, (len(use), peak, rows_nbytes)
         assert len(got) == len(use) and abs(got[-1] - want) <= 1e-12 * want
+
+
+def test_reference_error_sup_pass_keeps_a_maximum_per_count():
+    # at p = inf a count keeps the running maximum of its squared row
+    # norms, not a row per grid point: the pass peaks far below counts by
+    # grid, and each value is bitwise the maximum of the row norms of the
+    # whole grid's rows of u_h - S u_h, formed chunk by chunk
+    rng = np.random.default_rng(43)
+    problem = build_problem({"family": "cosine", "M": 2, "gamma": 0.9})
+    disc = SpatialDiscretization(problem, 64)
+    cache = SolveCache(disc)
+    P = SparseInterpolant("leja", 2)
+    counts = []
+    for _ in range(40):
+        cand = [(0, 0)] if P.n_points == 0 else P.indexset.reduced_margin()
+        k = tuple(cand[rng.integers(len(cand))])
+        P.add_index(k, values=fresh_solves(P, cache, k))
+        counts.append(P.n_points)
+    spec = NormSpec(p="inf", sup_points_per_dim=129)
+    axes = sample_axes(spec, 2)
+    grid = point_grid([y for y, _ in axes])
+    assert len(_row_blocks((129, 129))) >= 8 and len(grid) == 129 * 129
+    tracemalloc.start()
+    try:
+        got = reference_error(P, disc, spec, counts=counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows_nbytes = len(counts) * len(grid) * 8
+    assert peak < rows_nbytes / 4, (peak, rows_nbytes)
+    rows = kernels.p1_slopes(disc.coefficient_at(grid), disc.cum_load, np.empty((len(grid), 64)))
+    W = P.basis_weights(grid)
+    dS = disc.gradient_rows(P.surpluses())
+    want = []
+    for c0, c1 in zip([0] + counts, counts):
+        rows -= W[:, c0:c1] @ dS[c0:c1]
+        want.append(combine_axes(l2_element_rows(disc, rows), axes, math.inf))
+    assert got == want

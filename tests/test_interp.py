@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseuq import interp
 from sparseuq.estimators import _row_blocks, profit
 from sparseuq.interp import (
     SparseInterpolant,
@@ -238,6 +239,56 @@ def test_evaluate_domain_and_empty_errors():
         P.evaluate(np.array([[1.5]]))
     with pytest.raises(ValueError):
         P.evaluate(np.array([0.0]))
+    # a NaN coordinate once passed the domain check and gave NaN rows
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="outside"):
+            P.evaluate(np.array([[bad]]))
+        with pytest.raises(ValueError, match="outside"):
+            P.basis_weights(np.array([[0.5], [bad]]))
+
+
+def random_surrogate(kind, dim, n_add, K, seed):
+    """An interpolant on a random monotone set with random values."""
+    rng = np.random.default_rng(seed)
+    P = SparseInterpolant(kind, dim)
+    for i in random_monotone(rng, dim, n_add):
+        P.add_index(i, values=rng.standard_normal((work(kind, i), K)))
+    return P
+
+
+@pytest.mark.parametrize(
+    "kind, dim, n_add, seed, rows",
+    [
+        ("leja", 3, 20, 0, 21),  # fewer rows than _QUERY_ROWS
+        ("leja", 2, 200, 0, 201),  # more: blocks of 201 points
+        ("clenshaw_curtis", 3, 8, 0, 29),
+        ("clenshaw_curtis", 3, 30, 1, 177),
+    ],
+)
+def test_evaluate_is_the_product_in_row_blocks(kind, dim, n_add, seed, rows):
+    # evaluate writes basis_weights @ surpluses in blocks of
+    # max(_QUERY_ROWS, rows) points: bitwise the blocks' own products, and
+    # the whole product to roundoff (a split changes bits only where BLAS
+    # takes another path for a block's shape)
+    B = interp._QUERY_ROWS
+    rng = np.random.default_rng(seed + 40)
+    for K in (17, 257):
+        P = random_surrogate(kind, dim, n_add, K, seed)
+        S = P.surpluses()
+        step = max(B, rows)
+        assert len(S) == rows
+        for n in (0, 1, B - 1, B, B + 1, 3 * B + 5):
+            Y = rng.uniform(-1.0, 1.0, size=(n, dim))
+            W = P.basis_weights(Y)
+            got = P.evaluate(Y)
+            assert got.shape == (n, K) and got.flags.c_contiguous
+            blocks = [W[a : a + step] @ S for a in range(0, n, step)]
+            want = np.concatenate(blocks) if blocks else np.empty((0, K))
+            assert got.tobytes() == want.tobytes(), (K, n)
+            if n <= step:
+                assert got.tobytes() == (W @ S).tobytes(), (K, n)
+            bound = 4 * np.finfo(float).eps * (np.abs(W) @ np.abs(S))
+            assert np.all(np.abs(got - W @ S) <= bound), (K, n)
 
 
 def test_grid_coordinates_bitwise_from_cache():
